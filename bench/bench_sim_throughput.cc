@@ -66,8 +66,6 @@ struct RunSample
     double wallSec = 0.0;
 
     // Kernel fast-path counters (always accumulated, free to read).
-    std::uint64_t trainsStarted = 0;
-    std::uint64_t trainSubInlined = 0;
     std::uint64_t sameTickShortcuts = 0;
     std::uint64_t walkCacheHits = 0;
     std::uint64_t xlateRegisterHits = 0;
@@ -117,8 +115,6 @@ meter(SystemConfig cfg,
     s.events = system.eventsExecuted();
     s.translations = system.mmu().counts().responses;
     s.peakQueueDepth = system.peakQueueDepth();
-    s.trainsStarted = system.trainsStarted();
-    s.trainSubInlined = system.trainSubEventsInlined();
     s.sameTickShortcuts = system.sameTickShortcuts();
     s.walkCacheHits = system.pageTable().walkCacheHits();
     if (MmuCore *core = system.mmu().asMmuCore())
@@ -316,9 +312,8 @@ main(int argc, char **argv)
     // so any drift is a bug).
     if (profile) {
         g_profile = true;
-        std::printf("\n%-22s %12s %12s %12s %12s %12s\n",
-                    "profile", "trains", "inlined", "sameTick",
-                    "regHits", "walkCache");
+        std::printf("\n%-22s %12s %12s %12s\n", "profile",
+                    "sameTick", "regHits", "walkCache");
         std::uint64_t fastpath_sum = 0;
         SimProfiler merged_prof;
         for (std::size_t i = 0; i < scenarios.size(); i++) {
@@ -343,9 +338,6 @@ main(int argc, char **argv)
                 g.scalar(base + "Scopes").set(double(slot.count));
                 g.scalar(base + "Nanos").set(double(slot.nanos));
             }
-            g.scalar("trainsStarted").set(double(s.trainsStarted));
-            g.scalar("trainSubEventsInlined")
-                .set(double(s.trainSubInlined));
             g.scalar("sameTickShortcuts")
                 .set(double(s.sameTickShortcuts));
             g.scalar("walkCacheHits").set(double(s.walkCacheHits));
@@ -357,17 +349,14 @@ main(int argc, char **argv)
                 .set(double(s.burstHighWater));
 
             // Any one counter may legitimately be ~0 for a given
-            // scenario (e.g. inline batching needs an empty next-tick
-            // bucket), so the liveness gate sums them.
-            fastpath_sum += s.trainsStarted + s.trainSubInlined +
-                            s.sameTickShortcuts + s.walkCacheHits +
+            // scenario (e.g. the oracle never consults a channel
+            // register), so the liveness gate sums them.
+            fastpath_sum += s.sameTickShortcuts + s.walkCacheHits +
                             s.xlateRegisterHits;
             merged_prof.merge(s.prof);
 
-            std::printf("%-22s %12llu %12llu %12llu %12llu %12llu\n",
+            std::printf("%-22s %12llu %12llu %12llu\n",
                         sc.name.c_str(),
-                        (unsigned long long)s.trainsStarted,
-                        (unsigned long long)s.trainSubInlined,
                         (unsigned long long)s.sameTickShortcuts,
                         (unsigned long long)s.xlateRegisterHits,
                         (unsigned long long)s.walkCacheHits);

@@ -99,9 +99,9 @@ if [[ -s "$BENCH_PREV" ]] && command -v python3 > /dev/null; then
   python3 scripts/bench_delta.py "$BENCH_PREV" "$BENCH_JSON"
 fi
 # The attribution pass must actually be in the archived artifact.
-if ! grep -q '"fastpath"\|trainsStarted' "$BENCH_JSON"; then
+if ! grep -q sameTickShortcuts "$BENCH_JSON"; then
   echo "error: throughput report is missing the --profile" \
-       "attribution (no trainsStarted)" >&2
+       "attribution (no sameTickShortcuts)" >&2
   exit 1
 fi
 # The sharded scaling curve (64-NPU mix across sim.shards) must be in

@@ -120,10 +120,7 @@ MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
                  MmuConfig cfg)
     : _name(std::move(name)), _eq(eq), _pt(pt), _cfg(cfg),
       _tlb(_name + ".tlb", cfg.tlb), _pts(2 * cfg.numPtws),
-      _inflight(2 * cfg.numPtws),
-      // Initiator slot plus a full PRMB per slab; slabs recycle, so
-      // steady-state merging and draining never allocate.
-      _respArena(cfg.prmbSlots + 1), _stats(_name)
+      _inflight(2 * cfg.numPtws), _stats(_name)
 {
     NEUMMU_ASSERT(cfg.numPtws > 0 || cfg.oracle,
                   "an MMU needs at least one walker");
@@ -358,7 +355,7 @@ MmuCore::translate(Addr va, std::uint64_t id)
             // empty pending list and accepts no merges (demand
             // requests for its page block until capacity frees) --
             // the explicit guard keeps size()-1 from underflowing.
-            std::vector<TranslationResponse> &pending = pendingOf(w);
+            std::vector<TranslationResponse> &pending = w.pending;
             if (!pending.empty() &&
                 pending.size() - 1 < _cfg.prmbSlots) {
                 pending.push_back(TranslationResponse{id, va,
@@ -394,9 +391,8 @@ MmuCore::startWalk(unsigned walker_idx, Addr va, std::uint64_t id,
 
     w.busy = true;
     w.vpn = vpn;
-    w.pendingSlab = _respArena.acquire();
     if (!is_prefetch)
-        pendingOf(w).push_back(TranslationResponse{id, va, invalidAddr});
+        w.pending.push_back(TranslationResponse{id, va, invalidAddr});
     _busyWalkers++;
 
     unsigned &inflight_count = _inflight.insert(vpn, 0u).first;
@@ -446,10 +442,10 @@ MmuCore::launchWalk(unsigned walker_idx, Addr va, bool initial)
         // Demand walks trace under the initiator's (tagged) id;
         // speculative walks have no requester, so they get their own
         // standalone prefetch key and never fold into a request.
-        const bool speculative = pendingOf(w).empty();
+        const bool speculative = w.pending.empty();
         const std::uint64_t key = speculative
                                       ? (trace::prefetchTag | w.vpn)
-                                      : pendingOf(w).front().id;
+                                      : w.pending.front().id;
         if (initial && !speculative)
             _trace->span(key, trace::Stage::TlbMiss, now,
                          now + _cfg.tlb.hitLatency);
@@ -526,9 +522,9 @@ MmuCore::finishWalk(unsigned walker_idx)
         // whose page vanished is simply dropped -- nobody waits for
         // it, and re-faulting it in would be pure waste.
         w.squashed = false;
-        const bool was_prefetch = pendingOf(w).empty();
+        const bool was_prefetch = w.pending.empty();
         const Addr va = was_prefetch ? (w.vpn << _cfg.pageShift)
-                                     : pendingOf(w).front().va;
+                                     : w.pending.front().va;
         if (!was_prefetch || _pt.isMapped(va)) {
             launchWalk(walker_idx, va, false);
             return;
@@ -542,7 +538,7 @@ MmuCore::finishWalk(unsigned walker_idx)
     const WalkResult walk = w.walk;
     const Tick now = _eq.now();
     const Addr vpn = w.vpn;
-    std::vector<TranslationResponse> &pending = pendingOf(w);
+    std::vector<TranslationResponse> &pending = w.pending;
     const bool was_prefetch = pending.empty();
 
     _tlb.insert(vpn, walk.pa >> _cfg.pageShift);
@@ -552,50 +548,18 @@ MmuCore::finishWalk(unsigned walker_idx)
 
     // The initiator gets its translation at walk completion; merged
     // PRMB entries drain back to the DMA one per cycle (Section IV-A).
+    // Each response is captured by value in its own event, so the
+    // walker can be released (and reused) before the drain finishes.
+    // Each merge span closes at its scheduled delivery tick (known
+    // now), so no work rides inside the delivery events themselves.
     const Addr off_mask = pageOffsetMask(_cfg.pageShift);
-    for (auto &resp : pending)
+    Tick when = now;
+    for (auto &resp : pending) {
         resp.pa = (walk.pa & ~off_mask) | (resp.va & off_mask);
-
-    const std::size_t k = pending.size();
-    if (_trace) {
-        // Merged requests drain one per cycle behind the initiator;
-        // each merge span closes at its scheduled delivery tick
-        // (known now -- both drain paths assign now+i), so no work
-        // rides inside the delivery events themselves.
-        for (std::size_t i = 1; i < k; i++)
-            _trace->close(pending[i].id, trace::Stage::PrmbMerge,
-                          now + Tick(i));
-    }
-    if (!_lifecycle && k > 1) {
-        // Batch drain train: one scheduled anchor expands into k
-        // back-to-back deliveries at now..now+k-1 with the exact
-        // (tick, priority, seq) assignment k individual schedule()
-        // calls would get -- cycle results and counters unchanged.
-        // Ownership of the slab moves to the train so the walker can
-        // free immediately, as it did before.
-        NEUMMU_ASSERT(_respond, "no response callback installed");
-        _counts.responses += k; // respondAt() counts at schedule time
-        const SlabArena<TranslationResponse>::Handle slab =
-            w.pendingSlab;
-        w.pendingSlab = SlabArena<TranslationResponse>::npos;
-        _eq.scheduleTrainBatch(
-            now, 1, k, [this, slab](std::uint64_t i) {
-                NEUMMU_PROF_SCOPE(_eq.profiler(),
-                                  ProfSubsystem::MmuRespond);
-                // Copy out before invoking: the response callback can
-                // re-enter translate() and grow the arena.
-                const TranslationResponse resp = _respArena.at(slab)[i];
-                if (i + 1 == _respArena.at(slab).size())
-                    _respArena.release(slab);
-                _respond(resp);
-                return true;
-            });
-    } else {
-        Tick when = now;
-        for (const auto &resp : pending) {
-            respondAt(when, resp);
-            when++;
-        }
+        if (_trace && when > now)
+            _trace->close(resp.id, trace::Stage::PrmbMerge, when);
+        respondAt(when, resp);
+        when++;
     }
 
     releaseWalker(walker_idx);
@@ -615,10 +579,7 @@ MmuCore::releaseWalker(unsigned walker_idx)
     Walker &w = _walkers[walker_idx];
     const Addr vpn = w.vpn;
     w.busy = false;
-    if (w.pendingSlab != SlabArena<TranslationResponse>::npos) {
-        _respArena.release(w.pendingSlab);
-        w.pendingSlab = SlabArena<TranslationResponse>::npos;
-    }
+    w.pending.clear();
     w.vpn = invalidAddr;
     _busyWalkers--;
     _freeWalkers.push_back(walker_idx);

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -217,11 +216,6 @@ class MmuCore : public MmuEngine
     }
     /** Requests served by the per-channel translation registers. */
     std::uint64_t xlateRegisterHits() const { return _xlateRegHits; }
-    /** Peak live response-list slabs (tests/diagnostics). */
-    std::size_t respArenaHighWater() const
-    {
-        return _respArena.highWater();
-    }
 
   private:
     struct Walker
@@ -235,14 +229,11 @@ class MmuCore : public MmuEngine
         bool squashed = false;
         Addr vpn = invalidAddr;
         /**
-         * Slab (in _respArena) holding the requests served by this
-         * walk: initiator first, merged PRMB entries after; empty for
-         * speculative prefetch walks. A slab so the finishWalk drain
-         * train can take ownership of the list after the walker is
-         * already released. npos while the walker is idle.
+         * Requests served by this walk: initiator first, merged PRMB
+         * entries after; empty for speculative prefetch walks. Cleared
+         * (capacity kept) when the walker is released.
          */
-        SlabArena<TranslationResponse>::Handle pendingSlab =
-            SlabArena<TranslationResponse>::npos;
+        std::vector<TranslationResponse> pending;
         /**
          * The functional walk outcome, parked here between
          * startWalk() and the walk-completion event so the scheduled
@@ -254,8 +245,8 @@ class MmuCore : public MmuEngine
     };
 
     /**
-     * Per-channel last-translation register (the paper's TPreg idea
-     * applied at the translation port, Section IV-C): caches the
+     * Per-channel last-translation register (not the per-PTW TpReg
+     * of Section IV-C, which caches walk paths): caches the
      * channel's last TLB hit as (vpn, pfn) plus the TLB generation it
      * was snapshotted at. A register hit is exact: a generation match
      * means the TLB has not changed since the snapshot, so the vpn is
@@ -281,10 +272,6 @@ class MmuCore : public MmuEngine
     unsigned consultPathCache(Walker &w, Addr va, const WalkResult &walk);
     void updatePathCache(Walker &w, Addr va, const WalkResult &walk);
     Addr vpnOf(Addr va) const { return va >> _cfg.pageShift; }
-    std::vector<TranslationResponse> &pendingOf(Walker &w)
-    {
-        return _respArena.at(w.pendingSlab);
-    }
 
     std::string _name;
     EventQueue &_eq;
@@ -299,8 +286,6 @@ class MmuCore : public MmuEngine
     FlatMap64<unsigned> _pts;
     /** In-flight VPN multiplicity (redundant-walk accounting). */
     FlatMap64<unsigned> _inflight;
-    /** Response-list slabs: one per busy walker or in-flight drain. */
-    SlabArena<TranslationResponse> _respArena;
     std::array<XlateReg, numXlateRegs> _xlateRegs{};
     std::uint64_t _xlateRegHits = 0;
     std::unique_ptr<TranslationPathCache> _tpc;

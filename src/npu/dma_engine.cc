@@ -40,13 +40,8 @@ DmaEngine::fetch(std::vector<VaRun> runs, DoneCallback done)
         _eq.scheduleIn(0, [this] { maybeFinish(); });
         return;
     }
-    // The whole issue loop -- one translation request per cycle
-    // (Section III-C) -- is one chain train: sub-event k is burst k's
-    // issue slot, and the train re-arms for the next cycle exactly
-    // like the old self-rescheduling event did.
     _issueScheduled = true;
-    _eq.scheduleTrain(_eq.now(), 1,
-                      [this](std::uint64_t) { return issueStep(); });
+    _eq.scheduleIn(0, [this] { issueLoop(); });
 }
 
 bool
@@ -121,7 +116,17 @@ DmaEngine::issueStep()
         _issueScheduled = false;
         return false;
     }
-    return true; // train re-arms: next burst issues next cycle
+    return true; // next burst issues next cycle
+}
+
+void
+DmaEngine::issueLoop()
+{
+    // One translation request per cycle (Section III-C): the event
+    // reschedules itself after the attempt, so its seq follows
+    // everything the attempt scheduled.
+    if (issueStep())
+        _eq.scheduleIn(1, [this] { issueLoop(); });
 }
 
 void
@@ -139,8 +144,7 @@ DmaEngine::onWake()
         _trace->span(trace::creditWaitKey(_traceKeyBase),
                      trace::Stage::CreditWait, _blockedSince, _eq.now());
     _issueScheduled = true;
-    _eq.scheduleTrain(_eq.now() + 1, 1,
-                      [this](std::uint64_t) { return issueStep(); });
+    _eq.scheduleIn(1, [this] { issueLoop(); });
 }
 
 void

@@ -113,11 +113,12 @@ class DmaEngine
     }
 
   private:
+    /** The issue event: issueStep() now, again next cycle if it asks. */
+    void issueLoop();
     /**
-     * One issue-train sub-event: attempt one burst's translation.
-     * Returns true while the train should keep running (one request
-     * per cycle); false when done, blocked, or the tile is fully
-     * issued.
+     * Attempt one burst's translation. Returns true while the issue
+     * loop should keep running (one request per cycle); false when
+     * done, blocked, or the tile is fully issued.
      */
     bool issueStep();
     void onTranslation(const TranslationResponse &resp);

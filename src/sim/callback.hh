@@ -21,7 +21,6 @@
 #define NEUMMU_SIM_CALLBACK_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -188,14 +187,6 @@ const typename InlineCallback<R(Args...)>::Ops
 
 /** The EventQueue's event payload. */
 using EventCallback = InlineCallback<void()>;
-
-/**
- * One sub-event of an event train (EventQueue::scheduleTrain /
- * scheduleTrainBatch), invoked with the sub-event index. A chain
- * train re-arms while the callback returns true; a batch train runs
- * its full count and must always return true.
- */
-using TrainCallback = InlineCallback<bool(std::uint64_t)>;
 
 } // namespace neummu
 

@@ -31,9 +31,8 @@ EventQueue::appendToBucket(Tick when, int priority, std::uint64_t seq,
         // The pending range stays (priority, seq)-sorted as long as
         // appends arrive in that order -- the common case, since seqs
         // rise monotonically with schedule() calls. A lower-ordered
-        // arrival (a priority preemption, a far-heap migration
-        // landing next to newer ring events, or a train anchor
-        // carrying its preassigned seq) forces a deferred sort.
+        // arrival (a priority preemption, or a far-heap migration
+        // landing next to newer ring events) forces a deferred sort.
         const Event &last = b.events.back();
         if (priority < last.priority ||
             (priority == last.priority && seq < last.seq)) {
@@ -58,167 +57,6 @@ EventQueue::schedule(Tick when, Callback cb, int priority)
     _pending++;
     if (_pending > _peakDepth)
         _peakDepth = _pending;
-}
-
-std::uint32_t
-EventQueue::allocTrain()
-{
-    if (!_freeTrains.empty()) {
-        const std::uint32_t ti = _freeTrains.back();
-        _freeTrains.pop_back();
-        return ti;
-    }
-    _trains.emplace_back();
-    return std::uint32_t(_trains.size() - 1);
-}
-
-void
-EventQueue::freeTrain(std::uint32_t ti)
-{
-    _trains[ti].cb = TrainCallback();
-    _freeTrains.push_back(ti);
-}
-
-void
-EventQueue::armTrain(std::uint32_t ti)
-{
-    Train &t = _trains[ti];
-    const Tick when = t.next;
-    NEUMMU_ASSERT(when >= _now, "train armed into the past");
-    Callback anchor = [this, ti] { runTrainSub(ti); };
-    if (when - _cursor < nearWindowTicks) {
-        appendToBucket(when, t.priority, t.nextSeq,
-                       std::move(anchor));
-    } else {
-        _far.push_back(
-            FarEvent{when, t.priority, t.nextSeq, std::move(anchor)});
-        std::push_heap(_far.begin(), _far.end(), FarAfter{});
-    }
-}
-
-void
-EventQueue::scheduleTrain(Tick first, Tick stride, TrainCallback cb,
-                          int priority)
-{
-    NEUMMU_ASSERT(first >= _now, "scheduling into the past");
-    NEUMMU_ASSERT(stride >= 1, "train stride must be positive");
-    const std::uint32_t ti = allocTrain();
-    Train &t = _trains[ti];
-    t.next = first;
-    t.stride = stride;
-    t.idx = 0;
-    t.remaining = 0;
-    t.nextSeq = _nextSeq++;
-    t.priority = priority;
-    t.batch = false;
-    t.cb = std::move(cb);
-    _pending++;
-    if (_pending > _peakDepth)
-        _peakDepth = _pending;
-    _trainsStarted++;
-    armTrain(ti);
-}
-
-void
-EventQueue::scheduleTrainBatch(Tick first, Tick stride,
-                               std::uint64_t count, TrainCallback cb,
-                               int priority)
-{
-    NEUMMU_ASSERT(first >= _now, "scheduling into the past");
-    NEUMMU_ASSERT(stride >= 1, "train stride must be positive");
-    NEUMMU_ASSERT(count >= 1, "empty train batch");
-    const std::uint32_t ti = allocTrain();
-    Train &t = _trains[ti];
-    t.next = first;
-    t.stride = stride;
-    t.idx = 0;
-    t.remaining = count;
-    t.nextSeq = _nextSeq;
-    _nextSeq += count;
-    t.priority = priority;
-    t.batch = true;
-    t.cb = std::move(cb);
-    // All sub-events become pending at once, exactly like the
-    // equivalent back-to-back schedule() loop; the intermediate
-    // depths rise monotonically, so one high-water check covers
-    // every step of the rise.
-    _pending += count;
-    if (_pending > _peakDepth)
-        _peakDepth = _pending;
-    _trainsStarted++;
-    armTrain(ti);
-}
-
-void
-EventQueue::runTrainSub(std::uint32_t ti)
-{
-    // The anchor dispatch that got us here already accounted the due
-    // sub-event (_pending--, _executed++, _now advance) in
-    // dispatchOne; each inline continuation below accounts its own
-    // before the loop comes back around. The callback is invoked in
-    // place: _trains is a deque, so a callback that starts new
-    // trains never invalidates this train's storage.
-    bool advanced = false;
-    for (;;) {
-        Train &t = _trains[ti];
-        const std::uint64_t idx = t.idx++;
-        const bool batch = t.batch;
-        const Tick stride = t.stride;
-        t.next += stride;
-        if (batch) {
-            t.remaining--;
-            t.nextSeq++;
-        }
-        const bool keep = t.cb(idx);
-        bool again;
-        if (batch) {
-            NEUMMU_ASSERT(keep, "batch train stopped early");
-            again = t.remaining > 0;
-        } else {
-            again = keep;
-            if (again) {
-                // Matches an event rescheduling itself as its last
-                // action: the seq is drawn after everything the
-                // callback scheduled, and the train re-registers as
-                // exactly one pending event.
-                t.nextSeq = _nextSeq++;
-                _pending++;
-                if (_pending > _peakDepth)
-                    _peakDepth = _pending;
-            }
-        }
-        if (!again) {
-            freeTrain(ti);
-            break;
-        }
-        const Tick nt = t.next;
-        // Dispatch the continuation inline -- skipping the calendar
-        // entirely -- when it is provably the globally next event:
-        // nothing else pends at the current tick or the next one,
-        // stride one keeps the gap closed, the far heap holds
-        // nothing at or before it, and the run limit covers it.
-        if (stride == 1 && nt <= _runLimit &&
-            !bucketFor(_now).hasPending() &&
-            !bucketFor(nt).hasPending() &&
-            (_far.empty() || _far.front().when > nt)) {
-            _cursor = nt;
-            _now = nt;
-            _pending--;
-            _executed++;
-            _trainSubInlined++;
-            advanced = true;
-            continue;
-        }
-        armTrain(ti);
-        break;
-    }
-    // Inline dispatch advances the cursor without the usual findNext
-    // migration, so far events may now sit inside the window; restore
-    // the invariant before the calendar machinery runs again. (Only
-    // needed when a continuation actually ran inline -- the common
-    // single-sub dispatch leaves the cursor untouched.)
-    if (advanced)
-        migrateFarIntoWindow();
 }
 
 void
@@ -324,10 +162,6 @@ EventQueue::dispatchOne()
 bool
 EventQueue::step()
 {
-    // A pinned run limit of zero keeps train dispatch from inlining
-    // continuations, so one step() is always exactly one
-    // (sub-)event.
-    _runLimit = 0;
     if (!findNext(maxTick))
         return false;
     dispatchOne();
@@ -337,7 +171,6 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick limit)
 {
-    _runLimit = limit;
     NEUMMU_PROF_SCOPE(_prof.get(), ProfSubsystem::Kernel);
     while (findNext(limit)) {
         dispatchOne();

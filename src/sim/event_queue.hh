@@ -14,17 +14,6 @@
  * migrate into the ring as the window advances; when the ring drains
  * entirely (e.g. a multi-thousand-cycle page-fault gap), the cursor
  * jumps straight to the next far event instead of scanning the gap.
- *
- * Event trains (scheduleTrain / scheduleTrainBatch) batch the
- * dominant self-rescheduling chains -- the DMA's one-burst-per-cycle
- * issue loop and the PRMB's one-response-per-cycle drains -- into a
- * single parked state machine. Each sub-event still counts as one
- * executed event and one pending entry, with exactly the (tick,
- * priority, seq) order the equivalent chain of singleton events
- * would have had; the batching is purely a host-side shortcut that
- * skips the calendar machinery whenever the train's next sub-event
- * is provably the globally next event. Simulated results (and the
- * golden stats dumps) are bit-identical with trains on or off.
  */
 
 #ifndef NEUMMU_SIM_EVENT_QUEUE_HH
@@ -32,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -85,35 +73,6 @@ class EventQueue
         schedule(_now + delta, std::move(cb), priority);
     }
 
-    /**
-     * Schedule a *chain train*: sub-event 0 runs at @p first; after
-     * each sub-event, the callback's return value decides whether
-     * the train re-arms @p stride ticks later. Semantically
-     * identical to an event that reschedules itself as the last
-     * action of its callback -- same seq assignment (the re-arm seq
-     * is drawn after everything the callback scheduled), same
-     * pending-count profile (one pending entry while armed), one
-     * executed event per sub-event -- but the kernel dispatches
-     * consecutive sub-events inline when nothing interleaves.
-     * @pre stride >= 1
-     */
-    void scheduleTrain(Tick first, Tick stride, TrainCallback cb,
-                       int priority = defaultPriority);
-
-    /**
-     * Schedule a *batch train*: @p count sub-events at @p first,
-     * first+stride, ..., with consecutive seqs reserved up front.
-     * Semantically identical to a loop scheduling @p count singleton
-     * events back to back (the PRMB drain pattern): all seqs are
-     * assigned at call time and the pending count rises by @p count
-     * immediately. The callback must return true for every
-     * sub-event.
-     * @pre count >= 1, stride >= 1, first >= now()
-     */
-    void scheduleTrainBatch(Tick first, Tick stride,
-                            std::uint64_t count, TrainCallback cb,
-                            int priority = defaultPriority);
-
     bool empty() const { return _pending == 0; }
     std::size_t size() const { return _pending; }
 
@@ -138,20 +97,6 @@ class EventQueue
 
     /** High-water mark of pending events (for simulator stats). */
     std::uint64_t peakDepth() const { return _peakDepth; }
-
-    /** Trains started over the queue's lifetime (host-side counter). */
-    std::uint64_t trainsStarted() const { return _trainsStarted; }
-
-    /**
-     * Train sub-events dispatched inline, without touching the
-     * calendar (host-side fast-path counter; simulated results are
-     * unaffected).
-     */
-    std::uint64_t
-    trainSubEventsInlined() const
-    {
-        return _trainSubInlined;
-    }
 
     /**
      * Same-tick dispatches that skipped the calendar scan (host-side
@@ -223,28 +168,6 @@ class EventQueue
         }
     };
 
-    /**
-     * A parked train state machine. While live, the train's next
-     * sub-event is materialized as exactly one calendar event (its
-     * *anchor*), so ordering, pending counts, and window queries all
-     * flow through the ordinary machinery; runTrainSub() then
-     * dispatches further sub-events inline for as long as the train
-     * provably stays the globally next event.
-     */
-    struct Train
-    {
-        Tick next = 0;
-        Tick stride = 1;
-        std::uint64_t idx = 0;
-        /** Batch only: sub-events left, incl. the next one. */
-        std::uint64_t remaining = 0;
-        /** Batch only: preassigned seq of the next sub-event. */
-        std::uint64_t nextSeq = 0;
-        int priority = defaultPriority;
-        bool batch = false;
-        TrainCallback cb;
-    };
-
     static constexpr Tick _mask = nearWindowTicks - 1;
     static_assert((nearWindowTicks & _mask) == 0,
                   "near window must be a power of two");
@@ -271,13 +194,6 @@ class EventQueue
     /** Pop and execute the earliest event of the cursor's bucket. */
     void dispatchOne();
 
-    std::uint32_t allocTrain();
-    void freeTrain(std::uint32_t ti);
-    /** Materialize the train's next sub-event as a calendar event. */
-    void armTrain(std::uint32_t ti);
-    /** Dispatch the train's due sub-event (plus inline followers). */
-    void runTrainSub(std::uint32_t ti);
-
     std::vector<Bucket> _buckets;
     /**
      * One bit per bucket: set while the bucket has pending events,
@@ -297,30 +213,11 @@ class EventQueue
     /** Far-term overflow heap (std::push_heap/pop_heap on FarAfter). */
     std::vector<FarEvent> _far;
 
-    /**
-     * Deque, not vector: a sub-event callback may start new trains
-     * (growing this container), and runTrainSub invokes the stored
-     * callback in place -- the deque's stable element addresses make
-     * that safe without moving the callback out and back per
-     * sub-event.
-     */
-    std::deque<Train> _trains;
-    std::vector<std::uint32_t> _freeTrains;
-
     Tick _now = 0;
     std::size_t _pending = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
     std::uint64_t _peakDepth = 0;
-    /**
-     * Inclusive tick bound of the active run(); inline train
-     * dispatch never crosses it. step() pins it to 0 so a single
-     * step never executes more than one (sub-)event.
-     */
-    Tick _runLimit = 0;
-
-    std::uint64_t _trainsStarted = 0;
-    std::uint64_t _trainSubInlined = 0;
     std::uint64_t _sameTickShortcuts = 0;
 
     std::unique_ptr<SimProfiler> _prof;

@@ -33,7 +33,7 @@ enum class ProfSubsystem : unsigned
     Kernel = 0, ///< event-queue machinery + unattributed callbacks
     DmaIssue,   ///< DMA burst issue / translation request path
     DmaData,    ///< DMA translation responses and data-burst landing
-    MmuTranslate, ///< engine translate() front end (TLB, PTS, TPREG)
+    MmuTranslate, ///< translate() front end (channel register, TLB, PTS)
     MmuWalk,    ///< page-table walker launch/finish
     MmuRespond, ///< translation response delivery
     Memory,     ///< memory-model access timing

@@ -34,6 +34,16 @@ parseU64(const std::string &key, const std::string &value)
     }
 }
 
+/** parseU64 for counts and latencies where 0 is meaningless. */
+std::uint64_t
+parsePositive(const std::string &key, const std::string &value)
+{
+    const std::uint64_t v = parseU64(key, value);
+    if (v == 0)
+        badValue(key, value, "an unsigned integer >= 1");
+    return v;
+}
+
 double
 parseF64(const std::string &key, const std::string &value)
 {
@@ -258,7 +268,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "seed") {
         cfg.seed = parseU64(key, value);
     } else if (key == "numNpus") {
-        cfg.numNpus = unsigned(parseU64(key, value));
+        cfg.numNpus = unsigned(parsePositive(key, value));
     } else if (key == "bufferDepth") {
         cfg.bufferDepth = unsigned(parseU64(key, value));
     } else if (key == "dmaBurstBytes") {
@@ -440,9 +450,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "sim.shards") {
         cfg.sim.shards = unsigned(parseU64(key, value));
     } else if (key == "sim.hopTicks") {
-        cfg.sim.hopTicks = Tick(parseU64(key, value));
+        cfg.sim.hopTicks = Tick(parsePositive(key, value));
     } else if (key == "sim.portCredits") {
-        cfg.sim.portCredits = unsigned(parseU64(key, value));
+        cfg.sim.portCredits = unsigned(parsePositive(key, value));
     } else if (key == "sim.hubNpus") {
         cfg.sim.hubNpus = unsigned(parseU64(key, value));
     } else if (key == "sim.threads") {
@@ -479,7 +489,7 @@ binderKeyTable()
     static const std::vector<BinderKeyDoc> table{
         {"name", "stats prefix of the built System"},
         {"seed", "root random seed (per-workload streams derive)"},
-        {"numNpus", "NPU count; >1 shares the MMU via the router"},
+        {"numNpus", "NPU count (>=1); >1 shares the MMU via the router"},
         {"bufferDepth", "tile-buffer depth (2 = double buffering)"},
         {"dmaBurstBytes", "system-level DMA burst override (0 = npu)"},
         {"mmuKind", "translation design (alias of mmu.design)"},
@@ -559,7 +569,7 @@ binderKeyTable()
         {"sim.shards", "0 = legacy serial kernel; >=1 = sharded "
                        "domain kernel with that many NPU shards"},
         {"sim.hopTicks", "NPU<->hub hop latency = lookahead (>=1)"},
-        {"sim.portCredits", "outstanding translations per NPU port"},
+        {"sim.portCredits", "outstanding translations per NPU port (>=1)"},
         {"sim.hubNpus", "first K NPU slots co-resident on the hub "
                         "queue (auto-covers paging.homeNode)"},
         {"sim.profile", "1 = host-side cycle attribution (prof.* / "

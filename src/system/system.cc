@@ -463,23 +463,6 @@ System::refreshSystemStats()
 }
 
 std::uint64_t
-System::trainsStarted()
-{
-    std::uint64_t n = 0;
-    forEachQueue([&](EventQueue &eq) { n += eq.trainsStarted(); });
-    return n;
-}
-
-std::uint64_t
-System::trainSubEventsInlined()
-{
-    std::uint64_t n = 0;
-    forEachQueue(
-        [&](EventQueue &eq) { n += eq.trainSubEventsInlined(); });
-    return n;
-}
-
-std::uint64_t
 System::sameTickShortcuts()
 {
     std::uint64_t n = 0;
@@ -524,9 +507,6 @@ System::refreshProfileStats()
     // increments), surfaced only here so the default dump -- and the
     // goldens -- keep their exact legacy shape.
     stats::Group &fast = _stats.group(prefixed(_cfg.name, "fastpath"));
-    set(fast.scalar("trainsStarted"), double(trainsStarted()));
-    set(fast.scalar("trainSubEventsInlined"),
-        double(trainSubEventsInlined()));
     set(fast.scalar("sameTickShortcuts"), double(sameTickShortcuts()));
     set(fast.scalar("walkCacheHits"), double(_pageTable.walkCacheHits()));
     if (MmuCore *core = _mmu->asMmuCore()) {

@@ -290,10 +290,9 @@ class System
     }
 
     // --- Kernel fast-path observability ----------------------------
-    /** Event trains started, summed across queues. */
-    std::uint64_t trainsStarted();
-    /** Train sub-events run inline (no queue round-trip), summed. */
-    std::uint64_t trainSubEventsInlined();
+    /** Always 0: the kernel has no event trains. Kept because the
+     *  benchmark runner (perfbench/) reads it. */
+    std::uint64_t trainSubEventsInlined() const { return 0; }
     /** Same-tick dispatch shortcuts taken, summed across queues. */
     std::uint64_t sameTickShortcuts();
     /** Merged host-cycle attribution (all zero when sim.profile=0). */

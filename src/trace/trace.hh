@@ -77,7 +77,7 @@ enum class Stage : std::uint8_t
     CreditWait,  ///< DMA blocked on port credits / walker backpressure
     HopToHub,    ///< NPU-side shard port -> hub ingress hop
     HubQueue,    ///< hub bridge retry queue (walker-full backpressure)
-    TlbHit,      ///< TPREG/TLB lookup that hit
+    TlbHit,      ///< channel-register/TLB lookup that hit
     TlbMiss,     ///< TLB lookup that missed (the detect latency)
     PrmbMerge,   ///< merged into an in-flight walk; wait until drain
     Walk,        ///< page-table walk (aux = radix levels accessed)

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <random>
 #include <utility>
@@ -420,274 +419,5 @@ TEST(EventQueue, RandomizedDispatchMatchesReferenceModel)
         const auto actual = runRandomWorkload<EventQueue>(seed);
         ASSERT_EQ(actual, expected) << "seed " << seed;
         ASSERT_GT(actual.size(), 40u) << "seed " << seed;
-    }
-}
-
-// --- event trains: batched dispatch vs singleton semantics ---------
-//
-// The train API's contract is "semantically identical to the
-// singleton formulation, just cheaper to dispatch": a batch train ==
-// count back-to-back schedule() calls, a chain train == an event
-// that reschedules itself at the end of its callback. These tests
-// pin that equivalence -- execution order, interleaving with
-// same-tick singletons, priorities, preemption, and the executed /
-// peak-depth counters -- against the singleton formulation run on a
-// second queue.
-
-TEST(EventQueue, BatchTrainMatchesBackToBackSingletons)
-{
-    std::vector<std::pair<int, Tick>> train_order, single_order;
-
-    EventQueue train_q;
-    train_q.scheduleTrainBatch(5, 1, 4, [&](std::uint64_t i) {
-        train_order.push_back({int(i), train_q.now()});
-        return true;
-    });
-    train_q.run();
-
-    EventQueue single_q;
-    for (std::uint64_t i = 0; i < 4; i++) {
-        single_q.schedule(5 + Tick(i), [&, i] {
-            single_order.push_back({int(i), single_q.now()});
-        });
-    }
-    single_q.run();
-
-    EXPECT_EQ(train_order, single_order);
-    EXPECT_EQ(train_q.eventsExecuted(), single_q.eventsExecuted());
-    EXPECT_EQ(train_q.peakDepth(), single_q.peakDepth());
-    EXPECT_EQ(train_q.now(), single_q.now());
-}
-
-TEST(EventQueue, BatchTrainInterleavesWithSameTickSingletons)
-{
-    // Singletons land on the middle sub-event's tick, exercising all
-    // three orderings: higher priority beats the sub-event, a
-    // singleton scheduled BEFORE the batch call wins the seq
-    // tiebreak, one scheduled AFTER loses it.
-    const auto drive = [](auto &&schedule_mid) {
-        EventQueue eq;
-        std::vector<int> order;
-        eq.schedule(12, [&] { order.push_back(100); }); // pre-batch
-        eq.schedule(12, [&] { order.push_back(101); }, -1);
-        schedule_mid(eq, order);
-        eq.schedule(12, [&] { order.push_back(102); }); // post-batch
-        eq.run();
-        return order;
-    };
-
-    const auto with_train = drive([](EventQueue &eq,
-                                     std::vector<int> &order) {
-        eq.scheduleTrainBatch(10, 1, 5, [&order](std::uint64_t i) {
-            order.push_back(int(i));
-            return true;
-        });
-    });
-    const auto with_singletons = drive([](EventQueue &eq,
-                                          std::vector<int> &order) {
-        for (std::uint64_t i = 0; i < 5; i++) {
-            eq.schedule(10 + Tick(i),
-                        [&order, i] { order.push_back(int(i)); });
-        }
-    });
-
-    EXPECT_EQ(with_train, with_singletons);
-    // Tick 12 runs: priority -1 singleton, pre-batch singleton,
-    // sub-event 2, post-batch singleton.
-    EXPECT_EQ(with_train,
-              (std::vector<int>{0, 1, 101, 100, 2, 102, 3, 4}));
-}
-
-TEST(EventQueue, MidDispatchPreemptionCrossesTrainBoundary)
-{
-    // A sub-event schedules a higher-priority event onto the NEXT
-    // sub-event's tick mid-dispatch; it must preempt the train even
-    // when the kernel would otherwise dispatch the sub-events
-    // back-to-back inline.
-    EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleTrainBatch(3, 1, 3, [&](std::uint64_t i) {
-        order.push_back(int(i));
-        if (i == 0)
-            eq.schedule(4, [&] { order.push_back(99); }, -1);
-        return true;
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 99, 1, 2}));
-}
-
-TEST(EventQueue, ChainTrainMatchesSelfReschedulingEvent)
-{
-    // The DMA issue pattern: re-arm every cycle until done, with a
-    // follow-up scheduled before each re-arm so the seq interleaving
-    // with other same-tick work is observable.
-    std::vector<std::pair<int, Tick>> train_order, single_order;
-
-    EventQueue train_q;
-    train_q.schedule(2, [&] { train_order.push_back({100, 2}); });
-    train_q.scheduleTrain(1, 1, [&](std::uint64_t i) {
-        train_order.push_back({int(i), train_q.now()});
-        train_q.schedule(train_q.now() + 2, [&, i] {
-            train_order.push_back({int(10 + i), train_q.now()});
-        });
-        return i < 3;
-    });
-    train_q.run();
-
-    EventQueue single_q;
-    single_q.schedule(2, [&] { single_order.push_back({100, 2}); });
-    std::function<void(std::uint64_t)> body =
-        [&](std::uint64_t i) {
-            single_order.push_back({int(i), single_q.now()});
-            single_q.schedule(single_q.now() + 2, [&, i] {
-                single_order.push_back(
-                    {int(10 + i), single_q.now()});
-            });
-            if (i < 3) {
-                single_q.schedule(single_q.now() + 1,
-                                  [&body, i] { body(i + 1); });
-            }
-        };
-    single_q.schedule(1, [&body] { body(0); });
-    single_q.run();
-
-    EXPECT_EQ(train_order, single_order);
-    EXPECT_EQ(train_q.eventsExecuted(), single_q.eventsExecuted());
-    EXPECT_EQ(train_q.peakDepth(), single_q.peakDepth());
-}
-
-TEST(EventQueue, StepRunsExactlyOneTrainSubEvent)
-{
-    EventQueue eq;
-    int subs = 0;
-    eq.scheduleTrainBatch(1, 1, 3, [&](std::uint64_t) {
-        subs++;
-        return true;
-    });
-    EXPECT_EQ(eq.size(), 3u);
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(subs, 1);
-    EXPECT_EQ(eq.size(), 2u);
-    EXPECT_TRUE(eq.step());
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(subs, 3);
-    EXPECT_FALSE(eq.step());
-}
-
-namespace {
-
-/**
- * Randomized train workload: like runRandomWorkload, but follow-ups
- * are randomly emitted as batch trains, chain trains, or the
- * singleton formulations the train API documents itself against.
- * With @p use_trains both formulations must produce identical
- * execution sequences on the same EventQueue kernel.
- */
-std::vector<std::pair<int, Tick>>
-runTrainWorkload(unsigned seed, bool use_trains)
-{
-    EventQueue q;
-    std::mt19937_64 rng(seed);
-    std::vector<std::pair<int, Tick>> order;
-    int budget = 400;
-    int next_id = 0;
-
-    const auto rand_delta = [&rng]() -> Tick {
-        static const Tick choices[] = {0, 1, 7, 100, 1023, 1025};
-        return choices[rng() % 6];
-    };
-    const auto rand_prio = [&rng]() -> int {
-        return int(rng() % 3) - 1;
-    };
-
-    std::function<void(int)> body = [&](int id) {
-        order.push_back({id, q.now()});
-        if (budget <= 0)
-            return;
-        const unsigned shape = rng() % 4;
-        const int prio = rand_prio();
-        if (shape == 0) {
-            // Batch train of 2..4 sub-events, stride 1.
-            const std::uint64_t k = 2 + rng() % 3;
-            const Tick first = q.now() + rand_delta();
-            const int base = next_id;
-            next_id += int(k);
-            budget -= int(k);
-            if (use_trains) {
-                q.scheduleTrainBatch(
-                    first, 1, k,
-                    [&body, base](std::uint64_t i) {
-                        body(base + int(i));
-                        return true;
-                    },
-                    prio);
-            } else {
-                for (std::uint64_t i = 0; i < k; i++) {
-                    q.schedule(first + Tick(i),
-                               [&body, base, i] {
-                                   body(base + int(i));
-                               },
-                               prio);
-                }
-            }
-        } else if (shape == 1) {
-            // Chain train re-arming 1..3 times, stride 1.
-            const std::uint64_t k = 1 + rng() % 3;
-            const Tick first = q.now() + 1 + rand_delta();
-            const int base = next_id;
-            next_id += int(k);
-            budget -= int(k);
-            if (use_trains) {
-                q.scheduleTrain(
-                    first, 1,
-                    [&body, base, k](std::uint64_t i) {
-                        body(base + int(i));
-                        return i + 1 < k;
-                    },
-                    prio);
-            } else {
-                auto chain = std::make_shared<
-                    std::function<void(std::uint64_t)>>();
-                *chain = [&q, &body, base, k, prio,
-                          chain](std::uint64_t i) {
-                    body(base + int(i));
-                    if (i + 1 < k) {
-                        // The train carries its priority to every
-                        // re-arm, so the singleton must too.
-                        q.schedule(q.now() + 1,
-                                   [chain, i] { (*chain)(i + 1); },
-                                   prio);
-                    }
-                };
-                q.schedule(first, [chain] { (*chain)(0); }, prio);
-            }
-        } else if (shape == 2) {
-            budget--;
-            const int child = next_id++;
-            q.schedule(q.now() + rand_delta(),
-                       [&body, child] { body(child); }, prio);
-        }
-        // shape 3: leaf, no follow-up.
-    };
-
-    for (int i = 0; i < 30; i++) {
-        budget--;
-        const int id = next_id++;
-        q.schedule(rand_delta(), [&body, id] { body(id); },
-                   rand_prio());
-    }
-    q.run();
-    return order;
-}
-
-} // namespace
-
-TEST(EventQueue, RandomizedTrainsMatchSingletonFormulation)
-{
-    for (unsigned seed = 1; seed <= 8; seed++) {
-        const auto singles = runTrainWorkload(seed, false);
-        const auto trains = runTrainWorkload(seed, true);
-        ASSERT_EQ(trains, singles) << "seed " << seed;
-        ASSERT_GT(trains.size(), 30u) << "seed " << seed;
     }
 }

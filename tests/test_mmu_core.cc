@@ -137,6 +137,43 @@ TEST_F(MmuCoreTest, MergedResponsesCarryTheirOwnOffsets)
     }
 }
 
+TEST_F(MmuCoreTest, ReentrantTranslateReusesWalkerDuringPrmbDrain)
+{
+    // The only walker is released at walk completion, while the two
+    // merged responses are still scheduled. The initiator's response
+    // issues a walk on another page, which reuses that walker and
+    // refills its pending list; the merged responses must not see it.
+    MmuConfig cfg = neuMmuConfig();
+    cfg.numPtws = 1;
+    build(cfg);
+    const Addr frame = pt.walk(base).pa & ~Addr(0xfff);
+    const Addr other = base + 5 * 4096;
+    bool reissued = false;
+    mmu->setResponseCallback([&](const TranslationResponse &r) {
+        responses.push_back({eq.now(), r});
+        if (r.id == 1) {
+            reissued = mmu->translate(other + 0x40, 4);
+            EXPECT_EQ(mmu->busyWalkers(), 1u);
+        }
+    });
+    ASSERT_TRUE(mmu->translate(base + 0x10, 1));
+    ASSERT_TRUE(mmu->translate(base + 0x20, 2));
+    ASSERT_TRUE(mmu->translate(base + 0x30, 3));
+    eq.run();
+
+    EXPECT_TRUE(reissued);
+    ASSERT_EQ(responses.size(), 4u);
+    std::map<std::uint64_t, std::pair<Tick, Addr>> got;
+    for (const auto &[tick, resp] : responses)
+        got[resp.id] = {tick, resp.pa};
+    const Tick t = got[1].first;
+    EXPECT_EQ(got[1].second, frame | 0x10);
+    EXPECT_EQ(got[2], std::make_pair(t + 1, frame | 0x20));
+    EXPECT_EQ(got[3], std::make_pair(t + 2, frame | 0x30));
+    EXPECT_EQ(got[4].second, pt.walk(other).pa + 0x40);
+    EXPECT_EQ(mmu->counts().walks, 2u);
+}
+
 TEST_F(MmuCoreTest, PrmbCapacityBlocksFurtherSamePageRequests)
 {
     MmuConfig cfg = neuMmuConfig();

@@ -356,6 +356,46 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     EXPECT_GT(results.jobs[3].outcome.totalCycles, 0u);
 }
 
+TEST(SweepEngine, ZeroCountsFailInIsolation)
+{
+    // A zero NPU count, hop latency or port-credit count is one job's
+    // BindError naming the valid range; it must neither be raised
+    // silently nor panic the sweep in the System constructor.
+    std::istringstream in(
+        "{\"id\": \"bad_npus\", \"set\": {\"numNpus\": 0}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"good\", \"set\": {\"sim.shards\": 1}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"bad_hop\", \"set\": {\"sim.shards\": 1, "
+        "\"sim.hopTicks\": 0}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"bad_credits\", \"set\": {\"sim.shards\": 1, "
+        "\"sim.portCredits\": 0}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n");
+    const std::vector<sweep::JobSpec> jobs =
+        sweep::parseManifest(in, "test", SystemConfig{});
+    sweep::SweepOptions opts;
+    opts.threads = 2;
+    const sweep::SweepResults results =
+        sweep::SweepEngine(opts).run(jobs);
+
+    ASSERT_EQ(results.jobs.size(), 4u);
+    EXPECT_EQ(results.summary.failures, 3u);
+    EXPECT_TRUE(results.jobs[1].ok);
+    EXPECT_GT(results.jobs[1].outcome.totalCycles, 0u);
+    for (const std::size_t i : {0u, 2u, 3u}) {
+        const sweep::JobResult &bad = results.jobs[i];
+        EXPECT_FALSE(bad.ok) << bad.id;
+        EXPECT_NE(bad.error.find(">= 1"), std::string::npos)
+            << bad.error;
+    }
+    EXPECT_NE(results.jobs[0].error.find("numNpus"), std::string::npos);
+    EXPECT_NE(results.jobs[2].error.find("sim.hopTicks"),
+              std::string::npos);
+    EXPECT_NE(results.jobs[3].error.find("sim.portCredits"),
+              std::string::npos);
+}
+
 TEST(SweepEngine, RepsCrossCheckDeterminism)
 {
     std::vector<sweep::JobSpec> jobs(1);
