@@ -3,7 +3,8 @@
  * Golden-stats regression harness: runs a fixed matrix of System
  * configurations (Oracle / baseline IOMMU / NeuMMU crossed with a
  * dense CNN layer stream, a demand-paged embedding gather, a
- * synthetic hot-set stream, and a two-tenant co-run) and compares the
+ * synthetic hot-set stream, a two-tenant co-run, and an eight-NPU
+ * open-loop serving pool with churn) and compares the
  * full StatsRegistry JSON dump byte-for-byte against checked-in
  * golden files under tests/golden/.
  *
@@ -89,12 +90,16 @@ goldenSystemConfig(MmuKind kind, unsigned num_npus = 1)
     return cfg;
 }
 
+/** Cycle budget of the open-loop serve8 cell (it never drains). */
+constexpr Tick serve8Cycles = 3000000;
+
 /** Run one matrix cell and return the full StatsRegistry JSON. */
 std::string
 runScenario(const GoldenCase &c)
 {
     std::unique_ptr<System> system;
     std::unique_ptr<Scheduler> scheduler;
+    Tick limit = maxTick;
 
     if (std::strcmp(c.scenario, "dense_cnn1") == 0) {
         system =
@@ -158,13 +163,35 @@ runScenario(const GoldenCase &c)
             "synthetic:pattern=uniform,footprint=8M,accesses=1024"));
         scheduler->add(makeWorkloadFromSpec(
             "synthetic:pattern=stride,footprint=8M,accesses=1024"));
+    } else if (std::strcmp(c.scenario, "serve8") == 0) {
+        // Open-loop serving on eight NPUs sharing one routed MMU:
+        // bursty arrivals, demand-paged tenants under a resident cap
+        // below their aggregate footprint (12 tenants x 16 pages vs
+        // 96 pages), and churn. Many DMA ports block on the shared
+        // engine at once, so this pins the router's wake fan-out
+        // together with paging LRU touches, evictions and shootdowns.
+        SystemConfig cfg = goldenSystemConfig(c.kind, 8);
+        cfg.paging.enabled = true;
+        cfg.paging.residentLimitBytes = 96 * pageSize(cfg.pageShift);
+        cfg.paging.faultLatency = 2000;
+        cfg.serve.enabled = true;
+        cfg.serve.arrival.kind = serving::ArrivalKind::Bursty;
+        cfg.serve.arrival.ratePerMcycle = 800.0;
+        cfg.serve.tenants = 12;
+        cfg.serve.workload = "embedding:footprint=64K,accesses=16";
+        cfg.serve.demandPaged = true;
+        cfg.serve.tenantLifetimeRequests = 6;
+        system = std::make_unique<System>(cfg);
+        scheduler = std::make_unique<Scheduler>(*system);
+        limit = serve8Cycles;
     } else {
         ADD_FAILURE() << "unknown golden scenario " << c.scenario;
         return "";
     }
 
-    const SchedulerResult result = scheduler->run();
-    EXPECT_TRUE(result.allDone)
+    const SchedulerResult result = scheduler->run(limit);
+    // Serving never drains: it runs to the cycle limit instead.
+    EXPECT_TRUE(result.allDone || limit != maxTick)
         << caseName(c) << ": a workload never completed";
 
     std::ostringstream os;
@@ -208,8 +235,9 @@ TEST_P(GoldenStats, MatchesGoldenDump)
 }
 
 /**
- * The same 16-config matrix, but expressed as the checked-in sweep
- * manifest (scripts/golden_matrix.jsonl) and executed through the
+ * The matrix's 16 closed-loop cells (all but serve8), expressed as
+ * the checked-in sweep manifest (scripts/golden_matrix.jsonl) and
+ * executed through the
  * SweepEngine -- serially and 4-wide. Certifies three properties at
  * once:
  *
@@ -229,8 +257,8 @@ TEST(GoldenSweep, ParallelManifestMatchesSerialAndGoldens)
         std::string(NEUMMU_SCRIPTS_DIR) + "/golden_matrix.jsonl",
         SystemConfig{});
     ASSERT_EQ(jobs.size(), 16u)
-        << "scripts/golden_matrix.jsonl must mirror the 16-config "
-           "matrix above";
+        << "scripts/golden_matrix.jsonl must mirror the 16 closed-loop "
+           "cells above";
 
     sweep::SweepOptions serial_opts;
     serial_opts.threads = 1;
@@ -350,7 +378,9 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"tenants2", MmuKind::BaselineIommu},
         GoldenCase{"tenants2", MmuKind::NeuMmu},
         GoldenCase{"oversub_gather", MmuKind::BaselineIommu},
-        GoldenCase{"oversub_gather", MmuKind::NeuMmu}),
+        GoldenCase{"oversub_gather", MmuKind::NeuMmu},
+        GoldenCase{"serve8", MmuKind::BaselineIommu},
+        GoldenCase{"serve8", MmuKind::NeuMmu}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return caseName(info.param);
     });
