@@ -67,6 +67,8 @@ class TranslationRouter::Port : public TranslationEngine
     std::uint64_t _capRejections = 0;
     /** A cap rejection is pending a below-cap retry wake. */
     bool _capBlocked = false;
+    /** Rejected (by the engine or the cap) and not woken since. */
+    bool _waiting = false;
     stats::Group _stats;
     // Scalar handles resolved once; the translate/response hot path
     // must not pay per-call map lookups.
@@ -148,6 +150,7 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
         port._capRejections++;
         port._counts.blockedIssues++;
         port._capBlocked = true;
+        port._waiting = true;
         ++port._sCapRejections;
         ++port._sBlockedIssues;
         return false;
@@ -156,6 +159,7 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
         (std::uint64_t(client) << clientShift) | id;
     if (!_engine.translate(va, tagged)) {
         port._counts.blockedIssues++;
+        port._waiting = true;
         ++port._sBlockedIssues;
         return false;
     }
@@ -185,26 +189,40 @@ TranslationRouter::onResponse(const TranslationResponse &resp)
     // its own completions bring it back under the cap.
     if (port._capBlocked && port._inflight < _perClientCap) {
         port._capBlocked = false;
-        if (port._wake)
-            port._wake();
+        wake(port);
     }
+}
+
+void
+TranslationRouter::wake(Port &port)
+{
+    // Cleared before the call: a retry the wake makes synchronously
+    // (a hub bridge replaying its queue) may be rejected again.
+    port._waiting = false;
+    if (port._wake)
+        port._wake();
 }
 
 void
 TranslationRouter::onWake()
 {
-    // Capacity freed in the shared engine: wake every blocked client;
-    // ports with nothing pending ignore the wake. Clients with the
-    // deepest backlog re-arbitrate first, approximating the FIFO
-    // request queue of a real IOMMU front end -- this is what lets a
-    // bursty accelerator starve a quiet one under the Shared policy.
+    // Capacity freed in the shared engine: wake the clients waiting
+    // on a rejection. A client that was never rejected, or was woken
+    // since, has nothing to retry (a DMA returns unless blocked, a
+    // hub bridge with an empty retry queue does nothing), so it is
+    // skipped. Clients with the deepest backlog re-arbitrate first,
+    // ties by client index, approximating the FIFO request queue of a
+    // real IOMMU front end -- this is what lets a bursty accelerator
+    // starve a quiet one under the Shared policy.
     //
-    // Stable insertion sort in place: client counts are small (< 256)
-    // and this runs once per walk completion, where std::stable_sort
+    // Stable insertion sort in place: the waiting set is small and
+    // this runs once per walk completion, where std::stable_sort
     // would allocate its merge buffer every call.
     _wakeOrder.clear();
-    for (auto &port : _ports)
-        _wakeOrder.push_back(port.get());
+    for (auto &port : _ports) {
+        if (port->_waiting)
+            _wakeOrder.push_back(port.get());
+    }
     for (std::size_t i = 1; i < _wakeOrder.size(); i++) {
         Port *p = _wakeOrder[i];
         std::size_t j = i;
@@ -214,10 +232,8 @@ TranslationRouter::onWake()
         }
         _wakeOrder[j] = p;
     }
-    for (Port *port : _wakeOrder) {
-        if (port->_wake)
-            port->_wake();
-    }
+    for (Port *port : _wakeOrder)
+        wake(*port);
 }
 
 } // namespace neummu

@@ -87,7 +87,10 @@ class TranslationRouter
 
     bool tryTranslate(unsigned client, Addr va, std::uint64_t id);
     void onResponse(const TranslationResponse &resp);
+    /** Wake every waiting client, deepest backlog first. */
     void onWake();
+    /** Clear @p port's waiting mark and call its wake callback. */
+    void wake(Port &port);
 
     TranslationEngine &_engine;
     RouterPolicy _policy;

@@ -4,19 +4,22 @@
 
 #include "common/logging.hh"
 #include "common/units.hh"
+#include "npu/retry_round.hh"
 #include "trace/trace_engine.hh"
 
 namespace neummu {
 
 DmaEngine::DmaEngine(std::string name, EventQueue &eq,
                      TranslationEngine &mmu, MemoryModel &mem,
-                     DmaConfig cfg)
+                     DmaConfig cfg, RetryRound &retry)
     : _name(std::move(name)), _eq(eq), _mmu(mmu), _mem(mem), _cfg(cfg),
-      _burstBytesById(2 * cfg.inflightHint), _stats(_name),
+      _retry(retry), _burstBytesById(2 * cfg.inflightHint), _stats(_name),
       _sTranslationsIssued(_stats.scalar("translationsIssued")),
       _sStallCycles(_stats.scalar("stallCycles"))
 {
     NEUMMU_ASSERT(cfg.burstBytes > 0, "zero DMA burst size");
+    NEUMMU_ASSERT(&retry.eventQueue() == &eq,
+                  "retry round belongs to another event queue");
     _mmu.setResponseCallback(
         [this](const TranslationResponse &resp) { onTranslation(resp); });
     _mmu.setWakeCallback([this] { onWake(); });
@@ -143,8 +146,11 @@ DmaEngine::onWake()
     if (_trace && _eq.now() > _blockedSince)
         _trace->span(trace::creditWaitKey(_traceKeyBase),
                      trace::Stage::CreditWait, _blockedSince, _eq.now());
+    // Retry next cycle from the queue's shared round: the DMAs one
+    // wake fans out to retry from one event, in wake order (see
+    // RetryRound::join for when a DMA joins instead of opening one).
     _issueScheduled = true;
-    _eq.scheduleIn(1, [this] { issueLoop(); });
+    _retry.join(*this);
 }
 
 void

@@ -30,6 +30,8 @@ namespace trace {
 class TraceBuffer;
 }
 
+class RetryRound;
+
 /** DMA engine configuration. */
 struct DmaConfig
 {
@@ -63,8 +65,12 @@ class DmaEngine
     using TraceHook =
         std::function<void(Tick, Addr, std::uint64_t, bool)>;
 
+    /**
+     * @param retry The retry round shared by every DMA engine on
+     *        @p eq; woken engines retry from its events.
+     */
     DmaEngine(std::string name, EventQueue &eq, TranslationEngine &mmu,
-              MemoryModel &mem, DmaConfig cfg);
+              MemoryModel &mem, DmaConfig cfg, RetryRound &retry);
 
     /**
      * Start fetching @p runs (already ordered: IA first, then W).
@@ -113,7 +119,13 @@ class DmaEngine
     }
 
   private:
-    /** The issue event: issueStep() now, again next cycle if it asks. */
+    friend class RetryRound;
+
+    /**
+     * The issue loop: issueStep() now, and again next cycle (its own
+     * event) while it asks. Started by fetch() and, after a wake, by
+     * the RetryRound.
+     */
     void issueLoop();
     /**
      * Attempt one burst's translation. Returns true while the issue
@@ -122,6 +134,10 @@ class DmaEngine
      */
     bool issueStep();
     void onTranslation(const TranslationResponse &resp);
+    /**
+     * MMU freed capacity. A blocked port charges its stall and joins
+     * the RetryRound to retry at now() + 1; otherwise a no-op.
+     */
     void onWake();
     bool currentBurst(Addr &va, std::uint64_t &len) const;
     void advance(std::uint64_t len);
@@ -132,6 +148,7 @@ class DmaEngine
     TranslationEngine &_mmu;
     MemoryModel &_mem;
     DmaConfig _cfg;
+    RetryRound &_retry;
 
     // Fetch-in-progress state.
     bool _active = false;

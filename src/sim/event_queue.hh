@@ -95,6 +95,13 @@ class EventQueue
     /** Total number of events executed (for simulator stats). */
     std::uint64_t eventsExecuted() const { return _executed; }
 
+    /**
+     * Seq the next schedule() call will draw. A caller that recorded
+     * the seq of its own event can tell whether anything has been
+     * scheduled since (see RetryRound).
+     */
+    std::uint64_t nextSeq() const { return _nextSeq; }
+
     /** High-water mark of pending events (for simulator stats). */
     std::uint64_t peakDepth() const { return _peakDepth; }
 

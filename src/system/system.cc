@@ -146,6 +146,10 @@ System::System(SystemConfig cfg)
         _stats.add(_sharedMem->stats());
     }
 
+    forEachQueue([this](EventQueue &eq) {
+        _retryRounds.push_back(std::make_unique<RetryRound>(eq));
+    });
+
     _npus.reserve(_cfg.numNpus);
     for (unsigned i = 0; i < _cfg.numNpus; i++) {
         const std::string id = "npu" + std::to_string(i);
@@ -191,7 +195,8 @@ System::System(SystemConfig cfg)
         }
         npu.dma = std::make_unique<DmaEngine>(
             prefixed(_cfg.name, id + ".dma"), npu_eq, *dma_port,
-            _cfg.sharedMemory ? *_sharedMem : *npu.mem, dma_cfg);
+            _cfg.sharedMemory ? *_sharedMem : *npu.mem, dma_cfg,
+            *_retryRounds[_domains ? _npuQueue[i] : 0]);
         npu.pipeline = std::make_unique<TilePipeline>(
             npu_eq, *npu.dma, _cfg.bufferDepth);
         _stats.add(npu.dma->stats());

@@ -35,6 +35,7 @@
 #include "mmu/translation_router.hh"
 #include "npu/dma_engine.hh"
 #include "npu/npu_config.hh"
+#include "npu/retry_round.hh"
 #include "npu/tile_pipeline.hh"
 #include "serving/serve_config.hh"
 #include "sim/domain.hh"
@@ -404,6 +405,8 @@ class System
     std::unique_ptr<DomainRuntime> _domains;
     /** Queue index per NPU (sharded mode only; 0 = hub queue). */
     std::vector<unsigned> _npuQueue;
+    /** One DMA retry round per event queue (index as _npuQueue). */
+    std::vector<std::unique_ptr<RetryRound>> _retryRounds;
     /** Per-NPU credit ports / hub bridges (sharded mode only). */
     std::vector<std::unique_ptr<ShardTranslationPort>> _shardPorts;
     std::vector<std::unique_ptr<HubTranslationBridge>> _hubBridges;

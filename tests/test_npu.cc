@@ -10,6 +10,7 @@
 #include "mmu/mmu_core.hh"
 #include "npu/compute_model.hh"
 #include "npu/dma_engine.hh"
+#include "npu/retry_round.hh"
 #include "npu/tile_pipeline.hh"
 #include "sim/event_queue.hh"
 #include "vm/frame_allocator.hh"
@@ -72,8 +73,9 @@ class DmaTest : public ::testing::Test
         mem = std::make_unique<MemoryModel>("mem", MemoryConfig{});
         DmaConfig dma_cfg;
         dma_cfg.burstBytes = burst;
+        retry = std::make_unique<RetryRound>(*eq);
         dma = std::make_unique<DmaEngine>("dma", *eq, *mmu, *mem,
-                                          dma_cfg);
+                                          dma_cfg, *retry);
     }
 
     Tick
@@ -92,6 +94,7 @@ class DmaTest : public ::testing::Test
     std::unique_ptr<EventQueue> eq;
     std::unique_ptr<MmuCore> mmu;
     std::unique_ptr<MemoryModel> mem;
+    std::unique_ptr<RetryRound> retry;
     std::unique_ptr<DmaEngine> dma;
     Addr base = 0;
 };
