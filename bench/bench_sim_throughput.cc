@@ -95,11 +95,13 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /**
  * Build a System for @p cfg, let @p place add workloads to the
  * Scheduler (untimed: this is where VA segments are allocated and
- * pages mapped), then time the Scheduler drain alone.
+ * pages mapped), then time the Scheduler drain alone. Open-loop
+ * (serving) scenarios never drain; they run to @p limit.
  */
 RunSample
 meter(SystemConfig cfg,
-      const std::function<void(System &, Scheduler &)> &place)
+      const std::function<void(System &, Scheduler &)> &place,
+      Tick limit = maxTick)
 {
     cfg.sim.profile = g_profile;
     cfg.trace.enabled = g_trace;
@@ -108,7 +110,7 @@ meter(SystemConfig cfg,
     place(system, scheduler);
 
     const auto t0 = std::chrono::steady_clock::now();
-    scheduler.run();
+    scheduler.run(limit);
     RunSample s;
     s.wallSec = secondsSince(t0);
     s.simTicks = system.now();
@@ -206,6 +208,34 @@ runPaging(MmuKind kind, unsigned batch)
                  });
 }
 
+/**
+ * Open-loop serving on 16 NPUs behind one routed baseline IOMMU:
+ * bursty arrivals, demand-paged tenants capped below their footprint,
+ * and churn. Its eight walkers keep many DMA ports blocked at once,
+ * so this is the scenario that exercises the router's wake path and
+ * the shared DMA retry rounds.
+ */
+RunSample
+runServe16()
+{
+    SystemConfig cfg;
+    cfg.name = "serve16";
+    cfg.seed = 23;
+    cfg.numNpus = 16;
+    cfg.paging.enabled = true;
+    cfg.paging.residentLimitBytes = 128 * pageSize(cfg.pageShift);
+    cfg.paging.faultLatency = 2000;
+    cfg.serve.enabled = true;
+    cfg.serve.arrival.kind = serving::ArrivalKind::Bursty;
+    cfg.serve.arrival.ratePerMcycle = 800.0;
+    cfg.serve.tenants = 28;
+    cfg.serve.workload = "embedding:footprint=64K,accesses=16";
+    cfg.serve.demandPaged = true;
+    cfg.serve.tenantLifetimeRequests = 25;
+    return meter(
+        cfg, [](System &, Scheduler &) {}, Tick(5000000));
+}
+
 } // namespace
 
 int
@@ -241,6 +271,7 @@ main(int argc, char **argv)
          }},
         {"paging_dlrm",
          [] { return runPaging(MmuKind::NeuMmu, 4); }},
+        {"serve16_paged_iommu", [] { return runServe16(); }},
     };
 
     std::printf("%-22s %12s %12s %14s %14s %10s\n", "scenario",

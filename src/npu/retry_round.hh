@@ -52,7 +52,8 @@ class RetryRound
         DmaEngine *dma;
     };
 
-    /** The event of the round whose event drew @p seq. */
+    /** Round event: run the members of the round whose event drew
+     *  @p seq, in join order. */
     void fire(std::uint64_t seq);
 
     EventQueue &_eq;

@@ -290,7 +290,10 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "npuHbmBytes") {
         cfg.npuHbmBytes = parseU64(key, value);
     } else if (key == "pageShift") {
-        cfg.pageShift = unsigned(parseU64(key, value));
+        const std::uint64_t shift = parseU64(key, value);
+        if (shift != smallPageShift && shift != largePageShift)
+            badValue(key, value, "12|21");
+        cfg.pageShift = unsigned(shift);
     } else if (key == "vaScatterShift") {
         cfg.vaScatterShift = unsigned(parseU64(key, value));
     } else if (key == "preset") {
@@ -316,7 +319,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
 
         // --- MMU design point (materializes Custom, see customMmu) ----
     } else if (key == "mmu.numPtws") {
-        customMmu(cfg).numPtws = unsigned(parseU64(key, value));
+        customMmu(cfg).numPtws = unsigned(parsePositive(key, value));
     } else if (key == "mmu.prmbSlots") {
         customMmu(cfg).prmbSlots = unsigned(parseU64(key, value));
     } else if (key == "mmu.pathCache") {
@@ -339,7 +342,8 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "mmu.prefetchDepth") {
         customMmu(cfg).prefetchDepth = unsigned(parseU64(key, value));
     } else if (key == "mmu.tlb.entries") {
-        customMmu(cfg).tlb.entries = std::size_t(parseU64(key, value));
+        customMmu(cfg).tlb.entries =
+            std::size_t(parsePositive(key, value));
     } else if (key == "mmu.tlb.ways") {
         customMmu(cfg).tlb.ways = std::size_t(parseU64(key, value));
     } else if (key == "mmu.tlb.hitLatency") {
@@ -481,6 +485,17 @@ applyOverrides(SystemConfig &cfg, const OverrideList &overrides)
 {
     for (const auto &[key, value] : overrides)
         applyOverride(cfg, key, value);
+    // mmu.tlb.ways and mmu.tlb.entries may come in either order, so
+    // the pair is checked once every override has landed.
+    const TlbConfig &tlb = cfg.mmu.tlb;
+    if (cfg.mmuKind == MmuKind::Custom && tlb.ways != 0 &&
+        tlb.entries % tlb.ways != 0) {
+        throw BindError("mmu.tlb.ways=" + std::to_string(tlb.ways) +
+                        " does not fit mmu.tlb.entries=" +
+                        std::to_string(tlb.entries) +
+                        " (ways must divide entries (0 = fully "
+                        "associative))");
+    }
 }
 
 const std::vector<BinderKeyDoc> &

@@ -57,7 +57,11 @@ std::pair<std::string, std::string> parseOverride(
 void applyOverride(SystemConfig &cfg, const std::string &key,
                    const std::string &value);
 
-/** Apply @p overrides to @p cfg, in list order. */
+/**
+ * Apply @p overrides to @p cfg, in list order, then check the keys
+ * that constrain each other (mmu.tlb.ways must divide
+ * mmu.tlb.entries). Throws BindError on junk.
+ */
 void applyOverrides(SystemConfig &cfg, const OverrideList &overrides);
 
 /** One documented binder key. */

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "common/units.hh"
 #include "mmu/mmu_core.hh"
+#include "mmu/translation_router.hh"
 #include "npu/compute_model.hh"
 #include "npu/dma_engine.hh"
 #include "npu/retry_round.hh"
@@ -271,4 +277,182 @@ TEST_F(PipelineTest, BackToBackRunsAccumulateTime)
     const PipelineResult b = pipe.run({makeTile(base, 8 * KiB, 100)});
     EXPECT_EQ(a.finishTick, after_first);
     EXPECT_GT(b.finishTick, a.finishTick);
+}
+
+namespace {
+
+/** One issue attempt seen by a DMA's trace hook. */
+struct Attempt
+{
+    unsigned dma;
+    Tick tick;
+    bool accepted;
+    /** eventsExecuted() when the attempt ran: equal means one event. */
+    std::uint64_t event;
+
+    bool
+    operator==(const Attempt &o) const
+    {
+        return dma == o.dma && tick == o.tick &&
+               accepted == o.accepted && event == o.event;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Attempt &a)
+{
+    return os << "{dma" << a.dma << " t=" << a.tick
+              << (a.accepted ? " ok" : " rejected") << " ev=" << a.event
+              << "}";
+}
+
+/**
+ * Several DMA engines on one event queue and one RetryRound, each
+ * fetching a single page-sized burst of its own page.
+ */
+struct RetryHarness
+{
+    FrameAllocator node{"host", Addr(1) << 40, 8 * GiB};
+    PageTable pt{node};
+    EventQueue eq;
+    MemoryModel mem{"mem", MemoryConfig{}};
+    RetryRound retry{eq};
+    std::vector<std::unique_ptr<DmaEngine>> dmas;
+    std::vector<Attempt> log;
+    Addr base = Addr(0x70) << 30;
+
+    RetryHarness()
+    {
+        for (unsigned i = 0; i < 8; i++) {
+            pt.map(base + i * 4096, node.allocate(4096, 4096),
+                   smallPageShift);
+        }
+    }
+
+    DmaEngine &
+    addDma(TranslationEngine &port)
+    {
+        const unsigned idx = unsigned(dmas.size());
+        dmas.push_back(std::make_unique<DmaEngine>(
+            "dma" + std::to_string(idx), eq, port, mem, DmaConfig{},
+            retry));
+        dmas.back()->setTraceHook(
+            [this, idx](Tick t, Addr, std::uint64_t, bool accepted) {
+                log.push_back(
+                    Attempt{idx, t, accepted, eq.eventsExecuted()});
+            });
+        return *dmas.back();
+    }
+
+    void
+    fetchPage(unsigned dma)
+    {
+        dmas[dma]->fetch({VaRun{base + Addr(dma) * 4096, 1024}},
+                         [](Tick) {});
+    }
+};
+
+/** Translation port that rejects until opened; never responds. */
+class GateEngine : public TranslationEngine
+{
+  public:
+    bool open = false;
+
+    bool translate(Addr, std::uint64_t) override { return open; }
+    void setResponseCallback(ResponseCallback) override {}
+    void setWakeCallback(WakeCallback cb) override { wake = std::move(cb); }
+    const MmuCounts &counts() const override { return _counts; }
+
+    WakeCallback wake;
+
+  private:
+    MmuCounts _counts;
+};
+
+} // namespace
+
+TEST(DmaRetryRound, WokenDmasRetryTogetherInWakeOrder)
+{
+    RetryHarness h;
+    // One walker, no PRMB, no path cache: a walk holds the only
+    // walker for hitLatency + 4 levels x walkLatencyPerLevel cycles.
+    MmuConfig cfg = baselineIommuConfig();
+    cfg.numPtws = 1;
+    MmuCore mmu("mmu", h.eq, h.pt, cfg);
+    TranslationRouter router(mmu, 3, RouterPolicy::Shared, 1);
+    for (unsigned c = 0; c < 3; c++)
+        h.addDma(router.port(c));
+    const Tick walk = cfg.tlb.hitLatency + 4 * cfg.walkLatencyPerLevel;
+    ASSERT_EQ(walk, 405u);
+
+    // DMA 0 takes the walker at t=0; DMAs 2 then 1 are rejected.
+    h.fetchPage(0);
+    h.fetchPage(2);
+    h.fetchPage(1);
+    h.eq.run();
+
+    ASSERT_EQ(h.log.size(), 6u);
+    EXPECT_EQ(h.log[0].dma, 0u);
+    EXPECT_TRUE(h.log[0].accepted);
+    EXPECT_EQ(h.log[1].dma, 2u);
+    EXPECT_FALSE(h.log[1].accepted);
+    EXPECT_EQ(h.log[2].dma, 1u);
+    EXPECT_FALSE(h.log[2].accepted);
+    // The walk completes at t=405 and wakes both blocked ports, in
+    // client order (equal in-flight counts): both retry at t=406
+    // from one event. DMA 1 wins the walker; DMA 2 blocks again.
+    const std::uint64_t ev = h.log[3].event;
+    EXPECT_EQ(h.log[3], (Attempt{1, walk + 1, true, ev}));
+    EXPECT_EQ(h.log[4], (Attempt{2, walk + 1, false, ev}));
+    // DMA 1's walk frees the walker at 406 + 405; DMA 2 retries next
+    // cycle, alone.
+    EXPECT_EQ(h.log[5].dma, 2u);
+    EXPECT_EQ(h.log[5].tick, 2 * walk + 2);
+    EXPECT_TRUE(h.log[5].accepted);
+    EXPECT_NE(h.log[5].event, ev);
+
+    // Stalls, counted from the first rejection to each wake: DMA 1
+    // waits 0 -> 405; DMA 2 waits 0 -> 405, then 406 -> 811.
+    EXPECT_EQ(h.dmas[0]->stallCycles(), 0u);
+    EXPECT_EQ(h.dmas[1]->stallCycles(), walk);
+    EXPECT_EQ(h.dmas[2]->stallCycles(), 2 * walk);
+}
+
+TEST(DmaRetryRound, EventScheduledBetweenWakesSplitsTheRound)
+{
+    RetryHarness h;
+    GateEngine gates[3];
+    for (GateEngine &g : gates)
+        h.addDma(g);
+    for (unsigned i = 0; i < 3; i++)
+        h.fetchPage(i);
+    std::vector<std::string> order;
+    h.eq.schedule(10, [&] {
+        // Two wakes share one round; an event scheduled for the
+        // retry tick before the third wake makes it open a new one.
+        gates[0].open = gates[1].open = gates[2].open = true;
+        gates[0].wake();
+        gates[1].wake();
+        h.eq.schedule(11, [&] { order.push_back("between"); });
+        gates[2].wake();
+    });
+    for (unsigned i = 0; i < 3; i++) {
+        h.dmas[i]->setTraceHook(
+            [&order, &h, i](Tick t, Addr, std::uint64_t, bool) {
+                if (t == 11)
+                    order.push_back("dma" + std::to_string(i));
+                h.log.push_back(Attempt{i, t, true,
+                                        h.eq.eventsExecuted()});
+            });
+    }
+    h.eq.run();
+
+    EXPECT_EQ(order, std::vector<std::string>(
+                         {"dma0", "dma1", "between", "dma2"}));
+    ASSERT_EQ(h.log.size(), 6u);
+    // dma0 and dma1 retried from one event, dma2 from another.
+    EXPECT_EQ(h.log[3].event, h.log[4].event);
+    EXPECT_NE(h.log[4].event, h.log[5].event);
+    for (unsigned i = 0; i < 3; i++)
+        EXPECT_EQ(h.dmas[i]->stallCycles(), 10u);
 }

@@ -358,9 +358,11 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
 
 TEST(SweepEngine, ZeroCountsFailInIsolation)
 {
-    // A zero NPU count, hop latency or port-credit count is one job's
-    // BindError naming the valid range; it must neither be raised
-    // silently nor panic the sweep in the System constructor.
+    // A zero NPU count, hop latency, port-credit count, walker count
+    // or TLB size, a TLB associativity that does not divide its
+    // entries, or an unsupported page size is one job's BindError
+    // naming the valid range; it must neither be raised silently nor
+    // panic the sweep in a component constructor.
     std::istringstream in(
         "{\"id\": \"bad_npus\", \"set\": {\"numNpus\": 0}, "
         "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
@@ -371,6 +373,18 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
         "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
         "{\"id\": \"bad_credits\", \"set\": {\"sim.shards\": 1, "
         "\"sim.portCredits\": 0}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"bad_ways\", \"set\": {\"mmuKind\": \"neummu\", "
+        "\"mmu.tlb.ways\": 3}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"bad_ptws\", \"set\": {\"mmuKind\": \"neummu\", "
+        "\"mmu.numPtws\": 0}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"bad_entries\", \"set\": {\"mmuKind\": \"neummu\", "
+        "\"mmu.tlb.entries\": 0}, "
+        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
+        "{\"id\": \"bad_shift\", \"set\": {\"mmuKind\": \"neummu\", "
+        "\"pageShift\": 30}, "
         "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n");
     const std::vector<sweep::JobSpec> jobs =
         sweep::parseManifest(in, "test", SystemConfig{});
@@ -379,11 +393,11 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
     const sweep::SweepResults results =
         sweep::SweepEngine(opts).run(jobs);
 
-    ASSERT_EQ(results.jobs.size(), 4u);
-    EXPECT_EQ(results.summary.failures, 3u);
+    ASSERT_EQ(results.jobs.size(), 8u);
+    EXPECT_EQ(results.summary.failures, 7u);
     EXPECT_TRUE(results.jobs[1].ok);
     EXPECT_GT(results.jobs[1].outcome.totalCycles, 0u);
-    for (const std::size_t i : {0u, 2u, 3u}) {
+    for (const std::size_t i : {0u, 2u, 3u, 5u, 6u}) {
         const sweep::JobResult &bad = results.jobs[i];
         EXPECT_FALSE(bad.ok) << bad.id;
         EXPECT_NE(bad.error.find(">= 1"), std::string::npos)
@@ -394,6 +408,20 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
               std::string::npos);
     EXPECT_NE(results.jobs[3].error.find("sim.portCredits"),
               std::string::npos);
+    // MMU geometry the Tlb / MmuCore / PageTable constructors would
+    // reject with a panic fails the job alone, naming the valid range.
+    EXPECT_FALSE(results.jobs[4].ok);
+    EXPECT_NE(results.jobs[4].error.find(
+                  "ways must divide entries (0 = fully associative)"),
+              std::string::npos)
+        << results.jobs[4].error;
+    EXPECT_NE(results.jobs[5].error.find("mmu.numPtws"),
+              std::string::npos);
+    EXPECT_NE(results.jobs[6].error.find("mmu.tlb.entries"),
+              std::string::npos);
+    EXPECT_FALSE(results.jobs[7].ok);
+    EXPECT_NE(results.jobs[7].error.find("12|21"), std::string::npos)
+        << results.jobs[7].error;
 }
 
 TEST(SweepEngine, RepsCrossCheckDeterminism)

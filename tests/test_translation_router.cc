@@ -214,3 +214,151 @@ TEST(TranslationRouter, PerClientStatsGroupsTrackActivity)
     EXPECT_EQ(router.clientStats(1).scalar("requests").value(), 1.0);
     EXPECT_EQ(router.clientStats(1).scalar("responses").value(), 1.0);
 }
+
+namespace {
+
+/**
+ * Engine stub the test drives by hand: accepts or rejects on demand,
+ * remembers the (client-tagged) ids it accepted, and fires its
+ * response/wake callbacks only when told to.
+ */
+class ScriptedEngine : public TranslationEngine
+{
+  public:
+    bool accept = true;
+    std::vector<std::uint64_t> accepted;
+
+    bool
+    translate(Addr, std::uint64_t id) override
+    {
+        if (accept)
+            accepted.push_back(id);
+        return accept;
+    }
+
+    void
+    setResponseCallback(ResponseCallback cb) override
+    {
+        _respond = std::move(cb);
+    }
+
+    void setWakeCallback(WakeCallback cb) override { _wake = std::move(cb); }
+
+    const MmuCounts &counts() const override { return _counts; }
+
+    /** Complete the @p i-th accepted request. */
+    void
+    respond(std::size_t i)
+    {
+        TranslationResponse resp;
+        resp.id = accepted.at(i);
+        _respond(resp);
+    }
+
+    void wake() { _wake(); }
+
+  private:
+    ResponseCallback _respond;
+    WakeCallback _wake;
+    MmuCounts _counts;
+};
+
+/** Records the order in which router ports are woken. */
+struct WakeLog
+{
+    std::vector<unsigned> order;
+
+    void
+    attach(TranslationRouter &router)
+    {
+        for (unsigned c = 0; c < router.numClients(); c++) {
+            router.port(c).setResponseCallback(
+                [](const TranslationResponse &) {});
+            router.port(c).setWakeCallback(
+                [this, c] { order.push_back(c); });
+        }
+    }
+};
+
+} // namespace
+
+TEST(TranslationRouter, ClientNeverRejectedGetsNoWake)
+{
+    ScriptedEngine engine;
+    TranslationRouter router(engine, 4, RouterPolicy::Shared, 8);
+    WakeLog log;
+    log.attach(router);
+
+    ASSERT_TRUE(router.port(0).translate(0x1000, 0));
+    ASSERT_TRUE(router.port(2).translate(0x2000, 0));
+    engine.accept = false;
+    ASSERT_FALSE(router.port(1).translate(0x3000, 0));
+
+    engine.wake();
+    EXPECT_EQ(log.order, std::vector<unsigned>({1}));
+
+    // The wake cleared client 1's waiting mark: with no new
+    // rejection, the next broadcast wakes nobody.
+    engine.wake();
+    EXPECT_EQ(log.order, std::vector<unsigned>({1}));
+
+    // A fresh rejection makes it wait again.
+    ASSERT_FALSE(router.port(1).translate(0x3000, 1));
+    engine.wake();
+    EXPECT_EQ(log.order, std::vector<unsigned>({1, 1}));
+}
+
+TEST(TranslationRouter, WaitingClientsWakeDeepestBacklogFirst)
+{
+    ScriptedEngine engine;
+    TranslationRouter router(engine, 6, RouterPolicy::Shared, 64);
+    WakeLog log;
+    log.attach(router);
+
+    // In flight per client: 1, 3, 3, 0, 2, 5.
+    const unsigned depth[] = {1, 3, 3, 0, 2, 5};
+    for (unsigned c = 0; c < 6; c++) {
+        for (unsigned i = 0; i < depth[c]; i++)
+            ASSERT_TRUE(router.port(c).translate(0x1000, i));
+    }
+    // Clients 0-4 get rejected; client 5, the deepest, never does.
+    engine.accept = false;
+    for (unsigned c : {3u, 0u, 4u, 2u, 1u})
+        ASSERT_FALSE(router.port(c).translate(0x1000, 99));
+
+    engine.wake();
+    // In-flight descending, ties by client index; client 5 skipped.
+    EXPECT_EQ(log.order, std::vector<unsigned>({1, 2, 4, 0, 3}));
+}
+
+TEST(TranslationRouter, CapBlockedClientWakesOnResponseAndBroadcast)
+{
+    ScriptedEngine engine;
+    // Walker budget 4 over 2 clients: a cap of 2 each.
+    TranslationRouter router(engine, 2, RouterPolicy::Partitioned, 4);
+    ASSERT_EQ(router.perClientCap(), 2u);
+    WakeLog log;
+    log.attach(router);
+
+    ASSERT_TRUE(router.port(0).translate(0x1000, 0));
+    ASSERT_TRUE(router.port(0).translate(0x2000, 1));
+    ASSERT_FALSE(router.port(0).translate(0x3000, 2));
+    EXPECT_EQ(router.capRejections(0), 1u);
+
+    // Its own completion brings it below the cap: woken.
+    engine.respond(0);
+    EXPECT_EQ(log.order, std::vector<unsigned>({0}));
+
+    // Capped again; this time a broadcast reaches it first.
+    ASSERT_TRUE(router.port(0).translate(0x3000, 2));
+    ASSERT_FALSE(router.port(0).translate(0x4000, 3));
+    engine.wake();
+    EXPECT_EQ(log.order, std::vector<unsigned>({0, 0}));
+    engine.wake();
+    EXPECT_EQ(log.order, std::vector<unsigned>({0, 0}));
+
+    // The cap rejection is still pending its below-cap wake.
+    engine.respond(1);
+    EXPECT_EQ(log.order, std::vector<unsigned>({0, 0, 0}));
+    EXPECT_EQ(router.capRejections(0), 2u);
+}

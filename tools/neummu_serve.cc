@@ -187,11 +187,10 @@ main(int argc, char **argv)
 
     try {
         SystemConfig cfg;
-        for (const std::string &entry :
-             args.getList("set", "", ';')) {
-            const auto [key, value] = sweep::parseOverride(entry);
-            sweep::applyOverride(cfg, key, value);
-        }
+        sweep::OverrideList sets;
+        for (const std::string &entry : args.getList("set", "", ';'))
+            sets.push_back(sweep::parseOverride(entry));
+        sweep::applyOverrides(cfg, sets);
         // This binary IS serving mode; saying so twice is harmless.
         cfg.serve.enabled = true;
         if (args.has("seed"))

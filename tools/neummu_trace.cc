@@ -140,12 +140,10 @@ main(int argc, char **argv)
         }
 
         SystemConfig cfg = job.base;
-        sweep::applyOverrides(cfg, job.overrides);
-        for (const std::string &entry :
-             args.getList("set", "", ';')) {
-            const auto [key, value] = sweep::parseOverride(entry);
-            sweep::applyOverride(cfg, key, value);
-        }
+        sweep::OverrideList overrides = job.overrides;
+        for (const std::string &entry : args.getList("set", "", ';'))
+            overrides.push_back(sweep::parseOverride(entry));
+        sweep::applyOverrides(cfg, overrides);
         if (args.has("seed"))
             cfg.seed = std::uint64_t(args.getInt("seed", 0));
 
