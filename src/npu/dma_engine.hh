@@ -160,6 +160,8 @@ class DmaEngine
     bool _blocked = false;
     Tick _blockedSince = 0;
     bool _issueScheduled = false;
+    /** Next member of this engine's pending RetryRound, if any. */
+    DmaEngine *_nextRetry = nullptr;
     DoneCallback _done;
     /** Outstanding translation id -> burst length (pooled slots). */
     FlatMap64<std::uint64_t> _burstBytesById;

@@ -1,6 +1,5 @@
 #include "npu/retry_round.hh"
 
-#include "common/logging.hh"
 #include "npu/dma_engine.hh"
 
 namespace neummu {
@@ -9,26 +8,27 @@ void
 RetryRound::join(DmaEngine &dma)
 {
     const Tick at = _eq.now() + 1;
-    if (at != _openTick || _eq.nextSeq() != _openSeq + 1) {
+    if (at == _openTick && _eq.nextSeq() == _openSeq + 1) {
+        _openTail->_nextRetry = &dma;
+    } else {
         _openTick = at;
         _openSeq = _eq.nextSeq();
-        const std::uint64_t seq = _openSeq;
-        _eq.schedule(at, [this, seq] { fire(seq); });
+        DmaEngine *first = &dma;
+        _eq.schedule(at, [first] { fire(first); });
     }
-    _members.push_back(Member{_openSeq, &dma});
+    _openTail = &dma;
 }
 
 void
-RetryRound::fire(std::uint64_t seq)
+RetryRound::fire(DmaEngine *first)
 {
-    NEUMMU_ASSERT(!_members.empty() && _members.front().round == seq,
-                  "retry round fired out of order");
-    // Pop before running, so a join made while a member runs lands
-    // behind this round.
-    while (!_members.empty() && _members.front().round == seq) {
-        DmaEngine *dma = _members.front().dma;
-        _members.pop_front();
+    // Clear each link before running the member: it may join a later
+    // round, whose list must end at that round's last member.
+    for (DmaEngine *dma = first; dma;) {
+        DmaEngine *next = dma->_nextRetry;
+        dma->_nextRetry = nullptr;
         dma->issueLoop();
+        dma = next;
     }
 }
 

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
 
@@ -41,31 +40,25 @@ class RetryRound
      * would then have drawn the next seq for the same tick and run
      * right after the round's current members. Otherwise the DMA
      * opens a new round with a new event.
+     * @pre @p dma is in no pending round.
      */
     void join(DmaEngine &dma);
 
   private:
-    struct Member
-    {
-        /** Seq of the round's event. */
-        std::uint64_t round;
-        DmaEngine *dma;
-    };
-
-    /** Round event: run the members of the round whose event drew
-     *  @p seq, in join order. */
-    void fire(std::uint64_t seq);
+    /** Round event: run the round that starts at @p first, in join
+     *  order. */
+    static void fire(DmaEngine *first);
 
     EventQueue &_eq;
     /** Tick and event seq of the most recently opened round. */
     Tick _openTick = 0;
     std::uint64_t _openSeq = 0;
     /**
-     * Members of every round not yet fired, in join order. Rounds
-     * fire in the order they opened (same priority, rising seqs), so
-     * the firing round's members are always at the front.
+     * Last member of the most recently opened round. Each round is a
+     * list threaded through its members (DmaEngine::_nextRetry),
+     * headed by the member its event captured.
      */
-    ArenaQueue<Member> _members;
+    DmaEngine *_openTail = nullptr;
 };
 
 } // namespace neummu
