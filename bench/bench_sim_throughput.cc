@@ -232,8 +232,7 @@ runServe16()
     cfg.serve.workload = "embedding:footprint=64K,accesses=16";
     cfg.serve.demandPaged = true;
     cfg.serve.tenantLifetimeRequests = 25;
-    return meter(
-        cfg, [](System &, Scheduler &) {}, Tick(5000000));
+    return meter(cfg, [](System &, Scheduler &) {}, Tick(5000000));
 }
 
 } // namespace
