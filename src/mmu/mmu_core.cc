@@ -350,16 +350,9 @@ MmuCore::translate(Addr va, std::uint64_t id)
         _counts.ptsLookups++;
         if (const unsigned *walker_idx = _pts.find(vpn)) {
             Walker &w = _walkers[*walker_idx];
-            // pending[0] is the initiator; merged requests occupy
-            // the PRMB slots. A speculative prefetch walk has an
-            // empty pending list and accepts no merges (demand
-            // requests for its page block until capacity frees) --
-            // the explicit guard keeps size()-1 from underflowing.
-            std::vector<TranslationResponse> &pending = w.pending;
-            if (!pending.empty() &&
-                pending.size() - 1 < _cfg.prmbSlots) {
-                pending.push_back(TranslationResponse{id, va,
-                                                      invalidAddr});
+            if (prmbRoom(w)) {
+                w.pending.push_back(TranslationResponse{id, va,
+                                                        invalidAddr});
                 _counts.prmbMerges++;
                 if (_trace)
                     _trace->open(id, trace::Stage::PrmbMerge, now);
@@ -379,6 +372,52 @@ MmuCore::translate(Addr va, std::uint64_t id)
     _freeWalkers.pop_back();
     startWalk(idx, va, id);
     return true;
+}
+
+bool
+MmuCore::prmbRoom(const Walker &w) const
+{
+    // pending[0] is the initiator; merged requests occupy the PRMB
+    // slots. A speculative prefetch walk has an empty pending list
+    // and accepts no merges (demand requests for its page block until
+    // capacity frees) -- the explicit guard keeps size()-1 from
+    // underflowing.
+    return !w.pending.empty() && w.pending.size() - 1 < _cfg.prmbSlots;
+}
+
+bool
+MmuCore::admits(Addr va)
+{
+    if (_cfg.oracle || _access)
+        return true;
+    const Addr vpn = vpnOf(va);
+    // A channel-register hit implies a TLB hit, so probing the TLB
+    // answers for both without touching recency.
+    if (_tlb.probe(vpn))
+        return true;
+    if (_cfg.prmbSlots > 0) {
+        if (const unsigned *walker_idx = _pts.find(vpn))
+            return prmbRoom(_walkers[*walker_idx]);
+    }
+    return !_freeWalkers.empty();
+}
+
+void
+MmuCore::setAdmitWatch(PageCallback cb)
+{
+    _admitWatch = std::move(cb);
+}
+
+bool
+MmuCore::refusalsHold() const
+{
+    // A refused page not in the TLB stays out of it until a walk on
+    // it fills it, and a full PRMB stays full until its walk ends;
+    // both are reported. What is left is a PTS miss, which stays
+    // refused while no walker is free. The oracle never refuses; an
+    // access hook makes every refusal observable.
+    return _admitWatch && !_access && !_cfg.oracle &&
+           _freeWalkers.empty();
 }
 
 void
@@ -402,6 +441,8 @@ MmuCore::startWalk(unsigned walker_idx, Addr va, std::uint64_t id,
 
     if (_cfg.prmbSlots > 0)
         _pts.insert(vpn, walker_idx);
+    if (_admitWatch)
+        _admitWatch(vpn, _cfg.pageShift);
 
     _counts.walks++;
     launchWalk(walker_idx, va, true);
@@ -542,6 +583,8 @@ MmuCore::finishWalk(unsigned walker_idx)
     const bool was_prefetch = pending.empty();
 
     _tlb.insert(vpn, walk.pa >> _cfg.pageShift);
+    if (_admitWatch)
+        _admitWatch(vpn, _cfg.pageShift);
     const Addr representative_va =
         was_prefetch ? (vpn << _cfg.pageShift) : pending.front().va;
     updatePathCache(w, representative_va, walk);

@@ -131,6 +131,22 @@ class MmuCore : public MmuEngine
     void setWakeCallback(WakeCallback cb) override;
     const MmuCounts &counts() const override { return _counts; }
 
+    /**
+     * Exact admission probe: true on a TLB hit (which the channel
+     * register only shortcuts), on a PTS hit with PRMB room, or on a
+     * PTS miss with a free walker. Always true for the oracle and
+     * while an access hook is installed: a rejected request still
+     * touches page recency there.
+     */
+    bool admits(Addr va) override;
+    /** Reports each page at walk start and at TLB fill. */
+    void setAdmitWatch(PageCallback cb) override;
+    /**
+     * With a watch installed and no access hook, a refusal stands
+     * until its page is reported or a walker frees up.
+     */
+    bool refusalsHold() const override;
+
     /** Install the demand-paging handler (optional). */
     void setFaultHandler(FaultHandler handler) override;
 
@@ -263,6 +279,8 @@ class MmuCore : public MmuEngine
     static constexpr std::size_t numXlateRegs = 16;
 
     void respondAt(Tick when, const TranslationResponse &resp);
+    /** The PRMB of walk @p w can absorb one more request. */
+    bool prmbRoom(const Walker &w) const;
     void startWalk(unsigned walker_idx, Addr va, std::uint64_t id,
                    bool is_prefetch = false);
     void launchWalk(unsigned walker_idx, Addr va, bool initial);
@@ -294,6 +312,7 @@ class MmuCore : public MmuEngine
     WakeCallback _wake;
     FaultHandler _fault;
     AccessHook _access;
+    PageCallback _admitWatch;
     trace::TraceBuffer *_trace = nullptr;
     /** Lifecycle bookkeeping enabled (see enableLifecycle()). */
     bool _lifecycle = false;

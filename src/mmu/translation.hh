@@ -86,6 +86,10 @@ class TranslationEngine
         std::function<void(const TranslationResponse &)>;
     /** Invoked when previously exhausted capacity frees up. */
     using WakeCallback = std::function<void()>;
+    /** Reports page @p vpn (of 2^@p page_shift bytes); see
+     *  setAdmitWatch(). */
+    using PageCallback =
+        std::function<void(Addr vpn, unsigned page_shift)>;
 
     virtual ~TranslationEngine() = default;
 
@@ -95,6 +99,43 @@ class TranslationEngine
      *         slot available); the caller must retry after a wake.
      */
     virtual bool translate(Addr va, std::uint64_t id) = 0;
+
+    /**
+     * Admission probe: false only when translate(@p va, ...) would be
+     * rejected right now and that rejection would change nothing but
+     * rejection counters, so a client retrying a blocked request may
+     * skip the call. A refusal counts as a rejection for wake
+     * purposes: the caller must retry after a wake. Default: true.
+     */
+    virtual bool admits(Addr va)
+    {
+        (void)va;
+        return true;
+    }
+
+    /**
+     * Declare that this client's wake callback retries inside the
+     * wake call, probing admits() first, and retries nothing but the
+     * request last rejected or refused (a hub bridge replaying its
+     * parked queue). A router may then skip the wake while its engine
+     * proves the refusal still holds. Default: no-op.
+     */
+    virtual void declareWakeRetry() {}
+
+    /**
+     * Refusal watch: from now on, report through @p cb every page
+     * that may newly admit requests -- one a walk starts on or one
+     * that enters the TLB. Engines that keep no watch ignore it, and
+     * their refusalsHold() stays false.
+     */
+    virtual void setAdmitWatch(PageCallback cb) { (void)cb; }
+
+    /**
+     * True when every refusal still stands for pages not reported to
+     * the admit watch since: admits(va) then stays false for any va
+     * refused earlier whose page went unreported. Default: false.
+     */
+    virtual bool refusalsHold() const { return false; }
 
     /** Register the completion callback (call once, before use). */
     virtual void setResponseCallback(ResponseCallback cb) = 0;

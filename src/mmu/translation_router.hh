@@ -28,6 +28,8 @@
 
 namespace neummu {
 
+class EventQueue;
+
 /** Walker-pool arbitration across clients. */
 enum class RouterPolicy
 {
@@ -53,10 +55,13 @@ class TranslationRouter
      *        per-client cap under Partitioned.
      * @param name Stats prefix; per-client groups are named
      *        "<name>.client<i>".
+     * @param eq The engine's event queue, whose profiler (if any)
+     *        times wake arbitration under ProfSubsystem::Router.
      */
     TranslationRouter(TranslationEngine &engine, unsigned num_clients,
                       RouterPolicy policy, unsigned walker_budget,
-                      std::string name = "router");
+                      std::string name = "router",
+                      EventQueue *eq = nullptr);
     ~TranslationRouter();
 
     /** Client-facing port; valid for the router's lifetime. */
@@ -86,18 +91,39 @@ class TranslationRouter
     class Port;
 
     bool tryTranslate(unsigned client, Addr va, std::uint64_t id);
+    /** Port::admits(): a refusal leaves the port waiting. */
+    bool probe(unsigned client, Addr va);
+    /** Port::declareWakeRetry(): starts the engine's admit watch. */
+    void watchWakeRetries(Port &port);
     void onResponse(const TranslationResponse &resp);
-    /** Wake every waiting client, deepest backlog first. */
+    /** Wake the waiting clients, deepest backlog first. */
     void onWake();
-    /** Clear @p port's waiting mark and call its wake callback. */
+    /** Engine watch: page @p vpn may now admit its waiters. */
+    void onAdmitPage(Addr vpn, unsigned page_shift);
+    /** @p port was refused @p va: it waits for a wake. */
+    void refuse(Port &port, Addr va);
+    /** Put @p port on the waiting list (no-op if already there). */
+    void markWaiting(Port &port);
+    /** Wake order: in-flight count descending, then client index. */
+    static bool wakesBefore(const Port *a, const Port *b);
+    /** Take @p port off the waiting list and call its wake. */
     void wake(Port &port);
+    /** Calling @p port's wake now would only be refused again. */
+    bool refusalHolds(const Port &port) const;
 
     TranslationEngine &_engine;
     RouterPolicy _policy;
     unsigned _perClientCap;
     std::string _name;
+    EventQueue *_eq;
     std::vector<std::unique_ptr<Port>> _ports;
-    /** Scratch for onWake() arbitration order (reused per wake). */
+    /**
+     * Ports rejected (by the engine or the cap) and not woken since.
+     * onWake() sorts it into wake order (wakesBefore()) first: the
+     * keys move with every response, so the order is settled then.
+     */
+    std::vector<Port *> _waiting;
+    /** The list the running onWake() took; empty between wakes. */
     std::vector<Port *> _wakeOrder;
 
     static constexpr unsigned clientShift = 56;

@@ -18,6 +18,7 @@ profSubsystemName(ProfSubsystem s)
       case ProfSubsystem::Paging: return "paging";
       case ProfSubsystem::Serving: return "serving";
       case ProfSubsystem::Workload: return "workload";
+      case ProfSubsystem::Router: return "router";
       case ProfSubsystem::Count: break;
     }
     NEUMMU_PANIC("unknown profile subsystem");

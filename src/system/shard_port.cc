@@ -89,11 +89,13 @@ HubTranslationBridge::HubTranslationBridge(DomainRuntime &rt,
     _port.setResponseCallback(
         [this](const TranslationResponse &resp) { onResponse(resp); });
     _port.setWakeCallback([this] { onWake(); });
+    _port.declareWakeRetry();
 }
 
 void
 HubTranslationBridge::ingress(Addr va, std::uint64_t id)
 {
+    NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::Router);
     // Preserve request order: once anything is parked, everything
     // queues behind it.
     if (!_retry.empty() || !_port.translate(va, id)) {
@@ -107,9 +109,12 @@ HubTranslationBridge::ingress(Addr va, std::uint64_t id)
 void
 HubTranslationBridge::onWake()
 {
+    NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::Router);
+    // Probe before retrying: a refused probe leaves the port waiting
+    // exactly as a rejection would, without counting a request.
     while (!_retry.empty()) {
         const auto &[va, id] = _retry.front();
-        if (!_port.translate(va, id))
+        if (!_port.admits(va) || !_port.translate(va, id))
             break;
         if (_trace)
             _trace->close(_traceKeyBase | id, trace::Stage::HubQueue,

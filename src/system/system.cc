@@ -1,6 +1,7 @@
 #include "system/system.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "mmu/translation_factory.hh"
@@ -98,7 +99,8 @@ System::System(SystemConfig cfg)
     if (_cfg.numNpus > 1) {
         _router = std::make_unique<TranslationRouter>(
             *_mmu, _cfg.numNpus, _cfg.routerPolicy,
-            _mmu->walkerBudget(), prefixed(_cfg.name, "router"));
+            _mmu->walkerBudget(), prefixed(_cfg.name, "router"),
+            &eventQueue());
         for (unsigned c = 0; c < _cfg.numNpus; c++)
             _stats.add(_router->clientStats(c));
     }
@@ -314,9 +316,10 @@ System::requireHubResident(unsigned npu, const std::string &what)
 {
     if (isHubResident(npu))
         return;
-    NEUMMU_FATAL(what + " needs synchronous hub access, so NPU slot " +
-                 std::to_string(npu) + " must be hub-resident: set "
-                 "sim.hubNpus to at least " + std::to_string(npu + 1));
+    throw std::runtime_error(
+        what + " needs synchronous hub access, so NPU slot " +
+        std::to_string(npu) + " must be hub-resident: set "
+        "sim.hubNpus to at least " + std::to_string(npu + 1));
 }
 
 System::Npu &

@@ -306,9 +306,10 @@ class System
     /** True when @p npu runs on the hub queue (always, unsharded). */
     bool isHubResident(unsigned npu);
     /**
-     * Abort with an actionable error unless @p npu is hub-resident:
-     * call before installing anything on the slot that needs
-     * synchronous hub access (fault handlers, paging hooks).
+     * Throw std::runtime_error with an actionable message unless
+     * @p npu is hub-resident: call before installing anything on the
+     * slot that needs synchronous hub access (fault handlers, paging
+     * hooks). A sweep then fails only the offending job.
      */
     void requireHubResident(unsigned npu, const std::string &what);
 

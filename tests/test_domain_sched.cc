@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -292,26 +293,28 @@ TEST(ShardedSystem, HopTicksIsAModelParameter)
               dumpShardedRun(far, wl, 1, 1));
 }
 
-TEST(ShardedSystemDeath, DemandPagingNeedsHubResidency)
+TEST(ShardedSystem, DemandPagingNeedsHubResidency)
 {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     // A legacy demand-paging workload installs a synchronous fault
-    // handler; binding it to a non-hub slot must abort with the
-    // actionable sim.hubNpus hint.
-    EXPECT_EXIT(
-        {
-            SystemConfig cfg;
-            cfg.numNpus = 2;
-            cfg.sim.shards = 1;
-            cfg.sim.hubNpus = 1;
-            System system(cfg);
-            EmbeddingWorkloadConfig wl_cfg;
-            wl_cfg.spec = makeNcf();
-            wl_cfg.mode = EmbeddingWorkloadMode::DemandPaging;
-            EmbeddingWorkload wl(wl_cfg);
-            wl.bind(system, 1);
-        },
-        ::testing::ExitedWithCode(1), "sim.hubNpus to at least 2");
+    // handler; binding it to a non-hub slot must throw the actionable
+    // sim.hubNpus hint (a sweep then fails only that job).
+    SystemConfig cfg;
+    cfg.numNpus = 2;
+    cfg.sim.shards = 1;
+    cfg.sim.hubNpus = 1;
+    System system(cfg);
+    EmbeddingWorkloadConfig wl_cfg;
+    wl_cfg.spec = makeNcf();
+    wl_cfg.mode = EmbeddingWorkloadMode::DemandPaging;
+    EmbeddingWorkload wl(wl_cfg);
+    try {
+        wl.bind(system, 1);
+        FAIL() << "binding a non-hub slot did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("sim.hubNpus to at least 2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ShardedSystem, RejectsSharedMemoryTopology)

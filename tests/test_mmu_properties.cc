@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/units.hh"
 #include "mmu/mmu_core.hh"
 #include "sim/event_queue.hh"
@@ -168,3 +171,157 @@ INSTANTIATE_TEST_SUITE_P(
         // Prefetcher variants (extension).
         MmuParams{8, 0, MmuCacheKind::None, 2048, 4},
         MmuParams{128, 32, MmuCacheKind::TpReg, 2048, 8}));
+
+namespace {
+
+/**
+ * Drives one MmuCore with a seeded random stream -- bursts of up to
+ * 200 requests per tick on a few hot and many cold pages, over four
+ * channels, with hot pages shot down now and then -- and checks the
+ * admission probe against the translate() right after it, and the
+ * refusal watch against later probes.
+ */
+void
+checkAdmissionProbe(const MmuConfig &cfg, std::uint64_t seed)
+{
+    FrameAllocator node("host", Addr(1) << 40, 8 * GiB);
+    PageTable pt(node);
+    EventQueue eq;
+    const Addr base = Addr(0x50) << 30;
+    const unsigned pages = 4096;
+    for (unsigned i = 0; i < pages; i++)
+        pt.map(base + Addr(i) * 4096, node.allocate(4096, 4096),
+               smallPageShift);
+    MmuCore mmu("mmu", eq, pt, cfg);
+    mmu.setResponseCallback([](const TranslationResponse &) {});
+
+    // Recent refusals, each with "its page was reported since".
+    std::vector<std::pair<Addr, bool>> refused;
+    mmu.setAdmitWatch([&refused](Addr vpn, unsigned page_shift) {
+        for (auto &[va, reported] : refused) {
+            if ((va >> page_shift) == vpn)
+                reported = true;
+        }
+    });
+    std::uint64_t holds_checked = 0;
+    const auto check_holds = [&] {
+        if (!mmu.refusalsHold())
+            return;
+        for (const auto &[va, reported] : refused) {
+            if (!reported) {
+                holds_checked++;
+                EXPECT_FALSE(mmu.admits(va)) << "va " << va;
+            }
+        }
+    };
+
+    Rng rng(seed);
+    std::uint64_t id = 0, accepted = 0, rejected = 0;
+    for (unsigned round = 0; round < 400; round++) {
+        const std::uint64_t burst = rng.range(200);
+        for (std::uint64_t i = 0; i < burst; i++) {
+            const Addr page = rng.range(4) == 0 ? rng.range(8)
+                                                : rng.range(pages);
+            const Addr va = base + page * 4096 + rng.range(4096);
+            const std::uint64_t tagged = (rng.range(4) << 56) | id++;
+            const bool admits = mmu.admits(va);
+            const bool took = mmu.translate(va, tagged);
+            ASSERT_EQ(admits, took) << "round " << round << " va " << va;
+            if (took) {
+                accepted++;
+                continue;
+            }
+            rejected++;
+            refused.erase(std::remove_if(refused.begin(), refused.end(),
+                                         [va](const auto &r) {
+                                             return r.first == va;
+                                         }),
+                          refused.end());
+            if (refused.size() == 64)
+                refused.erase(refused.begin());
+            refused.emplace_back(va, false);
+            check_holds();
+        }
+        // Shoot down a hot page now and then: its re-walk fills up
+        // with merges and squashes in-flight walks.
+        if (rng.range(4) == 0)
+            mmu.invalidate(base + rng.range(8) * 4096);
+        // Advance the clock even when no event is due before then.
+        const Tick next = eq.now() + 1 + rng.range(120);
+        eq.schedule(next, [] {});
+        eq.run(next);
+        check_holds();
+    }
+    eq.run();
+
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(holds_checked, 0u);
+    if (cfg.prmbSlots > 0) {
+        EXPECT_GT(mmu.counts().prmbMerges, 0u);
+    }
+    if (cfg.prefetchDepth > 0) {
+        EXPECT_GT(mmu.counts().prefetchWalks, 0u);
+    }
+}
+
+} // namespace
+
+TEST(AdmissionProbe, AgreesWithTranslateOnBaseline)
+{
+    checkAdmissionProbe(baselineIommuConfig(), 1);
+}
+
+TEST(AdmissionProbe, AgreesWithTranslateOnNeuMmu)
+{
+    checkAdmissionProbe(neuMmuConfig(), 2);
+}
+
+TEST(AdmissionProbe, AgreesWithTranslateOnPrefetchingCustomCore)
+{
+    MmuConfig cfg;
+    cfg.numPtws = 16;
+    cfg.prmbSlots = 4;
+    cfg.pathCache = MmuCacheKind::TpReg;
+    cfg.tlb = TlbConfig{64, 4, 5};
+    cfg.prefetchDepth = 2;
+    checkAdmissionProbe(cfg, 3);
+}
+
+TEST(AdmissionProbe, AlwaysAdmitsForOracleAndUnderAccessHook)
+{
+    FrameAllocator node("host", Addr(1) << 40, 8 * GiB);
+    PageTable pt(node);
+    EventQueue eq;
+    const Addr base = Addr(0x50) << 30;
+    for (unsigned i = 0; i < 16; i++)
+        pt.map(base + Addr(i) * 4096, node.allocate(4096, 4096),
+               smallPageShift);
+
+    // No walkers at all: the oracle never needs one.
+    MmuConfig oracle_cfg = oracleMmuConfig();
+    oracle_cfg.numPtws = 0;
+    MmuCore oracle("oracle", eq, pt, oracle_cfg);
+    oracle.setResponseCallback([](const TranslationResponse &) {});
+    for (unsigned i = 0; i < 16; i++)
+        EXPECT_TRUE(oracle.admits(base + Addr(i) * 4096));
+    EXPECT_FALSE(oracle.refusalsHold());
+
+    // Saturate the baseline's 8 walkers: the next miss is refused...
+    MmuCore mmu("mmu", eq, pt, baselineIommuConfig());
+    mmu.setResponseCallback([](const TranslationResponse &) {});
+    mmu.setAdmitWatch([](Addr, unsigned) {});
+    for (unsigned i = 0; i < 8; i++)
+        ASSERT_TRUE(mmu.translate(base + Addr(i) * 4096, i));
+    const Addr next = base + 8 * 4096;
+    EXPECT_FALSE(mmu.admits(next));
+    EXPECT_TRUE(mmu.refusalsHold());
+
+    // ...until an access hook observes every request, rejected or not.
+    unsigned touched = 0;
+    mmu.setAccessHook([&touched](Addr) { touched++; });
+    EXPECT_TRUE(mmu.admits(next));
+    EXPECT_FALSE(mmu.refusalsHold());
+    EXPECT_FALSE(mmu.translate(next, 8));
+    EXPECT_EQ(touched, 1u);
+}

@@ -3,14 +3,19 @@
  * Unit tests for the SimProfiler scope machinery: nesting and
  * re-entrancy (self-time attribution, the (parent, child) pair
  * matrix), the LIFO-unwind assertion (death test), merge semantics,
- * and the flamegraph-compatible collapsed-stack dump.
+ * the flamegraph-compatible collapsed-stack dump, and the router
+ * scopes of a profiled sharded System.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "sim/profiler.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/workload_factory.hh"
 
 using namespace neummu;
 
@@ -215,4 +220,50 @@ TEST(SimProfiler, ResetClearsPairs)
         prof.pair(SimProfiler::rootSlot, ProfSubsystem::Kernel).count,
         0u);
     EXPECT_TRUE(prof.collapsed().empty());
+}
+
+TEST(SimProfiler, SubsystemNamesAreDistinct)
+{
+    std::set<std::string> names;
+    for (unsigned i = 0; i < SimProfiler::numSlots; i++)
+        names.insert(profSubsystemName(ProfSubsystem(i)));
+    EXPECT_EQ(names.size(), std::size_t(SimProfiler::numSlots));
+    EXPECT_EQ(std::string(profSubsystemName(ProfSubsystem::Router)),
+              "router");
+}
+
+TEST(SimProfiler, RouterScopesCoverArbitrationAndHubBridges)
+{
+    // Two sharded NPUs on one baseline IOMMU: requests cross the hub
+    // bridges into the router, and walk completions wake them.
+    SystemConfig cfg;
+    cfg.numNpus = 2;
+    cfg.mmuKind = MmuKind::BaselineIommu;
+    cfg.sim.shards = 1;
+    cfg.sim.profile = true;
+    System system(cfg);
+    Scheduler scheduler(system);
+    scheduler.add(makeWorkloadFromSpec(
+        "synthetic:pattern=uniform,footprint=1M,accesses=256"));
+    scheduler.add(makeWorkloadFromSpec(
+        "synthetic:pattern=stride,footprint=1M,accesses=256"));
+    ASSERT_TRUE(scheduler.run().allDone);
+
+    const SimProfiler prof = system.mergedProfile();
+    const unsigned router = unsigned(ProfSubsystem::Router);
+    // Bridge ingress runs straight from the hub queue's dispatch...
+    EXPECT_GT(prof.pair(unsigned(ProfSubsystem::Kernel),
+                        ProfSubsystem::Router)
+                  .count,
+              0u);
+    // ...and encloses the router's own arbitration and the engine.
+    EXPECT_GT(prof.pair(router, ProfSubsystem::Router).count, 0u);
+    EXPECT_GT(prof.pair(router, ProfSubsystem::MmuTranslate).count, 0u);
+    // Walk completions wake the router from inside the walker.
+    EXPECT_GT(prof.pair(unsigned(ProfSubsystem::MmuWalk),
+                        ProfSubsystem::Router)
+                  .count,
+              0u);
+    EXPECT_NE(prof.collapsed().find("neummu;mmuWalk;router "),
+              std::string::npos) << prof.collapsed();
 }

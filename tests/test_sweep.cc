@@ -316,7 +316,7 @@ TEST(SweepEngine, TwoTenantDeclarativeJobRaisesNpuCount)
 
 TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
 {
-    std::vector<sweep::JobSpec> jobs(4);
+    std::vector<sweep::JobSpec> jobs(5);
     jobs[0].id = "ok_a";
     jobs[0].overrides = {{"seed", "1"}};
     jobs[0].workloads = {"synthetic:pattern=stride,accesses=128"};
@@ -325,9 +325,18 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     jobs[1].workloads = {"synthetic:pattern=stride,accesses=128"};
     jobs[2].id = "bad_workload_kind";
     jobs[2].workloads = {"warp:speed=9"};
-    jobs[3].id = "ok_b";
-    jobs[3].overrides = {{"seed", "2"}};
-    jobs[3].workloads = {"synthetic:pattern=uniform,accesses=128"};
+    // Demand paging needs its slot on the hub queue; with no
+    // hub-resident NPU the System rejects the binding at run time,
+    // past every binder check.
+    jobs[3].id = "bad_hub_residency";
+    jobs[3].overrides = {{"mmuKind", "neummu"},
+                         {"preset", "dlrm_paging"},
+                         {"sim.shards", "1"},
+                         {"sim.hubNpus", "0"}};
+    jobs[3].workloads = {"embedding:model=dlrm,mode=paging,batch=1"};
+    jobs[4].id = "ok_b";
+    jobs[4].overrides = {{"seed", "2"}};
+    jobs[4].workloads = {"synthetic:pattern=uniform,accesses=128"};
 
     sweep::SweepOptions opts;
     opts.threads = 2;
@@ -339,9 +348,9 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     const sweep::SweepResults results =
         sweep::SweepEngine(opts).run(jobs);
 
-    ASSERT_EQ(results.jobs.size(), 4u);
-    EXPECT_EQ(results.summary.failures, 2u);
-    EXPECT_EQ(progress_calls, 4u);
+    ASSERT_EQ(results.jobs.size(), 5u);
+    EXPECT_EQ(results.summary.failures, 3u);
+    EXPECT_EQ(progress_calls, 5u);
     // Results land at their manifest index, whatever the thread
     // interleaving was.
     EXPECT_EQ(results.jobs[0].id, "ok_a");
@@ -352,8 +361,12 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     EXPECT_FALSE(results.jobs[2].ok);
     EXPECT_NE(results.jobs[2].error.find("unknown workload kind"),
               std::string::npos);
-    EXPECT_TRUE(results.jobs[3].ok);
-    EXPECT_GT(results.jobs[3].outcome.totalCycles, 0u);
+    EXPECT_FALSE(results.jobs[3].ok);
+    EXPECT_NE(results.jobs[3].error.find("sim.hubNpus to at least 1"),
+              std::string::npos)
+        << results.jobs[3].error;
+    EXPECT_TRUE(results.jobs[4].ok);
+    EXPECT_GT(results.jobs[4].outcome.totalCycles, 0u);
 }
 
 TEST(SweepEngine, ZeroCountsFailInIsolation)

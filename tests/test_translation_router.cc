@@ -362,3 +362,216 @@ TEST(TranslationRouter, CapBlockedClientWakesOnResponseAndBroadcast)
     EXPECT_EQ(log.order, std::vector<unsigned>({0, 0, 0}));
     EXPECT_EQ(router.capRejections(0), 2u);
 }
+
+TEST(TranslationRouter, WakeOrderFollowsInflightChangesWhileWaiting)
+{
+    ScriptedEngine engine;
+    TranslationRouter router(engine, 4, RouterPolicy::Shared, 64);
+    WakeLog log;
+    log.attach(router);
+
+    // In flight: client 0 one, client 1 two, client 2 three.
+    const unsigned depth[] = {1, 2, 3};
+    for (unsigned c = 0; c < 3; c++) {
+        for (unsigned i = 0; i < depth[c]; i++)
+            ASSERT_TRUE(router.port(c).translate(0x1000, i));
+    }
+    engine.accept = false;
+    for (unsigned c = 0; c < 4; c++)
+        ASSERT_FALSE(router.port(c).translate(0x2000, 9));
+
+    // While they wait, client 2 drains (accepted[3..5] are its) and
+    // client 3 gets two requests accepted.
+    for (std::size_t i = 3; i < 6; i++)
+        engine.respond(i);
+    engine.accept = true;
+    ASSERT_TRUE(router.port(3).translate(0x3000, 10));
+    ASSERT_TRUE(router.port(3).translate(0x3000, 11));
+
+    engine.wake();
+    // In flight now: 1, 2, 0, 2 -> clients 1 and 3 tie, then 0, 2.
+    EXPECT_EQ(log.order, std::vector<unsigned>({1, 3, 0, 2}));
+}
+
+namespace {
+
+/**
+ * A client with one blocked request at a time. A wake-retrying client
+ * declares itself and retries inside the wake, probing first, the way
+ * a hub bridge replays its parked queue; a deferred one retries a
+ * cycle later, the way a DMA does.
+ */
+class RetryClient
+{
+  public:
+    RetryClient(TranslationEngine &port, EventQueue &eq,
+                bool retries_in_wake)
+        : _port(port), _eq(eq)
+    {
+        _port.setResponseCallback(
+            [this](const TranslationResponse &) { responses++; });
+        _port.setWakeCallback([this, retries_in_wake] {
+            wakes++;
+            if (retries_in_wake)
+                retry();
+            else
+                _eq.scheduleIn(1, [this] { retry(); });
+        });
+        if (retries_in_wake)
+            _port.declareWakeRetry();
+    }
+
+    /** Issue @p va now, unprobed, as a bridge's ingress does; true
+     *  when accepted. */
+    bool
+    issue(Addr va)
+    {
+        _va = va;
+        _blocked = !_port.translate(_va, _nextId);
+        if (!_blocked)
+            _nextId++;
+        return !_blocked;
+    }
+
+    bool blocked() const { return _blocked; }
+
+    unsigned wakes = 0;
+    unsigned responses = 0;
+
+  private:
+    bool
+    retry()
+    {
+        if (!_blocked || !_port.admits(_va) ||
+            !_port.translate(_va, _nextId))
+            return false;
+        _blocked = false;
+        _nextId++;
+        return true;
+    }
+
+    TranslationEngine &_port;
+    EventQueue &_eq;
+    Addr _va = invalidAddr;
+    bool _blocked = false;
+    std::uint64_t _nextId = 0;
+};
+
+/** A small cold walker core: 4-level walks finish 405 ticks in. */
+MmuConfig
+tinyCore(unsigned walkers, unsigned prmb_slots)
+{
+    MmuConfig cfg;
+    cfg.numPtws = walkers;
+    cfg.prmbSlots = prmb_slots;
+    return cfg;
+}
+
+} // namespace
+
+TEST(TranslationRouter, WakeRetryingClientSkippedWhileRefusalHolds)
+{
+    Harness h;
+    MmuCore mmu("mmu", h.eq, h.pt, tinyCore(1, 0));
+    TranslationRouter router(mmu, 3, RouterPolicy::Shared, 1);
+    const Segment seg = h.segment("s", 3);
+    RetryClient owner(router.port(0), h.eq, true);
+    RetryClient first(router.port(1), h.eq, true);
+    RetryClient second(router.port(2), h.eq, true);
+
+    ASSERT_TRUE(owner.issue(seg.base));
+    ASSERT_FALSE(first.issue(seg.base + 4096));
+    ASSERT_FALSE(second.issue(seg.base + 2 * 4096));
+
+    // The first walk ends: the first waiter takes the freed walker,
+    // and the second, whose page nobody touched, is not called.
+    h.eq.run(405);
+    EXPECT_EQ(first.wakes, 1u);
+    EXPECT_FALSE(first.blocked());
+    EXPECT_EQ(second.wakes, 0u);
+    EXPECT_TRUE(second.blocked());
+
+    // It still waits, so the next freed walker reaches it.
+    h.eq.run();
+    EXPECT_EQ(second.wakes, 1u);
+    EXPECT_EQ(second.responses, 1u);
+    // One rejection, then one accepted retry: no polls in between.
+    EXPECT_EQ(router.clientCounts(2).requests, 2u);
+    EXPECT_EQ(router.clientCounts(2).blockedIssues, 1u);
+}
+
+TEST(TranslationRouter, WakeRetryingClientCalledOnceItsPageWalksOrFills)
+{
+    Harness h;
+    // One walker, one PRMB slot per walk.
+    MmuCore mmu("mmu", h.eq, h.pt, tinyCore(1, 1));
+    TranslationRouter router(mmu, 5, RouterPolicy::Shared, 1);
+    const Segment seg = h.segment("s", 3);
+    const Addr a = seg.base, b = seg.base + 4096, c = seg.base + 8192;
+    RetryClient owner(router.port(0), h.eq, true);
+    RetryClient walker(router.port(1), h.eq, true);
+    RetryClient filled(router.port(2), h.eq, true);
+    RetryClient merged(router.port(3), h.eq, true);
+    RetryClient untouched(router.port(4), h.eq, true);
+
+    // The walk on a holds the walker and its one PRMB slot.
+    ASSERT_TRUE(owner.issue(a));
+    ASSERT_TRUE(router.port(0).translate(a, 100));
+    ASSERT_FALSE(walker.issue(b));    // no walker
+    ASSERT_FALSE(filled.issue(a));    // PRMB full
+    ASSERT_FALSE(merged.issue(b));    // no walker
+    ASSERT_FALSE(untouched.issue(c)); // no walker
+
+    // a's walk ends and fills the TLB; the first waiter starts a walk
+    // on b and takes the walker. With no walker free, a's waiter is
+    // called because a entered the TLB, b's because b's walk started
+    // (it merges into the PRMB), and c's waiter is skipped.
+    h.eq.run(405);
+    EXPECT_EQ(walker.wakes, 1u);
+    EXPECT_FALSE(walker.blocked());
+    EXPECT_EQ(filled.wakes, 1u);
+    EXPECT_FALSE(filled.blocked());
+    EXPECT_EQ(merged.wakes, 1u);
+    EXPECT_FALSE(merged.blocked());
+    EXPECT_EQ(mmu.counts().prmbMerges, 2u);
+    EXPECT_EQ(untouched.wakes, 0u);
+    EXPECT_TRUE(untouched.blocked());
+
+    h.eq.run();
+    EXPECT_EQ(untouched.responses, 1u);
+}
+
+TEST(TranslationRouter, DeferredClientWokenOnEveryWake)
+{
+    Harness h;
+    MmuCore mmu("mmu", h.eq, h.pt, tinyCore(1, 0));
+    TranslationRouter router(mmu, 4, RouterPolicy::Shared, 1);
+    const Segment seg = h.segment("s", 4);
+    RetryClient owner(router.port(0), h.eq, true);
+    RetryClient taker(router.port(1), h.eq, true);
+    RetryClient deferred(router.port(2), h.eq, false);
+    RetryClient skipped(router.port(3), h.eq, true);
+
+    ASSERT_TRUE(owner.issue(seg.base));
+    ASSERT_FALSE(taker.issue(seg.base + 4096));
+    ASSERT_FALSE(deferred.issue(seg.base + 2 * 4096));
+    ASSERT_FALSE(skipped.issue(seg.base + 3 * 4096));
+
+    // First wake: the taker takes the walker. The deferred client is
+    // woken anyway (its retry a cycle later is rejected again); the
+    // wake-retrying one behind it is not.
+    h.eq.run(406);
+    EXPECT_EQ(taker.wakes, 1u);
+    EXPECT_EQ(deferred.wakes, 1u);
+    EXPECT_TRUE(deferred.blocked());
+    EXPECT_EQ(skipped.wakes, 0u);
+
+    // Second wake: the deferred client goes first but retries late,
+    // so the walker it would have had goes to the other waiter; the
+    // third wake finally lets it in.
+    h.eq.run();
+    EXPECT_EQ(deferred.wakes, 3u);
+    EXPECT_EQ(skipped.wakes, 1u);
+    EXPECT_EQ(deferred.responses, 1u);
+    EXPECT_EQ(skipped.responses, 1u);
+}
