@@ -40,7 +40,7 @@ enum class ProfSubsystem : unsigned
     Paging,     ///< demand paging / fault handling
     Serving,    ///< serving-engine arrivals and dispatch
     Workload,   ///< workload batch issue / tile bookkeeping
-    Router,     ///< router arbitration, wakes and hub bridges
+    Router,     ///< router wake arbitration and hub bridges
     Count
 };
 
