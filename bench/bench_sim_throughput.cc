@@ -23,11 +23,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -137,21 +135,20 @@ meter(SystemConfig cfg,
 }
 
 /**
- * The sharded-scaling scenario: one 64-NPU multi-tenant machine (a
+ * The hop-model scenario: one 64-NPU multi-tenant machine (a
  * synthetic mix that keeps every NPU's DMA busy against the shared
- * NeuMMU hub), run at several sim.shards settings. The simulated
- * counters are byte-identical across the axis -- only the wall clock
- * (and thus events/s) may change with parallel execution.
+ * NeuMMU hub) at sim.shards=1, so it runs the DomainRuntime windows,
+ * the mailboxes and the port credits.
  */
 RunSample
-runBig64(unsigned shards)
+runBig64()
 {
     SystemConfig cfg;
     cfg.name = "big64";
     cfg.seed = 21;
     cfg.numNpus = 64;
     cfg.mmuKind = MmuKind::NeuMmu;
-    cfg.sim.shards = shards;
+    cfg.sim.shards = 1;
     return meter(cfg, [&](System &, Scheduler &scheduler) {
         static const char *mix[] = {
             "synthetic:pattern=uniform,footprint=8M,accesses=1024",
@@ -271,6 +268,7 @@ main(int argc, char **argv)
         {"paging_dlrm",
          [] { return runPaging(MmuKind::NeuMmu, 4); }},
         {"serve16_paged_iommu", [] { return runServe16(); }},
+        {"npu64_mix", [] { return runBig64(); }},
     };
 
     std::printf("%-22s %12s %12s %14s %14s %10s\n", "scenario",
@@ -471,81 +469,6 @@ main(int argc, char **argv)
                         traced_ms, overhead * 100.0);
         }
         g_trace = false;
-    }
-
-    // --- Sharded scaling curve (ISSUE 6): the 64-NPU mix across the
-    // --shards axis. Simulated counters are pinned identical across
-    // the axis; speedup is wall-clock relative to the first point.
-    std::vector<unsigned> shard_axis;
-    {
-        const std::string axis =
-            reporter.args().get("shards", "1,2,4,8");
-        std::size_t pos = 0;
-        while (pos < axis.size()) {
-            const std::size_t comma = axis.find(',', pos);
-            const std::string tok =
-                axis.substr(pos, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - pos);
-            if (!tok.empty())
-                shard_axis.push_back(
-                    unsigned(std::strtoul(tok.c_str(), nullptr, 10)));
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-    }
-
-    std::printf("\n%-22s %12s %12s %14s %10s %9s\n", "npu64_mix",
-                "simTicks", "events", "events/s", "wallMs",
-                "speedup");
-    double base_wall = 0.0;
-    RunSample ref;
-    bool have_ref = false;
-    for (const unsigned shards : shard_axis) {
-        RunSample total;
-        for (unsigned r = 0; r < reps; r++) {
-            const RunSample s = runBig64(shards);
-            total.simTicks = s.simTicks;
-            total.events = s.events;
-            total.translations = s.translations;
-            total.peakQueueDepth = s.peakQueueDepth;
-            total.wallSec += s.wallSec;
-        }
-        if (!have_ref) {
-            ref = total;
-            base_wall = total.wallSec;
-            have_ref = true;
-        } else if (ref.simTicks != total.simTicks ||
-                   ref.events != total.events ||
-                   ref.translations != total.translations) {
-            std::fprintf(stderr,
-                         "FATAL: shards=%u changed simulated "
-                         "counters -- determinism broke\n",
-                         shards);
-            return 1;
-        }
-        const double events_per_sec =
-            double(total.events) * reps / total.wallSec;
-        const double speedup = base_wall / total.wallSec;
-
-        stats::Group &g = reporter.group(
-            "sim.npu64_mix.shards" + std::to_string(shards));
-        g.scalar("shards").set(double(shards));
-        g.scalar("simTicks").set(double(total.simTicks));
-        g.scalar("events").set(double(total.events));
-        g.scalar("translations").set(double(total.translations));
-        g.scalar("wallMs").set(total.wallSec * 1e3 / reps);
-        g.scalar("eventsPerSec").set(events_per_sec);
-        g.scalar("speedup").set(speedup);
-        g.scalar("hostConcurrency")
-            .set(double(std::thread::hardware_concurrency()));
-
-        std::printf("  shards=%-12u %12llu %12llu %14.0f %10.1f "
-                    "%8.2fx\n",
-                    shards, (unsigned long long)total.simTicks,
-                    (unsigned long long)total.events, events_per_sec,
-                    total.wallSec * 1e3 / reps, speedup);
     }
 
     const double agg_events = double(total_events) / total_wall;

@@ -10,8 +10,8 @@
 #   BUILD_DIR  build tree (default: build)
 #   BUILD_TYPE CMake build type (default: RelWithDebInfo)
 #   SANITIZE   0 = off, 1/address = ASan+UBSan, thread = TSan
-#              (TSan covers the sharded DomainRuntime barrier and
-#              mailbox paths; default: 0)
+#              (TSan guards the SweepEngine worker pool, the one
+#              multi-threaded part; default: 0)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -104,16 +104,12 @@ if ! grep -q sameTickShortcuts "$BENCH_JSON"; then
        "attribution (no sameTickShortcuts)" >&2
   exit 1
 fi
-# The sharded scaling curve (64-NPU mix across sim.shards) must be in
-# the archived report: events/sec per shard count plus the wall-clock
-# speedup, with hostConcurrency recorded so a single-core runner's
-# flat curve is interpretable. bench_sim_throughput itself fails if
-# the simulated counters drift across the axis.
-for key in npu64_mix.shards1 npu64_mix.shards8 speedup \
-           hostConcurrency; do
+# The hop-model scenario (64-NPU mix at sim.shards=1, the one that
+# runs DomainRuntime windows and mailboxes) must be in the archived
+# report, with its profiled attribution.
+for key in '"sim.npu64_mix"' '"sim.npu64_mix.profile"'; do
   if ! grep -q "$key" "$BENCH_JSON"; then
-    echo "error: throughput report is missing the sharded scaling" \
-         "curve (no $key)" >&2
+    echo "error: throughput report is missing $key" >&2
     exit 1
   fi
 done
@@ -185,9 +181,9 @@ if ! cmp -s "$SWEEP_SERIAL" "$SWEEP_PAR"; then
   exit 1
 fi
 
-# Sharded-kernel gate, CLI path: the same matrix forced through the
-# sharded runtime at 1 shard vs 4 shards must merge byte-identically
-# -- shards (and threads) are execution knobs, never model knobs.
+# Hop-model gate, CLI path: the same matrix forced through the hop
+# model at 1 shard vs 4 shards must merge byte-identically -- every
+# sim.shards >= 1 is the same machine.
 # Both runs use the same -j because the merged JSON records it.
 SHARD_ONE="$BUILD_DIR/BENCH_sweep_shards1.json"
 SHARD_FOUR="$BUILD_DIR/BENCH_sweep_shards4.json"

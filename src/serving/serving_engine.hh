@@ -18,7 +18,7 @@
  * dispatch, tenant churn) runs on the hub event queue, and the System
  * auto-raises sim.hubNpus to cover every serving slot, so the queue
  * partition -- and therefore the dump, byte for byte -- is identical
- * for any sim.shards >= 1 and any thread count. The arrival timestamp
+ * for any sim.shards >= 1. The arrival timestamp
  * sequence itself is a pure function of (config, seed) and is
  * identical even across the legacy (shards = 0) and sharded kernels.
  */

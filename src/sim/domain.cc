@@ -1,60 +1,23 @@
 #include "sim/domain.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.hh"
 
 namespace neummu {
 
-void
-DomainRuntime::Barrier::arriveAndWait()
-{
-    std::unique_lock<std::mutex> lock(_m);
-    const std::uint64_t arrived_gen = _generation;
-    if (++_waiting == _parties) {
-        _waiting = 0;
-        _generation++;
-        _cv.notify_all();
-        return;
-    }
-    _cv.wait(lock,
-             [this, arrived_gen] { return _generation != arrived_gen; });
-}
-
 DomainRuntime::DomainRuntime(unsigned num_queues, unsigned num_units,
-                             std::vector<unsigned> domain_of_queue,
-                             Tick hop_ticks, unsigned threads)
+                             Tick hop_ticks)
     : _numUnits(num_units), _hop(hop_ticks)
 {
     NEUMMU_ASSERT(num_queues >= 1, "domain runtime needs a hub queue");
     NEUMMU_ASSERT(num_units >= 1, "domain runtime needs a unit");
     NEUMMU_ASSERT(hop_ticks >= 1,
                   "lookahead (hopTicks) must be at least one tick");
-    NEUMMU_ASSERT(domain_of_queue.size() == num_queues,
-                  "domain map must cover every queue");
-
-    unsigned max_domain = 0;
-    for (const unsigned d : domain_of_queue)
-        max_domain = std::max(max_domain, d);
-    _numDomains = max_domain + 1;
-    NEUMMU_ASSERT(domain_of_queue[0] == 0,
-                  "the hub queue must live in domain 0");
-
-    _numThreads = threads ? std::min(threads, _numDomains)
-                          : _numDomains;
 
     _queues.reserve(num_queues);
     for (unsigned q = 0; q < num_queues; q++)
         _queues.push_back(std::make_unique<EventQueue>());
-
-    // Thread t executes domains t, t + T, t + 2T, ... -- queue order
-    // within a thread follows queue index, so execution order is
-    // stable for any thread count (not that it matters: queues only
-    // interact at barriers).
-    _queuesOfThread.resize(_numThreads);
-    for (unsigned q = 0; q < num_queues; q++)
-        _queuesOfThread[domain_of_queue[q] % _numThreads].push_back(q);
 
     _slots.resize(std::size_t(num_queues) * num_units);
     _sendersOfQueue.resize(num_queues);
@@ -108,9 +71,8 @@ DomainRuntime::post(unsigned to_queue, unsigned sender_unit,
 void
 DomainRuntime::inject(unsigned q)
 {
-    // Drain the buffers filled in the PREVIOUS round: senders are
-    // concurrently appending to the current-parity buffers, which
-    // this round never touches.
+    // Drain the buffers filled in the PREVIOUS round; messages posted
+    // this round sit in the current-parity buffers until the next.
     EventQueue &eq = *_queues[q];
     const unsigned b = unsigned((_round - 1) & 1);
     for (const unsigned u : _sendersOfQueue[q]) {
@@ -130,16 +92,7 @@ DomainRuntime::inject(unsigned q)
     }
 }
 
-void
-DomainRuntime::executeRound(unsigned t)
-{
-    for (const unsigned q : _queuesOfThread[t]) {
-        inject(q);
-        _queues[q]->run(_windowEnd);
-    }
-}
-
-void
+bool
 DomainRuntime::computeNextWindow()
 {
     Tick next = maxTick;
@@ -150,38 +103,17 @@ DomainRuntime::computeNextWindow()
         next = std::min({next, s.minDeliver[0], s.minDeliver[1]});
     }
 
-    if (next == maxTick || next > _limit) {
-        _done = true;
-        return;
-    }
+    if (next == maxTick || next > _limit)
+        return false;
     // Hop-aligned window grid: windows are disjoint and every tick
     // belongs to exactly one executed round, which pins the injection
-    // round of every message no matter how domains are threaded.
+    // round of every message.
     const Tick start = next - next % _hop;
     Tick end = start + _hop - 1;
     if (end < start || end > _limit)
         end = _limit;
     _windowEnd = end;
-}
-
-void
-DomainRuntime::workerLoop(unsigned t, Barrier &barrier)
-{
-    // _round was advanced before the workers were spawned, so the
-    // first pass executes immediately; between the two barriers only
-    // the coordinator touches the round state.
-    while (true) {
-        executeRound(t);
-        barrier.arriveAndWait();
-        if (t == 0) {
-            computeNextWindow();
-            if (!_done)
-                _round++;
-        }
-        barrier.arriveAndWait();
-        if (_done)
-            break;
-    }
+    return true;
 }
 
 Tick
@@ -190,27 +122,12 @@ DomainRuntime::run(Tick limit)
     NEUMMU_ASSERT(!_running, "DomainRuntime::run is not reentrant");
     _running = true;
     _limit = limit;
-    _done = false;
-    computeNextWindow();
-
-    if (!_done && _numThreads == 1) {
-        // Serial reference path: the same window loop, no barriers.
-        while (!_done) {
-            _round++;
-            executeRound(0);
-            computeNextWindow();
-        }
-    } else if (!_done) {
+    while (computeNextWindow()) {
         _round++;
-        Barrier barrier(_numThreads);
-        std::vector<std::thread> workers;
-        workers.reserve(_numThreads - 1);
-        for (unsigned t = 1; t < _numThreads; t++)
-            workers.emplace_back(
-                [this, t, &barrier] { workerLoop(t, barrier); });
-        workerLoop(0, barrier);
-        for (std::thread &w : workers)
-            w.join();
+        for (unsigned q = 0; q < _queues.size(); q++) {
+            inject(q);
+            _queues[q]->run(_windowEnd);
+        }
     }
     _running = false;
     return now();

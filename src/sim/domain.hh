@@ -1,43 +1,34 @@
 /**
  * @file
- * Conservative parallel discrete-event runtime: per-unit event queues
- * grouped into thread domains, synchronized on a fixed-lookahead
- * barrier window.
+ * Conservative hop-window discrete-event runtime: per-unit event
+ * queues advanced serially over fixed-lookahead windows.
  *
  * The model is partitioned into units (for NeuMMU: the hub -- MMU,
  * router, paging engine -- plus one unit per NPU). Every unit that is
- * not co-resident with the hub owns a private calendar EventQueue;
- * queues are grouped into domains and each domain advances on its own
- * thread. All cross-unit interaction travels through per-(receiver
- * queue, sender unit) mailboxes with a fixed minimum latency of
- * hopTicks -- the lookahead -- so a domain can safely execute the
- * whole window [W, W + hopTicks) without observing any other domain:
- * a message posted inside the window is due no earlier than the next
- * window.
+ * not co-resident with the hub owns a private calendar EventQueue.
+ * All cross-unit interaction travels through per-(receiver queue,
+ * sender unit) mailboxes with a fixed minimum latency of hopTicks --
+ * the lookahead -- so each queue can execute the whole window
+ * [W, W + hopTicks) without observing any other queue: a message
+ * posted inside the window is due no earlier than the next window.
  *
- * Determinism is by construction, independent of thread count and
- * interleaving:
+ * Each round injects pending messages into, then runs, every queue
+ * in index order. Results are deterministic by construction:
  *  - each queue's event stream is its own scheduled events plus
- *    messages injected at barrier-delimited round starts;
+ *    messages injected at round starts;
  *  - injection iterates sender units in ascending unit id, FIFO per
  *    sender, so same-tick cross-sender ties always resolve the same
  *    way (the per-queue insertion seq does the rest);
  *  - the window sequence itself is a pure function of queue state:
- *    after each round the coordinator jumps to the hop-aligned window
+ *    after each round the runtime jumps to the hop-aligned window
  *    containing the globally earliest pending event or message.
- *
- * Mailbox slots are single-writer (one sender unit, running on one
- * thread) and are only read on the other side of a barrier, so the
- * runtime is race-free without per-message locks or atomics.
  */
 
 #ifndef NEUMMU_SIM_DOMAIN_HH
 #define NEUMMU_SIM_DOMAIN_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/types.hh"
@@ -47,7 +38,7 @@
 namespace neummu {
 
 /**
- * Owns the per-unit queues, the mailboxes, and the barrier-window
+ * Owns the per-unit queues, the mailboxes, and the hop-window
  * execution loop. Queue 0 is by convention the hub queue; unit ids
  * are model-wide and need not map 1:1 onto queues (several hub-
  * resident units may share queue 0).
@@ -58,28 +49,24 @@ class DomainRuntime
     /**
      * @param num_queues Event queues (>= 1); queue 0 is the hub.
      * @param num_units Sender-unit id space for mailbox slots.
-     * @param domain_of_queue Domain index per queue; domains must be
-     *        numbered contiguously from 0 (queue 0 in domain 0).
      * @param hop_ticks Cross-unit message latency = lookahead window
      *        width (>= 1). Every post() must honor it.
-     * @param threads Worker threads; 0 = one per domain. More threads
-     *        than domains is clamped; fewer folds several domains
-     *        onto one thread (results are identical either way).
      */
     DomainRuntime(unsigned num_queues, unsigned num_units,
-                  std::vector<unsigned> domain_of_queue,
-                  Tick hop_ticks, unsigned threads);
+                  Tick hop_ticks);
 
     unsigned numQueues() const { return unsigned(_queues.size()); }
-    unsigned numDomains() const { return _numDomains; }
-    unsigned numThreads() const { return _numThreads; }
+    /** Always 1: the runtime is serial. Kept only because the
+     *  frozen perfbench runner reads it; drop at the next benchmark
+     *  change. */
+    unsigned numThreads() const { return 1; }
     Tick hopTicks() const { return _hop; }
 
     EventQueue &queue(unsigned q);
 
     /**
      * Declare that @p sender_unit will post to @p to_queue. Channels
-     * must be registered before run() (single-threaded wiring time);
+     * must be registered before run() (at wiring time);
      * the round loop then scans only live channels instead of the
      * full queues x units slot matrix -- for a 64-NPU hub-and-spoke
      * system that is ~130 slots per window instead of ~4200.
@@ -90,8 +77,8 @@ class DomainRuntime
     /**
      * Post a cross-unit message: run @p cb on queue @p to_queue at
      * exactly tick @p deliver. The channel must have been registered
-     * with addChannel(). Must be called from the thread currently
-     * executing @p sender_unit's queue (or before run()), with
+     * with addChannel(). Must be called from an event on
+     * @p sender_unit's queue (or before run()), with
      * deliver >= sender now + hopTicks(); the runtime asserts the
      * lookahead on injection.
      */
@@ -99,8 +86,8 @@ class DomainRuntime
               EventCallback cb);
 
     /**
-     * Drain every queue (and mailbox) up to and including @p limit
-     * under barrier-window synchronization; returns the final time
+     * Drain every queue (and mailbox) up to and including @p limit,
+     * one hop window per round; returns the final time
      * (max over queues). Not reentrant.
      */
     Tick run(Tick limit = maxTick);
@@ -127,31 +114,18 @@ class DomainRuntime
      * One (receiver queue, sender unit) mailbox, double-buffered by
      * round parity: during round R the sender appends to buffer
      * [R & 1] while the receiver drains buffer [(R - 1) & 1] at its
-     * round start, so writer and reader never touch the same vector
-     * (every message is injected exactly one round after it was
-     * posted). Padded so neighboring senders do not false-share.
+     * round start, so every message is injected exactly one round
+     * after it was posted. That pins delivery order independently of
+     * queue order: a message from a lower-index sender, whose queue
+     * ran first this round, cannot jump ahead of same-tick events the
+     * receiver schedules later in the same round.
      */
-    struct alignas(64) Slot
+    struct Slot
     {
         std::vector<Message> msgs[2];
         Tick minDeliver[2] = {maxTick, maxTick};
         std::uint64_t posted = 0;
         bool open = false;
-    };
-
-    /** Generation-counted central barrier (condition variable). */
-    class Barrier
-    {
-      public:
-        explicit Barrier(unsigned parties) : _parties(parties) {}
-        void arriveAndWait();
-
-      private:
-        std::mutex _m;
-        std::condition_variable _cv;
-        unsigned _parties;
-        unsigned _waiting = 0;
-        std::uint64_t _generation = 0;
     };
 
     Slot &slot(unsigned q, unsigned u)
@@ -160,32 +134,24 @@ class DomainRuntime
     }
     /** Schedule queue @p q's pending messages (ascending unit id). */
     void inject(unsigned q);
-    /** Inject + run one window for every queue of thread @p t. */
-    void executeRound(unsigned t);
-    /** Advance _windowEnd to the next nonempty window, or set _done. */
-    void computeNextWindow();
-    void workerLoop(unsigned t, Barrier &barrier);
+    /** Advance _windowEnd to the next nonempty window; false when
+     *  nothing is pending up to _limit. */
+    bool computeNextWindow();
 
     std::vector<std::unique_ptr<EventQueue>> _queues;
     unsigned _numUnits;
-    unsigned _numDomains;
-    unsigned _numThreads;
     Tick _hop;
-    /** Queue indices per thread, precomputed from domain_of_queue. */
-    std::vector<std::vector<unsigned>> _queuesOfThread;
     std::vector<Slot> _slots;
     /** Registered sender units per queue, ascending (inject order). */
     std::vector<std::vector<unsigned>> _sendersOfQueue;
     /** Flat (queue, unit) list of live channels (window scan). */
     std::vector<std::size_t> _liveSlots;
 
-    // Round state: written by the coordinator (thread 0) between
-    // barriers, read by every worker after the barrier. _round is the
-    // 1-based number of the round currently (or last) executed; posts
-    // before run() count as round 0, so the first round drains them.
+    // Round state. _round is the 1-based number of the round
+    // currently (or last) executed; posts before run() count as
+    // round 0, so the first round drains them.
     Tick _limit = maxTick;
     Tick _windowEnd = 0;
-    bool _done = false;
     bool _running = false;
     std::uint64_t _round = 0;
 };

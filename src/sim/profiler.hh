@@ -47,9 +47,8 @@ enum class ProfSubsystem : unsigned
 const char *profSubsystemName(ProfSubsystem s);
 
 /**
- * Per-event-queue profile accumulator. Single-threaded by
- * construction (one per queue, touched only from that queue's
- * domain thread); System sums across queues at dump time.
+ * Per-event-queue profile accumulator: one per queue, touched only
+ * by that queue's events; System sums across queues at dump time.
  */
 class SimProfiler
 {

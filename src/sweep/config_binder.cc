@@ -1,6 +1,7 @@
 #include "sweep/config_binder.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "common/text.hh"
 #include "mmu/translation_factory.hh"
@@ -42,6 +43,21 @@ parsePositive(const std::string &key, const std::string &value)
     if (v == 0)
         badValue(key, value, "an unsigned integer >= 1");
     return v;
+}
+
+/**
+ * parsePositive for an unsigned field: a value past its range would
+ * wrap (4G to 0) on the narrowing store.
+ */
+unsigned
+parseCount(const std::string &key, const std::string &value)
+{
+    const std::uint64_t v = parsePositive(key, value);
+    constexpr unsigned max = std::numeric_limits<unsigned>::max();
+    if (v > max)
+        badValue(key, value,
+                 "an integer in [1," + std::to_string(max) + "]");
+    return unsigned(v);
 }
 
 double
@@ -268,9 +284,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "seed") {
         cfg.seed = parseU64(key, value);
     } else if (key == "numNpus") {
-        cfg.numNpus = unsigned(parsePositive(key, value));
+        cfg.numNpus = parseCount(key, value);
     } else if (key == "bufferDepth") {
-        cfg.bufferDepth = unsigned(parseU64(key, value));
+        cfg.bufferDepth = parseCount(key, value);
     } else if (key == "dmaBurstBytes") {
         cfg.dmaBurstBytes = parseU64(key, value);
     } else if (key == "mmuKind" || key == "mmu.design") {
@@ -309,24 +325,27 @@ applyOverride(SystemConfig &cfg, const std::string &key,
 
         // --- Memory system --------------------------------------------
     } else if (key == "memory.channels") {
-        cfg.memory.channels = unsigned(parseU64(key, value));
+        cfg.memory.channels = parseCount(key, value);
     } else if (key == "memory.bytesPerCycle") {
-        cfg.memory.bytesPerCycle = parseF64(key, value);
+        const double v = parseF64(key, value);
+        if (!(v > 0.0))
+            badValue(key, value, "a number > 0");
+        cfg.memory.bytesPerCycle = v;
     } else if (key == "memory.accessLatency") {
         cfg.memory.accessLatency = Tick(parseU64(key, value));
     } else if (key == "memory.interleaveBytes") {
-        cfg.memory.interleaveBytes = unsigned(parseU64(key, value));
+        cfg.memory.interleaveBytes = parseCount(key, value);
 
         // --- MMU design point (materializes Custom, see customMmu) ----
     } else if (key == "mmu.numPtws") {
-        customMmu(cfg).numPtws = unsigned(parsePositive(key, value));
+        customMmu(cfg).numPtws = parseCount(key, value);
     } else if (key == "mmu.prmbSlots") {
         customMmu(cfg).prmbSlots = unsigned(parseU64(key, value));
     } else if (key == "mmu.pathCache") {
         customMmu(cfg).pathCache = parseCacheKind(key, value);
     } else if (key == "mmu.sharedCacheEntries") {
         customMmu(cfg).sharedCacheEntries =
-            std::size_t(parseU64(key, value));
+            std::size_t(parsePositive(key, value));
     } else if (key == "mmu.sharedCacheReplacement") {
         const std::string v = lowered(value);
         if (v == "lru")
@@ -352,35 +371,39 @@ applyOverride(SystemConfig &cfg, const std::string &key,
         // --- Design-zoo knobs (do NOT flip mmuKind: they only matter
         // when mmu.design selects the matching design) -----------------
     } else if (key == "mmu.range.entries") {
-        cfg.rangeMmu.entries = std::size_t(parseU64(key, value));
+        cfg.rangeMmu.entries = std::size_t(parsePositive(key, value));
     } else if (key == "mmu.range.maxPages") {
-        cfg.rangeMmu.maxRangePages = unsigned(parseU64(key, value));
+        cfg.rangeMmu.maxRangePages = parseCount(key, value);
     } else if (key == "mmu.range.walkers") {
-        cfg.rangeMmu.numWalkers = unsigned(parseU64(key, value));
+        cfg.rangeMmu.numWalkers = parseCount(key, value);
     } else if (key == "mmu.range.hitLatency") {
         cfg.rangeMmu.hitLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.range.walkLatencyPerLevel") {
         cfg.rangeMmu.walkLatencyPerLevel = Tick(parseU64(key, value));
     } else if (key == "mmu.pom.l1Entries") {
-        cfg.pomTlb.l1.entries = std::size_t(parseU64(key, value));
+        cfg.pomTlb.l1.entries = std::size_t(parsePositive(key, value));
     } else if (key == "mmu.pom.l1HitLatency") {
         cfg.pomTlb.l1.hitLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.pom.entries") {
         cfg.pomTlb.entries = std::size_t(parseU64(key, value));
     } else if (key == "mmu.pom.ways") {
-        cfg.pomTlb.ways = std::size_t(parseU64(key, value));
+        cfg.pomTlb.ways = std::size_t(parsePositive(key, value));
     } else if (key == "mmu.pom.walkers") {
-        cfg.pomTlb.numWalkers = unsigned(parseU64(key, value));
+        cfg.pomTlb.numWalkers = parseCount(key, value);
     } else if (key == "mmu.pom.walkLatencyPerLevel") {
         cfg.pomTlb.walkLatencyPerLevel = Tick(parseU64(key, value));
     } else if (key == "mmu.pom.memLatency") {
         cfg.pomTlb.mem.accessLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.nmt.segmentShift") {
-        cfg.nmt.segmentShift = unsigned(parseU64(key, value));
+        // segmentOf() shifts a 64-bit VPN by it.
+        const std::uint64_t shift = parseU64(key, value);
+        if (shift > 63)
+            badValue(key, value, "an integer in [0,63]");
+        cfg.nmt.segmentShift = unsigned(shift);
     } else if (key == "mmu.nmt.cacheEntries") {
-        cfg.nmt.cacheEntries = std::size_t(parseU64(key, value));
+        cfg.nmt.cacheEntries = std::size_t(parsePositive(key, value));
     } else if (key == "mmu.nmt.units") {
-        cfg.nmt.numUnits = unsigned(parseU64(key, value));
+        cfg.nmt.numUnits = parseCount(key, value);
     } else if (key == "mmu.nmt.hitLatency") {
         cfg.nmt.hitLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.nmt.fetchLatency") {
@@ -456,11 +479,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "sim.hopTicks") {
         cfg.sim.hopTicks = Tick(parsePositive(key, value));
     } else if (key == "sim.portCredits") {
-        cfg.sim.portCredits = unsigned(parsePositive(key, value));
+        cfg.sim.portCredits = parseCount(key, value);
     } else if (key == "sim.hubNpus") {
         cfg.sim.hubNpus = unsigned(parseU64(key, value));
-    } else if (key == "sim.threads") {
-        cfg.sim.threads = unsigned(parseU64(key, value));
     } else if (key == "sim.profile") {
         cfg.sim.profile = parseU64(key, value) != 0;
 
@@ -485,8 +506,8 @@ applyOverrides(SystemConfig &cfg, const OverrideList &overrides)
 {
     for (const auto &[key, value] : overrides)
         applyOverride(cfg, key, value);
-    // mmu.tlb.ways and mmu.tlb.entries may come in either order, so
-    // the pair is checked once every override has landed.
+    // Keys that constrain each other may come in either order, so the
+    // pairs are checked once every override has landed.
     const TlbConfig &tlb = cfg.mmu.tlb;
     if (cfg.mmuKind == MmuKind::Custom && tlb.ways != 0 &&
         tlb.entries % tlb.ways != 0) {
@@ -495,6 +516,27 @@ applyOverrides(SystemConfig &cfg, const OverrideList &overrides)
                         std::to_string(tlb.entries) +
                         " (ways must divide entries (0 = fully "
                         "associative))");
+    }
+    const PomTlbConfig &pom = cfg.pomTlb;
+    if (cfg.mmuKind == MmuKind::PomTlb && pom.entries < pom.ways) {
+        throw BindError("mmu.pom.entries=" + std::to_string(pom.entries) +
+                        " is smaller than one set of mmu.pom.ways=" +
+                        std::to_string(pom.ways) +
+                        " (entries must be >= ways)");
+    }
+    if (cfg.sharedMemory && cfg.sim.shards > 0) {
+        throw BindError("sharedMemory=1 needs sim.shards=0 (the hop "
+                        "model gives every NPU its own memory node; "
+                        "valid: sharedMemory=0 with any sim.shards, or "
+                        "sim.shards=0)");
+    }
+    if (cfg.paging.enabled && cfg.paging.homeNode >= cfg.numNpus) {
+        throw BindError("paging.homeNode=" +
+                        std::to_string(cfg.paging.homeNode) +
+                        " is not an NPU slot (valid: 0.." +
+                        std::to_string(cfg.numNpus - 1) +
+                        " for numNpus=" + std::to_string(cfg.numNpus) +
+                        ")");
     }
 }
 
@@ -581,16 +623,14 @@ binderKeyTable()
         {"serve.sloLatency", "SLO latency target (cycles)"},
         {"serve.window", "windowed-metric sampling period (cycles)"},
         {"serve.queueLimit", "per-slot pending cap; 0 = unbounded"},
-        {"sim.shards", "0 = legacy serial kernel; >=1 = sharded "
-                       "domain kernel with that many NPU shards"},
+        {"sim.shards", "0 = legacy single-queue kernel; >=1 = hop "
+                       "model (same results for every value >=1)"},
         {"sim.hopTicks", "NPU<->hub hop latency = lookahead (>=1)"},
         {"sim.portCredits", "outstanding translations per NPU port (>=1)"},
         {"sim.hubNpus", "first K NPU slots co-resident on the hub "
                         "queue (auto-covers paging.homeNode)"},
         {"sim.profile", "1 = host-side cycle attribution (prof.* / "
                         "fastpath.* stats groups); observational only"},
-        {"sim.threads", "worker threads (0 = one per domain); never "
-                        "affects results"},
         {"trace.enabled", "0|1: request-lifecycle span tracing "
                           "(off = zero overhead, goldens untouched)"},
         {"trace.tailThreshold", "flush only requests with e2e latency "

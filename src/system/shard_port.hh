@@ -26,7 +26,7 @@
  * Every NPU uses this path in sharded mode -- including hub-resident
  * NPUs, via their self-mailbox -- so simulated results depend only on
  * the sim.{hopTicks,portCredits,hubNpus} model parameters, never on
- * sim.shards or sim.threads.
+ * sim.shards.
  */
 
 #ifndef NEUMMU_SYSTEM_SHARD_PORT_HH

@@ -43,9 +43,8 @@ System::System(SystemConfig cfg)
     NEUMMU_ASSERT(_cfg.numNpus >= 1, "a system needs at least one NPU");
 
     if (_cfg.sim.shards > 0) {
-        // Sharded domain kernel: hub queue + one queue per non-hub
-        // NPU, grouped into min(shards, non-hub NPUs) domains plus
-        // the hub domain. Unit ids: hub = 0, NPU i = i + 1.
+        // Sharded hop model: hub queue + one queue per non-hub NPU.
+        // Unit ids: hub = 0, NPU i = i + 1.
         NEUMMU_ASSERT(!_cfg.sharedMemory,
                       "sharded simulation (sim.shards > 0) requires "
                       "per-NPU memory nodes (sharedMemory=0)");
@@ -65,8 +64,8 @@ System::System(SystemConfig cfg)
             // Serving machinery (arrivals, routing, tenant churn)
             // mutates host state synchronously on the hub queue; the
             // serving slots must share it. Because this raise is a
-            // pure function of the config -- never of shards/threads
-            // -- the queue partition, and therefore the dump, is
+            // pure function of the config -- never of sim.shards --
+            // the queue partition, and therefore the dump, is
             // identical for every sim.shards >= 1.
             const unsigned serve_slots =
                 _cfg.serve.slots
@@ -78,14 +77,8 @@ System::System(SystemConfig cfg)
         _npuQueue.resize(_cfg.numNpus);
         for (unsigned i = 0; i < _cfg.numNpus; i++)
             _npuQueue[i] = i < hub_npus ? 0 : 1 + (i - hub_npus);
-        const unsigned eff_shards =
-            remote ? std::min(_cfg.sim.shards, remote) : 0;
-        std::vector<unsigned> domain_of_queue(1 + remote, 0);
-        for (unsigned j = 0; j < remote; j++)
-            domain_of_queue[1 + j] = 1 + (j * eff_shards) / remote;
         _domains = std::make_unique<DomainRuntime>(
-            1 + remote, _cfg.numNpus + 1, std::move(domain_of_queue),
-            _cfg.sim.hopTicks, _cfg.sim.threads);
+            1 + remote, _cfg.numNpus + 1, _cfg.sim.hopTicks);
     }
 
     // The translation engine is whatever design the factory builds
@@ -451,7 +444,7 @@ System::refreshSystemStats()
     // (identical schedule/dispatch sequences give identical depths),
     // so the golden-stats tests pin it across kernel rewrites. In
     // sharded mode it is the max over queues -- invariant across
-    // shards/threads (the queue partition is fixed by hubNpus), but a
+    // sim.shards (the queue partition is fixed by hubNpus), but a
     // function of the hubNpus model parameter.
     stats::Scalar &peak = sim.scalar("peakQueueDepth");
     peak.reset();

@@ -59,30 +59,30 @@ class TraceEngine;
 
 /**
  * Simulation-kernel execution/model knobs (ConfigBinder group
- * "sim.*"). shards = 0 runs the legacy serial kernel: one EventQueue,
+ * "sim.*"). shards = 0 runs the legacy kernel: one EventQueue,
  * synchronous ports, byte-identical to every pre-sharding golden
- * dump. shards >= 1 switches to the sharded domain kernel, which is
- * an explicitly different machine model: every NPU<->hub interaction
+ * dump. shards >= 1 switches to the hop model, which is an
+ * explicitly different machine: every NPU<->hub interaction
  * (translation requests/responses, invalidations) crosses an
  * interconnect hop of hopTicks each way, flow-controlled by
- * portCredits outstanding translations per NPU.
+ * portCredits outstanding translations per NPU. Both run serially
+ * on the calling thread; parallelism lives a level up, in the sweep
+ * engine's job pool.
  *
- * Within the domain model, results are byte-identical for ANY shards
- * >= 1 and ANY thread count -- only hopTicks, portCredits, and
- * hubNpus are model parameters. shards and threads are pure
- * execution knobs.
+ * Within the hop model, results are byte-identical for ANY
+ * shards >= 1 -- only hopTicks, portCredits, and hubNpus are model
+ * parameters.
  */
 struct SimConfig
 {
     /**
-     * Event-domain shards for the non-hub NPUs; 0 selects the legacy
-     * serial kernel, >= 1 the sharded domain kernel (clamped to the
-     * non-hub NPU count).
+     * 0 selects the legacy single-queue kernel; any value >= 1 the
+     * hop model (every value >= 1 gives the same machine).
      */
     unsigned shards = 0;
     /**
      * NPU<->hub interconnect hop in ticks; doubles as the
-     * conservative lookahead (the barrier-window width). Must be
+     * conservative lookahead (the runtime's window width). Must be
      * >= 1; larger hops sync less often but add modeled latency.
      */
     Tick hopTicks = 64;
@@ -96,7 +96,9 @@ struct SimConfig
      * -- depends on it; everything simulated does not.
      */
     unsigned hubNpus = 0;
-    /** Worker threads (0 = one per domain). Never affects results. */
+    /** Ignored: the hop model runs serially. Kept only because the
+     *  frozen perfbench runner writes it; drop at the next benchmark
+     *  change. */
     unsigned threads = 0;
     /**
      * Host-side cycle attribution (see sim/profiler.hh): every event
@@ -202,7 +204,7 @@ struct SystemConfig
      * arrivals over churning tenants. Under sim.shards >= 1 the
      * serving slots are auto-raised onto the hub queue (like
      * paging.homeNode), so the dump stays byte-identical across
-     * shard/thread counts.
+     * shard counts.
      */
     serving::ServeConfig serve{};
 

@@ -8,10 +8,10 @@
  *
  * Timestamps are simulated ticks, never host time, so a trace is
  * bit-deterministic: the same seed and model configuration produce
- * the same spans regardless of sim.shards / sim.threads (for any
- * shards >= 1; the shards=0 legacy kernel is a different machine
- * model -- no shard hops -- and traces its own, equally
- * deterministic, timeline).
+ * the same spans regardless of sim.shards (for any shards >= 1;
+ * the shards=0 legacy kernel is a different machine model -- no
+ * shard hops -- and traces its own, equally deterministic,
+ * timeline).
  *
  * Correlation keys reuse the translation router's client tagging:
  * the top byte of a request id is the issuing NPU, the low bits the

@@ -6,10 +6,9 @@
  * request's end-to-end latency to exactly one stage, and emits
  * Chrome-trace-event JSON (Perfetto-loadable).
  *
- * Threading model mirrors SimProfiler: one TraceBuffer per event
- * queue, touched only from that queue's domain thread while the
- * simulation runs; the engine reads the buffers single-threaded
- * after run() returns. Because each queue's event stream is
+ * Ownership mirrors SimProfiler: one TraceBuffer per event queue,
+ * touched only by that queue's events while the simulation runs;
+ * the engine reads the buffers after run() returns. Because each queue's event stream is
  * deterministic and the queue partition is invariant across
  * sim.shards >= 1, the assembled trace -- including the drop-oldest
  * ring contents and the tail-trigger decisions -- is byte-identical
@@ -43,7 +42,7 @@ namespace trace {
 
 /**
  * Per-event-queue span recorder. All mutators are called from the
- * owning queue's thread only; the const drain surface is read after
+ * owning queue's events only; the const drain surface is read after
  * the run completes.
  */
 class TraceBuffer

@@ -140,8 +140,7 @@ class PageTable
      * immutable between map()/unmap() calls -- which drop the entry
      * -- so replaying the last result (with the page offset patched
      * in) is exact. Mutable because walk() is logically const; all
-     * walkers live on the hub event domain, so there is no
-     * cross-thread access.
+     * walkers live on the hub event queue.
      */
     mutable Addr _cachedVpn = invalidAddr;
     mutable WalkResult _cachedWalk;

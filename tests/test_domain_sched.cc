@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the sharded domain kernel: DomainRuntime mechanics
- * (exact-tick cross-domain delivery, sender-order tie-breaking,
- * window skipping, limit semantics), the per-domain seed streams, and
- * the headline invariant -- a sharded System's stats dump is
- * byte-identical for every shard count and thread count, including
- * thread counts that oversubscribe or fold domains.
+ * Tests for the hop model: DomainRuntime mechanics (exact-tick
+ * cross-queue delivery, sender-order tie-breaking, mailbox injection
+ * one round after the post, window skipping, limit semantics), the
+ * per-domain seed streams, and the headline invariant -- a sharded
+ * System's stats dump is byte-identical for every shard count.
  */
 
 #include <gtest/gtest.h>
@@ -29,14 +28,13 @@ using namespace neummu;
 namespace {
 
 /**
- * 3 queues (hub + 2), one domain each, 3 units, hop 16, with every
- * (queue, unit) channel registered so tests can post freely.
+ * 3 queues (hub + 2), 3 units, hop 16, with every (queue, unit)
+ * channel registered so tests can post freely.
  */
 std::unique_ptr<DomainRuntime>
-makeRuntime(unsigned threads, Tick hop = 16)
+makeRuntime()
 {
-    auto rt = std::make_unique<DomainRuntime>(
-        3u, 3u, std::vector<unsigned>{0, 1, 2}, hop, threads);
+    auto rt = std::make_unique<DomainRuntime>(3u, 3u, 16);
     for (unsigned q = 0; q < 3; q++)
         for (unsigned u = 0; u < 3; u++)
             rt->addChannel(q, u);
@@ -47,31 +45,48 @@ makeRuntime(unsigned threads, Tick hop = 16)
 
 TEST(DomainRuntime, DeliversAtExactTick)
 {
-    for (unsigned threads : {1u, 3u}) {
-        auto rt = makeRuntime(threads);
-        Tick seen = 0;
-        // Sender unit 1 -> queue 2, due at 40 (>= hop past now 0).
-        rt->post(2, 1, 40, [&] { seen = rt->queue(2).now(); });
-        rt->run();
-        EXPECT_EQ(seen, 40u) << "threads=" << threads;
-    }
+    auto rt = makeRuntime();
+    Tick seen = 0;
+    // Sender unit 1 -> queue 2, due at 40 (>= hop past now 0).
+    rt->post(2, 1, 40, [&] { seen = rt->queue(2).now(); });
+    rt->run();
+    EXPECT_EQ(seen, 40u);
 }
 
 TEST(DomainRuntime, SameTickTiesResolveBySenderUnit)
 {
-    for (unsigned threads : {1u, 2u}) {
-        auto rt = makeRuntime(threads);
-        std::vector<unsigned> order;
-        // Two senders, same receiver, same tick: ascending unit id
-        // must win regardless of post order.
-        rt->post(1, 2, 32, [&] { order.push_back(2); });
-        rt->post(1, 0, 32, [&] { order.push_back(0); });
-        rt->post(1, 1, 32, [&] { order.push_back(1); });
+    auto rt = makeRuntime();
+    std::vector<unsigned> order;
+    // Three senders, same receiver, same tick: ascending unit id
+    // must win regardless of post order.
+    rt->post(1, 2, 32, [&] { order.push_back(2); });
+    rt->post(1, 0, 32, [&] { order.push_back(0); });
+    rt->post(1, 1, 32, [&] { order.push_back(1); });
+    rt->run();
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0], 0u);
+    EXPECT_EQ(order[1], 1u);
+    EXPECT_EQ(order[2], 2u);
+}
+
+TEST(DomainRuntime, MessageInjectsTheRoundAfterItsPost)
+{
+    // Queues run in index order within a round, so a lower-index
+    // sender posts before the receiver has run. The message must
+    // still wait for the next round's injection: a same-tick event
+    // the receiver schedules later in the posting round runs first.
+    for (unsigned sender : {0u, 1u}) {
+        auto rt = makeRuntime();
+        std::vector<std::string> order;
+        rt->queue(sender).schedule(0, [&, sender] {
+            rt->post(2, sender, 40, [&] { order.push_back("msg"); });
+        });
+        rt->queue(2).schedule(0, [&] {
+            rt->queue(2).schedule(40, [&] { order.push_back("local"); });
+        });
         rt->run();
-        ASSERT_EQ(order.size(), 3u);
-        EXPECT_EQ(order[0], 0u);
-        EXPECT_EQ(order[1], 1u);
-        EXPECT_EQ(order[2], 2u);
+        EXPECT_EQ(order, (std::vector<std::string>{"local", "msg"}))
+            << "sender queue " << sender;
     }
 }
 
@@ -79,7 +94,7 @@ TEST(DomainRuntime, MessagesChainAcrossDomains)
 {
     // Ping-pong between queues 1 and 2, always hop ahead; every
     // leg must land at its exact tick.
-    auto rt = makeRuntime(3, 16);
+    auto rt = makeRuntime();
     std::vector<Tick> hits;
     std::function<void(unsigned, unsigned, int)> bounce =
         [&](unsigned to, unsigned from_unit, int left) {
@@ -104,7 +119,7 @@ TEST(DomainRuntime, MessagesChainAcrossDomains)
 TEST(DomainRuntime, WindowsSkipIdleGaps)
 {
     // Two events 1M ticks apart must not cost 1M/hop rounds.
-    auto rt = makeRuntime(1, 16);
+    auto rt = makeRuntime();
     rt->queue(1).schedule(10, [] {});
     rt->queue(2).schedule(1000000, [] {});
     rt->run();
@@ -114,7 +129,7 @@ TEST(DomainRuntime, WindowsSkipIdleGaps)
 
 TEST(DomainRuntime, RunLimitIsInclusiveAndResumable)
 {
-    auto rt = makeRuntime(1, 16);
+    auto rt = makeRuntime();
     int hits = 0;
     rt->queue(1).schedule(100, [&] { hits++; });
     rt->queue(2).schedule(101, [&] { hits++; });
@@ -126,14 +141,12 @@ TEST(DomainRuntime, RunLimitIsInclusiveAndResumable)
 
 TEST(DomainRuntime, CountsEventsAcrossQueues)
 {
-    for (unsigned threads : {1u, 3u}) {
-        auto rt = makeRuntime(threads);
-        for (unsigned q = 0; q < 3; q++)
-            for (Tick t = 1; t <= 5; t++)
-                rt->queue(q).schedule(t * 8, [] {});
-        rt->run();
-        EXPECT_EQ(rt->eventsExecuted(), 15u);
-    }
+    auto rt = makeRuntime();
+    for (unsigned q = 0; q < 3; q++)
+        for (Tick t = 1; t <= 5; t++)
+            rt->queue(q).schedule(t * 8, [] {});
+    rt->run();
+    EXPECT_EQ(rt->eventsExecuted(), 15u);
 }
 
 TEST(DomainRuntimeDeath, PostNeedsRegisteredChannel)
@@ -143,20 +156,10 @@ TEST(DomainRuntimeDeath, PostNeedsRegisteredChannel)
     // unregistered post could silently stall -- it must die instead.
     EXPECT_DEATH(
         {
-            DomainRuntime rt(3u, 3u, std::vector<unsigned>{0, 1, 2},
-                             16, 1);
+            DomainRuntime rt(3u, 3u, 16);
             rt.post(2, 1, 40, [] {});
         },
         "unregistered channel");
-}
-
-TEST(DomainRuntime, ThreadCountClampsAndFolds)
-{
-    // 0 -> one thread per domain; more threads than domains clamps;
-    // fewer folds several domains per thread.
-    EXPECT_EQ(makeRuntime(0)->numThreads(), 3u);
-    EXPECT_EQ(makeRuntime(8)->numThreads(), 3u);
-    EXPECT_EQ(makeRuntime(2)->numThreads(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -179,18 +182,16 @@ TEST(DeriveSeed, DomainStreamsAreIndependentAndDisjoint)
 
 // ---------------------------------------------------------------------
 // System-level invariance: the dump is a pure function of the model
-// parameters (hopTicks, portCredits, hubNpus), never of shards or
-// threads.
+// parameters (hopTicks, portCredits, hubNpus), never of shards.
 
 namespace {
 
 std::string
 dumpShardedRun(SystemConfig cfg,
                const std::vector<std::string> &workloads,
-               unsigned shards, unsigned threads)
+               unsigned shards)
 {
     cfg.sim.shards = shards;
-    cfg.sim.threads = threads;
     System system(cfg);
     Scheduler scheduler(system);
     for (const std::string &spec : workloads)
@@ -203,20 +204,14 @@ dumpShardedRun(SystemConfig cfg,
 }
 
 void
-expectShardThreadInvariant(const SystemConfig &cfg,
-                           const std::vector<std::string> &workloads)
+expectShardInvariant(const SystemConfig &cfg,
+                     const std::vector<std::string> &workloads)
 {
-    const std::string ref = dumpShardedRun(cfg, workloads, 1, 1);
+    const std::string ref = dumpShardedRun(cfg, workloads, 1);
     EXPECT_FALSE(ref.empty());
-    for (unsigned shards : {1u, 2u, 4u}) {
-        for (unsigned threads : {1u, 2u, 5u}) {
-            if (shards == 1 && threads == 1)
-                continue;
-            EXPECT_EQ(ref,
-                      dumpShardedRun(cfg, workloads, shards, threads))
-                << "shards=" << shards << " threads=" << threads;
-        }
-    }
+    for (unsigned shards : {2u, 4u})
+        EXPECT_EQ(ref, dumpShardedRun(cfg, workloads, shards))
+            << "shards=" << shards;
 }
 
 } // namespace
@@ -229,7 +224,7 @@ TEST(ShardedSystem, MultiTenantNeuMmuInvariant)
     cfg.numNpus = 4;
     cfg.mmuKind = MmuKind::NeuMmu;
     cfg.sim.hubNpus = 1;
-    expectShardThreadInvariant(
+    expectShardInvariant(
         cfg, {"synthetic:pattern=uniform,footprint=8M,accesses=512",
               "synthetic:pattern=stride,footprint=4M,accesses=512",
               "synthetic:pattern=hotset,footprint=8M,accesses=512",
@@ -250,7 +245,7 @@ TEST(ShardedSystem, StarvedWalkerInvariant)
     cfg.mmu.numPtws = 1;
     cfg.sim.portCredits = 2;
     cfg.sim.hopTicks = 8;
-    expectShardThreadInvariant(
+    expectShardInvariant(
         cfg, {"synthetic:pattern=uniform,footprint=4M,accesses=256",
               "synthetic:pattern=uniform,footprint=4M,accesses=256",
               "synthetic:pattern=stride,footprint=2M,accesses=256"});
@@ -269,7 +264,7 @@ TEST(ShardedSystem, PagingAcrossHubInvariant)
     cfg.paging.enabled = true;
     cfg.paging.residentLimitBytes = 2 * MiB;
     cfg.sim.hopTicks = 16;
-    expectShardThreadInvariant(
+    expectShardInvariant(
         cfg, {"synthetic:pattern=uniform,footprint=8M,accesses=512",
               "synthetic:pattern=uniform,footprint=8M,accesses=512",
               "synthetic:pattern=hotset,footprint=8M,accesses=512"});
@@ -289,8 +284,7 @@ TEST(ShardedSystem, HopTicksIsAModelParameter)
         "synthetic:pattern=stride,footprint=4M,accesses=256"};
     SystemConfig far = cfg;
     far.sim.hopTicks = 256;
-    EXPECT_NE(dumpShardedRun(cfg, wl, 1, 1),
-              dumpShardedRun(far, wl, 1, 1));
+    EXPECT_NE(dumpShardedRun(cfg, wl, 1), dumpShardedRun(far, wl, 1));
 }
 
 TEST(ShardedSystem, DemandPagingNeedsHubResidency)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -150,6 +151,25 @@ TEST(ConfigBinder, RejectsJunk)
     for (const sweep::BinderKeyDoc &doc : sweep::binderKeyTable())
         EXPECT_NE(sweep::binderHelp().find(doc.key),
                   std::string::npos);
+}
+
+TEST(ConfigBinder, SimThreadsIsAnUnknownKey)
+{
+    // The hop model runs serially; there is no thread knob to set.
+    SystemConfig cfg;
+    try {
+        sweep::applyOverride(cfg, "sim.threads", "2");
+        FAIL() << "sim.threads was accepted";
+    } catch (const sweep::BindError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown sweep config key 'sim.threads'"),
+                  std::string::npos)
+            << what;
+        for (const char *key : {"sim.shards", "sim.hopTicks",
+                                "sim.portCredits", "sim.hubNpus",
+                                "sim.profile"})
+            EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -371,34 +391,96 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
 
 TEST(SweepEngine, ZeroCountsFailInIsolation)
 {
-    // A zero NPU count, hop latency, port-credit count, walker count
-    // or TLB size, a TLB associativity that does not divide its
-    // entries, or an unsupported page size is one job's BindError
-    // naming the valid range; it must neither be raised silently nor
-    // panic the sweep in a component constructor.
-    std::istringstream in(
-        "{\"id\": \"bad_npus\", \"set\": {\"numNpus\": 0}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"good\", \"set\": {\"sim.shards\": 1}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"bad_hop\", \"set\": {\"sim.shards\": 1, "
-        "\"sim.hopTicks\": 0}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"bad_credits\", \"set\": {\"sim.shards\": 1, "
-        "\"sim.portCredits\": 0}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"bad_ways\", \"set\": {\"mmuKind\": \"neummu\", "
-        "\"mmu.tlb.ways\": 3}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"bad_ptws\", \"set\": {\"mmuKind\": \"neummu\", "
-        "\"mmu.numPtws\": 0}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"bad_entries\", \"set\": {\"mmuKind\": \"neummu\", "
-        "\"mmu.tlb.entries\": 0}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n"
-        "{\"id\": \"bad_shift\", \"set\": {\"mmuKind\": \"neummu\", "
-        "\"pageShift\": 30}, "
-        "\"workloads\": [\"synthetic:pattern=uniform,accesses=128\"]}\n");
+    // A zero count, size, latency or bandwidth, an out-of-range shift,
+    // or a pair of keys that contradict each other is one job's
+    // BindError naming the key and its valid range; it must neither
+    // be raised silently nor panic (or divide by zero in) a component
+    // constructor and take the whole sweep down.
+    struct BadJob
+    {
+        const char *id;
+        const char *set;
+        const char *key;
+        const char *range;
+    };
+    const BadJob bad[] = {
+        {"bad_npus", "\"numNpus\": 0", "numNpus", ">= 1"},
+        {"bad_hop", "\"sim.shards\": 1, \"sim.hopTicks\": 0",
+         "sim.hopTicks", ">= 1"},
+        {"bad_credits", "\"sim.shards\": 1, \"sim.portCredits\": 0",
+         "sim.portCredits", ">= 1"},
+        {"bad_ways", "\"mmuKind\": \"neummu\", \"mmu.tlb.ways\": 3",
+         "mmu.tlb.ways",
+         "ways must divide entries (0 = fully associative)"},
+        {"bad_ptws", "\"mmuKind\": \"neummu\", \"mmu.numPtws\": 0",
+         "mmu.numPtws", ">= 1"},
+        {"bad_entries",
+         "\"mmuKind\": \"neummu\", \"mmu.tlb.entries\": 0",
+         "mmu.tlb.entries", ">= 1"},
+        {"bad_shift", "\"mmuKind\": \"neummu\", \"pageShift\": 30",
+         "pageShift", "12|21"},
+        {"bad_buffers", "\"bufferDepth\": 0", "bufferDepth", ">= 1"},
+        {"bad_channels", "\"memory.channels\": 0", "memory.channels",
+         ">= 1"},
+        {"bad_bandwidth", "\"memory.bytesPerCycle\": 0",
+         "memory.bytesPerCycle", "> 0"},
+        {"bad_interleave", "\"memory.interleaveBytes\": 0",
+         "memory.interleaveBytes", ">= 1"},
+        {"wrapped_interleave", "\"memory.interleaveBytes\": \"4G\"",
+         "memory.interleaveBytes", "[1,4294967295]"},
+        {"bad_path_cache",
+         "\"mmuKind\": \"neummu\", \"mmu.pathCache\": \"tpc\", "
+         "\"mmu.sharedCacheEntries\": 0",
+         "mmu.sharedCacheEntries", ">= 1"},
+        {"bad_range_entries",
+         "\"mmuKind\": \"range\", \"mmu.range.entries\": 0",
+         "mmu.range.entries", ">= 1"},
+        {"bad_range_pages",
+         "\"mmuKind\": \"range\", \"mmu.range.maxPages\": 0",
+         "mmu.range.maxPages", ">= 1"},
+        {"bad_range_walkers",
+         "\"mmuKind\": \"range\", \"mmu.range.walkers\": 0",
+         "mmu.range.walkers", ">= 1"},
+        {"bad_pom_l1",
+         "\"mmuKind\": \"pomtlb\", \"mmu.pom.l1Entries\": 0",
+         "mmu.pom.l1Entries", ">= 1"},
+        {"bad_pom_ways",
+         "\"mmuKind\": \"pomtlb\", \"mmu.pom.ways\": 0",
+         "mmu.pom.ways", ">= 1"},
+        {"bad_pom_sets",
+         "\"mmuKind\": \"pomtlb\", \"mmu.pom.entries\": 1",
+         "mmu.pom.entries", "entries must be >= ways"},
+        {"bad_pom_walkers",
+         "\"mmuKind\": \"pomtlb\", \"mmu.pom.walkers\": 0",
+         "mmu.pom.walkers", ">= 1"},
+        {"bad_nmt_shift",
+         "\"mmuKind\": \"nmt\", \"mmu.nmt.segmentShift\": 70",
+         "mmu.nmt.segmentShift", "[0,63]"},
+        {"bad_nmt_cache",
+         "\"mmuKind\": \"nmt\", \"mmu.nmt.cacheEntries\": 0",
+         "mmu.nmt.cacheEntries", ">= 1"},
+        {"bad_nmt_units", "\"mmuKind\": \"nmt\", \"mmu.nmt.units\": 0",
+         "mmu.nmt.units", ">= 1"},
+        {"bad_shared_sharded",
+         "\"numNpus\": 2, \"sharedMemory\": 1, \"sim.shards\": 1",
+         "sharedMemory=1", "sim.shards=0"},
+        {"bad_home_node",
+         "\"numNpus\": 2, \"paging.enabled\": 1, "
+         "\"paging.homeNode\": 2",
+         "paging.homeNode", "valid: 0..1"},
+    };
+    const auto job = [](const std::string &id, const std::string &set) {
+        return "{\"id\": \"" + id + "\", \"set\": {" + set +
+               "}, \"workloads\": "
+               "[\"synthetic:pattern=uniform,accesses=128\"]}\n";
+    };
+    // The good job sits between bad ones, so neither neighbour's
+    // failure may take it down.
+    std::string manifest =
+        job(bad[0].id, bad[0].set) + job("good", "\"sim.shards\": 1");
+    for (std::size_t i = 1; i < std::size(bad); i++)
+        manifest += job(bad[i].id, bad[i].set);
+    std::istringstream in(manifest);
     const std::vector<sweep::JobSpec> jobs =
         sweep::parseManifest(in, "test", SystemConfig{});
     sweep::SweepOptions opts;
@@ -406,35 +488,19 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
     const sweep::SweepResults results =
         sweep::SweepEngine(opts).run(jobs);
 
-    ASSERT_EQ(results.jobs.size(), 8u);
-    EXPECT_EQ(results.summary.failures, 7u);
+    ASSERT_EQ(results.jobs.size(), std::size(bad) + 1);
+    EXPECT_EQ(results.summary.failures, std::size(bad));
     EXPECT_TRUE(results.jobs[1].ok);
     EXPECT_GT(results.jobs[1].outcome.totalCycles, 0u);
-    for (const std::size_t i : {0u, 2u, 3u, 5u, 6u}) {
-        const sweep::JobResult &bad = results.jobs[i];
-        EXPECT_FALSE(bad.ok) << bad.id;
-        EXPECT_NE(bad.error.find(">= 1"), std::string::npos)
-            << bad.error;
+    for (std::size_t i = 0; i < std::size(bad); i++) {
+        const sweep::JobResult &r = results.jobs[i ? i + 1 : 0];
+        ASSERT_EQ(r.id, bad[i].id);
+        EXPECT_FALSE(r.ok) << r.id;
+        EXPECT_NE(r.error.find(bad[i].key), std::string::npos)
+            << r.id << ": " << r.error;
+        EXPECT_NE(r.error.find(bad[i].range), std::string::npos)
+            << r.id << ": " << r.error;
     }
-    EXPECT_NE(results.jobs[0].error.find("numNpus"), std::string::npos);
-    EXPECT_NE(results.jobs[2].error.find("sim.hopTicks"),
-              std::string::npos);
-    EXPECT_NE(results.jobs[3].error.find("sim.portCredits"),
-              std::string::npos);
-    // MMU geometry the Tlb / MmuCore / PageTable constructors would
-    // reject with a panic fails the job alone, naming the valid range.
-    EXPECT_FALSE(results.jobs[4].ok);
-    EXPECT_NE(results.jobs[4].error.find(
-                  "ways must divide entries (0 = fully associative)"),
-              std::string::npos)
-        << results.jobs[4].error;
-    EXPECT_NE(results.jobs[5].error.find("mmu.numPtws"),
-              std::string::npos);
-    EXPECT_NE(results.jobs[6].error.find("mmu.tlb.entries"),
-              std::string::npos);
-    EXPECT_FALSE(results.jobs[7].ok);
-    EXPECT_NE(results.jobs[7].error.find("12|21"), std::string::npos)
-        << results.jobs[7].error;
 }
 
 TEST(SweepEngine, RepsCrossCheckDeterminism)
