@@ -137,8 +137,8 @@ meter(SystemConfig cfg,
 /**
  * The hop-model scenario: one 64-NPU multi-tenant machine (a
  * synthetic mix that keeps every NPU's DMA busy against the shared
- * NeuMMU hub) at sim.shards=1, so it runs the DomainRuntime windows,
- * the mailboxes and the port credits.
+ * NeuMMU hub) at sim.shards=1, so it runs the hop model: scheduled
+ * hop deliveries, the port credits and the hub bridges' retry queues.
  */
 RunSample
 runBig64()

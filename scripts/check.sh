@@ -105,7 +105,7 @@ if ! grep -q sameTickShortcuts "$BENCH_JSON"; then
   exit 1
 fi
 # The hop-model scenario (64-NPU mix at sim.shards=1, the one that
-# runs DomainRuntime windows and mailboxes) must be in the archived
+# runs the hop deliveries and port credits) must be in the archived
 # report, with its profiled attribution.
 for key in '"sim.npu64_mix"' '"sim.npu64_mix.profile"'; do
   if ! grep -q "$key" "$BENCH_JSON"; then

@@ -200,7 +200,7 @@ class MmuCore : public MmuEngine
      */
     void refreshStats() override;
 
-    /** Attach a lifecycle trace buffer (hub queue's; System wiring). */
+    /** Attach a lifecycle trace buffer (the hub lane's; System wiring). */
     void setTraceBuffer(trace::TraceBuffer *buf) override
     {
         _trace = buf;

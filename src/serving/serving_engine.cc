@@ -63,7 +63,7 @@ ServingEngine::ServingEngine(System &system, const ServeConfig &cfg)
                       "serve.demandPaged needs paging.enabled");
     }
     // Tenant churn mutates host state (page table, frame allocators)
-    // that lives on the hub queue; the System auto-raises sim.hubNpus
+    // that lives on the hub; the System auto-raises sim.hubNpus
     // to cover the serving slots, so this only fires when the two
     // ever disagree.
     for (const unsigned slot : _slots)

@@ -145,7 +145,7 @@ class ServingEngine
     /** Mirror live counters into the stats group before a dump. */
     void refreshStats();
 
-    /** Attach a lifecycle trace buffer (the hub queue's; System
+    /** Attach a lifecycle trace buffer (the hub lane's; System
      *  wiring). Requests trace under requestTag keys, one parent
      *  span per served request with queue/service children. */
     void setTrace(trace::TraceBuffer *buf) { _trace = buf; }

@@ -623,12 +623,12 @@ binderKeyTable()
         {"serve.sloLatency", "SLO latency target (cycles)"},
         {"serve.window", "windowed-metric sampling period (cycles)"},
         {"serve.queueLimit", "per-slot pending cap; 0 = unbounded"},
-        {"sim.shards", "0 = legacy single-queue kernel; >=1 = hop "
+        {"sim.shards", "0 = legacy synchronous-port kernel; >=1 = hop "
                        "model (same results for every value >=1)"},
-        {"sim.hopTicks", "NPU<->hub hop latency = lookahead (>=1)"},
+        {"sim.hopTicks", "NPU<->hub hop latency, each way (>=1)"},
         {"sim.portCredits", "outstanding translations per NPU port (>=1)"},
-        {"sim.hubNpus", "first K NPU slots co-resident on the hub "
-                        "queue (auto-covers paging.homeNode)"},
+        {"sim.hubNpus", "first K NPU slots resident on the hub "
+                        "(auto-covers paging.homeNode)"},
         {"sim.profile", "1 = host-side cycle attribution (prof.* / "
                         "fastpath.* stats groups); observational only"},
         {"trace.enabled", "0|1: request-lifecycle span tracing "
@@ -637,9 +637,9 @@ binderKeyTable()
                                 ">= this many ticks (0 = keep all)"},
         {"trace.autoP99", "0|1: also flush requests slower than the "
                           "live p99 of their domain"},
-        {"trace.ring", "span-ring capacity per event queue "
+        {"trace.ring", "span-ring capacity per lane "
                        "(drop-oldest)"},
-        {"trace.marks", "tail-mark ring capacity per event queue"},
+        {"trace.marks", "tail-mark ring capacity per lane"},
     };
     return table;
 }

@@ -143,7 +143,7 @@ class PagingEngine
      */
     void refreshStats();
 
-    /** Attach a lifecycle trace buffer (the hub queue's; System
+    /** Attach a lifecycle trace buffer (the hub lane's; System
      *  wiring). Page fetches/evictions trace under page keys. */
     void setTrace(trace::TraceBuffer *buf) { _trace = buf; }
 

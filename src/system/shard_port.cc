@@ -6,16 +6,16 @@
 namespace neummu {
 
 ShardTranslationPort::ShardTranslationPort(std::string name,
-                                           DomainRuntime &rt,
                                            EventQueue &eq,
-                                           unsigned self_unit,
+                                           Tick hop_ticks,
                                            unsigned credits)
-    : _rt(rt), _eq(eq), _selfUnit(self_unit), _credits(credits),
+    : _eq(eq), _hop(hop_ticks), _credits(credits),
       _stats(std::move(name)),
       _sRequests(_stats.scalar("requests")),
       _sResponses(_stats.scalar("responses")),
       _sCreditBlocks(_stats.scalar("creditBlocks"))
 {
+    NEUMMU_ASSERT(hop_ticks >= 1, "sim.hopTicks must be at least 1");
     NEUMMU_ASSERT(credits >= 1,
                   "a shard translation port needs at least one credit");
 }
@@ -36,10 +36,9 @@ ShardTranslationPort::translate(Addr va, std::uint64_t id)
     ++_sRequests;
     if (_trace)
         _trace->span(_traceKeyBase | id, trace::Stage::HopToHub,
-                     _eq.now(), _eq.now() + _rt.hopTicks());
+                     _eq.now(), _eq.now() + _hop);
     HubTranslationBridge *bridge = _bridge;
-    _rt.post(/*to_queue=*/0, _selfUnit, _eq.now() + _rt.hopTicks(),
-             [bridge, va, id] { bridge->ingress(va, id); });
+    hop([bridge, va, id] { bridge->ingress(va, id); });
     return true;
 }
 
@@ -60,8 +59,7 @@ ShardTranslationPort::invalidate(Addr va)
 {
     NEUMMU_ASSERT(_bridge, "shard port used before connectHub()");
     HubTranslationBridge *bridge = _bridge;
-    _rt.post(/*to_queue=*/0, _selfUnit, _eq.now() + _rt.hopTicks(),
-             [bridge, va] { bridge->invalidateHub(va); });
+    hop([bridge, va] { bridge->invalidateHub(va); });
 }
 
 void
@@ -77,14 +75,9 @@ ShardTranslationPort::deliverResponse(const TranslationResponse &resp)
         _wake();
 }
 
-HubTranslationBridge::HubTranslationBridge(DomainRuntime &rt,
-                                           EventQueue &hub_eq,
-                                           unsigned npu_unit,
-                                           unsigned npu_queue,
-                                           TranslationEngine &port,
+HubTranslationBridge::HubTranslationBridge(TranslationEngine &port,
                                            ShardTranslationPort &shard)
-    : _rt(rt), _eq(hub_eq), _npuUnit(npu_unit), _npuQueue(npu_queue),
-      _port(port), _shard(shard)
+    : _eq(shard.eventQueue()), _port(port), _shard(shard)
 {
     _port.setResponseCallback(
         [this](const TranslationResponse &resp) { onResponse(resp); });
@@ -128,11 +121,9 @@ HubTranslationBridge::onResponse(const TranslationResponse &resp)
 {
     if (_trace)
         _trace->span(_traceKeyBase | resp.id, trace::Stage::HopToNpu,
-                     _eq.now(), _eq.now() + _rt.hopTicks());
+                     _eq.now(), _eq.now() + _shard.hopTicks());
     ShardTranslationPort *shard = &_shard;
-    _rt.post(_npuQueue, /*sender_unit=*/0,
-             _eq.now() + _rt.hopTicks(),
-             [shard, resp] { shard->deliverResponse(resp); });
+    _shard.hop([shard, resp] { shard->deliverResponse(resp); });
 }
 
 } // namespace neummu

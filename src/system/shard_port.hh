@@ -1,32 +1,33 @@
 /**
  * @file
- * Cross-domain translation plumbing for sharded simulation: the
- * NPU-side ShardTranslationPort and the hub-side
- * HubTranslationBridge.
+ * The hop model's translation plumbing: the NPU-side
+ * ShardTranslationPort and the hub-side HubTranslationBridge.
  *
- * In a sharded System (SystemConfig::sim.shards > 0) the DMA engine
- * and the MMU live on different event queues, so the legacy
- * synchronous port contract -- translate() mutates MMU state and
- * returns accept/reject at the caller's tick, wake callbacks fire
- * synchronously out of hub events -- cannot hold. The pair below
- * replaces it with an explicit interconnect hop of hopTicks each way
- * (the runtime's lookahead) and credit-based flow control:
+ * In a System with sim.shards > 0 every NPU reaches the MMU across an
+ * explicit interconnect hop of hopTicks each way, flow-controlled by
+ * credits, instead of through the synchronous port contract of the
+ * legacy kernel. A hop is a scheduled delivery on the System's one
+ * event queue, hopTicks after the send:
  *
- *  - ShardTranslationPort implements TranslationEngine on the NPU's
- *    queue. translate() consumes a credit and posts the request to
- *    the hub, due hopTicks later; with no credit left it rejects, and
- *    the DMA blocks exactly as it does on an exhausted MMU port.
- *  - HubTranslationBridge receives requests on the hub queue and
- *    plays them into the real port (router port or MmuCore). A
- *    rejected request parks in a FIFO that the port's wake callback
- *    drains, so hub-side capacity contention stays hub-internal.
- *    Responses post back to the NPU, again hopTicks later; delivery
- *    returns the credit and wakes the DMA if it was starved.
+ *  - ShardTranslationPort implements TranslationEngine for the DMA.
+ *    translate() consumes a credit and delivers the request to the
+ *    hub one hop later; with no credit left it rejects, and the DMA
+ *    blocks exactly as it does on an exhausted MMU port.
+ *  - HubTranslationBridge plays delivered requests into the real
+ *    port (router port or MmuCore). A rejected request parks in a
+ *    FIFO that the port's wake callback drains, so hub-side capacity
+ *    contention stays hub-internal. Responses cross back one hop
+ *    later; delivery returns the credit and wakes the DMA if it was
+ *    starved.
  *
- * Every NPU uses this path in sharded mode -- including hub-resident
- * NPUs, via their self-mailbox -- so simulated results depend only on
- * the sim.{hopTicks,portCredits,hubNpus} model parameters, never on
+ * Every NPU uses this path in the hop model -- hub-resident NPUs
+ * included -- so simulated results depend only on the
+ * sim.{hopTicks,portCredits,hubNpus} model parameters, never on
  * sim.shards.
+ *
+ * Tie rule: deliveries due on the same tick run in post order, the
+ * queue's insertion order. Two NPUs' requests posted for the same
+ * tick reach the hub in the order the NPUs sent them.
  */
 
 #ifndef NEUMMU_SYSTEM_SHARD_PORT_HH
@@ -40,7 +41,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mmu/translation.hh"
-#include "sim/domain.hh"
+#include "sim/event_queue.hh"
 
 namespace neummu {
 
@@ -55,13 +56,12 @@ class ShardTranslationPort : public TranslationEngine
 {
   public:
     /**
-     * @param eq The owning NPU's event queue.
-     * @param self_unit The NPU's runtime unit id (hub is unit 0).
+     * @param eq The System's event queue.
+     * @param hop_ticks One-way NPU<->hub latency (>= 1).
      * @param credits Max in-flight translations (>= 1).
      */
-    ShardTranslationPort(std::string name, DomainRuntime &rt,
-                         EventQueue &eq, unsigned self_unit,
-                         unsigned credits);
+    ShardTranslationPort(std::string name, EventQueue &eq,
+                         Tick hop_ticks, unsigned credits);
 
     /** Wire the hub end (constructed second; call once). */
     void connectHub(HubTranslationBridge &bridge) { _bridge = &bridge; }
@@ -72,14 +72,26 @@ class ShardTranslationPort : public TranslationEngine
     void invalidate(Addr va) override;
     const MmuCounts &counts() const override { return _counts; }
 
-    /** Hub response arriving on the NPU queue (bridge-posted). */
+    /** Run @p cb one hop from now; counts one cross-domain message.
+     *  Both directions of this NPU's link go through here. */
+    void hop(EventCallback cb)
+    {
+        _messages++;
+        _eq.schedule(_eq.now() + _hop, std::move(cb));
+    }
+
+    /** Hub response arriving at the NPU (bridge-sent). */
     void deliverResponse(const TranslationResponse &resp);
 
+    EventQueue &eventQueue() const { return _eq; }
+    Tick hopTicks() const { return _hop; }
     unsigned creditsAvailable() const { return _credits; }
+    /** Hops sent across this NPU's link, both directions. */
+    std::uint64_t messagesPosted() const { return _messages; }
     stats::Group &stats() { return _stats; }
 
-    /** Attach a lifecycle trace buffer (the NPU queue's; System
-     *  wiring). @p key_base is the port's router client tag. */
+    /** Attach the NPU's lifecycle trace buffer (System wiring).
+     *  @p key_base is the port's router client tag. */
     void setTrace(trace::TraceBuffer *buf, std::uint64_t key_base)
     {
         _trace = buf;
@@ -87,11 +99,11 @@ class ShardTranslationPort : public TranslationEngine
     }
 
   private:
-    DomainRuntime &_rt;
     EventQueue &_eq;
+    Tick _hop;
     HubTranslationBridge *_bridge = nullptr;
-    unsigned _selfUnit;
     unsigned _credits;
+    std::uint64_t _messages = 0;
     ResponseCallback _respond;
     WakeCallback _wake;
     trace::TraceBuffer *_trace = nullptr;
@@ -104,26 +116,24 @@ class ShardTranslationPort : public TranslationEngine
 };
 
 /**
- * The hub-side end: one per NPU, adapting mailbox traffic onto the
+ * The hub-side end: one per NPU, adapting hop deliveries onto the
  * real translation port. Owns the port's response/wake callbacks.
  */
 class HubTranslationBridge
 {
   public:
-    HubTranslationBridge(DomainRuntime &rt, EventQueue &hub_eq,
-                         unsigned npu_unit, unsigned npu_queue,
-                         TranslationEngine &port,
+    HubTranslationBridge(TranslationEngine &port,
                          ShardTranslationPort &shard);
 
-    /** Request arriving on the hub queue (shard-posted). */
+    /** Request arriving at the hub (shard-sent). */
     void ingress(Addr va, std::uint64_t id);
-    /** Invalidation arriving on the hub queue (shard-posted). */
+    /** Invalidation arriving at the hub (shard-sent). */
     void invalidateHub(Addr va) { _port.invalidate(va); }
 
     std::size_t retryQueueDepth() const { return _retry.size(); }
 
-    /** Attach a lifecycle trace buffer (the hub queue's; System
-     *  wiring). @p key_base is the NPU's router client tag. */
+    /** Attach the hub's lifecycle trace buffer (System wiring).
+     *  @p key_base is the NPU's router client tag. */
     void setTrace(trace::TraceBuffer *buf, std::uint64_t key_base)
     {
         _trace = buf;
@@ -134,10 +144,7 @@ class HubTranslationBridge
     void onResponse(const TranslationResponse &resp);
     void onWake();
 
-    DomainRuntime &_rt;
     EventQueue &_eq;
-    unsigned _npuUnit;
-    unsigned _npuQueue;
     TranslationEngine &_port;
     ShardTranslationPort &_shard;
     trace::TraceBuffer *_trace = nullptr;

@@ -42,9 +42,8 @@ System::System(SystemConfig cfg)
 {
     NEUMMU_ASSERT(_cfg.numNpus >= 1, "a system needs at least one NPU");
 
-    if (_cfg.sim.shards > 0) {
-        // Sharded hop model: hub queue + one queue per non-hub NPU.
-        // Unit ids: hub = 0, NPU i = i + 1.
+    _hubNpus = _cfg.numNpus;
+    if (sharded()) {
         NEUMMU_ASSERT(!_cfg.sharedMemory,
                       "sharded simulation (sim.shards > 0) requires "
                       "per-NPU memory nodes (sharedMemory=0)");
@@ -55,30 +54,25 @@ System::System(SystemConfig cfg)
         unsigned hub_npus = std::min(_cfg.sim.hubNpus, _cfg.numNpus);
         if (_cfg.paging.enabled) {
             // The paging engine touches the home node's memory model
-            // synchronously; its NPU must share the hub queue.
+            // synchronously; its NPU must be hub-resident.
             hub_npus = std::min(
                 std::max(hub_npus, _cfg.paging.homeNode + 1),
                 _cfg.numNpus);
         }
         if (_cfg.serve.enabled) {
             // Serving machinery (arrivals, routing, tenant churn)
-            // mutates host state synchronously on the hub queue; the
-            // serving slots must share it. Because this raise is a
-            // pure function of the config -- never of sim.shards --
-            // the queue partition, and therefore the dump, is
-            // identical for every sim.shards >= 1.
+            // mutates host state synchronously on the hub; the
+            // serving slots must be hub-resident. Because this raise
+            // is a pure function of the config -- never of
+            // sim.shards -- the dump is identical for every
+            // sim.shards >= 1.
             const unsigned serve_slots =
                 _cfg.serve.slots
                     ? std::min(_cfg.serve.slots, _cfg.numNpus)
                     : _cfg.numNpus;
             hub_npus = std::max(hub_npus, serve_slots);
         }
-        const unsigned remote = _cfg.numNpus - hub_npus;
-        _npuQueue.resize(_cfg.numNpus);
-        for (unsigned i = 0; i < _cfg.numNpus; i++)
-            _npuQueue[i] = i < hub_npus ? 0 : 1 + (i - hub_npus);
-        _domains = std::make_unique<DomainRuntime>(
-            1 + remote, _cfg.numNpus + 1, _cfg.sim.hopTicks);
+        _hubNpus = hub_npus;
     }
 
     // The translation engine is whatever design the factory builds
@@ -86,14 +80,14 @@ System::System(SystemConfig cfg)
     // paging, serving) only sees the MmuEngine surface.
     _mmu = makeTranslationEngine(_cfg.mmuKind,
                                  prefixed(_cfg.name, "mmu"),
-                                 eventQueue(), _pageTable, _cfg);
+                                 _eq, _pageTable, _cfg);
     _stats.add(_mmu->stats());
 
     if (_cfg.numNpus > 1) {
         _router = std::make_unique<TranslationRouter>(
             *_mmu, _cfg.numNpus, _cfg.routerPolicy,
             _mmu->walkerBudget(), prefixed(_cfg.name, "router"),
-            &eventQueue());
+            &_eq);
         for (unsigned c = 0; c < _cfg.numNpus; c++)
             _stats.add(_router->clientStats(c));
     }
@@ -141,10 +135,6 @@ System::System(SystemConfig cfg)
         _stats.add(_sharedMem->stats());
     }
 
-    forEachQueue([this](EventQueue &eq) {
-        _retryRounds.push_back(std::make_unique<RetryRound>(eq));
-    });
-
     _npus.reserve(_cfg.numNpus);
     for (unsigned i = 0; i < _cfg.numNpus; i++) {
         const std::string id = "npu" + std::to_string(i);
@@ -161,39 +151,31 @@ System::System(SystemConfig cfg)
                 prefixed(_cfg.name, id + ".mem"), _cfg.memory);
             _stats.add(npu.mem->stats());
         }
-        EventQueue &npu_eq = eventQueueFor(i);
         TranslationEngine *dma_port =
             _router ? &_router->port(i)
                     : static_cast<TranslationEngine *>(_mmu.get());
-        if (_domains) {
-            // Sharded mode: the DMA talks to a credit port; the hub
-            // bridge replays its mailbox traffic into the real port.
-            // Hub-resident NPUs take the same hop via their
-            // self-mailbox, so results do not depend on residency.
+        if (sharded()) {
+            // Hop model: the DMA talks to a credit port; the hub
+            // bridge plays its hop deliveries into the real port.
+            // Hub-resident NPUs take the same hop, so results do not
+            // depend on residency.
             auto port = std::make_unique<ShardTranslationPort>(
-                prefixed(_cfg.name, id + ".port"), *_domains, npu_eq,
-                i + 1, _cfg.sim.portCredits);
+                prefixed(_cfg.name, id + ".port"), _eq,
+                _cfg.sim.hopTicks, _cfg.sim.portCredits);
             _hubBridges.push_back(
-                std::make_unique<HubTranslationBridge>(
-                    *_domains, eventQueue(), i + 1, _npuQueue[i],
-                    *dma_port, *port));
+                std::make_unique<HubTranslationBridge>(*dma_port,
+                                                       *port));
             port->connectHub(*_hubBridges.back());
-            // Hub-and-spoke channel map: NPU i posts requests to the
-            // hub queue; the hub posts responses and invalidations
-            // back to NPU i's queue. Registering them here lets the
-            // runtime scan only live mailboxes per window.
-            _domains->addChannel(0, i + 1);
-            _domains->addChannel(_npuQueue[i], 0);
             _stats.add(port->stats());
             dma_port = port.get();
             _shardPorts.push_back(std::move(port));
         }
         npu.dma = std::make_unique<DmaEngine>(
-            prefixed(_cfg.name, id + ".dma"), npu_eq, *dma_port,
+            prefixed(_cfg.name, id + ".dma"), _eq, *dma_port,
             _cfg.sharedMemory ? *_sharedMem : *npu.mem, dma_cfg,
-            *_retryRounds[_domains ? _npuQueue[i] : 0]);
+            _retryRound);
         npu.pipeline = std::make_unique<TilePipeline>(
-            npu_eq, *npu.dma, _cfg.bufferDepth);
+            _eq, *npu.dma, _cfg.bufferDepth);
         _stats.add(npu.dma->stats());
         _npus.push_back(std::move(npu));
     }
@@ -227,9 +209,10 @@ System::System(SystemConfig cfg)
         // paging / serving span families (see trace/trace.hh).
         NEUMMU_ASSERT(_cfg.numNpus < 0xFD,
                       "tracing supports at most 252 NPUs");
+        // One trace lane for the hub and its resident NPUs, plus
+        // one per remote NPU, each with its own ring.
         _trace = std::make_unique<trace::TraceEngine>(
-            _cfg.name, _cfg.trace,
-            _domains ? _domains->numQueues() : 1,
+            _cfg.name, _cfg.trace, 1 + _cfg.numNpus - _hubNpus,
             _stats.group(prefixed(_cfg.name, "trace")));
         for (unsigned i = 0; i < _cfg.numNpus; i++) {
             // The router tags request ids with the client index in
@@ -238,10 +221,11 @@ System::System(SystemConfig cfg)
             // same tag so every span of one request shares one key.
             const std::uint64_t key_base =
                 _router ? std::uint64_t(i) << trace::clientShift : 0;
-            const unsigned q = _domains ? _npuQueue[i] : 0;
-            _npus[i].dma->setTrace(&_trace->buffer(q), key_base);
-            if (_domains) {
-                _shardPorts[i]->setTrace(&_trace->buffer(q),
+            const unsigned lane =
+                isHubResident(i) ? 0 : 1 + i - _hubNpus;
+            _npus[i].dma->setTrace(&_trace->buffer(lane), key_base);
+            if (sharded()) {
+                _shardPorts[i]->setTrace(&_trace->buffer(lane),
                                          key_base);
                 _hubBridges[i]->setTrace(&_trace->buffer(0),
                                          key_base);
@@ -261,47 +245,39 @@ System::System(SystemConfig cfg)
     // Host-side cycle attribution: observational only, and the extra
     // prof.*/fastpath.* stats groups are registered lazily at dump
     // time, so the default dump surface (and the goldens) is untouched.
-    if (_cfg.sim.profile) {
-        if (_domains) {
-            for (unsigned q = 0; q < _domains->numQueues(); q++)
-                _domains->queue(q).enableProfiling();
-        } else {
-            _eq.enableProfiling();
-        }
-    }
+    if (_cfg.sim.profile)
+        _eq.enableProfiling();
 }
 
 System::~System() = default;
 
-Tick
-System::run(Tick limit)
+std::uint64_t
+DomainRuntime::messagesPosted() const
 {
-    return _domains ? _domains->run(limit) : _eq.run(limit);
-}
-
-EventQueue &
-System::eventQueueFor(unsigned npu)
-{
-    if (!_domains)
-        return _eq;
-    NEUMMU_ASSERT(npu < _npuQueue.size(), "NPU index out of range");
-    return _domains->queue(_npuQueue[npu]);
+    return _sys.crossDomainMessages();
 }
 
 DomainRuntime &
 System::domains()
 {
-    NEUMMU_ASSERT(_domains, "system is not sharded (sim.shards = 0)");
-    return *_domains;
+    NEUMMU_ASSERT(sharded(), "system is not sharded (sim.shards = 0)");
+    return _domainShim;
+}
+
+std::uint64_t
+System::crossDomainMessages() const
+{
+    std::uint64_t n = 0;
+    for (const auto &port : _shardPorts)
+        n += port->messagesPosted();
+    return n;
 }
 
 bool
-System::isHubResident(unsigned npu)
+System::isHubResident(unsigned npu) const
 {
-    if (!_domains)
-        return true;
-    NEUMMU_ASSERT(npu < _npuQueue.size(), "NPU index out of range");
-    return _npuQueue[npu] == 0;
+    NEUMMU_ASSERT(npu < _cfg.numNpus, "NPU index out of range");
+    return npu < _hubNpus;
 }
 
 void
@@ -351,7 +327,7 @@ System::router()
 TranslationEngine &
 System::translationPort(unsigned npu)
 {
-    if (_domains) {
+    if (sharded()) {
         NEUMMU_ASSERT(npu < _shardPorts.size(),
                       "NPU index out of range");
         return *_shardPorts[npu];
@@ -442,20 +418,14 @@ System::refreshSystemStats()
     events += double(eventsExecuted());
     // Peak pending-event count: a kernel-implementation invariant
     // (identical schedule/dispatch sequences give identical depths),
-    // so the golden-stats tests pin it across kernel rewrites. In
-    // sharded mode it is the max over queues -- invariant across
-    // sim.shards (the queue partition is fixed by hubNpus), but a
-    // function of the hubNpus model parameter.
+    // so the golden-stats tests pin it across kernel rewrites.
     stats::Scalar &peak = sim.scalar("peakQueueDepth");
     peak.reset();
     peak += double(peakQueueDepth());
-    if (_domains) {
+    if (sharded()) {
         stats::Scalar &msgs = sim.scalar("crossDomainMessages");
         msgs.reset();
-        msgs += double(_domains->messagesPosted());
-        stats::Scalar &wins = sim.scalar("syncWindows");
-        wins.reset();
-        wins += double(_domains->windowsExecuted());
+        msgs += double(crossDomainMessages());
     }
     if (_cfg.sim.profile)
         refreshProfileStats();
@@ -463,23 +433,10 @@ System::refreshSystemStats()
         _trace->refreshStats();
 }
 
-std::uint64_t
-System::sameTickShortcuts()
-{
-    std::uint64_t n = 0;
-    forEachQueue([&](EventQueue &eq) { n += eq.sameTickShortcuts(); });
-    return n;
-}
-
 SimProfiler
 System::mergedProfile()
 {
-    SimProfiler total;
-    forEachQueue([&](EventQueue &eq) {
-        if (eq.profiler())
-            total.merge(*eq.profiler());
-    });
-    return total;
+    return _eq.profiler() ? *_eq.profiler() : SimProfiler{};
 }
 
 void
@@ -490,9 +447,9 @@ System::refreshProfileStats()
         s += v;
     };
 
-    // Host-nanosecond attribution, merged across queues; each row is
-    // a subsystem's SELF time (nested scopes subtract), so the rows
-    // sum to the measured dispatch wall clock.
+    // Host-nanosecond attribution; each row is a subsystem's SELF
+    // time (nested scopes subtract), so the rows sum to the measured
+    // dispatch wall clock.
     const SimProfiler total = mergedProfile();
 
     stats::Group &prof = _stats.group(prefixed(_cfg.name, "prof"));

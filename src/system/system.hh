@@ -38,7 +38,6 @@
 #include "npu/retry_round.hh"
 #include "npu/tile_pipeline.hh"
 #include "serving/serve_config.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "system/paging_engine.hh"
 #include "system/shard_port.hh"
@@ -59,41 +58,40 @@ class TraceEngine;
 
 /**
  * Simulation-kernel execution/model knobs (ConfigBinder group
- * "sim.*"). shards = 0 runs the legacy kernel: one EventQueue,
- * synchronous ports, byte-identical to every pre-sharding golden
- * dump. shards >= 1 switches to the hop model, which is an
- * explicitly different machine: every NPU<->hub interaction
- * (translation requests/responses, invalidations) crosses an
- * interconnect hop of hopTicks each way, flow-controlled by
- * portCredits outstanding translations per NPU. Both run serially
- * on the calling thread; parallelism lives a level up, in the sweep
- * engine's job pool.
+ * "sim.*"). shards = 0 runs the legacy kernel: synchronous ports,
+ * byte-identical to every pre-sharding golden dump. shards >= 1
+ * switches to the hop model, which is an explicitly different
+ * machine: every NPU<->hub interaction (translation
+ * requests/responses, invalidations) crosses an interconnect hop of
+ * hopTicks each way, flow-controlled by portCredits outstanding
+ * translations per NPU. Both run on one EventQueue on the calling
+ * thread; parallelism lives a level up, in the sweep engine's job
+ * pool.
  *
  * Within the hop model, results are byte-identical for ANY
- * shards >= 1 -- only hopTicks, portCredits, and hubNpus are model
- * parameters.
+ * shards >= 1 -- only hopTicks and portCredits are model parameters
+ * (hubNpus places hooks and trace lanes, not timing).
  */
 struct SimConfig
 {
     /**
-     * 0 selects the legacy single-queue kernel; any value >= 1 the
+     * 0 selects the legacy synchronous-port kernel; any value >= 1 the
      * hop model (every value >= 1 gives the same machine).
      */
     unsigned shards = 0;
-    /**
-     * NPU<->hub interconnect hop in ticks; doubles as the
-     * conservative lookahead (the runtime's window width). Must be
-     * >= 1; larger hops sync less often but add modeled latency.
-     */
+    /** NPU<->hub interconnect latency in ticks, each way (>= 1).
+     *  Pure model latency: every hop is a delivery scheduled this
+     *  many ticks after the send. */
     Tick hopTicks = 64;
     /** Outstanding-translation credits per NPU port (>= 1). */
     unsigned portCredits = 64;
     /**
-     * First K NPU slots co-resident on the hub queue (for components
-     * that need synchronous MMU/paging access, e.g. demand-paging
-     * workloads). Auto-raised to cover paging.homeNode. Changes the
-     * queue partition, so peakQueueDepth -- a per-queue kernel stat
-     * -- depends on it; everything simulated does not.
+     * First K NPU slots resident on the hub (for components that
+     * need synchronous MMU/paging access, e.g. demand-paging
+     * workloads). Auto-raised to cover paging.homeNode. Hub-resident
+     * NPUs still take the hop; residency only decides which slots
+     * may install synchronous hub hooks and which trace lane an NPU
+     * records into.
      */
     unsigned hubNpus = 0;
     /** Ignored: the hop model runs serially. Kept only because the
@@ -101,7 +99,7 @@ struct SimConfig
      *  change. */
     unsigned threads = 0;
     /**
-     * Host-side cycle attribution (see sim/profiler.hh): every event
+     * Host-side cycle attribution (see sim/profiler.hh): the event
      * queue carries a SimProfiler and the dump gains `prof.*` /
      * `fastpath.*` groups. Purely observational -- simulated results
      * are identical with it on or off -- but the extra stats groups
@@ -192,8 +190,7 @@ struct SystemConfig
     PagingConfig paging{};
 
     // --- Simulation kernel -----------------------------------------
-    /** Sharded-execution knobs (sim.shards = 0 keeps the legacy
-     *  single-queue kernel). */
+    /** Hop-model knobs (sim.shards = 0 keeps the legacy kernel). */
     SimConfig sim{};
 
     // --- Open-loop serving -----------------------------------------
@@ -202,7 +199,7 @@ struct SystemConfig
      * (the default) keeps the System purely closed-loop; enabled, the
      * System owns a ServingEngine that generates open-loop request
      * arrivals over churning tenants. Under sim.shards >= 1 the
-     * serving slots are auto-raised onto the hub queue (like
+     * serving slots are auto-raised onto the hub (like
      * paging.homeNode), so the dump stays byte-identical across
      * shard counts.
      */
@@ -238,6 +235,28 @@ struct SystemConfig
     MmuConfig resolvedMmuConfig() const;
 };
 
+class System;
+
+/**
+ * Counters-only stand-in for the deleted hop-window runtime, kept
+ * because the frozen perfbench runner reads it; drop at the next
+ * benchmark change.
+ */
+class DomainRuntime
+{
+  public:
+    explicit DomainRuntime(const System &sys) : _sys(sys) {}
+    /** Always 0: the hop model runs on one queue, in no windows. */
+    std::uint64_t windowsExecuted() const { return 0; }
+    /** Hops sent across every NPU link (sim.crossDomainMessages). */
+    std::uint64_t messagesPosted() const;
+    /** Always 1: the hop model is serial. */
+    unsigned numThreads() const { return 1; }
+
+  private:
+    const System &_sys;
+};
+
 /**
  * Builds and owns the machine a SystemConfig describes. Construction
  * order (host node, page table, MMU, router, then per-NPU memory /
@@ -256,57 +275,37 @@ class System
     unsigned numNpus() const { return unsigned(_npus.size()); }
 
     // --- Simulation ------------------------------------------------
-    /** The hub event queue (the only queue when sim.shards = 0). */
-    EventQueue &eventQueue()
-    {
-        return _domains ? _domains->queue(0) : _eq;
-    }
-    /**
-     * The queue NPU @p npu's components (DMA, pipeline) run on --
-     * the hub queue in legacy mode or for hub-resident NPUs.
-     * Workload code must schedule slot-local events here, never on
-     * eventQueue(), so it stays correct under sharding.
-     */
-    EventQueue &eventQueueFor(unsigned npu);
-    /**
-     * Global simulated time: the hub clock in legacy mode, the max
-     * over domain clocks when sharded. Only meaningful outside run()
-     * -- event handlers must use their own queue's now().
-     */
-    Tick now() const
-    {
-        return _domains ? _domains->now() : _eq.now();
-    }
-    /** Drain the event queue(s) (up to and including @p limit -- see
+    /** The one event queue every component runs on. */
+    EventQueue &eventQueue() { return _eq; }
+    /** Simulated time. */
+    Tick now() const { return _eq.now(); }
+    /** Drain the event queue (up to and including @p limit -- see
      *  EventQueue::run); returns final time. */
-    Tick run(Tick limit = maxTick);
-    /** Events executed across all queues. */
-    std::uint64_t eventsExecuted() const
-    {
-        return _domains ? _domains->eventsExecuted()
-                        : _eq.eventsExecuted();
-    }
-    /** Peak pending-event depth (max over queues when sharded). */
-    std::uint64_t peakQueueDepth() const
-    {
-        return _domains ? _domains->peakDepth() : _eq.peakDepth();
-    }
+    Tick run(Tick limit = maxTick) { return _eq.run(limit); }
+    std::uint64_t eventsExecuted() const { return _eq.eventsExecuted(); }
+    std::uint64_t peakQueueDepth() const { return _eq.peakDepth(); }
 
     // --- Kernel fast-path observability ----------------------------
     /** Always 0: the kernel has no event trains. Kept because the
      *  benchmark runner (perfbench/) reads it. */
     std::uint64_t trainSubEventsInlined() const { return 0; }
-    /** Same-tick dispatch shortcuts taken, summed across queues. */
-    std::uint64_t sameTickShortcuts();
-    /** Merged host-cycle attribution (all zero when sim.profile=0). */
+    /** Same-tick dispatch shortcuts taken. */
+    std::uint64_t sameTickShortcuts() const
+    {
+        return _eq.sameTickShortcuts();
+    }
+    /** Host-cycle attribution (all zero when sim.profile=0). */
     SimProfiler mergedProfile();
 
-    // --- Sharded execution -----------------------------------------
-    bool sharded() const { return _domains != nullptr; }
-    /** @pre sharded() */
+    // --- Hop model -------------------------------------------------
+    /** True under the hop model (sim.shards >= 1). */
+    bool sharded() const { return _cfg.sim.shards > 0; }
+    /** The perfbench counters shim. @pre sharded() */
     DomainRuntime &domains();
-    /** True when @p npu runs on the hub queue (always, unsharded). */
-    bool isHubResident(unsigned npu);
+    /** Hops sent across every NPU link (0 unsharded). */
+    std::uint64_t crossDomainMessages() const;
+    /** True when @p npu is resident on the hub (always, unsharded). */
+    bool isHubResident(unsigned npu) const;
     /**
      * Throw std::runtime_error with an actionable message unless
      * @p npu is hub-resident: call before installing anything on the
@@ -390,27 +389,14 @@ class System
     /** Populate prof.* / fastpath.* groups (sim.profile only). */
     void refreshProfileStats();
 
-    /** Apply @p f to every live event queue (serial or sharded). */
-    template <typename F>
-    void forEachQueue(F &&f)
-    {
-        if (_domains) {
-            for (unsigned q = 0; q < _domains->numQueues(); q++)
-                f(_domains->queue(q));
-        } else {
-            f(_eq);
-        }
-    }
-
     SystemConfig _cfg;
     EventQueue _eq;
-    /** Sharded-mode runtime; null under the legacy serial kernel. */
-    std::unique_ptr<DomainRuntime> _domains;
-    /** Queue index per NPU (sharded mode only; 0 = hub queue). */
-    std::vector<unsigned> _npuQueue;
-    /** One DMA retry round per event queue (index as _npuQueue). */
-    std::vector<std::unique_ptr<RetryRound>> _retryRounds;
-    /** Per-NPU credit ports / hub bridges (sharded mode only). */
+    /** The DMA retry round every DMA engine shares. */
+    RetryRound _retryRound{_eq};
+    DomainRuntime _domainShim{*this};
+    /** NPU slots [0, _hubNpus) are hub-resident (all, unsharded). */
+    unsigned _hubNpus = 0;
+    /** Per-NPU credit ports / hub bridges (hop model only). */
     std::vector<std::unique_ptr<ShardTranslationPort>> _shardPorts;
     std::vector<std::unique_ptr<HubTranslationBridge>> _hubBridges;
     FrameAllocator _hostNode;

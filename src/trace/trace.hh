@@ -51,11 +51,11 @@ struct TraceConfig
     /**
      * Additionally flush requests slower than the live p99 of their
      * domain's completion stream (recomputed every 64 completions,
-     * so the trigger sequence is a pure function of the per-queue
-     * event stream and stays shard-invariant).
+     * so the trigger sequence is a pure function of the per-lane
+     * span stream and stays shard-invariant).
      */
     bool autoP99 = false;
-    /** Span ring capacity per event-queue buffer (drop-oldest). */
+    /** Span ring capacity per lane buffer (drop-oldest). */
     std::uint64_t ring = 1 << 16;
     /** Tail-mark ring capacity per buffer (drop-oldest). */
     std::uint64_t marks = 1 << 13;

@@ -177,12 +177,12 @@ TraceBuffer::openCount() const
 // ---------------------------------------------------------------------
 
 TraceEngine::TraceEngine(std::string system_name, TraceConfig cfg,
-                         unsigned num_queues, stats::Group &stats)
+                         unsigned num_lanes, stats::Group &stats)
     : _name(std::move(system_name)), _cfg(cfg), _stats(stats)
 {
-    NEUMMU_ASSERT(num_queues >= 1, "trace engine needs a queue");
-    _buffers.reserve(num_queues);
-    for (unsigned q = 0; q < num_queues; q++)
+    NEUMMU_ASSERT(num_lanes >= 1, "trace engine needs a lane");
+    _buffers.reserve(num_lanes);
+    for (unsigned q = 0; q < num_lanes; q++)
         _buffers.push_back(std::make_unique<TraceBuffer>(_cfg));
 }
 

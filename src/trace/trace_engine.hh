@@ -6,13 +6,13 @@
  * request's end-to-end latency to exactly one stage, and emits
  * Chrome-trace-event JSON (Perfetto-loadable).
  *
- * Ownership mirrors SimProfiler: one TraceBuffer per event queue,
- * touched only by that queue's events while the simulation runs;
- * the engine reads the buffers after run() returns. Because each queue's event stream is
- * deterministic and the queue partition is invariant across
- * sim.shards >= 1, the assembled trace -- including the drop-oldest
- * ring contents and the tail-trigger decisions -- is byte-identical
- * across shard counts.
+ * One TraceBuffer per lane -- the hub (with its resident NPUs) and
+ * each remote NPU -- written by that lane's components while the
+ * simulation runs; the engine reads the buffers after run()
+ * returns. Because the event stream is deterministic and the lane
+ * partition is a function of the config, never of sim.shards, the
+ * assembled trace -- including the drop-oldest ring contents and the
+ * tail-trigger decisions -- is byte-identical across shard counts.
  *
  * Retroactive capture: every span lands in the ring regardless of
  * the trigger; completion-time marks (tailThreshold / live-p99)
@@ -41,9 +41,9 @@ namespace neummu {
 namespace trace {
 
 /**
- * Per-event-queue span recorder. All mutators are called from the
- * owning queue's events only; the const drain surface is read after
- * the run completes.
+ * Per-lane span recorder. All mutators are called from the owning
+ * lane's components only; the const drain surface is read after the
+ * run completes.
  */
 class TraceBuffer
 {
@@ -140,7 +140,7 @@ class TraceBuffer
 };
 
 /**
- * Owns one TraceBuffer per event queue and the drain-time assembly:
+ * Owns one TraceBuffer per lane and the drain-time assembly:
  * lifecycle reconstruction, the per-stage latency decomposition, the
  * Chrome trace sink, and the trace.* stats group (registered by
  * System only when tracing is enabled, so golden dumps never change).
@@ -149,11 +149,11 @@ class TraceEngine
 {
   public:
     TraceEngine(std::string system_name, TraceConfig cfg,
-                unsigned num_queues, stats::Group &stats);
+                unsigned num_lanes, stats::Group &stats);
 
     const TraceConfig &config() const { return _cfg; }
     unsigned numBuffers() const { return unsigned(_buffers.size()); }
-    TraceBuffer &buffer(unsigned q) { return *_buffers[q]; }
+    TraceBuffer &buffer(unsigned lane) { return *_buffers[lane]; }
 
     /** Per-stage accumulation of the charged decomposition. */
     struct StageRow

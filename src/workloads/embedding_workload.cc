@@ -166,7 +166,7 @@ EmbeddingWorkload::bindDemandPaging()
     System &sys = system();
     // Both paging paths touch hub state synchronously (the legacy
     // fault handler maps pages inline; completion reads MMU/paging
-    // counters), so this slot must share the hub queue when sharded.
+    // counters), so this slot must be hub-resident when sharded.
     sys.requireHubResident(npuSlot(), "demand-paging workload '" +
                                           name() + "'");
     const unsigned page_shift = sys.config().pageShift;

@@ -43,13 +43,13 @@ Workload::system() const
 EventQueue &
 Workload::eventQueue() const
 {
-    return system().eventQueueFor(_npu);
+    return system().eventQueue();
 }
 
 Tick
 Workload::now() const
 {
-    return system().eventQueueFor(_npu).now();
+    return system().eventQueue().now();
 }
 
 stats::Group &

@@ -108,13 +108,9 @@ class Workload
     /** Schedule the first traffic (must not drain the event queue). */
     virtual void onStart() = 0;
 
-    /**
-     * The bound slot's event queue. Workload code must schedule on
-     * (and read time from) THIS queue, never system().eventQueue(),
-     * so it stays on its own shard under sim.shards > 0. @pre bound()
-     */
+    /** The System's event queue. @pre bound() */
     EventQueue &eventQueue() const;
-    /** The bound slot's current tick (safe inside handlers). */
+    /** The current tick (safe inside handlers). */
     Tick now() const;
 
     /**

@@ -1,14 +1,17 @@
 /**
  * @file
- * Tests for the hop model: DomainRuntime mechanics (exact-tick
- * cross-queue delivery, sender-order tie-breaking, mailbox injection
- * one round after the post, window skipping, limit semantics), the
+ * Tests for the hop model: the ShardTranslationPort /
+ * HubTranslationBridge hop on a real System (exact-tick delivery in
+ * both directions, invalidations, credit flow control, the post-order
+ * tie rule), profiler and fast-path totals on the one queue, the
  * per-domain seed streams, and the headline invariant -- a sharded
  * System's stats dump is byte-identical for every shard count.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +19,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "sim/domain.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "workloads/embedding_workload.hh"
@@ -27,139 +29,225 @@ using namespace neummu;
 
 namespace {
 
-/**
- * 3 queues (hub + 2), 3 units, hop 16, with every (queue, unit)
- * channel registered so tests can post freely.
- */
-std::unique_ptr<DomainRuntime>
-makeRuntime()
+constexpr Tick hop = 16;
+
+/** A one-NPU hop-model System with a NeuMMU hub and a backed 1 MiB
+ *  segment. */
+struct HopRig
 {
-    auto rt = std::make_unique<DomainRuntime>(3u, 3u, 16);
-    for (unsigned q = 0; q < 3; q++)
-        for (unsigned u = 0; u < 3; u++)
-            rt->addChannel(q, u);
-    return rt;
-}
+    explicit HopRig(unsigned credits = 64)
+        : sys(config(1, credits)),
+          seg(sys.addressSpace().allocateBacked(
+              "t", 1 * MiB, sys.hbmNode(0), sys.config().pageShift))
+    {
+    }
+
+    static SystemConfig
+    config(unsigned npus, unsigned credits)
+    {
+        SystemConfig cfg;
+        cfg.numNpus = npus;
+        cfg.mmuKind = MmuKind::NeuMmu;
+        cfg.sim.shards = 1;
+        cfg.sim.hopTicks = hop;
+        cfg.sim.portCredits = credits;
+        return cfg;
+    }
+
+    /** VA of page @p i of the segment. */
+    Addr page(unsigned i) const
+    {
+        return seg.base + Addr(i) * pageSize(sys.config().pageShift);
+    }
+
+    /** Run one tick at a time until @p pred holds; returns that tick. */
+    template <typename Pred>
+    Tick runUntil(Pred pred)
+    {
+        for (Tick t = sys.now(); t < 1000000; t++) {
+            sys.run(t);
+            if (pred())
+                return t;
+        }
+        ADD_FAILURE() << "predicate never held";
+        return maxTick;
+    }
+
+    System sys;
+    Segment seg;
+};
 
 } // namespace
 
-TEST(DomainRuntime, DeliversAtExactTick)
+TEST(HopModel, RequestReachesTheHubOneHopAfterIssue)
 {
-    auto rt = makeRuntime();
-    Tick seen = 0;
-    // Sender unit 1 -> queue 2, due at 40 (>= hop past now 0).
-    rt->post(2, 1, 40, [&] { seen = rt->queue(2).now(); });
-    rt->run();
-    EXPECT_EQ(seen, 40u);
+    HopRig rig;
+    TranslationEngine &port = rig.sys.translationPort(0);
+    port.setResponseCallback([](const TranslationResponse &) {});
+    ASSERT_TRUE(port.translate(rig.page(0), 1));
+    const Tick arrived =
+        rig.runUntil([&] { return rig.sys.mmu().counts().requests > 0; });
+    EXPECT_EQ(arrived, hop);
+    EXPECT_EQ(rig.sys.mmu().counts().requests, 1u);
 }
 
-TEST(DomainRuntime, SameTickTiesResolveBySenderUnit)
+TEST(HopModel, ResponseReachesTheNpuOneHopAfterTheMmuAnswers)
 {
-    auto rt = makeRuntime();
-    std::vector<unsigned> order;
-    // Three senders, same receiver, same tick: ascending unit id
-    // must win regardless of post order.
-    rt->post(1, 2, 32, [&] { order.push_back(2); });
-    rt->post(1, 0, 32, [&] { order.push_back(0); });
-    rt->post(1, 1, 32, [&] { order.push_back(1); });
-    rt->run();
-    ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order[0], 0u);
-    EXPECT_EQ(order[1], 1u);
-    EXPECT_EQ(order[2], 2u);
+    HopRig rig;
+    TranslationEngine &port = rig.sys.translationPort(0);
+    Tick delivered = maxTick;
+    port.setResponseCallback([&](const TranslationResponse &r) {
+        EXPECT_EQ(r.id, 7u);
+        delivered = rig.sys.now();
+    });
+    ASSERT_TRUE(port.translate(rig.page(0), 7));
+    const Tick answered = rig.runUntil(
+        [&] { return rig.sys.mmu().counts().responses > 0; });
+    EXPECT_EQ(delivered, maxTick) << "delivered with the MMU's answer";
+    rig.sys.run(answered + hop - 1);
+    EXPECT_EQ(delivered, maxTick) << "delivered before the hop elapsed";
+    rig.sys.run(answered + hop);
+    EXPECT_EQ(delivered, answered + hop);
 }
 
-TEST(DomainRuntime, MessageInjectsTheRoundAfterItsPost)
+TEST(HopModel, InvalidationCrossesTheHop)
 {
-    // Queues run in index order within a round, so a lower-index
-    // sender posts before the receiver has run. The message must
-    // still wait for the next round's injection: a same-tick event
-    // the receiver schedules later in the posting round runs first.
-    for (unsigned sender : {0u, 1u}) {
-        auto rt = makeRuntime();
-        std::vector<std::string> order;
-        rt->queue(sender).schedule(0, [&, sender] {
-            rt->post(2, sender, 40, [&] { order.push_back("msg"); });
-        });
-        rt->queue(2).schedule(0, [&] {
-            rt->queue(2).schedule(40, [&] { order.push_back("local"); });
-        });
-        rt->run();
-        EXPECT_EQ(order, (std::vector<std::string>{"local", "msg"}))
-            << "sender queue " << sender;
+    HopRig rig;
+    rig.sys.translationPort(0).invalidate(rig.page(3));
+    rig.sys.run(hop - 1);
+    EXPECT_EQ(rig.sys.mmu().counts().shootdowns, 0u);
+    rig.sys.run(hop);
+    EXPECT_EQ(rig.sys.mmu().counts().shootdowns, 1u);
+    EXPECT_EQ(rig.sys.crossDomainMessages(), 1u);
+}
+
+TEST(HopModel, CreditsCapOutstandingAndAReturnedCreditWakes)
+{
+    HopRig rig(/*credits=*/2);
+    TranslationEngine &port = rig.sys.translationPort(0);
+    std::vector<Tick> responses;
+    std::vector<Tick> wakes;
+    port.setResponseCallback([&](const TranslationResponse &) {
+        responses.push_back(rig.sys.now());
+    });
+    port.setWakeCallback([&] { wakes.push_back(rig.sys.now()); });
+
+    EXPECT_TRUE(port.translate(rig.page(0), 1));
+    EXPECT_TRUE(port.translate(rig.page(1), 2));
+    EXPECT_FALSE(port.translate(rig.page(2), 3)) << "third credit";
+    EXPECT_EQ(port.counts().requests, 2u);
+    EXPECT_EQ(port.counts().blockedIssues, 1u);
+
+    rig.sys.run();
+    ASSERT_EQ(responses.size(), 2u);
+    // Only the response that ends starvation wakes the client.
+    ASSERT_EQ(wakes.size(), 1u);
+    EXPECT_EQ(wakes[0], responses[0]);
+    // Requests, responses: one hop message each.
+    EXPECT_EQ(rig.sys.crossDomainMessages(), 4u);
+}
+
+TEST(HopModel, ReturnedCreditWakesTheBlockedDma)
+{
+    constexpr unsigned credits = 2;
+    HopRig rig(credits);
+    bool done = false;
+    rig.sys.dma(0).fetch({VaRun{rig.seg.base, rig.seg.bytes}},
+                         [&](Tick) { done = true; });
+    const TranslationEngine &port = rig.sys.translationPort(0);
+    rig.runUntil([&] {
+        const MmuCounts &c = port.counts();
+        EXPECT_LE(c.requests - c.responses, credits)
+            << "at tick " << rig.sys.now();
+        return done;
+    });
+    // The DMA ran out of credits and every block was woken: the
+    // fetch could not have finished otherwise.
+    EXPECT_GT(port.counts().blockedIssues, 0u);
+    EXPECT_EQ(port.counts().responses, port.counts().requests);
+}
+
+TEST(HopModel, SameTickRequestsReachTheHubInPostOrder)
+{
+    // One walker and no merge slots: whichever request reaches the
+    // hub first takes the walker and is answered first.
+    for (const bool npu1_first : {true, false}) {
+        SystemConfig cfg = HopRig::config(2, 64);
+        cfg.mmuKind = MmuKind::Custom;
+        cfg.mmu = baselineIommuConfig();
+        cfg.mmu.numPtws = 1;
+        cfg.mmu.prmbSlots = 0;
+        System sys(cfg);
+        const Segment seg = sys.addressSpace().allocateBacked(
+            "t", 1 * MiB, sys.hbmNode(0), cfg.pageShift);
+        std::vector<unsigned> order;
+        for (unsigned n = 0; n < 2; n++)
+            sys.translationPort(n).setResponseCallback(
+                [&order, n](const TranslationResponse &) {
+                    order.push_back(n);
+                });
+        const Addr far = seg.base + seg.bytes / 2;
+        if (npu1_first) {
+            ASSERT_TRUE(sys.translationPort(1).translate(far, 1));
+            ASSERT_TRUE(sys.translationPort(0).translate(seg.base, 1));
+        } else {
+            ASSERT_TRUE(sys.translationPort(0).translate(seg.base, 1));
+            ASSERT_TRUE(sys.translationPort(1).translate(far, 1));
+        }
+        sys.run();
+        const std::vector<unsigned> want =
+            npu1_first ? std::vector<unsigned>{1, 0}
+                       : std::vector<unsigned>{0, 1};
+        EXPECT_EQ(order, want) << "npu1_first=" << npu1_first;
     }
 }
 
-TEST(DomainRuntime, MessagesChainAcrossDomains)
-{
-    // Ping-pong between queues 1 and 2, always hop ahead; every
-    // leg must land at its exact tick.
-    auto rt = makeRuntime();
-    std::vector<Tick> hits;
-    std::function<void(unsigned, unsigned, int)> bounce =
-        [&](unsigned to, unsigned from_unit, int left) {
-            hits.push_back(rt->queue(to).now());
-            if (left > 0) {
-                const unsigned next_to = to == 1 ? 2 : 1;
-                rt->post(next_to, to, rt->queue(to).now() + 16,
-                         [&bounce, next_to, to, left] {
-                             bounce(next_to, to, left - 1);
-                         });
-            }
-            (void)from_unit;
-        };
-    rt->post(1, 0, 16, [&] { bounce(1, 0, 6); });
-    rt->run();
-    ASSERT_EQ(hits.size(), 7u);
-    for (std::size_t i = 0; i < hits.size(); i++)
-        EXPECT_EQ(hits[i], 16u * (i + 1));
-    EXPECT_EQ(rt->messagesPosted(), 7u);
-}
+// ---------------------------------------------------------------------
+// Profiler and fast-path totals count the one queue once.
 
-TEST(DomainRuntime, WindowsSkipIdleGaps)
+TEST(HopModel, ProfileTotalsCountTheQueueOnce)
 {
-    // Two events 1M ticks apart must not cost 1M/hop rounds.
-    auto rt = makeRuntime();
-    rt->queue(1).schedule(10, [] {});
-    rt->queue(2).schedule(1000000, [] {});
-    rt->run();
-    EXPECT_EQ(rt->now(), 1000000u);
-    EXPECT_LE(rt->windowsExecuted(), 4u);
-}
+    SystemConfig cfg;
+    cfg.name = "shardtest";
+    cfg.seed = 5;
+    cfg.numNpus = 4;
+    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.sim.shards = 1;
+    cfg.sim.profile = true;
+    System system(cfg);
+    std::vector<std::unique_ptr<Workload>> workloads;
+    for (const char *spec :
+         {"synthetic:pattern=uniform,footprint=4M,accesses=512",
+          "synthetic:pattern=stride,footprint=4M,accesses=512",
+          "synthetic:pattern=hotset,footprint=4M,accesses=512",
+          "synthetic:pattern=chase,footprint=1M,accesses=256"}) {
+        workloads.push_back(makeWorkloadFromSpec(spec));
+        workloads.back()->bind(system, unsigned(workloads.size() - 1));
+        workloads.back()->start([](Tick) {});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    system.run();
+    const auto t1 = std::chrono::steady_clock::now();
+    for (const auto &wl : workloads)
+        ASSERT_TRUE(wl->done());
+    const double wall_ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count();
 
-TEST(DomainRuntime, RunLimitIsInclusiveAndResumable)
-{
-    auto rt = makeRuntime();
-    int hits = 0;
-    rt->queue(1).schedule(100, [&] { hits++; });
-    rt->queue(2).schedule(101, [&] { hits++; });
-    rt->run(100);
-    EXPECT_EQ(hits, 1);
-    rt->run(200);
-    EXPECT_EQ(hits, 2);
-}
+    std::ostringstream os;
+    system.dumpStatsText(os);
+    const stats::Group &prof = system.statsRegistry().group("shardtest.prof");
+    double nanos = 0.0;
+    for (const auto &[name, scalar] : prof.scalars())
+        if (name.size() > 5 &&
+            name.compare(name.size() - 5, 5, "Nanos") == 0)
+            nanos += scalar.value();
+    EXPECT_GT(nanos, 0.0);
+    EXPECT_LE(nanos, wall_ns);
 
-TEST(DomainRuntime, CountsEventsAcrossQueues)
-{
-    auto rt = makeRuntime();
-    for (unsigned q = 0; q < 3; q++)
-        for (Tick t = 1; t <= 5; t++)
-            rt->queue(q).schedule(t * 8, [] {});
-    rt->run();
-    EXPECT_EQ(rt->eventsExecuted(), 15u);
-}
-
-TEST(DomainRuntimeDeath, PostNeedsRegisteredChannel)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // The window scan only covers registered channels, so an
-    // unregistered post could silently stall -- it must die instead.
-    EXPECT_DEATH(
-        {
-            DomainRuntime rt(3u, 3u, 16);
-            rt.post(2, 1, 40, [] {});
-        },
-        "unregistered channel");
+    const stats::Group &fast =
+        system.statsRegistry().group("shardtest.fastpath");
+    EXPECT_EQ(fast.scalars().at("sameTickShortcuts").value(),
+              double(system.eventQueue().sameTickShortcuts()));
 }
 
 // ---------------------------------------------------------------------
@@ -254,7 +342,7 @@ TEST(ShardedSystem, StarvedWalkerInvariant)
 TEST(ShardedSystem, PagingAcrossHubInvariant)
 {
     // Demand paging: faults resolve on the hub (timed evict+fetch and
-    // shootdown invalidations crossing back over the mailboxes), with
+    // shootdown invalidations crossing back over the hop), with
     // remote NPUs hammering translations meanwhile.
     SystemConfig cfg;
     cfg.name = "shardtest";

@@ -251,7 +251,7 @@ TEST(SimProfiler, RouterScopesCoverArbitrationAndHubBridges)
 
     const SimProfiler prof = system.mergedProfile();
     const unsigned router = unsigned(ProfSubsystem::Router);
-    // Bridge ingress runs straight from the hub queue's dispatch...
+    // Bridge ingress runs straight from the queue's dispatch...
     EXPECT_GT(prof.pair(unsigned(ProfSubsystem::Kernel),
                         ProfSubsystem::Router)
                   .count,

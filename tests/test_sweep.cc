@@ -345,7 +345,7 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     jobs[1].workloads = {"synthetic:pattern=stride,accesses=128"};
     jobs[2].id = "bad_workload_kind";
     jobs[2].workloads = {"warp:speed=9"};
-    // Demand paging needs its slot on the hub queue; with no
+    // Demand paging needs its slot hub-resident; with no
     // hub-resident NPU the System rejects the binding at run time,
     // past every binder check.
     jobs[3].id = "bad_hub_residency";
