@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """List the stats that differ between two directories of golden dumps.
 
-Usage: golden_diff.py OLD_DIR NEW_DIR
+Usage: golden_diff.py [--only SUFFIX,...] OLD_DIR NEW_DIR
 
 Compares every *.json StatsRegistry dump (tests/golden/ layout: one
 object of groups, each an object of stats) present in either
@@ -15,13 +15,27 @@ commit. Stats or files present on one side only are listed as
 "added" or "removed" and make the script exit 1; value changes alone
 exit 0.
 
+--only SUFFIX,... names the stats a change is allowed to move. A stat
+matches a suffix when its dotted name ends with it at a dot boundary
+(mmu.requests matches golden.mmu.requests, not golden.ptsmmu.requests);
+shell wildcards work inside a suffix (router.client*.requests). Any
+value change outside the list is also printed after an "outside
+--only" line, and makes the script exit 1.
+
 Typical use, after an intentional model change:
 
     cp -r tests/golden /tmp/golden_old
     ./build/test_golden_stats --update-golden
     python3 scripts/golden_diff.py /tmp/golden_old tests/golden
+
+or, when the change may move only rejection counters:
+
+    python3 scripts/golden_diff.py \
+        --only mmu.requests,mmu.blockedIssues,tlb.misses \
+        /tmp/golden_old tests/golden
 """
 
+import fnmatch
 import json
 import os
 import sys
@@ -53,12 +67,20 @@ def show(value):
     return json.dumps(value)
 
 
-def diff(old, new):
-    """Return (lines, changed files, value changes, shape changed)."""
+def allowed(key, suffixes):
+    """True when @p key ends with one of @p suffixes at a dot."""
+    return any(fnmatch.fnmatchcase(key, s) or
+               fnmatch.fnmatchcase(key, "*." + s) for s in suffixes)
+
+
+def diff(old, new, only=None):
+    """Return (lines, changed files, value changes, shape changed,
+    changes outside @p only)."""
     lines = []
     files = set()
     changes = 0
     shape_changed = False
+    outside = []
     for name in sorted(set(old) | set(new)):
         if name not in new:
             lines.append("%s: removed" % name)
@@ -77,24 +99,35 @@ def diff(old, new):
                 lines.append("%s: %s added" % (name, key))
                 shape_changed = True
             elif a[key] != b[key]:
-                lines.append("%s: %s %s -> %s" %
-                             (name, key, show(a[key]), show(b[key])))
+                line = "%s: %s %s -> %s" % (name, key, show(a[key]),
+                                            show(b[key]))
+                lines.append(line)
                 files.add(name)
                 changes += 1
-    return lines, files, changes, shape_changed
+                if only is not None and not allowed(key, only):
+                    outside.append(line)
+    return lines, files, changes, shape_changed, outside
 
 
 def main(argv):
-    if len(argv) != 3:
+    args = argv[1:]
+    only = None
+    if args and args[0] == "--only":
+        if len(args) < 2:
+            args = []
+        else:
+            only = [s for s in args[1].split(",") if s]
+            args = args[2:]
+    if len(args) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    for path in argv[1:]:
+    for path in args:
         if not os.path.isdir(path):
             print("golden_diff: %s is not a directory" % path,
                   file=sys.stderr)
             return 2
-    lines, files, changes, shape_changed = diff(load_dir(argv[1]),
-                                                load_dir(argv[2]))
+    lines, files, changes, shape_changed, outside = diff(
+        load_dir(args[0]), load_dir(args[1]), only)
     if not lines:
         print("Goldens unchanged")
         return 0
@@ -107,7 +140,13 @@ def main(argv):
     print()
     for line in lines:
         print(line)
-    return 1 if shape_changed else 0
+    if outside:
+        print()
+        print("%d value%s changed outside --only:" %
+              (len(outside), "" if len(outside) == 1 else "s"))
+        for line in outside:
+            print(line)
+    return 1 if shape_changed or outside else 0
 
 
 if __name__ == "__main__":

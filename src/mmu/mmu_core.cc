@@ -282,11 +282,14 @@ MmuCore::translate(Addr va, std::uint64_t id)
 {
     NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::MmuTranslate);
     _counts.requests++;
-    if (_access)
-        _access(va);
     const Tick now = _eq.now();
 
+    // Page recency is touched on the accept paths only: a request the
+    // front end refuses never reaches the page table, and admits()
+    // stays exact under an access hook.
     if (_cfg.oracle) {
+        if (_access)
+            _access(va);
         WalkResult walk = _pt.walk(va);
         Tick ready = now;
         if (!walk.valid) {
@@ -312,6 +315,8 @@ MmuCore::translate(Addr va, std::uint64_t id)
     // it and serve the cached frame. Counters follow the hit path.
     XlateReg &reg = _xlateRegs[std::size_t(id >> 56) % numXlateRegs];
     if (reg.gen == _tlb.generation() && reg.vpn == vpn) {
+        if (_access)
+            _access(va);
         _tlb.noteRegisterHit();
         _xlateRegHits++;
         _counts.tlbHits++;
@@ -327,6 +332,8 @@ MmuCore::translate(Addr va, std::uint64_t id)
     }
     Addr pfn = invalidAddr;
     if (_tlb.lookup(vpn, pfn)) {
+        if (_access)
+            _access(va);
         _counts.tlbHits++;
         // Snapshot after lookup(): a relink bumps the generation, so
         // the register is stamped with vpn already at the MRU head.
@@ -351,6 +358,8 @@ MmuCore::translate(Addr va, std::uint64_t id)
         if (const unsigned *walker_idx = _pts.find(vpn)) {
             Walker &w = _walkers[*walker_idx];
             if (prmbRoom(w)) {
+                if (_access)
+                    _access(va);
                 w.pending.push_back(TranslationResponse{id, va,
                                                         invalidAddr});
                 _counts.prmbMerges++;
@@ -368,6 +377,8 @@ MmuCore::translate(Addr va, std::uint64_t id)
         return false;
     }
 
+    if (_access)
+        _access(va);
     const unsigned idx = _freeWalkers.back();
     _freeWalkers.pop_back();
     startWalk(idx, va, id);
@@ -388,7 +399,7 @@ MmuCore::prmbRoom(const Walker &w) const
 bool
 MmuCore::admits(Addr va)
 {
-    if (_cfg.oracle || _access)
+    if (_cfg.oracle)
         return true;
     const Addr vpn = vpnOf(va);
     // A channel-register hit implies a TLB hit, so probing the TLB
@@ -414,10 +425,10 @@ MmuCore::refusalsHold() const
     // A refused page not in the TLB stays out of it until a walk on
     // it fills it, and a full PRMB stays full until its walk ends;
     // both are reported. What is left is a PTS miss, which stays
-    // refused while no walker is free. The oracle never refuses; an
-    // access hook makes every refusal observable.
-    return _admitWatch && !_access && !_cfg.oracle &&
-           _freeWalkers.empty();
+    // refused while no walker is free. The oracle never refuses; a
+    // refusal touches no page recency, so an access hook changes
+    // nothing here.
+    return _admitWatch && !_cfg.oracle && _freeWalkers.empty();
 }
 
 void

@@ -12,7 +12,9 @@
  *   PRMB merge slots, a larger walker pool, and a per-PTW TPreg.
  *
  * Requests that find neither a free walker nor a PRMB slot are
- * rejected: the DMA's translation port blocks (Section IV-A).
+ * rejected: the DMA's translation port blocks (Section IV-A). A
+ * rejected request changes nothing but rejection counters; in
+ * particular it does not fire the access hook.
  */
 
 #ifndef NEUMMU_MMU_MMU_CORE_HH
@@ -134,15 +136,15 @@ class MmuCore : public MmuEngine
     /**
      * Exact admission probe: true on a TLB hit (which the channel
      * register only shortcuts), on a PTS hit with PRMB room, or on a
-     * PTS miss with a free walker. Always true for the oracle and
-     * while an access hook is installed: a rejected request still
-     * touches page recency there.
+     * PTS miss with a free walker. Always true for the oracle. Exact
+     * under an access hook too: translate() touches recency only on
+     * the paths that accept.
      */
     bool admits(Addr va) override;
     /** Reports each page at walk start and at TLB fill. */
     void setAdmitWatch(PageCallback cb) override;
     /**
-     * With a watch installed and no access hook, a refusal stands
+     * With a watch installed (access hook or not), a refusal stands
      * until its page is reported or a walker frees up.
      */
     bool refusalsHold() const override;

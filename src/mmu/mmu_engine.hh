@@ -48,9 +48,13 @@ class MmuEngine : public TranslationEngine
     using FaultHandler = std::function<Tick(Addr va, Tick now)>;
 
     /**
-     * Observation hook for the page-lifecycle machinery: fired for
-     * every translation request (hit or miss), so the paging engine
-     * can maintain access recency for its eviction policy.
+     * Observation hook for the page-lifecycle machinery: fired once
+     * for every accepted translation request (hit or miss), so the
+     * paging engine can maintain access recency for its eviction
+     * policy. A rejected request fires nothing: like a request the
+     * IOMMU front end refuses, it never reaches the page table.
+     * RangeMmu and Nmt are the exceptions and fire it for rejected
+     * requests too (see their translate()).
      */
     using AccessHook = std::function<void(Addr va)>;
 

@@ -21,6 +21,9 @@ Nmt::translate(Addr va, std::uint64_t id)
 {
     NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::MmuTranslate);
     _counts.requests++;
+    // Unlike MmuCore and PomTlb, this design touches recency before
+    // it can refuse: moving the touch onto the accept paths changes
+    // which pages the paging engine evicts under serving churn.
     if (_access)
         _access(va);
     const Tick now = _eq.now();

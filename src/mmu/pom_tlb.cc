@@ -44,16 +44,17 @@ PomTlb::translate(Addr va, std::uint64_t id)
 {
     NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::MmuTranslate);
     _counts.requests++;
-    if (_access)
-        _access(va);
     const Tick now = _eq.now();
     const Addr vpn = vpnOf(va);
 
     // Channel-register fast path (see MmuCore::translate): exact
     // because a generation match proves the L1 is untouched since the
     // snapshot, so lookup() would hit the MRU head without relinking.
+    // Recency is touched on the accept paths only (see MmuEngine).
     XlateReg &reg = _xlateRegs[std::size_t(id >> 56) % numXlateRegs];
     if (reg.gen == _l1.generation() && reg.vpn == vpn) {
+        if (_access)
+            _access(va);
         _l1.noteRegisterHit();
         _xlateRegHits++;
         _counts.tlbHits++;
@@ -69,6 +70,8 @@ PomTlb::translate(Addr va, std::uint64_t id)
     }
     Addr pfn = invalidAddr;
     if (_l1.lookup(vpn, pfn)) {
+        if (_access)
+            _access(va);
         _counts.tlbHits++;
         reg.vpn = vpn;
         reg.pfn = pfn;
@@ -89,6 +92,8 @@ PomTlb::translate(Addr va, std::uint64_t id)
         _counts.blockedIssues++;
         return false;
     }
+    if (_access)
+        _access(va);
     _busy++;
     noteInflight(vpn);
 

@@ -102,10 +102,11 @@ class TranslationEngine
 
     /**
      * Admission probe: false only when translate(@p va, ...) would be
-     * rejected right now and that rejection would change nothing but
-     * rejection counters, so a client retrying a blocked request may
-     * skip the call. A refusal counts as a rejection for wake
-     * purposes: the caller must retry after a wake. Default: true.
+     * rejected right now. A rejection changes nothing but rejection
+     * counters (it touches no cached state and no page recency), so
+     * a client retrying a blocked request may skip the call. A
+     * refusal counts as a rejection for wake purposes: the caller
+     * must retry after a wake. Default: true.
      */
     virtual bool admits(Addr va)
     {
@@ -133,7 +134,9 @@ class TranslationEngine
     /**
      * True when every refusal still stands for pages not reported to
      * the admit watch since: admits(va) then stays false for any va
-     * refused earlier whose page went unreported. Default: false.
+     * refused earlier whose page went unreported. Holds with a
+     * paging access hook installed, since a refusal touches no
+     * recency. Default: false.
      */
     virtual bool refusalsHold() const { return false; }
 

@@ -76,7 +76,7 @@ DmaEngine::advance(std::uint64_t len)
 }
 
 bool
-DmaEngine::issueStep()
+DmaEngine::issueStep(bool probe)
 {
     NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::DmaIssue);
     if (!_active || _issuedAll) {
@@ -90,7 +90,12 @@ DmaEngine::issueStep()
     NEUMMU_ASSERT(have, "issue loop ran past the tile");
 
     const std::uint64_t id = _nextId++;
-    const bool accepted = _mmu.translate(va, id);
+    // A retry probes admission first, as the hub bridges do: a
+    // refused probe leaves the port exactly as a rejected translate()
+    // would (id burned, attempt traced, port blocked and waiting for
+    // a wake) and moves nothing but rejection counters.
+    const bool accepted =
+        (!probe || _mmu.admits(va)) && _mmu.translate(va, id);
     if (_traceHook)
         _traceHook(_eq.now(), va, len, accepted);
     if (!accepted) {
@@ -128,7 +133,14 @@ DmaEngine::issueLoop()
     // One translation request per cycle (Section III-C): the event
     // reschedules itself after the attempt, so its seq follows
     // everything the attempt scheduled.
-    if (issueStep())
+    if (issueStep(false))
+        _eq.scheduleIn(1, [this] { issueLoop(); });
+}
+
+void
+DmaEngine::retry()
+{
+    if (issueStep(true))
         _eq.scheduleIn(1, [this] { issueLoop(); });
 }
 

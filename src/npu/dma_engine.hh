@@ -123,16 +123,21 @@ class DmaEngine
 
     /**
      * The issue loop: issueStep() now, and again next cycle (its own
-     * event) while it asks. Started by fetch() and, after a wake, by
-     * the RetryRound.
+     * event) while it asks. Started by fetch().
      */
     void issueLoop();
     /**
-     * Attempt one burst's translation. Returns true while the issue
-     * loop should keep running (one request per cycle); false when
-     * done, blocked, or the tile is fully issued.
+     * The RetryRound's entry after a wake: the issue loop, with the
+     * first attempt probing admits() before it translates.
      */
-    bool issueStep();
+    void retry();
+    /**
+     * Attempt one burst's translation, first probing admits() when
+     * @p probe. Returns true while the issue loop should keep running
+     * (one request per cycle); false when done, blocked, or the tile
+     * is fully issued.
+     */
+    bool issueStep(bool probe);
     void onTranslation(const TranslationResponse &resp);
     /**
      * MMU freed capacity. A blocked port charges its stall and joins

@@ -27,7 +27,7 @@ RetryRound::fire(DmaEngine *first)
     for (DmaEngine *dma = first; dma;) {
         DmaEngine *next = dma->_nextRetry;
         dma->_nextRetry = nullptr;
-        dma->issueLoop();
+        dma->retry();
         dma = next;
     }
 }

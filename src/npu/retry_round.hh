@@ -4,7 +4,8 @@
  *
  * When the MMU frees capacity, the router wakes its waiting ports one
  * after another, and each woken DMA retries its rejected translation
- * next cycle (Section IV-A). One event per DMA would draw consecutive
+ * next cycle (Section IV-A), probing the MMU's admits() first so a
+ * retry the MMU would refuse again costs no translate() call. One event per DMA would draw consecutive
  * seqs for the same tick and so run back to back; a RetryRound runs
  * them from one event instead, in wake order, with the same simulated
  * result and one dispatch per wake.
@@ -34,8 +35,8 @@ class RetryRound
     EventQueue &eventQueue() const { return _eq; }
 
     /**
-     * Run @p dma's issue loop at now() + 1. The DMA joins the open
-     * round when that round is for now() + 1 and nothing has been
+     * Run @p dma's retry at now() + 1. The DMA joins the open round
+     * when that round is for now() + 1 and nothing has been
      * scheduled on the queue since the round's event: its own event
      * would then have drawn the next seq for the same tick and run
      * right after the round's current members. Otherwise the DMA

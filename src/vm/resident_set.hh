@@ -3,9 +3,9 @@
  * Per-node resident-page tracking with pluggable victim selection.
  *
  * The paging engine keeps one ResidentSet per managed memory node:
- * pages enter on fetch, are touched on every translation request (the
- * MMU's lifecycle access hook), and leave through remove() or victim
- * selection. Two classic policies, as explored by the MMU
+ * pages enter on fetch, are touched on every translation request the
+ * MMU accepts (its lifecycle access hook; a rejected request touches
+ * nothing), and leave through remove() or victim selection. Two classic policies, as explored by the MMU
  * design-space studies in PAPERS.md:
  *
  * - LRU: true recency order (touch moves to MRU; victim is the LRU

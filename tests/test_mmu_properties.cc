@@ -179,10 +179,13 @@ namespace {
  * 200 requests per tick on a few hot and many cold pages, over four
  * channels, with hot pages shot down now and then -- and checks the
  * admission probe against the translate() right after it, and the
- * refusal watch against later probes.
+ * refusal watch against later probes. With @p access_hook, a paging
+ * access hook is installed too, and each accepted request must touch
+ * it once and each refused one not at all.
  */
 void
-checkAdmissionProbe(const MmuConfig &cfg, std::uint64_t seed)
+checkAdmissionProbe(const MmuConfig &cfg, std::uint64_t seed,
+                    bool access_hook = false)
 {
     FrameAllocator node("host", Addr(1) << 40, 8 * GiB);
     PageTable pt(node);
@@ -194,6 +197,9 @@ checkAdmissionProbe(const MmuConfig &cfg, std::uint64_t seed)
                smallPageShift);
     MmuCore mmu("mmu", eq, pt, cfg);
     mmu.setResponseCallback([](const TranslationResponse &) {});
+    std::uint64_t touches = 0;
+    if (access_hook)
+        mmu.setAccessHook([&touches](Addr) { touches++; });
 
     // Recent refusals, each with "its page was reported since".
     std::vector<std::pair<Addr, bool>> refused;
@@ -225,8 +231,13 @@ checkAdmissionProbe(const MmuConfig &cfg, std::uint64_t seed)
             const Addr va = base + page * 4096 + rng.range(4096);
             const std::uint64_t tagged = (rng.range(4) << 56) | id++;
             const bool admits = mmu.admits(va);
+            const std::uint64_t touched_before = touches;
             const bool took = mmu.translate(va, tagged);
             ASSERT_EQ(admits, took) << "round " << round << " va " << va;
+            if (access_hook) {
+                ASSERT_EQ(touches - touched_before, took ? 1u : 0u)
+                    << "round " << round << " va " << va;
+            }
             if (took) {
                 accepted++;
                 continue;
@@ -257,6 +268,9 @@ checkAdmissionProbe(const MmuConfig &cfg, std::uint64_t seed)
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
     EXPECT_GT(holds_checked, 0u);
+    if (access_hook) {
+        EXPECT_EQ(touches, accepted);
+    }
     if (cfg.prmbSlots > 0) {
         EXPECT_GT(mmu.counts().prmbMerges, 0u);
     }
@@ -288,7 +302,15 @@ TEST(AdmissionProbe, AgreesWithTranslateOnPrefetchingCustomCore)
     checkAdmissionProbe(cfg, 3);
 }
 
-TEST(AdmissionProbe, AlwaysAdmitsForOracleAndUnderAccessHook)
+TEST(AdmissionProbe, AgreesWithTranslateUnderAccessHook)
+{
+    // A refused request touches no page recency, so the probe and the
+    // refusal watch stay exact with the paging engine's hook in place.
+    checkAdmissionProbe(baselineIommuConfig(), 4, true);
+    checkAdmissionProbe(neuMmuConfig(), 5, true);
+}
+
+TEST(AdmissionProbe, AlwaysAdmitsForOracle)
 {
     FrameAllocator node("host", Addr(1) << 40, 8 * GiB);
     PageTable pt(node);
@@ -299,29 +321,19 @@ TEST(AdmissionProbe, AlwaysAdmitsForOracleAndUnderAccessHook)
                smallPageShift);
 
     // No walkers at all: the oracle never needs one.
-    MmuConfig oracle_cfg = oracleMmuConfig();
-    oracle_cfg.numPtws = 0;
-    MmuCore oracle("oracle", eq, pt, oracle_cfg);
+    MmuConfig cfg = oracleMmuConfig();
+    cfg.numPtws = 0;
+    MmuCore oracle("oracle", eq, pt, cfg);
     oracle.setResponseCallback([](const TranslationResponse &) {});
-    for (unsigned i = 0; i < 16; i++)
-        EXPECT_TRUE(oracle.admits(base + Addr(i) * 4096));
-    EXPECT_FALSE(oracle.refusalsHold());
-
-    // Saturate the baseline's 8 walkers: the next miss is refused...
-    MmuCore mmu("mmu", eq, pt, baselineIommuConfig());
-    mmu.setResponseCallback([](const TranslationResponse &) {});
-    mmu.setAdmitWatch([](Addr, unsigned) {});
-    for (unsigned i = 0; i < 8; i++)
-        ASSERT_TRUE(mmu.translate(base + Addr(i) * 4096, i));
-    const Addr next = base + 8 * 4096;
-    EXPECT_FALSE(mmu.admits(next));
-    EXPECT_TRUE(mmu.refusalsHold());
-
-    // ...until an access hook observes every request, rejected or not.
+    oracle.setAdmitWatch([](Addr, unsigned) {});
     unsigned touched = 0;
-    mmu.setAccessHook([&touched](Addr) { touched++; });
-    EXPECT_TRUE(mmu.admits(next));
-    EXPECT_FALSE(mmu.refusalsHold());
-    EXPECT_FALSE(mmu.translate(next, 8));
-    EXPECT_EQ(touched, 1u);
+    oracle.setAccessHook([&touched](Addr) { touched++; });
+    for (unsigned i = 0; i < 16; i++) {
+        const Addr va = base + Addr(i) * 4096;
+        EXPECT_TRUE(oracle.admits(va));
+        EXPECT_TRUE(oracle.translate(va, i));
+    }
+    EXPECT_FALSE(oracle.refusalsHold());
+    // Every oracle request is accepted, so every one touches recency.
+    EXPECT_EQ(touched, 16u);
 }

@@ -369,6 +369,30 @@ class GateEngine : public TranslationEngine
     MmuCounts _counts;
 };
 
+/** GateEngine whose admits() answers separately and which records
+ *  the ids its translate() sees. */
+class ProbeGateEngine : public GateEngine
+{
+  public:
+    bool admitting = false;
+    std::vector<std::uint64_t> translated;
+    unsigned probes = 0;
+
+    bool
+    admits(Addr) override
+    {
+        probes++;
+        return admitting;
+    }
+
+    bool
+    translate(Addr va, std::uint64_t id) override
+    {
+        translated.push_back(id);
+        return GateEngine::translate(va, id);
+    }
+};
+
 } // namespace
 
 TEST(DmaRetryRound, WokenDmasRetryTogetherInWakeOrder)
@@ -455,4 +479,38 @@ TEST(DmaRetryRound, EventScheduledBetweenWakesSplitsTheRound)
     EXPECT_NE(h.log[4].event, h.log[5].event);
     for (unsigned i = 0; i < 3; i++)
         EXPECT_EQ(h.dmas[i]->stallCycles(), 10u);
+}
+
+TEST(DmaRetryRound, RefusedProbeLeavesThePortAsARejectionWould)
+{
+    RetryHarness h;
+    ProbeGateEngine gate;
+    DmaEngine &dma = h.addDma(gate);
+    dma.setTraceHook([&h](Tick t, Addr, std::uint64_t, bool accepted) {
+        h.log.push_back(Attempt{0, t, accepted, 0});
+    });
+    // Two bursts. The first issue at t=0 translates without probing
+    // and is rejected.
+    dma.fetch({VaRun{h.base, 2048}}, [](Tick) {});
+    // Woken at t=10, the retry at t=11 is refused by the probe. Woken
+    // again at t=20 with the gate open, the retry at t=21 goes through.
+    h.eq.schedule(10, [&] { gate.wake(); });
+    h.eq.schedule(20, [&] {
+        gate.open = gate.admitting = true;
+        gate.wake();
+    });
+    h.eq.run();
+
+    // The refused probe made no translate() call but burned id 1.
+    EXPECT_EQ(gate.translated, (std::vector<std::uint64_t>{0, 2, 3}));
+    EXPECT_EQ(gate.probes, 2u);
+    // It was traced as a rejected attempt...
+    ASSERT_EQ(h.log.size(), 4u);
+    EXPECT_EQ(h.log[0], (Attempt{0, 0, false, 0}));
+    EXPECT_EQ(h.log[1], (Attempt{0, 11, false, 0}));
+    EXPECT_EQ(h.log[2], (Attempt{0, 21, true, 0}));
+    EXPECT_EQ(h.log[3], (Attempt{0, 22, true, 0}));
+    // ...and blocked the port from the retry tick: 0 -> 10, 11 -> 20.
+    EXPECT_EQ(dma.stallCycles(), 19u);
+    EXPECT_EQ(dma.translationsIssued(), 2u);
 }
