@@ -425,9 +425,7 @@ MmuCore::refusalsHold() const
     // A refused page not in the TLB stays out of it until a walk on
     // it fills it, and a full PRMB stays full until its walk ends;
     // both are reported. What is left is a PTS miss, which stays
-    // refused while no walker is free. The oracle never refuses; a
-    // refusal touches no page recency, so an access hook changes
-    // nothing here.
+    // refused while no walker is free. The oracle never refuses.
     return _admitWatch && !_cfg.oracle && _freeWalkers.empty();
 }
 

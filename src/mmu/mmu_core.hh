@@ -144,8 +144,8 @@ class MmuCore : public MmuEngine
     /** Reports each page at walk start and at TLB fill. */
     void setAdmitWatch(PageCallback cb) override;
     /**
-     * With a watch installed (access hook or not), a refusal stands
-     * until its page is reported or a walker frees up.
+     * With a watch installed, a refusal stands until its page is
+     * reported or a walker frees up.
      */
     bool refusalsHold() const override;
 

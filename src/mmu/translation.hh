@@ -134,9 +134,7 @@ class TranslationEngine
     /**
      * True when every refusal still stands for pages not reported to
      * the admit watch since: admits(va) then stays false for any va
-     * refused earlier whose page went unreported. Holds with a
-     * paging access hook installed, since a refusal touches no
-     * recency. Default: false.
+     * refused earlier whose page went unreported. Default: false.
      */
     virtual bool refusalsHold() const { return false; }
 

@@ -321,9 +321,9 @@ TEST(AdmissionProbe, AlwaysAdmitsForOracle)
                smallPageShift);
 
     // No walkers at all: the oracle never needs one.
-    MmuConfig cfg = oracleMmuConfig();
-    cfg.numPtws = 0;
-    MmuCore oracle("oracle", eq, pt, cfg);
+    MmuConfig oracle_cfg = oracleMmuConfig();
+    oracle_cfg.numPtws = 0;
+    MmuCore oracle("oracle", eq, pt, oracle_cfg);
     oracle.setResponseCallback([](const TranslationResponse &) {});
     oracle.setAdmitWatch([](Addr, unsigned) {});
     unsigned touched = 0;
