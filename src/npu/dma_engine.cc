@@ -34,8 +34,8 @@ DmaEngine::fetch(std::vector<VaRun> runs, DoneCallback done)
     _runIdx = 0;
     _runOffset = 0;
     _issuedAll = _runs.empty();
-    _inFlight = 0;
     _blocked = false;
+    _landTick = 0;
     _done = std::move(done);
 
     if (_issuedAll) {
@@ -110,7 +110,6 @@ DmaEngine::issueStep(bool probe)
     }
 
     _burstBytesById.insert(id, len);
-    _inFlight++;
     _translations++;
     ++_sTranslationsIssued;
     if (_trace)
@@ -188,17 +187,23 @@ DmaEngine::onTranslation(const TranslationResponse &resp)
         data_at = _mem.access(_eq.now(), resp.pa, len, false);
     }
     _bytes += len;
-    _eq.schedule(data_at, [this] {
-        NEUMMU_ASSERT(_inFlight > 0, "burst completion underflow");
-        _inFlight--;
-        maybeFinish();
-    });
+    // Each landing draws the seq its own completion event would, but
+    // only the fetch's last landing -- the latest tick, and on a tie
+    // the later response -- gets an event: the finish, which thereby
+    // runs exactly where the last per-burst completion would have.
+    const std::uint64_t seq = _eq.reserveSeq();
+    if (data_at >= _landTick) {
+        _landTick = data_at;
+        _landSeq = seq;
+    }
+    if (_issuedAll && _burstBytesById.empty())
+        _eq.scheduleReserved(_landTick, _landSeq, [this] { maybeFinish(); });
 }
 
 void
 DmaEngine::maybeFinish()
 {
-    if (!_active || !_issuedAll || _inFlight != 0)
+    if (!_active || !_issuedAll || !_burstBytesById.empty())
         return;
     _active = false;
     auto done = std::move(_done);

@@ -161,7 +161,12 @@ class DmaEngine
     std::size_t _runIdx = 0;
     std::uint64_t _runOffset = 0;
     bool _issuedAll = false;
-    std::uint64_t _inFlight = 0;
+    /**
+     * Latest landing tick of the fetch's bursts so far, and the seq
+     * reserved for it: where the fetch's finish event runs.
+     */
+    Tick _landTick = 0;
+    std::uint64_t _landSeq = 0;
     bool _blocked = false;
     Tick _blockedSince = 0;
     bool _issueScheduled = false;

@@ -39,8 +39,10 @@ class RetryRound
      * when that round is for now() + 1 and nothing has been
      * scheduled on the queue since the round's event: its own event
      * would then have drawn the next seq for the same tick and run
-     * right after the round's current members. Otherwise the DMA
-     * opens a new round with a new event.
+     * right after the round's current members. A reserveSeq() counts
+     * as scheduled here, since it draws a seq as schedule() does (a
+     * DMA reserves one per landed burst). Otherwise the DMA opens a
+     * new round with a new event.
      * @pre @p dma is in no pending round.
      */
     void join(DmaEngine &dma);

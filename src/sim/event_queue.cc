@@ -47,7 +47,25 @@ void
 EventQueue::schedule(Tick when, Callback cb, int priority)
 {
     NEUMMU_ASSERT(when >= _now, "scheduling into the past");
-    const std::uint64_t seq = _nextSeq++;
+    insert(when, priority, _nextSeq++, std::move(cb));
+}
+
+void
+EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Callback cb)
+{
+    NEUMMU_ASSERT(when >= _now, "scheduling into the past");
+    NEUMMU_ASSERT(seq < _nextSeq, "seq was never reserved");
+    NEUMMU_ASSERT(when > _now || defaultPriority > _lastPriority ||
+                      (defaultPriority == _lastPriority &&
+                       seq > _lastSeq),
+                  "reserved event behind this tick's dispatch");
+    insert(when, defaultPriority, seq, std::move(cb));
+}
+
+void
+EventQueue::insert(Tick when, int priority, std::uint64_t seq,
+                   Callback &&cb)
+{
     if (when - _cursor < nearWindowTicks) {
         appendToBucket(when, priority, seq, std::move(cb));
     } else {
@@ -155,6 +173,8 @@ EventQueue::dispatchOne()
     _pending--;
 
     _now = _cursor;
+    _lastPriority = ev.priority;
+    _lastSeq = ev.seq;
     _executed++;
     ev.cb();
 }

@@ -102,6 +102,24 @@ class EventQueue
      */
     std::uint64_t nextSeq() const { return _nextSeq; }
 
+    /**
+     * Draw the seq the next schedule() call would, without scheduling
+     * anything. scheduleReserved() can later place one event at that
+     * seq, so it runs exactly where an event scheduled now (at the
+     * default priority) would have run. An unused reservation costs
+     * nothing; it only advances nextSeq() as a schedule() would.
+     */
+    std::uint64_t reserveSeq() { return _nextSeq++; }
+
+    /**
+     * Schedule @p cb at @p when, at the default priority, under the
+     * seq @p seq drew from reserveSeq().
+     * @pre when >= now(); at now(), the event orders after the one
+     *      being (or last) dispatched, so it is still ahead of the
+     *      tick's dispatch.
+     */
+    void scheduleReserved(Tick when, std::uint64_t seq, Callback cb);
+
     /** High-water mark of pending events (for simulator stats). */
     std::uint64_t peakDepth() const { return _peakDepth; }
 
@@ -180,6 +198,8 @@ class EventQueue
                   "near window must be a power of two");
 
     Bucket &bucketFor(Tick when) { return _buckets[when & _mask]; }
+    void insert(Tick when, int priority, std::uint64_t seq,
+                Callback &&cb);
     void appendToBucket(Tick when, int priority, std::uint64_t seq,
                         Callback &&cb);
     void migrateFarIntoWindow();
@@ -226,6 +246,10 @@ class EventQueue
     std::uint64_t _executed = 0;
     std::uint64_t _peakDepth = 0;
     std::uint64_t _sameTickShortcuts = 0;
+    /** (priority, seq) of the last dispatched event, which bounds
+     *  where a reserved event may still land at now(). */
+    int _lastPriority = std::numeric_limits<int>::min();
+    std::uint64_t _lastSeq = 0;
 
     std::unique_ptr<SimProfiler> _prof;
 };

@@ -3,8 +3,9 @@
  * Unit tests for the discrete-event simulation kernel: basic
  * ordering, the run(limit) inclusive-boundary contract, calendar-
  * queue structural paths (bucket wrap, far-horizon overflow, far->
- * ring migration ordering, mid-dispatch priority preemption), and a
- * randomized cross-check against a reference priority-queue model.
+ * ring migration ordering, mid-dispatch priority preemption), seq
+ * reservations, and a randomized cross-check against a reference
+ * priority-queue model.
  */
 
 #include <gtest/gtest.h>
@@ -287,6 +288,84 @@ TEST(EventQueue, MidDispatchLowerPriorityPreemptsPendingSameTick)
     EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 4}));
 }
 
+TEST(EventQueue, ReservedEventRunsWhereItsReservationWould)
+{
+    // Ring: the reserved event lands in a bucket that already holds
+    // later seqs, and still runs first, as an event scheduled at
+    // reservation time would have.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t seq = eq.reserveSeq();
+    EXPECT_EQ(eq.nextSeq(), seq + 1);
+    eq.schedule(10, [&] { order.push_back(1); });
+    eq.schedule(5, [&] {
+        eq.schedule(10, [&] { order.push_back(2); });
+        eq.scheduleReserved(10, seq, [&] { order.push_back(0); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.eventsExecuted(), 4u);
+}
+
+TEST(EventQueue, ReservedEventKeepsItsPlaceAcrossTheFarHeap)
+{
+    const Tick target = 3 * EventQueue::nearWindowTicks;
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t early = eq.reserveSeq();
+    const std::uint64_t late = eq.reserveSeq();
+    eq.schedule(target, [&] { order.push_back(2); }); // far
+    // Reserved straight into the far heap, behind a newer far event.
+    eq.scheduleReserved(target, early, [&] { order.push_back(0); });
+    eq.schedule(target - 1, [&] {
+        // The window now covers `target`: the far events migrated
+        // into its bucket, and these append to the ring.
+        eq.schedule(target, [&] { order.push_back(3); });
+        eq.scheduleReserved(target, late, [&] { order.push_back(1); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedEventAtNowAheadOfDispatchRuns)
+{
+    // Reserved by the event being dispatched and scheduled for its
+    // own tick: it is still ahead of dispatch, so it runs this tick,
+    // before the tick's later seqs.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(7, [&] {
+        const std::uint64_t seq = eq.reserveSeq();
+        eq.schedule(7, [&] { order.push_back(2); });
+        eq.scheduleReserved(7, seq, [&] { order.push_back(1); });
+        order.push_back(0);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.now(), 7u);
+}
+
+TEST(EventQueueDeath, ReservedEventBehindThisTicksDispatchPanics)
+{
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(10, [] {});
+    eq.run();
+    // The seq is older than the event that already ran at tick 10.
+    EXPECT_DEATH(eq.scheduleReserved(10, seq, [] {}),
+                 "reserved event behind this tick's dispatch");
+    // Any later tick is still ahead of dispatch.
+    eq.scheduleReserved(11, seq, [] {});
+    EXPECT_EQ(eq.size(), 1u);
+}
+
+TEST(EventQueueDeath, SchedulingAnUnreservedSeqPanics)
+{
+    EventQueue eq;
+    EXPECT_DEATH(eq.scheduleReserved(10, eq.nextSeq(), [] {}),
+                 "seq was never reserved");
+}
+
 TEST(EventQueue, TracksPendingCountAndPeakDepth)
 {
     EventQueue eq;
@@ -323,6 +402,15 @@ class ReferenceQueue
     {
         ASSERT_GE(when, _now);
         _events.push(Event{when, priority, _nextSeq++, std::move(cb)});
+    }
+
+    std::uint64_t reserveSeq() { return _nextSeq++; }
+
+    void
+    scheduleReserved(Tick when, std::uint64_t seq, Callback cb)
+    {
+        ASSERT_GE(when, _now);
+        _events.push(Event{when, 0, seq, std::move(cb)});
     }
 
     void
@@ -365,7 +453,10 @@ class ReferenceQueue
  * Drive @p queue through a deterministic pseudo-random workload:
  * seed events whose callbacks keep scheduling follow-ups (same-tick,
  * near, and far deltas, random priorities) until a budget runs out.
- * Returns the (id, tick) execution sequence.
+ * Callbacks also reserve seqs for a later tick and fill them from
+ * later callbacks, out of order, while that tick is still ahead;
+ * some reservations go unused. Returns the (id, tick) execution
+ * sequence.
  */
 template <typename Queue>
 std::vector<std::pair<int, Tick>>
@@ -388,8 +479,31 @@ runRandomWorkload(unsigned seed)
         return int(rng() % 5) - 2;
     };
 
+    struct Reservation
+    {
+        std::uint64_t seq;
+        Tick when;
+    };
+    std::vector<Reservation> reserved;
+
     std::function<void(int)> body = [&](int id) {
         order.push_back({id, q.now()});
+        // Fill a random reservation whose tick is still ahead; one
+        // whose tick has come stays unused.
+        if (!reserved.empty() && budget > 0) {
+            const std::size_t pick = rng() % reserved.size();
+            const Reservation r = reserved[pick];
+            reserved.erase(reserved.begin() + std::ptrdiff_t(pick));
+            if (r.when > q.now()) {
+                budget--;
+                const int child = next_id++;
+                q.scheduleReserved(r.when, r.seq,
+                                   [&body, child] { body(child); });
+            }
+        }
+        if (rng() % 3 == 0)
+            reserved.push_back(
+                {q.reserveSeq(), q.now() + 1 + rand_delta()});
         const unsigned follow_ups = rng() % 3;
         for (unsigned i = 0; i < follow_ups && budget > 0; i++) {
             budget--;

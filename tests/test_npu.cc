@@ -56,6 +56,41 @@ TEST(ComputeModel, SystolicBeatsSpatialOnLargeGemm)
 
 namespace {
 
+/** Translation port that accepts everything and responds only when
+ *  the test calls respond(). */
+class CueEngine : public TranslationEngine
+{
+  public:
+    std::vector<std::uint64_t> ids;
+
+    bool
+    translate(Addr, std::uint64_t id) override
+    {
+        ids.push_back(id);
+        return true;
+    }
+    void
+    setResponseCallback(ResponseCallback cb) override
+    {
+        _respond = std::move(cb);
+    }
+    void setWakeCallback(WakeCallback) override {}
+    const MmuCounts &counts() const override { return _counts; }
+
+    void
+    respond(std::uint64_t id, Addr pa)
+    {
+        TranslationResponse resp;
+        resp.id = id;
+        resp.pa = pa;
+        _respond(resp);
+    }
+
+  private:
+    ResponseCallback _respond;
+    MmuCounts _counts;
+};
+
 /** Fixture: DMA engine + MMU + memory over a mapped arena. */
 class DmaTest : public ::testing::Test
 {
@@ -84,6 +119,21 @@ class DmaTest : public ::testing::Test
                                           dma_cfg, *retry);
     }
 
+    /**
+     * Build the DMA over @p port instead of an MmuCore: the test
+     * drives translation responses itself.
+     */
+    void
+    buildOn(TranslationEngine &port)
+    {
+        eq = std::make_unique<EventQueue>();
+        mem = std::make_unique<MemoryModel>("mem", MemoryConfig{});
+        retry = std::make_unique<RetryRound>(*eq);
+        dma = std::make_unique<DmaEngine>("dma", *eq, port, *mem,
+                                          DmaConfig{}, *retry);
+        base = Addr(0x70) << 30;
+    }
+
     Tick
     fetchAll(std::vector<VaRun> runs)
     {
@@ -103,6 +153,11 @@ class DmaTest : public ::testing::Test
     std::unique_ptr<RetryRound> retry;
     std::unique_ptr<DmaEngine> dma;
     Addr base = 0;
+
+    /** A 1 KB burst at these reads channels 0-3 or channels 4-7 of
+     *  the default memory (eight channels, 256-byte interleave). */
+    static constexpr Addr lowChannelsPa = Addr(1) << 20;
+    static constexpr Addr highChannelsPa = (Addr(2) << 20) + 1024;
 };
 
 } // namespace
@@ -187,6 +242,78 @@ TEST_F(DmaTest, SmallBurstsRaiseMoreTranslations)
     build(oracleMmuConfig(), 4096, 256);
     fetchAll({VaRun{base, 64 * KiB}});
     EXPECT_EQ(dma->translationsIssued(), 256u);
+}
+
+TEST_F(DmaTest, FetchFinishesAtTheLatestLandingInItsOrder)
+{
+    // Two 1 KB bursts. The first one's response (tick 10) reads from
+    // channels 0-3, which a preload keeps busy; the second one's
+    // (tick 20) reads from idle channels 4-7. So the earlier response
+    // lands last, and the fetch must finish at that landing -- and
+    // at its place among the landing tick's events: after events
+    // scheduled for that tick before the response, before events
+    // scheduled after it.
+    CueEngine port;
+    buildOn(port);
+    MemoryModel ref("ref", MemoryConfig{});
+    for (int i = 0; i < 100; i++) {
+        mem->access(0, lowChannelsPa, 1024, false);
+        ref.access(0, lowChannelsPa, 1024, false);
+    }
+    const Tick first_lands = ref.access(10, lowChannelsPa, 1024, false);
+    const Tick second_lands = ref.access(20, highChannelsPa, 1024, false);
+    ASSERT_GT(first_lands, second_lands);
+
+    std::vector<std::string> order;
+    Tick done_at = 0;
+    dma->fetch({VaRun{base, 2 * KiB}}, [&](Tick at) {
+        done_at = at;
+        order.push_back("done");
+    });
+    eq->schedule(first_lands, [&] { order.push_back("before"); });
+    eq->schedule(10, [&] { port.respond(0, lowChannelsPa); });
+    eq->schedule(10, [&] {
+        eq->schedule(first_lands, [&] { order.push_back("after"); });
+    });
+    eq->schedule(20, [&] { port.respond(1, highChannelsPa); });
+    eq->run();
+
+    EXPECT_EQ(port.ids, (std::vector<std::uint64_t>{0, 1}));
+    EXPECT_EQ(done_at, first_lands);
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"before", "done", "after"}));
+    EXPECT_FALSE(dma->busy());
+    EXPECT_EQ(dma->bytesFetched(), 2 * KiB);
+}
+
+TEST_F(DmaTest, FetchFinishTieGoesToTheLaterResponse)
+{
+    // Both responses at tick 10, to disjoint idle channels: the two
+    // bursts land on one tick, and the fetch finishes in the later
+    // response's place, after an event scheduled between the two.
+    CueEngine port;
+    buildOn(port);
+    MemoryModel ref("ref", MemoryConfig{});
+    const Tick lands = ref.access(10, lowChannelsPa, 1024, false);
+    ASSERT_EQ(ref.access(10, highChannelsPa, 1024, false), lands);
+
+    std::vector<std::string> order;
+    Tick done_at = 0;
+    dma->fetch({VaRun{base, 2 * KiB}}, [&](Tick at) {
+        done_at = at;
+        order.push_back("done");
+    });
+    eq->schedule(10, [&] {
+        port.respond(0, lowChannelsPa);
+        eq->schedule(lands, [&] { order.push_back("between"); });
+        port.respond(1, highChannelsPa);
+        eq->schedule(lands, [&] { order.push_back("after"); });
+    });
+    eq->run();
+
+    EXPECT_EQ(done_at, lands);
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"between", "done", "after"}));
 }
 
 namespace {
