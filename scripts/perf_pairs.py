@@ -2,22 +2,23 @@
 """Compare two checkouts with alternating perfbench runs.
 
 Usage: perf_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs N]
-                     [--seed S] [--seconds X] [--trace 0|1]
+                     [--seed S]
 
-Runs `python3 perfbench/run.py --workload W --seed S --seconds X
---trace T` in PARENT_DIR and in CHANGE_DIR, N times each, alternating
-which side goes first from pair to pair so that drift in the machine
-load hits both sides alike. Only the last line of each run's standard
-output (the result JSON) is read. Each checkout builds its own runner
-on its first run.
+Runs `python3 perfbench/run.py --workload W --seed S` in PARENT_DIR
+and in CHANGE_DIR, N times each, alternating which side goes first
+from pair to pair so that drift in the machine load hits both sides
+alike. Each run lasts the benchmark's own `run_seconds` and records
+no trace. Only the last line of each run's standard output (the
+result JSON) is read. Each checkout builds its own runner on its
+first run.
 
-For every metric of the result it prints each side's median and
-quartiles, the change's relative move of the median, how many pairs
-the change won, and whether the pairs-rule holds: the change is
-better on at least 9 of every 10 pairs (and there are at least 10
-pairs), and its median is better than the parent's by more than the
-parent's interquartile range. Which direction is better comes from
-CHANGE_DIR/BENCHMARK.json.
+For every end-to-end metric of the result it prints each side's
+median and quartiles, the change's relative move of the median, how
+many pairs the change won, and whether the pairs-rule holds: the
+change is better on at least 9 of every 10 pairs (and there are at
+least 10 pairs), and its median is better than the parent's by more
+than the parent's interquartile range. Which direction is better
+comes from CHANGE_DIR/BENCHMARK.json.
 
     python3 scripts/perf_pairs.py /tmp/parent . --workload dense_grid \\
         --pairs 10 --seed 1
@@ -41,8 +42,7 @@ WIN_SHARE = 0.9
 
 def run_once(checkout, args):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", "%g" % args.seconds, "--trace", str(args.trace)]
+           "--workload", args.workload, "--seed", str(args.seed)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -64,11 +64,10 @@ def quartiles(values):
     return q1, q3
 
 
-def directions(change_dir, trace):
+def directions(change_dir):
     with open(os.path.join(change_dir, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    spec = bench["per_layer" if trace else "end_to_end"]
-    return {m["name"]: m["better"] == "higher" for m in spec}
+    return {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
 
 
 def verdict(parent, change, higher):
@@ -94,13 +93,11 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    higher = directions(args.change_dir, args.trace)
+    higher = directions(args.change_dir)
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -111,8 +108,7 @@ def main():
         print("pair %d/%d done (%s first)" % (i + 1, args.pairs, order[0]),
               file=sys.stderr, flush=True)
 
-    print("%s seed=%d seconds=%g trace=%d pairs=%d" %
-          (args.workload, args.seed, args.seconds, args.trace, args.pairs))
+    print("%s seed=%d pairs=%d" % (args.workload, args.seed, args.pairs))
     rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]",
              "move", "wins", "rule")]
     for name in runs["parent"][0]:
@@ -128,12 +124,10 @@ def main():
             sides_text.append("%s [%s, %s]" % (fmt(med), fmt(q1), fmt(q3)))
         if parent == change:
             wins_text, rule = "-", "identical"
-        elif name in higher:
+        else:
             wins, holds = verdict(parent, change, higher[name])
             wins_text = "%d/%d" % (wins, args.pairs)
             rule = "holds" if holds else "fails"
-        else:
-            wins_text, rule = "-", "no direction in BENCHMARK.json"
         rows.append((name, sides_text[0], sides_text[1], move, wins_text,
                      rule))
     widths = [max(len(row[i]) for row in rows) for i in range(5)]

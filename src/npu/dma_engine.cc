@@ -40,7 +40,7 @@ DmaEngine::fetch(std::vector<VaRun> runs, DoneCallback done)
 
     if (_issuedAll) {
         // Degenerate empty fetch: complete immediately.
-        _eq.scheduleIn(0, [this] { maybeFinish(); });
+        _eq.scheduleIn(0, [this] { finish(); });
         return;
     }
     _issueScheduled = true;
@@ -197,14 +197,14 @@ DmaEngine::onTranslation(const TranslationResponse &resp)
         _landSeq = seq;
     }
     if (_issuedAll && _burstBytesById.empty())
-        _eq.scheduleReserved(_landTick, _landSeq, [this] { maybeFinish(); });
+        _eq.scheduleReserved(_landTick, _landSeq, [this] { finish(); });
 }
 
 void
-DmaEngine::maybeFinish()
+DmaEngine::finish()
 {
-    if (!_active || !_issuedAll || !_burstBytesById.empty())
-        return;
+    NEUMMU_ASSERT(_active && _issuedAll && _burstBytesById.empty(),
+                  "DMA fetch finished with bursts outstanding");
     _active = false;
     auto done = std::move(_done);
     _done = nullptr;

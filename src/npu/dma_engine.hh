@@ -146,7 +146,7 @@ class DmaEngine
     void onWake();
     bool currentBurst(Addr &va, std::uint64_t &len) const;
     void advance(std::uint64_t len);
-    void maybeFinish();
+    void finish();
 
     std::string _name;
     EventQueue &_eq;
