@@ -76,6 +76,42 @@ struct MmuCounts
     std::uint64_t squashedWalks = 0;
 };
 
+class RetryRound;
+
+/**
+ * A client that retries its one blocked request a cycle after each
+ * wake, from the queue's RetryRound (a DMA engine). A port that takes
+ * its declaration (declareDeferredRetry()) runs those retries itself:
+ * at the round it probes admits() with the refused VA and calls
+ * exactly one of retryAdmitted() and retryRefused(). Either call
+ * first charges the wait up to @p woken, the tick of the wake.
+ */
+class DeferredRetryClient
+{
+  public:
+    /** Blocked with no retry scheduled: the state of every client
+     *  its port holds on the waiting list. */
+    virtual bool awaitingWake() const = 0;
+
+    /** The port admits the retry: issue it now. */
+    virtual void retryAdmitted(Tick woken) = 0;
+
+    /**
+     * The engine refused the retry: record the refused attempt as a
+     * rejected translate() would and stay blocked from now.
+     */
+    virtual void retryRefused(Tick woken) = 0;
+
+    /**
+     * Charge the wait up to @p woken now, for a run that stops before
+     * the round: the round's own charge then adds nothing.
+     */
+    virtual void chargeWait(Tick woken) = 0;
+
+  protected:
+    ~DeferredRetryClient() = default;
+};
+
 /**
  * Abstract address-translation service as seen from the DMA engine.
  */
@@ -122,6 +158,19 @@ class TranslationEngine
      * proves the refusal still holds. Default: no-op.
      */
     virtual void declareWakeRetry() {}
+
+    /**
+     * Declare @p client a deferred-retry client that retries from
+     * @p round. A port that runs such retries itself (a router port)
+     * then joins @p round at each wake in place of calling the wake
+     * callback. Engines that wake their client directly ignore it.
+     */
+    virtual void
+    declareDeferredRetry(DeferredRetryClient &client, RetryRound &round)
+    {
+        (void)client;
+        (void)round;
+    }
 
     /**
      * Refusal watch: from now on, report through @p cb every page

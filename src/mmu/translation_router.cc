@@ -4,14 +4,17 @@
 
 #include "common/logging.hh"
 #include "sim/event_queue.hh"
+#include "sim/retry_round.hh"
 
 namespace neummu {
 
 /**
  * One client-facing port. Tags request ids with the client index in
- * the top byte; the router strips the tag on the way back.
+ * the top byte; the router strips the tag on the way back. For a
+ * deferred-retry client it is the RetryRound member that retries.
  */
-class TranslationRouter::Port : public TranslationEngine
+class TranslationRouter::Port final : public TranslationEngine,
+                                private RetryMember
 {
   public:
     Port(TranslationRouter &router, unsigned client,
@@ -32,9 +35,19 @@ class TranslationRouter::Port : public TranslationEngine
         return _router.tryTranslate(_client, va, id);
     }
 
-    bool admits(Addr va) override { return _router.probe(_client, va); }
+    bool admits(Addr va) override { return _router.probe(*this, va); }
 
     void declareWakeRetry() override { _router.watchWakeRetries(*this); }
+
+    void
+    declareDeferredRetry(DeferredRetryClient &client,
+                         RetryRound &round) override
+    {
+        NEUMMU_ASSERT(!_router._eq || _router._eq == &round.eventQueue(),
+                      "retry round belongs to another event queue");
+        _deferred = &client;
+        _round = &round;
+    }
 
     void
     setResponseCallback(ResponseCallback cb) override
@@ -62,24 +75,33 @@ class TranslationRouter::Port : public TranslationEngine
   private:
     friend class TranslationRouter;
 
+    void retry() override { _router.retryDeferred(*this); }
+
+    // What a wake and a retry round read comes first, so that each
+    // port they visit costs as few cache lines as possible.
     TranslationRouter &_router;
     unsigned _client;
-    ResponseCallback _respond;
-    WakeCallback _wake;
-    MmuCounts _counts;
-    std::uint64_t _inflight = 0;
-    std::uint64_t _maxInflight = 0;
-    std::uint64_t _capRejections = 0;
     /** A cap rejection is pending a below-cap retry wake. */
     bool _capBlocked = false;
     /** Rejected (by the engine or the cap) and not woken since. */
     bool _waiting = false;
     /** The client retries inside its wake (declareWakeRetry()). */
     bool _retriesInWake = false;
-    /** VA of the last engine rejection or refused probe... */
-    Addr _refusedVa = invalidAddr;
-    /** ...and whether the engine reported its page since. */
+    /** Whether the engine reported the page of _refusedVa since. */
     bool _refusedPageReported = false;
+    std::uint64_t _inflight = 0;
+    /** VA of the last rejection or refused probe. */
+    Addr _refusedVa = invalidAddr;
+    /** The deferred-retry client, and the round it retries from. */
+    DeferredRetryClient *_deferred = nullptr;
+    RetryRound *_round = nullptr;
+    /** Tick of the wake that put the port in its pending round. */
+    Tick _wokenAt = 0;
+    ResponseCallback _respond;
+    WakeCallback _wake;
+    MmuCounts _counts;
+    std::uint64_t _maxInflight = 0;
+    std::uint64_t _capRejections = 0;
     stats::Group _stats;
     // Scalar handles resolved once; the translate/response hot path
     // must not pay per-call map lookups.
@@ -193,7 +215,7 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
         port._capRejections++;
         port._counts.blockedIssues++;
         port._capBlocked = true;
-        markWaiting(port);
+        refuse(port, va);
         ++port._sCapRejections;
         ++port._sBlockedIssues;
         return false;
@@ -212,9 +234,8 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
 }
 
 bool
-TranslationRouter::probe(unsigned client, Addr va)
+TranslationRouter::probe(Port &port, Addr va)
 {
-    Port &port = *_ports[client];
     // A capped port must go through translate(): the cap rejection's
     // bookkeeping arms its below-cap wake.
     if (_policy == RouterPolicy::Partitioned &&
@@ -281,14 +302,55 @@ TranslationRouter::wake(Port &port)
     // Off the list before the call: a retry the wake makes
     // synchronously (a hub bridge replaying its queue) may be
     // rejected again and put it back.
-    if (port._waiting) {
+    const bool waiting = port._waiting;
+    if (waiting) {
         port._waiting = false;
         const auto it = std::find(_waiting.begin(), _waiting.end(), &port);
         if (it != _waiting.end())
             _waiting.erase(it);
     }
-    if (port._wake)
+    if (port._deferred) {
+        // A deferred port off the list was woken since: its retry is
+        // already in a round.
+        if (waiting)
+            defer(port);
+    } else if (port._wake) {
         port._wake();
+    }
+}
+
+void
+TranslationRouter::defer(Port &port)
+{
+    port._wokenAt = port._round->eventQueue().now();
+    port._round->join(port);
+}
+
+void
+TranslationRouter::retryDeferred(Port &port)
+{
+    NEUMMU_PROF_SCOPE(_eq ? _eq->profiler() : nullptr,
+                      ProfSubsystem::Router);
+    // Only the port retries for its client, so from the wake to here
+    // the client stays blocked with no retry of its own. Checked here
+    // rather than at the wake: the round reads the client anyway.
+    NEUMMU_ASSERT(port._deferred->awaitingWake(),
+                  "deferred port's client is not blocked on a wake");
+    // A refusal puts the port straight back on the waiting list
+    // (probe()) and leaves its client as a rejected retry would.
+    if (probe(port, port._refusedVa))
+        port._deferred->retryAdmitted(port._wokenAt);
+    else
+        port._deferred->retryRefused(port._wokenAt);
+}
+
+void
+TranslationRouter::chargePendingWaits()
+{
+    for (const auto &port : _ports) {
+        if (port->_deferred && port->inRetryRound())
+            port->_deferred->chargeWait(port->_wokenAt);
+    }
 }
 
 bool
@@ -309,12 +371,13 @@ TranslationRouter::onWake()
                       ProfSubsystem::Router);
     // Capacity freed in the shared engine: wake the clients waiting
     // on a rejection. A client that was never rejected, or was woken
-    // since, has nothing to retry (a DMA returns unless blocked, a
-    // hub bridge with an empty retry queue does nothing), so it is
-    // not on the list. Clients with the deepest backlog re-arbitrate
-    // first, ties by client index, approximating the FIFO request
-    // queue of a real IOMMU front end -- this is what lets a bursty
-    // accelerator starve a quiet one under the Shared policy.
+    // since, has nothing to retry (a DMA's retry is already in a
+    // round, a hub bridge with an empty retry queue does nothing), so
+    // it is not on the list. Clients with the deepest backlog
+    // re-arbitrate first, ties by client index, approximating the
+    // FIFO request queue of a real IOMMU front end -- this is what
+    // lets a bursty accelerator starve a quiet one under the Shared
+    // policy.
     //
     // The order is fixed when the wake starts: the wake sorts the
     // whole list and takes it, and each client is tested when its
@@ -322,7 +385,9 @@ TranslationRouter::onWake()
     // client whose retry the engine would refuse again is put back
     // without the call, which would change nothing but rejection
     // counters; a called client goes back only if it is rejected
-    // again.
+    // again. A deferred-retry client (a DMA) is not called at all:
+    // its port joins the queue's RetryRound and retries for it a
+    // cycle later (retryDeferred()).
     //
     // Insertion sort in place: clients rejoin the list mostly in the
     // order the last wake called them, so it is nearly sorted, and
@@ -342,6 +407,8 @@ TranslationRouter::onWake()
         port->_waiting = false;
         if (refusalHolds(*port))
             markWaiting(*port);
+        else if (port->_deferred)
+            defer(*port);
         else if (port->_wake)
             port->_wake();
     }

@@ -87,12 +87,20 @@ class TranslationRouter
     /** Per-client statistics group ("<name>.client<i>"). */
     stats::Group &clientStats(unsigned client);
 
+    /**
+     * Charge each deferred-retry client whose port is in a pending
+     * RetryRound its wait up to the wake, as the wake itself once
+     * did. Call where a run stops (System::run), so a wake on the
+     * last tick is counted before the stats are read.
+     */
+    void chargePendingWaits();
+
   private:
     class Port;
 
     bool tryTranslate(unsigned client, Addr va, std::uint64_t id);
     /** Port::admits(): a refusal leaves the port waiting. */
-    bool probe(unsigned client, Addr va);
+    bool probe(Port &port, Addr va);
     /** Port::declareWakeRetry(): starts the engine's admit watch. */
     void watchWakeRetries(Port &port);
     void onResponse(const TranslationResponse &resp);
@@ -106,8 +114,17 @@ class TranslationRouter
     void markWaiting(Port &port);
     /** Wake order: in-flight count descending, then client index. */
     static bool wakesBefore(const Port *a, const Port *b);
-    /** Take @p port off the waiting list and call its wake. */
+    /** Take @p port off the waiting list and wake it: defer() a
+     *  deferred-retry port, call any other port's wake callback. */
     void wake(Port &port);
+    /** Wake deferred-retry @p port: join its RetryRound. */
+    void defer(Port &port);
+    /**
+     * @p port's round: probe the engine with the refused VA, then
+     * hand the client its retry, or its refusal with the port back on
+     * the waiting list. Timed under ProfSubsystem::Router.
+     */
+    void retryDeferred(Port &port);
     /** Calling @p port's wake now would only be refused again. */
     bool refusalHolds(const Port &port) const;
 

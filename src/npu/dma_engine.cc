@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "common/units.hh"
-#include "npu/retry_round.hh"
 #include "trace/trace_engine.hh"
 
 namespace neummu {
@@ -12,17 +11,18 @@ namespace neummu {
 DmaEngine::DmaEngine(std::string name, EventQueue &eq,
                      TranslationEngine &mmu, MemoryModel &mem,
                      DmaConfig cfg, RetryRound &retry)
-    : _name(std::move(name)), _eq(eq), _mmu(mmu), _mem(mem), _cfg(cfg),
+    : _eq(eq), _name(std::move(name)), _mmu(mmu), _mem(mem), _cfg(cfg),
       _retry(retry), _burstBytesById(2 * cfg.inflightHint), _stats(_name),
-      _sTranslationsIssued(_stats.scalar("translationsIssued")),
-      _sStallCycles(_stats.scalar("stallCycles"))
+      _sTranslationsIssued(_stats.scalar("translationsIssued"))
 {
+    _sStallCycles = &_stats.scalar("stallCycles");
     NEUMMU_ASSERT(cfg.burstBytes > 0, "zero DMA burst size");
     NEUMMU_ASSERT(&retry.eventQueue() == &eq,
                   "retry round belongs to another event queue");
     _mmu.setResponseCallback(
         [this](const TranslationResponse &resp) { onTranslation(resp); });
     _mmu.setWakeCallback([this] { onWake(); });
+    _mmu.declareDeferredRetry(*this, retry);
 }
 
 void
@@ -146,22 +146,58 @@ DmaEngine::retry()
 void
 DmaEngine::onWake()
 {
+    // An engine wakes its one client whenever it frees capacity, so
+    // a port that is not blocked, or already retrying, ignores it.
     if (!_blocked || _issueScheduled)
         return;
+    chargeWait(_eq.now());
     _blocked = false;
-    _stallCycles += _eq.now() - _blockedSince;
-    _sStallCycles += double(_eq.now() - _blockedSince);
-    // The rejected attempts burned ids, so the wait can't be pinned on
-    // the id that eventually succeeds; charge it to the port's
-    // credit-wait sentinel key instead.
-    if (_trace && _eq.now() > _blockedSince)
-        _trace->span(trace::creditWaitKey(_traceKeyBase),
-                     trace::Stage::CreditWait, _blockedSince, _eq.now());
     // Retry next cycle from the queue's shared round: the DMAs one
     // wake fans out to retry from one event, in wake order (see
     // RetryRound::join for when a DMA joins instead of opening one).
     _issueScheduled = true;
     _retry.join(*this);
+}
+
+void
+DmaEngine::chargeWait(Tick until)
+{
+    _stallCycles += until - _blockedSince;
+    *_sStallCycles += double(until - _blockedSince);
+    // The rejected attempts burned ids, so the wait can't be pinned on
+    // the id that eventually succeeds; charge it to the port's
+    // credit-wait sentinel key instead.
+    if (_trace && until > _blockedSince)
+        _trace->span(trace::creditWaitKey(_traceKeyBase),
+                     trace::Stage::CreditWait, _blockedSince, until);
+    _blockedSince = until;
+}
+
+void
+DmaEngine::retryAdmitted(Tick woken)
+{
+    chargeWait(woken);
+    _blocked = false;
+    // The port has probed already: translate unprobed.
+    _issueScheduled = true;
+    if (issueStep(false))
+        _eq.scheduleIn(1, [this] { issueLoop(); });
+}
+
+void
+DmaEngine::retryRefused(Tick woken)
+{
+    // What issueStep(true) does on a refused probe: burn the id,
+    // trace the attempt, and block from now.
+    chargeWait(woken);
+    _nextId++;
+    if (_traceHook) {
+        Addr va = 0;
+        std::uint64_t len = 0;
+        currentBurst(va, len);
+        _traceHook(_eq.now(), va, len, false);
+    }
+    _blockedSince = _eq.now();
 }
 
 void

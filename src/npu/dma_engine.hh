@@ -23,14 +23,13 @@
 #include "mmu/translation.hh"
 #include "npu/tile.hh"
 #include "sim/event_queue.hh"
+#include "sim/retry_round.hh"
 
 namespace neummu {
 
 namespace trace {
 class TraceBuffer;
 }
-
-class RetryRound;
 
 /** DMA engine configuration. */
 struct DmaConfig
@@ -50,8 +49,11 @@ struct DmaConfig
 
 /**
  * Fetches one tile at a time; the tile pipeline serializes fetches.
+ * Behind a router port it is a deferred-retry client: the port runs
+ * its retries (see DeferredRetryClient). Bound straight to an engine,
+ * it joins the RetryRound itself on each wake.
  */
-class DmaEngine
+class DmaEngine final : private DeferredRetryClient, private RetryMember
 {
   public:
     using DoneCallback = std::function<void(Tick)>;
@@ -66,7 +68,7 @@ class DmaEngine
         std::function<void(Tick, Addr, std::uint64_t, bool)>;
 
     /**
-     * @param retry The retry round shared by every DMA engine on
+     * @param retry The retry round shared by every retry member on
      *        @p eq; woken engines retry from its events.
      */
     DmaEngine(std::string name, EventQueue &eq, TranslationEngine &mmu,
@@ -119,18 +121,17 @@ class DmaEngine
     }
 
   private:
-    friend class RetryRound;
-
     /**
      * The issue loop: issueStep() now, and again next cycle (its own
      * event) while it asks. Started by fetch().
      */
     void issueLoop();
     /**
-     * The RetryRound's entry after a wake: the issue loop, with the
-     * first attempt probing admits() before it translates.
+     * The RetryRound's entry after onWake() (a DMA bound straight to
+     * its engine): the issue loop, with the first attempt probing
+     * admits() before it translates.
      */
-    void retry();
+    void retry() override;
     /**
      * Attempt one burst's translation, first probing admits() when
      * @p probe. Returns true while the issue loop should keep running
@@ -144,12 +145,39 @@ class DmaEngine
      * the RetryRound to retry at now() + 1; otherwise a no-op.
      */
     void onWake();
+
+    // DeferredRetryClient: the router port's calls.
+    bool
+    awaitingWake() const override
+    {
+        return _blocked && !_issueScheduled;
+    }
+    void retryAdmitted(Tick woken) override;
+    void retryRefused(Tick woken) override;
+    /** Charge the stall since _blockedSince up to @p until, and its
+     *  CreditWait span; the port stays blocked from @p until. */
+    void chargeWait(Tick until) override;
+
     bool currentBurst(Addr &va, std::uint64_t &len) const;
     void advance(std::uint64_t len);
     void finish();
 
-    std::string _name;
+    // What a refused retry touches comes first: under a shared IOMMU
+    // most rounds refuse most of their DMAs.
     EventQueue &_eq;
+    bool _blocked = false;
+    bool _issueScheduled = false;
+    Tick _blockedSince = 0;
+    std::uint64_t _nextId = 0;
+    std::uint64_t _stallCycles = 0;
+    trace::TraceBuffer *_trace = nullptr;
+    TraceHook _traceHook;
+    /** Cached counters (here and after _stats): the issue loop runs
+     *  every cycle, so no per-call string-keyed stats lookups on the
+     *  hot path. A pointer, as _stats is built after it. */
+    stats::Scalar *_sStallCycles = nullptr;
+
+    std::string _name;
     TranslationEngine &_mmu;
     MemoryModel &_mem;
     DmaConfig _cfg;
@@ -167,28 +195,16 @@ class DmaEngine
      */
     Tick _landTick = 0;
     std::uint64_t _landSeq = 0;
-    bool _blocked = false;
-    Tick _blockedSince = 0;
-    bool _issueScheduled = false;
-    /** Next member of this engine's pending RetryRound, if any. */
-    DmaEngine *_nextRetry = nullptr;
     DoneCallback _done;
     /** Outstanding translation id -> burst length (pooled slots). */
     FlatMap64<std::uint64_t> _burstBytesById;
-    std::uint64_t _nextId = 0;
 
     IssueHook _hook;
-    TraceHook _traceHook;
-    trace::TraceBuffer *_trace = nullptr;
     std::uint64_t _traceKeyBase = 0;
     std::uint64_t _translations = 0;
     std::uint64_t _bytes = 0;
-    std::uint64_t _stallCycles = 0;
     stats::Group _stats;
-    /** Cached counters: the issue loop runs every cycle, so no
-     *  per-call string-keyed stats lookups on the hot path. */
     stats::Scalar &_sTranslationsIssued;
-    stats::Scalar &_sStallCycles;
 };
 
 } // namespace neummu

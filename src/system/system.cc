@@ -273,6 +273,15 @@ System::crossDomainMessages() const
     return n;
 }
 
+Tick
+System::run(Tick limit)
+{
+    const Tick end = _eq.run(limit);
+    if (_router)
+        _router->chargePendingWaits();
+    return end;
+}
+
 bool
 System::isHubResident(unsigned npu) const
 {

@@ -35,10 +35,10 @@
 #include "mmu/translation_router.hh"
 #include "npu/dma_engine.hh"
 #include "npu/npu_config.hh"
-#include "npu/retry_round.hh"
 #include "npu/tile_pipeline.hh"
 #include "serving/serve_config.hh"
 #include "sim/event_queue.hh"
+#include "sim/retry_round.hh"
 #include "system/paging_engine.hh"
 #include "system/shard_port.hh"
 #include "trace/trace.hh"
@@ -279,9 +279,13 @@ class System
     EventQueue &eventQueue() { return _eq; }
     /** Simulated time. */
     Tick now() const { return _eq.now(); }
-    /** Drain the event queue (up to and including @p limit -- see
-     *  EventQueue::run); returns final time. */
-    Tick run(Tick limit = maxTick) { return _eq.run(limit); }
+    /**
+     * Drain the event queue (up to and including @p limit -- see
+     * EventQueue::run); returns final time. A DMA woken on the last
+     * tick has its wait charged before this returns, although its
+     * retry round lies past @p limit.
+     */
+    Tick run(Tick limit = maxTick);
     std::uint64_t eventsExecuted() const { return _eq.eventsExecuted(); }
     std::uint64_t peakQueueDepth() const { return _eq.peakDepth(); }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -16,9 +17,9 @@
 #include "mmu/translation_router.hh"
 #include "npu/compute_model.hh"
 #include "npu/dma_engine.hh"
-#include "npu/retry_round.hh"
 #include "npu/tile_pipeline.hh"
 #include "sim/event_queue.hh"
+#include "sim/retry_round.hh"
 #include "vm/frame_allocator.hh"
 #include "vm/page_table.hh"
 
@@ -640,4 +641,374 @@ TEST(DmaRetryRound, RefusedProbeLeavesThePortAsARejectionWould)
     // ...and blocked the port from the retry tick: 0 -> 10, 11 -> 20.
     EXPECT_EQ(dma.stallCycles(), 19u);
     EXPECT_EQ(dma.translationsIssued(), 2u);
+}
+
+namespace {
+
+/** Forwards to an engine and logs the translate() calls it sees. */
+class SpyEngine : public TranslationEngine
+{
+  public:
+    struct Call
+    {
+        Tick tick;
+        unsigned client;
+        std::uint64_t id;
+        bool accepted;
+
+        bool
+        operator==(const Call &o) const
+        {
+            return tick == o.tick && client == o.client && id == o.id &&
+                   accepted == o.accepted;
+        }
+    };
+
+    SpyEngine(TranslationEngine &inner, EventQueue &eq)
+        : _inner(inner), _eq(eq)
+    {
+    }
+
+    std::vector<Call> calls;
+
+    bool
+    translate(Addr va, std::uint64_t id) override
+    {
+        const bool ok = _inner.translate(va, id);
+        // The router tags the top byte with the client index.
+        calls.push_back(Call{_eq.now(), unsigned(id >> 56),
+                             id & ((std::uint64_t(1) << 56) - 1), ok});
+        return ok;
+    }
+    bool admits(Addr va) override { return _inner.admits(va); }
+    void
+    setAdmitWatch(PageCallback cb) override
+    {
+        _inner.setAdmitWatch(std::move(cb));
+    }
+    bool refusalsHold() const override { return _inner.refusalsHold(); }
+    void
+    setResponseCallback(ResponseCallback cb) override
+    {
+        _inner.setResponseCallback(std::move(cb));
+    }
+    void
+    setWakeCallback(WakeCallback cb) override
+    {
+        _inner.setWakeCallback(std::move(cb));
+    }
+    const MmuCounts &counts() const override { return _inner.counts(); }
+
+  private:
+    TranslationEngine &_inner;
+    EventQueue &_eq;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const SpyEngine::Call &c)
+{
+    return os << "{t=" << c.tick << " c" << c.client << " id=" << c.id
+              << (c.accepted ? " ok" : " rejected") << "}";
+}
+
+/** What a routed run leaves behind. */
+struct RoutedRun
+{
+    /** Every translation attempt, as (dma, tick, accepted). */
+    std::vector<Attempt> attempts;
+    std::vector<SpyEngine::Call> translates;
+    std::vector<std::uint64_t> stalls;
+    std::vector<Tick> finishes;
+    std::vector<std::uint64_t> capRejections;
+    /** Calls of the DMAs' wake callbacks; counted only when the run
+     *  replaced them. */
+    unsigned wakeCalls = 0;
+};
+
+/**
+ * DMAs behind a router over a baseline IOMMU with @p walkers walkers
+ * (walks of 405 ticks, no PRMB), each fetching @p bytes of its own
+ * page from @p start[i]. With @p replace_wakes, every port's wake
+ * callback is swapped for a counter after the DMAs installed theirs.
+ */
+RoutedRun
+runRouted(unsigned walkers, RouterPolicy policy, unsigned walker_budget,
+          const std::vector<Tick> &start, std::uint64_t bytes,
+          bool replace_wakes = false)
+{
+    RetryHarness h;
+    MmuConfig cfg = baselineIommuConfig();
+    cfg.numPtws = walkers;
+    MmuCore mmu("mmu", h.eq, h.pt, cfg);
+    SpyEngine spy(mmu, h.eq);
+    const unsigned n = unsigned(start.size());
+    TranslationRouter router(spy, n, policy, walker_budget);
+    RoutedRun run;
+    run.finishes.assign(n, 0);
+    for (unsigned i = 0; i < n; i++)
+        h.addDma(router.port(i));
+    if (replace_wakes) {
+        for (unsigned i = 0; i < n; i++)
+            router.port(i).setWakeCallback([&run] { run.wakeCalls++; });
+    }
+    for (unsigned i = 0; i < n; i++) {
+        h.eq.schedule(start[i], [&h, &run, i, bytes] {
+            h.dmas[i]->fetch({VaRun{h.base + Addr(i) * 4096, bytes}},
+                             [&run, i](Tick at) { run.finishes[i] = at; });
+        });
+    }
+    h.eq.run();
+    for (const Attempt &a : h.log)
+        run.attempts.push_back(Attempt{a.dma, a.tick, a.accepted, 0});
+    run.translates = spy.calls;
+    for (unsigned i = 0; i < n; i++) {
+        run.stalls.push_back(h.dmas[i]->stallCycles());
+        run.capRejections.push_back(router.capRejections(i));
+    }
+    return run;
+}
+
+/** Five DMAs, two bursts each, behind one walker: DMA 4 is refused
+ *  at its first issue and by the rounds at 406, 812 and 1218. */
+RoutedRun
+runFiveOnOneWalker(bool replace_wakes = false)
+{
+    return runRouted(1, RouterPolicy::Shared, 1, {0, 0, 0, 0, 0}, 2048,
+                     replace_wakes);
+}
+
+const std::vector<Attempt> fiveOnOneWalkerAttempts = {
+    {0, 0, true, 0},     {1, 0, false, 0},    {2, 0, false, 0},
+    {3, 0, false, 0},    {4, 0, false, 0},    {0, 1, false, 0},
+    {0, 406, true, 0},   {1, 406, true, 0},   {2, 406, false, 0},
+    {3, 406, false, 0},  {4, 406, false, 0},  {1, 407, false, 0},
+    {1, 812, true, 0},   {2, 812, true, 0},   {3, 812, false, 0},
+    {4, 812, false, 0},  {2, 813, false, 0},  {2, 1218, true, 0},
+    {3, 1218, true, 0},  {4, 1218, false, 0}, {3, 1219, false, 0},
+    {3, 1624, true, 0},  {4, 1624, true, 0},  {4, 1625, false, 0},
+    {4, 2030, true, 0},
+};
+
+const std::vector<SpyEngine::Call> fiveOnOneWalkerTranslates = {
+    {0, 0, 0, true},     {0, 1, 0, false},    {0, 2, 0, false},
+    {0, 3, 0, false},    {0, 4, 0, false},    {1, 0, 1, false},
+    {406, 0, 2, true},   {406, 1, 1, true},   {407, 1, 2, false},
+    {812, 1, 3, true},   {812, 2, 2, true},   {813, 2, 3, false},
+    {1218, 2, 4, true},  {1218, 3, 3, true},  {1219, 3, 4, false},
+    {1624, 3, 5, true},  {1624, 4, 4, true},  {1625, 4, 5, false},
+    {2030, 4, 6, true},
+};
+
+} // namespace
+
+TEST(DmaRetryRound, RoutedRetriesKeepAttemptsIdsStallsAndFinishes)
+{
+    const RoutedRun run = runFiveOnOneWalker();
+    EXPECT_EQ(run.attempts, fiveOnOneWalkerAttempts);
+    // Refused rounds burn ids without a translate() call: DMA 4's
+    // engine sees ids 0, 4 and 6 only.
+    EXPECT_EQ(run.translates, fiveOnOneWalkerTranslates);
+    // Each wait is charged up to its wake, one tick before the round.
+    EXPECT_EQ(run.stalls,
+              (std::vector<std::uint64_t>{404, 809, 1214, 1619, 2024}));
+    EXPECT_EQ(run.finishes,
+              (std::vector<Tick>{515, 921, 1327, 1733, 2139}));
+}
+
+TEST(DmaRetryRound, RefusedRoundCallsNeitherWakeNorTranslate)
+{
+    // The router runs its DMAs' retries itself: with every DMA's wake
+    // callback replaced by a counter, the run is unchanged.
+    const RoutedRun run = runFiveOnOneWalker(true);
+    EXPECT_EQ(run.wakeCalls, 0u);
+    EXPECT_EQ(run.attempts, fiveOnOneWalkerAttempts);
+    EXPECT_EQ(run.translates, fiveOnOneWalkerTranslates);
+    for (const Tick round : {406u, 812u, 1218u}) {
+        for (const SpyEngine::Call &call : run.translates)
+            EXPECT_FALSE(call.tick == round && call.client == 4)
+                << "refused round at " << round << " translated";
+    }
+}
+
+TEST(DmaRetryRound, CapBlockedPortSharesARoundWithRefusedPorts)
+{
+    // Two walkers, four clients capped at one request in flight each.
+    // DMA 1 walks from 0 and DMA 0 from 10; DMA 0's second burst hits
+    // the cap at 11; DMAs 2 and 3 find no walker at 20 and 30.
+    const RoutedRun run =
+        runRouted(2, RouterPolicy::Partitioned, 4, {10, 0, 20, 30}, 2048);
+    // The walker freed at 405 wakes DMA 0 (deepest backlog, still at
+    // its cap), DMA 2 and DMA 3 into one round at 406. DMA 0's retry
+    // goes to translate(), which records a cap rejection; DMA 2 takes
+    // the walker; DMA 3's probe is refused.
+    EXPECT_EQ(run.attempts,
+              (std::vector<Attempt>{
+                  {1, 0, true, 0},    {1, 1, false, 0},
+                  {0, 10, true, 0},   {0, 11, false, 0},
+                  {2, 20, false, 0},  {3, 30, false, 0},
+                  {0, 406, false, 0}, {1, 406, true, 0},
+                  {2, 406, true, 0},  {3, 406, false, 0},
+                  {2, 407, false, 0}, {0, 416, true, 0},
+                  {2, 416, false, 0}, {3, 416, true, 0},
+                  {3, 417, false, 0}, {2, 812, true, 0},
+                  {3, 812, false, 0}, {3, 822, true, 0},
+              }));
+    // Cap rejections never reach the engine.
+    EXPECT_EQ(run.translates,
+              (std::vector<SpyEngine::Call>{
+                  {0, 1, 0, true},    {10, 0, 0, true},
+                  {20, 2, 0, false},  {30, 3, 0, false},
+                  {406, 1, 2, true},  {406, 2, 1, true},
+                  {416, 0, 3, true},  {416, 3, 2, true},
+                  {812, 2, 4, true},  {822, 3, 5, true},
+              }));
+    EXPECT_EQ(run.capRejections,
+              (std::vector<std::uint64_t>{2, 1, 2, 2}));
+    EXPECT_EQ(run.stalls,
+              (std::vector<std::uint64_t>{403, 404, 788, 787}));
+    EXPECT_EQ(run.finishes, (std::vector<Tick>{525, 515, 921, 931}));
+}
+
+TEST(DmaRetryRound, RunStoppedAtAWakeChargesThePendingWaits)
+{
+    RetryHarness h;
+    MmuConfig cfg = baselineIommuConfig();
+    cfg.numPtws = 1;
+    MmuCore mmu("mmu", h.eq, h.pt, cfg);
+    TranslationRouter router(mmu, 3, RouterPolicy::Shared, 1);
+    for (unsigned c = 0; c < 3; c++) {
+        h.addDma(router.port(c));
+        h.fetchPage(c);
+    }
+
+    // The walk ends at 405 and wakes DMAs 1 and 2 into the round at
+    // 406. A run stopped at the wake charges their waits then, as
+    // the wake itself would; the round adds nothing on top.
+    h.eq.run(405);
+    EXPECT_EQ(h.dmas[1]->stallCycles(), 0u);
+    router.chargePendingWaits();
+    EXPECT_EQ(h.dmas[1]->stallCycles(), 405u);
+    EXPECT_EQ(h.dmas[2]->stallCycles(), 405u);
+    router.chargePendingWaits();
+    EXPECT_EQ(h.dmas[2]->stallCycles(), 405u);
+
+    h.eq.run();
+    // The same totals as an unbroken run (WokenDmasRetryTogether...).
+    EXPECT_EQ(h.dmas[0]->stallCycles(), 0u);
+    EXPECT_EQ(h.dmas[1]->stallCycles(), 405u);
+    EXPECT_EQ(h.dmas[2]->stallCycles(), 810u);
+}
+
+namespace {
+
+/** A RetryRound member that counts its retries. */
+class CountingMember : public RetryMember
+{
+  public:
+    unsigned retries = 0;
+
+  private:
+    void retry() override { retries++; }
+};
+
+} // namespace
+
+TEST(RetryRoundDeathTest, MemberInAPendingRoundCannotJoinAgain)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    CountingMember member;
+    round.join(member);
+    EXPECT_TRUE(member.inRetryRound());
+    EXPECT_DEATH(round.join(member), "joined two rounds");
+    eq.run();
+    EXPECT_EQ(member.retries, 1u);
+    // Its round fired: it may join the next one.
+    EXPECT_FALSE(member.inRetryRound());
+    round.join(member);
+    eq.run();
+    EXPECT_EQ(member.retries, 2u);
+}
+
+namespace {
+
+/** Admits and accepts only the pages the test opens; answers
+ *  accepted requests when the test calls respond(). */
+class PageGateEngine : public TranslationEngine
+{
+  public:
+    explicit PageGateEngine(EventQueue &eq) : _eq(eq) {}
+
+    std::vector<Addr> open;
+    /** translate() calls, as "<tick>:<page index>:<ok|rejected>". */
+    std::vector<std::string> calls;
+    Addr base = 0;
+
+    bool
+    admits(Addr va) override
+    {
+        return std::find(open.begin(), open.end(), va) != open.end();
+    }
+    bool
+    translate(Addr va, std::uint64_t id) override
+    {
+        const bool ok = admits(va);
+        calls.push_back(std::to_string(_eq.now()) + ":" +
+                        std::to_string((va - base) / 4096) + ":" +
+                        (ok ? "ok" : "rejected"));
+        if (ok)
+            _accepted.push_back(TranslationResponse{id, va, va});
+        return ok;
+    }
+    void
+    setResponseCallback(ResponseCallback cb) override
+    {
+        _respond = std::move(cb);
+    }
+    void setWakeCallback(WakeCallback cb) override { _wake = std::move(cb); }
+    const MmuCounts &counts() const override { return _counts; }
+
+    void respond(std::size_t i) { _respond(_accepted.at(i)); }
+    void wake() { _wake(); }
+
+  private:
+    EventQueue &_eq;
+    std::vector<TranslationResponse> _accepted;
+    ResponseCallback _respond;
+    WakeCallback _wake;
+    MmuCounts _counts;
+};
+
+} // namespace
+
+TEST(DmaRetryRound, CapWokenPortProbesTheVaItWasCappedOn)
+{
+    RetryHarness h;
+    PageGateEngine engine(h.eq);
+    engine.base = h.base;
+    // One client capped at one request in flight.
+    TranslationRouter router(engine, 1, RouterPolicy::Partitioned, 1);
+    DmaEngine &dma = h.addDma(router.port(0));
+    const Addr page0 = h.base, page1 = h.base + 4096;
+    dma.fetch({VaRun{page0, 1024}, VaRun{page1, 1024}}, [](Tick) {});
+    // Page 0 is refused at 0, opened and woken at 10, so its retry at
+    // 11 takes the one slot; page 1 then hits the cap at 12.
+    h.eq.schedule(10, [&] {
+        engine.open = {page0};
+        engine.wake();
+    });
+    // The response at 20 wakes the port below its cap. Its round
+    // probes page 1, which the engine refuses: no translate() call.
+    h.eq.schedule(20, [&] { engine.respond(0); });
+    h.eq.schedule(30, [&] {
+        engine.open = {page0, page1};
+        engine.wake();
+    });
+    h.eq.run();
+    EXPECT_EQ(engine.calls, (std::vector<std::string>{
+                                "0:0:rejected", "11:0:ok", "31:1:ok"}));
+    ASSERT_EQ(h.log.size(), 5u);
+    EXPECT_EQ(h.log[2], (Attempt{0, 12, false, h.log[2].event}));
+    EXPECT_EQ(h.log[3], (Attempt{0, 21, false, h.log[3].event}));
+    EXPECT_EQ(router.capRejections(0), 1u);
 }

@@ -595,6 +595,56 @@ TEST(ServingEngine, ChurnDumpIdenticalAcrossShardCounts)
     EXPECT_EQ(one, four);
 }
 
+TEST(ServingEngine, TracedChurnDumpMatchesUntraced)
+{
+    // Eight routed NPUs thrash a residency cap a quarter of their
+    // tenants' footprint, so walkers and faults keep refusing DMA
+    // retries. Tracing observes them (CreditWait spans, burned ids)
+    // but must not change them: the dumps agree outside the trace
+    // group.
+    SystemConfig cfg;
+    cfg.name = "churn8";
+    cfg.seed = 23;
+    cfg.numNpus = 8;
+    cfg.paging.enabled = true;
+    cfg.paging.residentLimitBytes = 48 * pageSize(cfg.pageShift);
+    cfg.paging.faultLatency = 1000;
+    cfg.serve.enabled = true;
+    cfg.serve.arrival.kind = serving::ArrivalKind::Bursty;
+    cfg.serve.arrival.ratePerMcycle = 800.0;
+    cfg.serve.tenants = 12;
+    cfg.serve.workload = "embedding:footprint=64K,accesses=16";
+    cfg.serve.demandPaged = true;
+    cfg.serve.tenantLifetimeRequests = 6;
+
+    const auto run = [](const SystemConfig &c) {
+        System system(c);
+        Scheduler scheduler(system);
+        scheduler.run(2000000);
+        std::uint64_t refused = 0, stalled = 0;
+        for (unsigned i = 0; i < c.numNpus; i++) {
+            refused += system.router().clientCounts(i).blockedIssues;
+            stalled += system.dma(i).stallCycles();
+        }
+        EXPECT_GT(refused, 0u);
+        EXPECT_GT(stalled, 0u);
+        std::ostringstream os;
+        system.dumpStatsJson(os);
+        return os.str();
+    };
+    const std::string untraced = run(cfg);
+    cfg.trace.enabled = true;
+    std::string traced = run(cfg);
+
+    const std::size_t at = traced.find("  \"churn8.trace\": {\n");
+    ASSERT_NE(at, std::string::npos);
+    const std::string close = "\n  },\n";
+    const std::size_t end = traced.find(close, at);
+    ASSERT_NE(end, std::string::npos);
+    traced.erase(at, end + close.size() - at);
+    EXPECT_EQ(traced, untraced);
+}
+
 TEST(ServingEngine, DumpCarriesQuantilesAndWindows)
 {
     const std::string dump = runAndDump(smallServeConfig(), 1000000);

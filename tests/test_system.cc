@@ -95,6 +95,41 @@ TEST(System, RunDrivesAFetchToCompletion)
     EXPECT_GT(sys.mmu().counts().requests, 0u);
 }
 
+TEST(System, RunChargesTheWaitsOfDmasWokenOnItsLastTick)
+{
+    // Four routed DMAs contend for the baseline IOMMU's walkers. A
+    // woken DMA retries from a round one tick after its wake; a run
+    // that stops on the wake tick must still charge the wait up to
+    // the wake, so a further charge finds nothing left.
+    SystemConfig cfg;
+    cfg.numNpus = 4;
+    cfg.mmuKind = MmuKind::BaselineIommu;
+    System sys(cfg);
+    unsigned done = 0;
+    for (unsigned i = 0; i < 4; i++) {
+        const Segment seg = sys.addressSpace().allocateBacked(
+            "t" + std::to_string(i), 64 * KiB, sys.hbmNode(i),
+            cfg.pageShift);
+        sys.dma(i).fetch({VaRun{seg.base, seg.bytes}},
+                         [&done](Tick) { done++; });
+    }
+    const auto stalls = [&sys] {
+        std::uint64_t total = 0;
+        for (unsigned i = 0; i < 4; i++)
+            total += sys.dma(i).stallCycles();
+        return total;
+    };
+    Tick limit = 0;
+    while (done < 4) {
+        sys.run(limit++);
+        const std::uint64_t charged = stalls();
+        sys.router().chargePendingWaits();
+        ASSERT_EQ(stalls(), charged) << "wait left uncharged at "
+                                     << sys.now();
+    }
+    EXPECT_GT(stalls(), 0u);
+}
+
 TEST(System, StatsRegistryHoldsEveryComponentGroup)
 {
     SystemConfig cfg;

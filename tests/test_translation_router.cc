@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mmu/mmu_core.hh"
 #include "mmu/translation_router.hh"
 #include "sim/event_queue.hh"
+#include "sim/retry_round.hh"
 #include "vm/address_space.hh"
 #include "vm/frame_allocator.hh"
 #include "vm/page_table.hh"
@@ -574,4 +576,99 @@ TEST(TranslationRouter, DeferredClientWokenOnEveryWake)
     EXPECT_EQ(skipped.wakes, 1u);
     EXPECT_EQ(deferred.responses, 1u);
     EXPECT_EQ(skipped.responses, 1u);
+}
+
+namespace {
+
+/** ScriptedEngine whose admits() answers separately. */
+class ProbedEngine : public ScriptedEngine
+{
+  public:
+    bool admitting = false;
+
+    bool admits(Addr) override { return admitting; }
+};
+
+/** A deferred-retry client that logs the calls its port makes. */
+class DeferredLog : public DeferredRetryClient
+{
+  public:
+    explicit DeferredLog(EventQueue &eq) : _eq(eq) {}
+
+    /** "<call> woken=<tick> at=<tick>", one per call. */
+    std::vector<std::string> calls;
+    bool blocked = true;
+
+    bool awaitingWake() const override { return blocked; }
+    void retryAdmitted(Tick woken) override { log("admitted", woken); }
+    void retryRefused(Tick woken) override { log("refused", woken); }
+    void chargeWait(Tick woken) override { log("charged", woken); }
+
+  private:
+    void
+    log(const char *call, Tick woken)
+    {
+        calls.push_back(std::string(call) + " woken=" +
+                        std::to_string(woken) +
+                        " at=" + std::to_string(_eq.now()));
+    }
+
+    EventQueue &_eq;
+};
+
+} // namespace
+
+TEST(TranslationRouter, DeferredClientRetriesFromItsPortsRound)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    ProbedEngine engine;
+    TranslationRouter router(engine, 2, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DeferredLog client(eq);
+    unsigned wakes = 0;
+    router.port(0).setWakeCallback([&wakes] { wakes++; });
+    router.port(0).declareDeferredRetry(client, round);
+
+    engine.accept = false;
+    ASSERT_FALSE(router.port(0).translate(0x1000, 0));
+    // Refused at the round after the wake at 10: back on the list,
+    // so the wake at 20 reaches it again and this time it is let in.
+    // Handed its retry, it waits no more: the wake at 30 skips it.
+    eq.schedule(10, [&] { engine.wake(); });
+    eq.schedule(20, [&] {
+        engine.admitting = true;
+        engine.wake();
+    });
+    eq.schedule(30, [&] { engine.wake(); });
+    eq.run();
+    EXPECT_EQ(client.calls,
+              (std::vector<std::string>{"refused woken=10 at=11",
+                                        "admitted woken=20 at=21"}));
+    // The port never calls the wake callback of a deferred client.
+    EXPECT_EQ(wakes, 0u);
+
+    // A run that stops between the wake and the round charges the
+    // wait up to the wake.
+    ASSERT_FALSE(router.port(0).translate(0x1000, 1));
+    eq.schedule(40, [&] { engine.wake(); });
+    eq.run(40);
+    router.chargePendingWaits();
+    EXPECT_EQ(client.calls.back(), "charged woken=40 at=40");
+}
+
+TEST(TranslationRouterDeathTest, DeferredClientMustBeBlockedAtItsRound)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    ProbedEngine engine;
+    TranslationRouter router(engine, 1, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DeferredLog client(eq);
+    router.port(0).declareDeferredRetry(client, round);
+    engine.accept = false;
+    ASSERT_FALSE(router.port(0).translate(0x1000, 0));
+    engine.wake();
+    client.blocked = false;
+    EXPECT_DEATH(eq.run(), "not blocked on a wake");
 }
