@@ -20,6 +20,14 @@ least 10 pairs), and its median is better than the parent's by more
 than the parent's interquartile range. Which direction is better
 comes from CHANGE_DIR/BENCHMARK.json.
 
+A second verdict checks each metric against its regression bound in
+the same file: "ok" when the change's median is not worse than the
+parent's by more than the bound (a fraction of the parent's median),
+"worse" when it is, and "unresolved" when it is not worse but the
+parent's interquartile range exceeds the bound (as a fraction of its
+median) and not every change run beats every parent run, so the
+runs cannot tell a move inside the bound from none.
+
     python3 scripts/perf_pairs.py /tmp/parent . --workload dense_grid \\
         --pairs 10 --seed 1
 
@@ -64,10 +72,12 @@ def quartiles(values):
     return q1, q3
 
 
-def directions(change_dir):
+def end_to_end(change_dir):
+    """Map each end-to-end metric to (higher is better, bound)."""
     with open(os.path.join(change_dir, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    return {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
+    return {m["name"]: (m["better"] == "higher", m["bound"])
+            for m in bench["end_to_end"]}
 
 
 def verdict(parent, change, higher):
@@ -80,6 +90,24 @@ def verdict(parent, change, higher):
              wins >= WIN_SHARE * len(parent) and
              sign * (c_med - p_med) > q3 - q1)
     return wins, holds
+
+
+def bound_verdict(parent, change, higher, bound):
+    sign = 1.0 if higher else -1.0
+    p_med = statistics.median(parent)
+    c_med = statistics.median(change)
+    if sign * (c_med - p_med) < -bound * abs(p_med):
+        return "worse"
+    q1, q3 = quartiles(parent)
+    if p_med:
+        spread = (q3 - q1) / abs(p_med)
+    else:
+        spread = float("inf") if q3 > q1 else 0.0
+    beats_all = (min(sign * c for c in change) >
+                 max(sign * p for p in parent))
+    if spread > bound and not beats_all:
+        return "unresolved"
+    return "ok"
 
 
 def fmt(value):
@@ -97,7 +125,7 @@ def main():
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    higher = directions(args.change_dir)
+    metrics = end_to_end(args.change_dir)
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -110,7 +138,7 @@ def main():
 
     print("%s seed=%d pairs=%d" % (args.workload, args.seed, args.pairs))
     rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]",
-             "move", "wins", "rule")]
+             "move", "wins", "rule", "bound")]
     for name in runs["parent"][0]:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
@@ -122,18 +150,19 @@ def main():
         for values, med in ((parent, p_med), (change, c_med)):
             q1, q3 = quartiles(values)
             sides_text.append("%s [%s, %s]" % (fmt(med), fmt(q1), fmt(q3)))
+        higher, bound = metrics[name]
         if parent == change:
             wins_text, rule = "-", "identical"
         else:
-            wins, holds = verdict(parent, change, higher[name])
+            wins, holds = verdict(parent, change, higher)
             wins_text = "%d/%d" % (wins, args.pairs)
             rule = "holds" if holds else "fails"
         rows.append((name, sides_text[0], sides_text[1], move, wins_text,
-                     rule))
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
+                     rule, bound_verdict(parent, change, higher, bound)))
+    widths = [max(len(row[i]) for row in rows) for i in range(6)]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) +
-              "  " + row[5])
+              "  " + row[6])
 
 
 if __name__ == "__main__":

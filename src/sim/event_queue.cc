@@ -17,30 +17,62 @@ EventQueue::enableProfiling()
         _prof = std::make_unique<SimProfiler>();
 }
 
+std::uint32_t
+EventQueue::allocNode(int priority, std::uint64_t seq, Callback &&cb)
+{
+    std::uint32_t n = _freeHead;
+    if (n != nil) {
+        Node &node = _pool[n];
+        _freeHead = node.next;
+        node.priority = priority;
+        node.seq = seq;
+        node.cb = std::move(cb);
+    } else {
+        NEUMMU_ASSERT(_pool.size() < nil, "event pool exhausted");
+        n = std::uint32_t(_pool.size());
+        _pool.push_back(Node{nil, priority, seq, std::move(cb)});
+    }
+    return n;
+}
+
 void
-EventQueue::appendToBucket(Tick when, int priority, std::uint64_t seq,
-                           Callback &&cb)
+EventQueue::linkIntoBucket(Tick when, std::uint32_t n)
 {
     Bucket &b = bucketFor(when);
+    Node &node = _pool[n];
+    node.next = nil;
+    _ringCount++;
     if (!b.hasPending()) {
+        b.head = b.tail = n;
         b.when = when;
         const std::size_t idx = std::size_t(when & _mask);
         _occupied[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-    } else {
-        NEUMMU_ASSERT(b.when == when, "calendar bucket tick clash");
-        // The pending range stays (priority, seq)-sorted as long as
-        // appends arrive in that order -- the common case, since seqs
-        // rise monotonically with schedule() calls. A lower-ordered
-        // arrival (a priority preemption, or a far-heap migration
-        // landing next to newer ring events) forces a deferred sort.
-        const Event &last = b.events.back();
-        if (priority < last.priority ||
-            (priority == last.priority && seq < last.seq)) {
-            b.needsSort = true;
-        }
+        return;
     }
-    b.events.push_back(Event{priority, seq, std::move(cb)});
-    _ringCount++;
+    NEUMMU_ASSERT(b.when == when, "calendar bucket tick clash");
+    const auto before = [](const Node &a, const Node &e) {
+        return a.priority < e.priority ||
+               (a.priority == e.priority && a.seq < e.seq);
+    };
+    // Seqs rise monotonically with schedule() calls, so the common
+    // arrival orders after the whole list. A lower-ordered one (a
+    // priority preemption, a far migration or a reserved seq behind
+    // newer same-tick events) is linked into its place now.
+    if (!before(node, _pool[b.tail])) {
+        _pool[b.tail].next = n;
+        b.tail = n;
+        return;
+    }
+    if (before(node, _pool[b.head])) {
+        node.next = b.head;
+        b.head = n;
+        return;
+    }
+    std::uint32_t prev = b.head;
+    while (!before(node, _pool[_pool[prev].next]))
+        prev = _pool[prev].next;
+    node.next = _pool[prev].next;
+    _pool[prev].next = n;
 }
 
 void
@@ -66,10 +98,11 @@ void
 EventQueue::insert(Tick when, int priority, std::uint64_t seq,
                    Callback &&cb)
 {
+    const std::uint32_t n = allocNode(priority, seq, std::move(cb));
     if (when - _cursor < nearWindowTicks) {
-        appendToBucket(when, priority, seq, std::move(cb));
+        linkIntoBucket(when, n);
     } else {
-        _far.push_back(FarEvent{when, priority, seq, std::move(cb)});
+        _far.push_back(FarKey{when, seq, priority, n});
         std::push_heap(_far.begin(), _far.end(), FarAfter{});
     }
     _pending++;
@@ -83,10 +116,9 @@ EventQueue::migrateFarIntoWindow()
     while (!_far.empty() &&
            _far.front().when - _cursor < nearWindowTicks) {
         std::pop_heap(_far.begin(), _far.end(), FarAfter{});
-        FarEvent fe = std::move(_far.back());
+        const FarKey key = _far.back();
         _far.pop_back();
-        appendToBucket(fe.when, fe.priority, fe.seq,
-                       std::move(fe.cb));
+        linkIntoBucket(key.when, key.node);
     }
 }
 
@@ -145,38 +177,27 @@ EventQueue::dispatchOne()
     Bucket &b = _buckets[_cursor & _mask];
     NEUMMU_ASSERT(b.when == _cursor && b.when >= _now,
                   "event queue went backwards");
-    if (b.needsSort) {
-        std::sort(b.events.begin() +
-                      std::ptrdiff_t(b.head),
-                  b.events.end(),
-                  [](const Event &a, const Event &e) {
-                      if (a.priority != e.priority)
-                          return a.priority < e.priority;
-                      return a.seq < e.seq;
-                  });
-        b.needsSort = false;
-    }
-
-    Event ev = std::move(b.events[b.head]);
-    b.head++;
-    if (b.head == b.events.size()) {
-        // Fully consumed: recycle the storage (capacity retained)
-        // before running the callback, which may schedule fresh
-        // events into this same bucket.
-        b.events.clear();
-        b.head = 0;
-        b.needsSort = false;
+    const std::uint32_t n = b.head;
+    Node &node = _pool[n];
+    b.head = node.next;
+    if (!b.hasPending()) {
         const std::size_t idx = std::size_t(_cursor & _mask);
         _occupied[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
     }
+    _lastPriority = node.priority;
+    _lastSeq = node.seq;
+    // The callback leaves its node before the node is recycled: what
+    // it schedules may reuse that node, or grow (and so move) the
+    // whole pool, while it runs.
+    Callback cb = std::move(node.cb);
+    node.next = _freeHead;
+    _freeHead = n;
     _ringCount--;
     _pending--;
 
     _now = _cursor;
-    _lastPriority = ev.priority;
-    _lastSeq = ev.seq;
     _executed++;
-    ev.cb();
+    cb();
 }
 
 bool

@@ -6,14 +6,18 @@
  *
  * The queue is a bucketed calendar: a near-term ring of per-tick
  * buckets covering the next nearWindowTicks cycles, plus a far-term
- * binary heap for events beyond the window. Steady-state scheduling
- * (walk completions, burst launches, PRMB drains -- all within a few
- * hundred cycles) is a ring append with no heap allocation: the
- * callback type is small-buffer optimized (sim/callback.hh) and the
- * bucket vectors retain their capacity across reuse. Far events
- * migrate into the ring as the window advances; when the ring drains
- * entirely (e.g. a multi-thousand-cycle page-fault gap), the cursor
- * jumps straight to the next far event instead of scanning the gap.
+ * binary heap for events beyond the window. Every pending event, ring
+ * or far, is a node in one queue-owned pool; a bucket is a linked
+ * list of node indices and the far heap orders small keys that point
+ * at nodes. The node a dispatch frees is the one the next schedule()
+ * reuses (a LIFO free list), so steady-state scheduling (walk
+ * completions, burst launches, PRMB drains -- all within a few
+ * hundred cycles) writes into cache-hot memory and never allocates:
+ * the callback type is small-buffer optimized (sim/callback.hh) and
+ * the pool only grows when every node is pending. Far events migrate
+ * into the ring as the window advances; when the ring drains entirely
+ * (e.g. a multi-thousand-cycle page-fault gap), the cursor jumps
+ * straight to the next far event instead of scanning the gap.
  */
 
 #ifndef NEUMMU_SIM_EVENT_QUEUE_HH
@@ -134,6 +138,12 @@ class EventQueue
     }
 
     /**
+     * Event nodes ever created (tests/diagnostics). Freed nodes are
+     * reused before the pool grows, so this equals peakDepth().
+     */
+    std::size_t poolSize() const { return _pool.size(); }
+
+    /**
      * Enable host-side cycle attribution on this queue. The profiler
      * lives for the queue's lifetime; components reach it via
      * profiler() for NEUMMU_PROF_SCOPE.
@@ -144,46 +154,53 @@ class EventQueue
     SimProfiler *profiler() { return _prof.get(); }
 
   private:
-    struct Event
+    /** Pool index that names no node (end of a list). */
+    static constexpr std::uint32_t nil =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /**
+     * One pending event, or a free pool slot. @c next links the
+     * node's bucket list in (priority, seq) order, or the free list.
+     */
+    struct Node
     {
+        std::uint32_t next;
         int priority;
         std::uint64_t seq;
         Callback cb;
     };
 
     /**
-     * One tick's events. Because the ring covers exactly
+     * One tick's events: a singly linked list of pool nodes, head
+     * dispatched first. Because the ring covers exactly
      * nearWindowTicks ticks and events are never scheduled into the
-     * past, all events in one bucket share one tick. Events append in
-     * seq order; dispatch consumes [head, events.size()). The vector
-     * is cleared (capacity retained) once fully consumed, so
-     * steady-state reuse never reallocates.
+     * past, all events in one bucket share one tick.
      */
     struct Bucket
     {
-        std::vector<Event> events;
-        std::size_t head = 0;
+        std::uint32_t head = nil;
+        /** Last node of the list (valid when non-empty). */
+        std::uint32_t tail = nil;
         /** Tick the pending events belong to (valid when non-empty). */
         Tick when = 0;
-        /** Remaining range is not (priority, seq)-sorted. */
-        bool needsSort = false;
 
-        bool hasPending() const { return !events.empty(); }
+        bool hasPending() const { return head != nil; }
     };
 
-    struct FarEvent
+    /** A far-heap entry; the callback stays in its pool node. */
+    struct FarKey
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
-        Callback cb;
+        int priority;
+        std::uint32_t node;
     };
 
     /** Min-heap order on (when, priority, seq). */
     struct FarAfter
     {
         bool
-        operator()(const FarEvent &a, const FarEvent &b) const
+        operator()(const FarKey &a, const FarKey &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -200,8 +217,14 @@ class EventQueue
     Bucket &bucketFor(Tick when) { return _buckets[when & _mask]; }
     void insert(Tick when, int priority, std::uint64_t seq,
                 Callback &&cb);
-    void appendToBucket(Tick when, int priority, std::uint64_t seq,
-                        Callback &&cb);
+    /** Take a node off the free list, or grow the pool by one. */
+    std::uint32_t allocNode(int priority, std::uint64_t seq,
+                            Callback &&cb);
+    /**
+     * Link node @p n into @p when's bucket at its (priority, seq)
+     * place: a tail link for the common in-order arrival.
+     */
+    void linkIntoBucket(Tick when, std::uint32_t n);
     void migrateFarIntoWindow();
     /**
      * Earliest tick >= @p from with a pending ring event, via the
@@ -221,6 +244,10 @@ class EventQueue
     /** Pop and execute the earliest event of the cursor's bucket. */
     void dispatchOne();
 
+    /** Every event node, pending or free. */
+    std::vector<Node> _pool;
+    /** Head of the LIFO free list threaded through Node::next. */
+    std::uint32_t _freeHead = nil;
     std::vector<Bucket> _buckets;
     /**
      * One bit per bucket: set while the bucket has pending events,
@@ -238,7 +265,7 @@ class EventQueue
     Tick _cursor = 0;
     std::size_t _ringCount = 0;
     /** Far-term overflow heap (std::push_heap/pop_heap on FarAfter). */
-    std::vector<FarEvent> _far;
+    std::vector<FarKey> _far;
 
     Tick _now = 0;
     std::size_t _pending = 0;

@@ -4,14 +4,17 @@
  * ordering, the run(limit) inclusive-boundary contract, calendar-
  * queue structural paths (bucket wrap, far-horizon overflow, far->
  * ring migration ordering, mid-dispatch priority preemption), seq
- * reservations, and a randomized cross-check against a reference
+ * reservations, the event node pool (reuse, growth while a callback
+ * runs, teardown), and a randomized cross-check against a reference
  * priority-queue model.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <random>
 #include <utility>
@@ -275,7 +278,7 @@ TEST(EventQueue, MidDispatchLowerPriorityPreemptsPendingSameTick)
 {
     // While tick T dispatches, scheduling (T, prio -5) must overtake
     // an already-pending (T, prio 0) event -- the reference heap
-    // behavior the calendar's deferred bucket sort must reproduce.
+    // behavior the calendar's ordered bucket insert must reproduce.
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(7, [&] {
@@ -373,12 +376,78 @@ TEST(EventQueue, TracksPendingCountAndPeakDepth)
         eq.schedule(t, [] {});
     EXPECT_EQ(eq.size(), 10u);
     EXPECT_EQ(eq.peakDepth(), 10u);
+    EXPECT_EQ(eq.poolSize(), eq.peakDepth());
     eq.run(5);
     EXPECT_EQ(eq.size(), 5u);
     EXPECT_EQ(eq.peakDepth(), 10u); // high-water sticks
+    // New events reuse the nodes the dispatched ones freed.
+    for (Tick t = 11; t <= 13; t++)
+        eq.schedule(t, [] {});
+    EXPECT_EQ(eq.size(), 8u);
+    EXPECT_EQ(eq.poolSize(), eq.peakDepth());
     eq.run();
     EXPECT_TRUE(eq.empty());
     EXPECT_EQ(eq.peakDepth(), 10u);
+    EXPECT_EQ(eq.poolSize(), eq.peakDepth());
+}
+
+// --- event node pool -----------------------------------------------
+
+namespace {
+
+/** Filler that pushes a capture past the callback's inline buffer. */
+using Spill = std::array<std::uint64_t, 8>;
+
+} // namespace
+
+TEST(EventQueue, SpilledCallbackSurvivesPoolGrowthWhileItRuns)
+{
+    // The running callback's node is the first one its own schedule()
+    // calls reuse, and the 2000 events it schedules grow the pool
+    // under it; its heap-spilled capture must still be intact after.
+    EventQueue eq;
+    std::vector<int> order;
+    Spill payload;
+    for (std::size_t i = 0; i < payload.size(); i++)
+        payload[i] = 0x0101010101010101ull * (i + 1);
+    Spill seen{};
+    auto grow = [payload, &eq, &order, &seen] {
+        for (int i = 0; i < 2000; i++)
+            eq.schedule(5, [&order, i] { order.push_back(i); });
+        seen = payload;
+    };
+    static_assert(!EventQueue::Callback::fitsInline<decltype(grow)>(),
+                  "the capture must spill to the heap");
+    eq.schedule(5, std::move(grow));
+    eq.run();
+    EXPECT_EQ(seen, payload);
+    ASSERT_EQ(order.size(), 2000u);
+    for (int i = 0; i < 2000; i++)
+        ASSERT_EQ(order[std::size_t(i)], i);
+    EXPECT_EQ(eq.peakDepth(), 2000u);
+    EXPECT_EQ(eq.poolSize(), eq.peakDepth());
+}
+
+TEST(EventQueue, DestroyingTheQueueFreesPendingSpilledCallbacks)
+{
+    const auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        const Spill pad{};
+        const auto make = [&token, &pad] {
+            return [token, pad] { (void)pad; };
+        };
+        static_assert(
+            !EventQueue::Callback::fitsInline<decltype(make())>(),
+            "the capture must spill to the heap");
+        for (Tick t = 10; t < 13; t++)
+            eq.schedule(t, make()); // ring
+        eq.schedule(10 * EventQueue::nearWindowTicks, make()); // far
+        EXPECT_EQ(token.use_count(), 5);
+        eq.run(10);
+        EXPECT_EQ(token.use_count(), 4); // the dispatched one is gone
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 // --- randomized cross-check against a reference model --------------
@@ -449,10 +518,27 @@ class ReferenceQueue
     std::uint64_t _nextSeq = 0;
 };
 
+/** Shape of a randomized workload. */
+struct WorkloadProfile
+{
+    /** Events scheduled in total, seeds included. */
+    int budget;
+    /** Each callback schedules 0..maxFollowUps follow-ups. */
+    unsigned maxFollowUps;
+    /**
+     * Half the deltas are 0, so buckets stay crowded while far
+     * migrations and reserved seqs land in them.
+     */
+    bool sameTickHeavy;
+};
+
+constexpr WorkloadProfile baseProfile{600, 2, false};
+constexpr WorkloadProfile crowdedProfile{5000, 8, true};
+
 /**
- * Drive @p queue through a deterministic pseudo-random workload:
- * seed events whose callbacks keep scheduling follow-ups (same-tick,
- * near, and far deltas, random priorities) until a budget runs out.
+ * Drive @p q through a deterministic pseudo-random workload: seed
+ * events whose callbacks keep scheduling follow-ups (same-tick, near,
+ * and far deltas, random priorities) until a budget runs out.
  * Callbacks also reserve seqs for a later tick and fill them from
  * later callbacks, out of order, while that tick is still ahead;
  * some reservations go unused. Returns the (id, tick) execution
@@ -460,19 +546,21 @@ class ReferenceQueue
  */
 template <typename Queue>
 std::vector<std::pair<int, Tick>>
-runRandomWorkload(unsigned seed)
+runRandomWorkload(Queue &q, unsigned seed,
+                  const WorkloadProfile &profile)
 {
-    Queue q;
     std::mt19937_64 rng(seed);
     std::vector<std::pair<int, Tick>> order;
-    int budget = 600;
+    int budget = profile.budget;
     int next_id = 0;
 
     // Deltas cross all structural paths: same tick, near ring,
     // window edge, and far heap.
-    const auto rand_delta = [&rng]() -> Tick {
+    const auto rand_delta = [&rng, &profile]() -> Tick {
         static const Tick choices[] = {0,    1,    7,    100,
                                        1023, 1024, 1025, 5000};
+        if (profile.sameTickHeavy && rng() % 2 == 0)
+            return 0;
         return choices[rng() % 8];
     };
     const auto rand_prio = [&rng]() -> int {
@@ -504,7 +592,8 @@ runRandomWorkload(unsigned seed)
         if (rng() % 3 == 0)
             reserved.push_back(
                 {q.reserveSeq(), q.now() + 1 + rand_delta()});
-        const unsigned follow_ups = rng() % 3;
+        const unsigned follow_ups =
+            unsigned(rng() % (profile.maxFollowUps + 1));
         for (unsigned i = 0; i < follow_ups && budget > 0; i++) {
             budget--;
             const int child = next_id++;
@@ -523,15 +612,34 @@ runRandomWorkload(unsigned seed)
     return order;
 }
 
+/** Run one seed on both queues and compare the dispatch order. */
+void
+checkAgainstReference(unsigned seed, const WorkloadProfile &profile)
+{
+    ReferenceQueue ref;
+    const auto expected = runRandomWorkload(ref, seed, profile);
+    EventQueue eq;
+    const auto actual = runRandomWorkload(eq, seed, profile);
+    ASSERT_EQ(actual, expected) << "seed " << seed;
+    ASSERT_GT(actual.size(), 40u) << "seed " << seed;
+    // Freed nodes are reused first, so the pool only grew while
+    // every node was pending.
+    ASSERT_EQ(eq.poolSize(), eq.peakDepth()) << "seed " << seed;
+}
+
 } // namespace
 
 TEST(EventQueue, RandomizedDispatchMatchesReferenceModel)
 {
-    for (unsigned seed = 1; seed <= 8; seed++) {
-        const auto expected =
-            runRandomWorkload<ReferenceQueue>(seed);
-        const auto actual = runRandomWorkload<EventQueue>(seed);
-        ASSERT_EQ(actual, expected) << "seed " << seed;
-        ASSERT_GT(actual.size(), 40u) << "seed " << seed;
-    }
+    for (unsigned seed = 1; seed <= 8; seed++)
+        checkAgainstReference(seed, baseProfile);
+}
+
+TEST(EventQueue, CrowdedRandomizedDispatchMatchesReferenceModel)
+{
+    // Up to 8 follow-ups, half of them same-tick, over a 5000-event
+    // budget: far migrations and reserved seqs land in buckets that
+    // already hold newer events.
+    for (unsigned seed = 101; seed <= 104; seed++)
+        checkAgainstReference(seed, crowdedProfile);
 }
