@@ -407,7 +407,7 @@ TEST(EventQueue, SpilledCallbackSurvivesPoolGrowthWhileItRuns)
     // under it; its heap-spilled capture must still be intact after.
     EventQueue eq;
     std::vector<int> order;
-    Spill payload;
+    Spill payload{};
     for (std::size_t i = 0; i < payload.size(); i++)
         payload[i] = 0x0101010101010101ull * (i + 1);
     Spill seen{};
