@@ -81,26 +81,46 @@ class RetryRound;
 /**
  * A client that retries its one blocked request a cycle after each
  * wake, from the queue's RetryRound (a DMA engine). A port that takes
- * its declaration (declareDeferredRetry()) runs those retries itself:
- * at the round it probes admits() with the refused VA and calls
- * exactly one of retryAdmitted() and retryRefused(). Either call
- * first charges the wait up to @p woken, the tick of the wake.
+ * its declaration (declareDeferredRetry()) runs those retries itself.
+ *
+ * Every wake that finds the client waiting gives it one round, a
+ * cycle after the wake. At a round the port either visits the client
+ * -- probes admits() with the refused VA and calls exactly one of
+ * retryAdmitted() and retriesRefused(1, woken) -- or, when its engine
+ * proves the refusal still holds, leaves it parked without a call.
+ * Parked rounds are settled in one retriesRefused() call before the
+ * client's next visit, or when the run stops. A client that
+ * recordsAttempts() is visited at every round, so whatever it records
+ * sees each refused round at its own tick.
  */
 class DeferredRetryClient
 {
   public:
     /** Blocked with no retry scheduled: the state of every client
-     *  its port holds on the waiting list. */
+     *  its port holds waiting or parked. */
     virtual bool awaitingWake() const = 0;
 
-    /** The port admits the retry: issue it now. */
+    /**
+     * Whether the client records every attempt (a trace), refused
+     * rounds included. Read at each refusal: such a client is never
+     * parked.
+     */
+    virtual bool recordsAttempts() const = 0;
+
+    /** The port admits the retry: charge the wait up to @p woken,
+     *  the tick of the wake, and issue it now. */
     virtual void retryAdmitted(Tick woken) = 0;
 
     /**
-     * The engine refused the retry: record the refused attempt as a
-     * rejected translate() would and stay blocked from now.
+     * The engine refused @p count rounds in a row, the last one woken
+     * at @p last_woken: do their bookkeeping as that many rejected
+     * translate() calls would. Each round charges the wait up to its
+     * wake and blocks the client again from the round, a tick after
+     * the wake, so the rounds charge last_woken - blockedSince -
+     * (count - 1) in all and leave the client blocked from
+     * last_woken + 1. A client that recordsAttempts() gets count 1.
      */
-    virtual void retryRefused(Tick woken) = 0;
+    virtual void retriesRefused(std::uint64_t count, Tick last_woken) = 0;
 
     /**
      * Charge the wait up to @p woken now, for a run that stops before
@@ -162,8 +182,9 @@ class TranslationEngine
     /**
      * Declare @p client a deferred-retry client that retries from
      * @p round. A port that runs such retries itself (a router port)
-     * then joins @p round at each wake in place of calling the wake
-     * callback. Engines that wake their client directly ignore it.
+     * then retries for it from @p round in place of calling the wake
+     * callback (see DeferredRetryClient). Engines that wake their
+     * client directly ignore it.
      */
     virtual void
     declareDeferredRetry(DeferredRetryClient &client, RetryRound &round)

@@ -1,6 +1,7 @@
 #include "mmu/translation_router.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "sim/event_queue.hh"
@@ -10,11 +11,10 @@ namespace neummu {
 
 /**
  * One client-facing port. Tags request ids with the client index in
- * the top byte; the router strips the tag on the way back. For a
- * deferred-retry client it is the RetryRound member that retries.
+ * the top byte; the router strips the tag on the way back. The
+ * client's hot state lives in the router's per-client arrays.
  */
-class TranslationRouter::Port final : public TranslationEngine,
-                                private RetryMember
+class TranslationRouter::Port final : public TranslationEngine
 {
   public:
     Port(TranslationRouter &router, unsigned client,
@@ -46,7 +46,7 @@ class TranslationRouter::Port final : public TranslationEngine,
         NEUMMU_ASSERT(!_router._eq || _router._eq == &round.eventQueue(),
                       "retry round belongs to another event queue");
         _deferred = &client;
-        _round = &round;
+        _router.deferRetries(*this, round);
     }
 
     void
@@ -75,28 +75,10 @@ class TranslationRouter::Port final : public TranslationEngine,
   private:
     friend class TranslationRouter;
 
-    void retry() override { _router.retryDeferred(*this); }
-
-    // What a wake and a retry round read comes first, so that each
-    // port they visit costs as few cache lines as possible.
     TranslationRouter &_router;
     unsigned _client;
-    /** A cap rejection is pending a below-cap retry wake. */
-    bool _capBlocked = false;
-    /** Rejected (by the engine or the cap) and not woken since. */
-    bool _waiting = false;
-    /** The client retries inside its wake (declareWakeRetry()). */
-    bool _retriesInWake = false;
-    /** Whether the engine reported the page of _refusedVa since. */
-    bool _refusedPageReported = false;
-    std::uint64_t _inflight = 0;
-    /** VA of the last rejection or refused probe. */
-    Addr _refusedVa = invalidAddr;
-    /** The deferred-retry client, and the round it retries from. */
+    /** The deferred-retry client, if one declared itself. */
     DeferredRetryClient *_deferred = nullptr;
-    RetryRound *_round = nullptr;
-    /** Tick of the wake that put the port in its pending round. */
-    Tick _wokenAt = 0;
     ResponseCallback _respond;
     WakeCallback _wake;
     MmuCounts _counts;
@@ -111,6 +93,25 @@ class TranslationRouter::Port final : public TranslationEngine,
     stats::Scalar &_sCapRejections;
 };
 
+/**
+ * A RetryRound member the router owns: deferred-retry ports that one
+ * wake put in the same round, with the tick of that wake. Their order
+ * in the round is their wake order, from the keys the wake recorded.
+ */
+class TranslationRouter::Round final : public RetryMember
+{
+  public:
+    explicit Round(TranslationRouter &router) : _router(router) {}
+
+    ClientSet members;
+    Tick woken = 0;
+
+  private:
+    void retry() override { _router.runRound(*this); }
+
+    TranslationRouter &_router;
+};
+
 TranslationRouter::TranslationRouter(TranslationEngine &engine,
                                      unsigned num_clients,
                                      RouterPolicy policy,
@@ -122,14 +123,15 @@ TranslationRouter::TranslationRouter(TranslationEngine &engine,
     NEUMMU_ASSERT(num_clients < 256, "client tag is one byte");
     _perClientCap =
         walker_budget >= num_clients ? walker_budget / num_clients : 1;
-    // Both lists hold at most every port: reserving keeps the swap in
-    // onWake() and every push allocation-free.
-    _waiting.reserve(num_clients);
-    _wakeOrder.reserve(num_clients);
     for (unsigned c = 0; c < num_clients; c++) {
         _ports.push_back(std::make_unique<Port>(
             *this, c, _name + ".client" + std::to_string(c)));
     }
+    _inflight.assign(num_clients, 0);
+    _refusedVa.assign(num_clients, invalidAddr);
+    _wakeKey.assign(num_clients, 0);
+    _parkedRounds.assign(num_clients, 0);
+    _lastParked.assign(num_clients, 0);
 
     _engine.setResponseCallback(
         [this](const TranslationResponse &resp) { onResponse(resp); });
@@ -148,7 +150,7 @@ TranslationRouter::port(unsigned client)
 std::uint64_t
 TranslationRouter::inflight(unsigned client) const
 {
-    return _ports[client]->_inflight;
+    return _inflight[client];
 }
 
 std::uint64_t
@@ -175,28 +177,28 @@ TranslationRouter::clientStats(unsigned client)
     return _ports[client]->_stats;
 }
 
-inline bool
-TranslationRouter::wakesBefore(const Port *a, const Port *b)
+inline std::uint64_t
+TranslationRouter::wakeKey(unsigned client) const
 {
-    return a->_inflight != b->_inflight ? a->_inflight > b->_inflight
-                                        : a->_client < b->_client;
+    // ~inflight << 8 falls as the in-flight count rises (it stays far
+    // below 2^56), and the low byte breaks ties by client index.
+    return (~_inflight[client] << 8) | client;
 }
 
 inline void
-TranslationRouter::markWaiting(Port &port)
+TranslationRouter::refuse(Port &port, Addr va, bool by_cap)
 {
-    if (port._waiting)
-        return;
-    port._waiting = true;
-    _waiting.push_back(&port);
-}
-
-inline void
-TranslationRouter::refuse(Port &port, Addr va)
-{
-    port._refusedVa = va;
-    port._refusedPageReported = false;
-    markWaiting(port);
+    const unsigned c = port._client;
+    NEUMMU_ASSERT(!_pending.test(c), "a port in a pending round refused");
+    unfilter(c);
+    _refusedPages[pageFilterSlot(va >> _filterShift)]++;
+    _filtered.set(c);
+    _refusedVa[c] = va;
+    _reported.reset(c);
+    _capRefused.assign(c, by_cap);
+    if (port._deferred)
+        _recording.assign(c, port._deferred->recordsAttempts());
+    _waiting.set(c);
 }
 
 bool
@@ -210,12 +212,12 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
     Port &port = *_ports[client];
     port._counts.requests++;
     ++port._sRequests;
-    if (_policy == RouterPolicy::Partitioned &&
-        port._inflight >= _perClientCap) {
+    std::uint64_t &inflight = _inflight[client];
+    if (_policy == RouterPolicy::Partitioned && inflight >= _perClientCap) {
         port._capRejections++;
         port._counts.blockedIssues++;
-        port._capBlocked = true;
-        refuse(port, va);
+        _capBlocked.set(client);
+        refuse(port, va, true);
         ++port._sCapRejections;
         ++port._sBlockedIssues;
         return false;
@@ -224,12 +226,12 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
         (std::uint64_t(client) << clientShift) | id;
     if (!_engine.translate(va, tagged)) {
         port._counts.blockedIssues++;
-        refuse(port, va);
+        refuse(port, va, false);
         ++port._sBlockedIssues;
         return false;
     }
-    port._inflight++;
-    port._maxInflight = std::max(port._maxInflight, port._inflight);
+    inflight++;
+    port._maxInflight = std::max(port._maxInflight, inflight);
     return true;
 }
 
@@ -239,36 +241,70 @@ TranslationRouter::probe(Port &port, Addr va)
     // A capped port must go through translate(): the cap rejection's
     // bookkeeping arms its below-cap wake.
     if (_policy == RouterPolicy::Partitioned &&
-        port._inflight >= _perClientCap)
+        _inflight[port._client] >= _perClientCap)
         return true;
     if (_engine.admits(va))
         return true;
-    refuse(port, va);
+    refuse(port, va, false);
     return false;
 }
 
 void
-TranslationRouter::watchWakeRetries(Port &port)
+TranslationRouter::watchAdmits()
 {
-    port._retriesInWake = true;
-    // Idempotent: every such port shares the one watch.
+    // Idempotent: every port shares the one watch.
     _engine.setAdmitWatch([this](Addr vpn, unsigned page_shift) {
         onAdmitPage(vpn, page_shift);
     });
 }
 
 void
+TranslationRouter::watchWakeRetries(Port &port)
+{
+    _retriesInWake.set(port._client);
+    watchAdmits();
+}
+
+void
+TranslationRouter::deferRetries(Port &port, RetryRound &round)
+{
+    NEUMMU_ASSERT(!_retry || _retry == &round,
+                  "a router's deferred ports share one retry round");
+    _retry = &round;
+    _deferredPorts.set(port._client);
+    watchAdmits();
+}
+
+inline void
+TranslationRouter::unfilter(unsigned client)
+{
+    if (!_filtered.test(client))
+        return;
+    _filtered.reset(client);
+    _refusedPages[pageFilterSlot(_refusedVa[client] >> _filterShift)]--;
+}
+
+void
 TranslationRouter::onAdmitPage(Addr vpn, unsigned page_shift)
 {
-    // During a wake, the ports it has yet to visit are off the list
-    // but still waiting. Marking a port the wake already let go is
-    // harmless: its next refusal clears the mark.
-    const auto mark = [vpn, page_shift](Port *port) {
-        if ((port->_refusedVa >> page_shift) == vpn)
-            port->_refusedPageReported = true;
-    };
-    std::for_each(_waiting.begin(), _waiting.end(), mark);
-    std::for_each(_wakeOrder.begin(), _wakeOrder.end(), mark);
+    if (page_shift != _filterShift) {
+        // Engines report one page size: this runs once, if at all.
+        _filterShift = page_shift;
+        _refusedPages.fill(0);
+        _filtered.forEach([this](unsigned c) {
+            _refusedPages[pageFilterSlot(_refusedVa[c] >> _filterShift)]++;
+        });
+    }
+    // Most reported pages are no client's refused page.
+    if (_refusedPages[pageFilterSlot(vpn)] == 0)
+        return;
+    // Only a blocked client can be refused again: one that waits, is
+    // parked or is in a pending round. Marking one a wake is about to
+    // call, or a round is about to visit, is harmless.
+    (_waiting | _pending).forEach([&](unsigned c) {
+        if ((_refusedVa[c] >> page_shift) == vpn)
+            _reported.set(c);
+    });
 }
 
 void
@@ -277,8 +313,8 @@ TranslationRouter::onResponse(const TranslationResponse &resp)
     const unsigned client = unsigned(resp.id >> clientShift);
     NEUMMU_ASSERT(client < _ports.size(), "response for unknown client");
     Port &port = *_ports[client];
-    NEUMMU_ASSERT(port._inflight > 0, "response underflow");
-    port._inflight--;
+    NEUMMU_ASSERT(_inflight[client] > 0, "response underflow");
+    _inflight[client]--;
     port._counts.responses++;
     ++port._sResponses;
 
@@ -290,8 +326,8 @@ TranslationRouter::onResponse(const TranslationResponse &resp)
     // A client the router itself capped is not woken by the engine
     // (the engine never saw its rejected request): wake it as soon as
     // its own completions bring it back under the cap.
-    if (port._capBlocked && port._inflight < _perClientCap) {
-        port._capBlocked = false;
+    if (_capBlocked.test(client) && _inflight[client] < _perClientCap) {
+        _capBlocked.reset(client);
         wake(port);
     }
 }
@@ -299,69 +335,177 @@ TranslationRouter::onResponse(const TranslationResponse &resp)
 void
 TranslationRouter::wake(Port &port)
 {
-    // Off the list before the call: a retry the wake makes
+    // Out of the set before the call: a retry the wake makes
     // synchronously (a hub bridge replaying its queue) may be
     // rejected again and put it back.
-    const bool waiting = port._waiting;
-    if (waiting) {
-        port._waiting = false;
-        const auto it = std::find(_waiting.begin(), _waiting.end(), &port);
-        if (it != _waiting.end())
-            _waiting.erase(it);
-    }
+    const unsigned c = port._client;
+    const bool waiting = _waiting.test(c);
+    _waiting.reset(c);
     if (port._deferred) {
-        // A deferred port off the list was woken since: its retry is
-        // already in a round.
-        if (waiting)
-            defer(port);
+        // A deferred port out of the set was woken since: its retry
+        // is already in a round.
+        if (waiting) {
+            ClientSet one;
+            one.set(c);
+            joinRound(one);
+        }
     } else if (port._wake) {
+        unfilter(c);
         port._wake();
     }
 }
 
 void
-TranslationRouter::defer(Port &port)
+TranslationRouter::joinRound(const ClientSet &members)
 {
-    port._wokenAt = port._round->eventQueue().now();
-    port._round->join(port);
+    if (members.none())
+        return;
+    NEUMMU_ASSERT(_retry, "deferred port without a retry round");
+    _waiting -= members;
+    _pending |= members;
+    Round *round;
+    if (_idleRounds.empty()) {
+        _rounds.push_back(std::make_unique<Round>(*this));
+        round = _rounds.back().get();
+    } else {
+        round = _idleRounds.back();
+        _idleRounds.pop_back();
+    }
+    round->members = members;
+    round->woken = _retry->eventQueue().now();
+    _retry->join(*round);
 }
 
 void
-TranslationRouter::retryDeferred(Port &port)
+TranslationRouter::runRound(Round &round)
 {
     NEUMMU_PROF_SCOPE(_eq ? _eq->profiler() : nullptr,
                       ProfSubsystem::Router);
+    ClientSet left = round.members;
+    const Tick woken = round.woken;
+    _idleRounds.push_back(&round);
+
+    // Visit the members in wake order. With no refusal proven (a
+    // walker is free, or the engine keeps no watch) any member may be
+    // admitted. Once refusals hold, only a member whose page was
+    // reported since its refusal, whose refusal was the cap's, or
+    // that records every attempt may get anything but a refusal; a
+    // visit can start a walk on a waiting member's page, so the set
+    // is read anew before each pick. Usually the first visit takes
+    // the walker the wake freed and proves the rest refused, so each
+    // pick scans for the first key rather than sorting them all.
+    bool proven = false;
+    for (;;) {
+        const bool hold = _engine.refusalsHold();
+        NEUMMU_ASSERT(hold || !proven,
+                      "a round's visit freed engine capacity");
+        proven = hold;
+        const ClientSet next =
+            hold ? left & (_reported | _capRefused | _recording) : left;
+        if (next.none())
+            break;
+        const unsigned c = firstInWakeOrder(next);
+        left.reset(c);
+        visit(c, woken);
+    }
+    if (left.none())
+        return;
+    // Every other member's probe would be refused again: park it as
+    // that refusal would leave it, without the call.
+    left.forEach([&](unsigned c) {
+        _parkedRounds[c]++;
+        _lastParked[c] = woken;
+    });
+    _parkedRefusals += left.count();
+    _pending -= left;
+    _waiting |= left;
+}
+
+void
+TranslationRouter::visit(unsigned client, Tick woken)
+{
+    ++_roundVisits;
+    _pending.reset(client);
+    unfilter(client);
+    settle(client);
+    Port &port = *_ports[client];
     // Only the port retries for its client, so from the wake to here
-    // the client stays blocked with no retry of its own. Checked here
-    // rather than at the wake: the round reads the client anyway.
+    // the client stays blocked with no retry of its own.
     NEUMMU_ASSERT(port._deferred->awaitingWake(),
                   "deferred port's client is not blocked on a wake");
-    // A refusal puts the port straight back on the waiting list
+    // A refusal puts the port straight back in the waiting set
     // (probe()) and leaves its client as a rejected retry would.
-    if (probe(port, port._refusedVa))
-        port._deferred->retryAdmitted(port._wokenAt);
+    if (probe(port, _refusedVa[client]))
+        port._deferred->retryAdmitted(woken);
     else
-        port._deferred->retryRefused(port._wokenAt);
+        port._deferred->retriesRefused(1, woken);
+}
+
+void
+TranslationRouter::settle(unsigned client)
+{
+    const std::uint64_t rounds = _parkedRounds[client];
+    if (rounds == 0)
+        return;
+    _parkedRounds[client] = 0;
+    DeferredRetryClient &deferred = *_ports[client]->_deferred;
+    NEUMMU_ASSERT(deferred.awaitingWake(),
+                  "parked port's client is not blocked on a wake");
+    deferred.retriesRefused(rounds, _lastParked[client]);
 }
 
 void
 TranslationRouter::chargePendingWaits()
 {
-    for (const auto &port : _ports) {
-        if (port->_deferred && port->inRetryRound())
-            port->_deferred->chargeWait(port->_wokenAt);
+    std::vector<Tick> woken(_ports.size(), 0);
+    for (const auto &round : _rounds) {
+        if (round->inRetryRound()) {
+            round->members.forEach(
+                [&](unsigned c) { woken[c] = round->woken; });
+        }
+    }
+    _deferredPorts.forEach([&](unsigned c) {
+        settle(c);
+        if (_pending.test(c))
+            _ports[c]->_deferred->chargeWait(woken[c]);
+    });
+    checkWaiters();
+}
+
+void
+TranslationRouter::checkWaiters() const
+{
+    ClientSet in_rounds;
+    for (const auto &round : _rounds) {
+        if (!round->inRetryRound())
+            continue;
+        NEUMMU_ASSERT((in_rounds & round->members).none(),
+                      "a port is in two pending rounds");
+        in_rounds |= round->members;
+    }
+    NEUMMU_ASSERT(in_rounds == _pending,
+                  "pending set disagrees with the pending rounds");
+    NEUMMU_ASSERT((_waiting & _pending).none(),
+                  "a port both waits and is in a pending round");
+    for (unsigned c = 0; c < _ports.size(); c++) {
+        NEUMMU_ASSERT(_parkedRounds[c] == 0,
+                      "a parked refused round was left unsettled");
+        const DeferredRetryClient *deferred = _ports[c]->_deferred;
+        if (deferred) {
+            NEUMMU_ASSERT(deferred->awaitingWake() ==
+                              (_waiting.test(c) || _pending.test(c)),
+                          "a deferred client is blocked but neither "
+                          "waits nor is in a round, or the reverse");
+        }
     }
 }
 
-bool
-TranslationRouter::refusalHolds(const Port &port) const
+unsigned
+TranslationRouter::firstInWakeOrder(const ClientSet &set) const
 {
-    // Only a client that retries inside the wake, and only the
-    // engine's refusal of the page it retries: a deferred (DMA)
-    // retry runs a cycle later, and a cap rejection's retry is
-    // counted against the cap.
-    return port._retriesInWake && !port._capBlocked &&
-           !port._refusedPageReported && _engine.refusalsHold();
+    std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
+    set.forEach([&](unsigned c) { first = std::min(first, _wakeKey[c]); });
+    return clientOf(first);
 }
 
 void
@@ -373,46 +517,54 @@ TranslationRouter::onWake()
     // on a rejection. A client that was never rejected, or was woken
     // since, has nothing to retry (a DMA's retry is already in a
     // round, a hub bridge with an empty retry queue does nothing), so
-    // it is not on the list. Clients with the deepest backlog
+    // it is not in the set. Clients with the deepest backlog
     // re-arbitrate first, ties by client index, approximating the
     // FIFO request queue of a real IOMMU front end -- this is what
     // lets a bursty accelerator starve a quiet one under the Shared
     // policy.
     //
-    // The order is fixed when the wake starts: the wake sorts the
-    // whole list and takes it, and each client is tested when its
-    // turn comes, after the ones before it took what they could. A
-    // client whose retry the engine would refuse again is put back
-    // without the call, which would change nothing but rejection
-    // counters; a called client goes back only if it is rejected
-    // again. A deferred-retry client (a DMA) is not called at all:
-    // its port joins the queue's RetryRound and retries for it a
-    // cycle later (retryDeferred()).
-    //
-    // Insertion sort in place: clients rejoin the list mostly in the
-    // order the last wake called them, so it is nearly sorted, and
-    // std::sort would cost more on the common short list.
-    for (std::size_t i = 1; i < _waiting.size(); i++) {
-        Port *p = _waiting[i];
-        std::size_t j = i;
-        while (j > 0 && wakesBefore(p, _waiting[j - 1])) {
-            _waiting[j] = _waiting[j - 1];
-            j--;
-        }
-        _waiting[j] = p;
+    // The order is fixed when the wake starts, from the keys then:
+    // each client is taken when its turn comes, after the ones before
+    // it took what they could. A bridge whose retry the engine would
+    // refuse again stays in the set without the call, which would
+    // change nothing but rejection counters; a called bridge goes
+    // back only if it is rejected again. As in a round, the bridges
+    // are picked in order among those the engine could admit: no call
+    // frees capacity, so once refusals hold they hold for the rest of
+    // the wake, and the skipped bridges need no turn. The DMAs go into
+    // rounds a cycle later: those between two called bridges in wake
+    // order join together, at their turn, so a call that schedules an
+    // event puts the DMAs after it in a later event, as their own
+    // joins would.
+    ClientSet dmas = _waiting & _deferredPorts;
+    ClientSet bridges = _waiting - _deferredPorts;
+    _waiting.forEach([this](unsigned c) { _wakeKey[c] = wakeKey(c); });
+    for (;;) {
+        // While refusals hold, skip a bridge whose retry the engine
+        // would refuse: one that retries inside its wake, refused by
+        // the engine on a page not reported since.
+        const ClientSet callable =
+            _engine.refusalsHold()
+                ? bridges - (_retriesInWake - _capBlocked - _reported)
+                : bridges;
+        if (callable.none())
+            break;
+        const unsigned c = firstInWakeOrder(callable);
+        bridges.reset(c);
+        ClientSet before;
+        dmas.forEach([&](unsigned d) {
+            if (_wakeKey[d] < _wakeKey[c])
+                before.set(d);
+        });
+        dmas -= before;
+        joinRound(before & _waiting);
+        Port &bridge = *_ports[c];
+        _waiting.reset(c);
+        unfilter(c);
+        if (bridge._wake)
+            bridge._wake();
     }
-    _wakeOrder.swap(_waiting);
-    _waiting.clear();
-    for (Port *port : _wakeOrder) {
-        port->_waiting = false;
-        if (refusalHolds(*port))
-            markWaiting(*port);
-        else if (port->_deferred)
-            defer(*port);
-        else if (port->_wake)
-            port->_wake();
-    }
-    _wakeOrder.clear();
+    joinRound(dmas & _waiting);
 }
 
 } // namespace neummu

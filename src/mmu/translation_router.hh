@@ -13,11 +13,34 @@
  *   (the failure mode the paper warns about).
  * - Partitioned: each client may only hold its fair share of the
  *   walker pool, bounding cross-client interference.
+ *
+ * A client the engine or the cap rejects waits in the router's one
+ * waiting set until a wake. Each wake of the engine wakes every
+ * waiting client, deepest backlog first (in-flight count descending,
+ * ties by client index), approximating the FIFO request queue of an
+ * IOMMU front end. A hub bridge (declareWakeRetry()) is called inside
+ * the wake, unless the engine proves its refusal still holds. A DMA
+ * (declareDeferredRetry()) is not called: its port joins a round that
+ * retries it a cycle later from the queue's RetryRound.
+ *
+ * At a round the router visits the members in wake order -- a probe
+ * of admits(), then the DMA's retry or its refusal -- but only those
+ * the engine could admit. While no refusal is proven
+ * (TranslationEngine::refusalsHold() false, e.g. a walker is free),
+ * that is every member. Once refusals hold, it is the members whose
+ * page started a walk or entered the TLB since their refusal, whose
+ * refusal was a cap rejection, or that record every attempt. The
+ * others stay parked in the waiting set without a call, and their
+ * refused rounds are settled in one call before their next visit
+ * (DeferredRetryClient::retriesRefused()). Under the engine's
+ * contract a parked member's probe would have been refused, so the
+ * simulated result is that of visiting every member at every round.
  */
 
 #ifndef NEUMMU_MMU_TRANSLATION_ROUTER_HH
 #define NEUMMU_MMU_TRANSLATION_ROUTER_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,6 +52,7 @@
 namespace neummu {
 
 class EventQueue;
+class RetryRound;
 
 /** Walker-pool arbitration across clients. */
 enum class RouterPolicy
@@ -39,9 +63,9 @@ enum class RouterPolicy
 
 /**
  * Fans one underlying engine out to N client ports. The router owns
- * the engine's response/wake callbacks; construct it before handing
- * ports to DMA engines, and do not install other callbacks on the
- * underlying engine afterwards.
+ * the engine's response, wake and admit-watch callbacks; construct it
+ * before handing ports to DMA engines, and do not install other
+ * callbacks on the underlying engine afterwards.
  */
 class TranslationRouter
 {
@@ -56,7 +80,7 @@ class TranslationRouter
      * @param name Stats prefix; per-client groups are named
      *        "<name>.client<i>".
      * @param eq The engine's event queue, whose profiler (if any)
-     *        times wake arbitration under ProfSubsystem::Router.
+     *        times wakes and rounds under ProfSubsystem::Router.
      */
     TranslationRouter(TranslationEngine &engine, unsigned num_clients,
                       RouterPolicy policy, unsigned walker_budget,
@@ -88,45 +112,171 @@ class TranslationRouter
     stats::Group &clientStats(unsigned client);
 
     /**
-     * Charge each deferred-retry client whose port is in a pending
-     * RetryRound its wait up to the wake, as the wake itself once
-     * did. Call where a run stops (System::run), so a wake on the
-     * last tick is counted before the stats are read.
+     * Settle each parked client's refused rounds, and charge each
+     * client in a pending round its wait up to the wake, as the round
+     * would. Call where a run stops (System::run), so stats read
+     * after the run count every round. Then checks that no waiter is
+     * lost or phantom: no refused round is left unsettled, and a
+     * deferred-retry client is blocked exactly when it is in the
+     * waiting set or in a pending round.
      */
     void chargePendingWaits();
 
+    /** Round members visited: probed, then admitted or refused. */
+    std::uint64_t roundVisits() const { return _roundVisits; }
+
+    /**
+     * Round members left parked: each a refused round settled later
+     * without a probe. Every member of every round is either visited
+     * or parked.
+     */
+    std::uint64_t parkedRefusals() const { return _parkedRefusals; }
+
   private:
     class Port;
+    class Round;
+
+    /** A set of client indices, one bit each (the tag is one byte). */
+    class ClientSet
+    {
+      public:
+        void set(unsigned c) { _w[c >> 6] |= bit(c); }
+        void reset(unsigned c) { _w[c >> 6] &= ~bit(c); }
+        void
+        assign(unsigned c, bool on)
+        {
+            on ? set(c) : reset(c);
+        }
+        bool test(unsigned c) const { return (_w[c >> 6] & bit(c)) != 0; }
+        bool none() const { return (_w[0] | _w[1] | _w[2] | _w[3]) == 0; }
+        std::size_t
+        count() const
+        {
+            std::size_t n = 0;
+            for (const std::uint64_t w : _w)
+                n += std::size_t(__builtin_popcountll(w));
+            return n;
+        }
+
+        ClientSet &
+        operator|=(const ClientSet &o)
+        {
+            for (unsigned i = 0; i < words; i++)
+                _w[i] |= o._w[i];
+            return *this;
+        }
+        /** Remove every member of @p o. */
+        ClientSet &
+        operator-=(const ClientSet &o)
+        {
+            for (unsigned i = 0; i < words; i++)
+                _w[i] &= ~o._w[i];
+            return *this;
+        }
+        ClientSet
+        operator&(const ClientSet &o) const
+        {
+            ClientSet r;
+            for (unsigned i = 0; i < words; i++)
+                r._w[i] = _w[i] & o._w[i];
+            return r;
+        }
+        ClientSet
+        operator|(const ClientSet &o) const
+        {
+            ClientSet r = *this;
+            return r |= o;
+        }
+        ClientSet
+        operator-(const ClientSet &o) const
+        {
+            ClientSet r = *this;
+            return r -= o;
+        }
+        bool operator==(const ClientSet &o) const { return _w == o._w; }
+
+        /** Call @p f with each member, in index order. */
+        template <typename F>
+        void
+        forEach(F &&f) const
+        {
+            for (unsigned i = 0; i < words; i++) {
+                for (std::uint64_t bits = _w[i]; bits; bits &= bits - 1)
+                    f(i * 64 + unsigned(__builtin_ctzll(bits)));
+            }
+        }
+
+      private:
+        static constexpr unsigned words = 4;
+        static std::uint64_t
+        bit(unsigned c)
+        {
+            return std::uint64_t(1) << (c & 63);
+        }
+
+        std::array<std::uint64_t, words> _w{};
+    };
 
     bool tryTranslate(unsigned client, Addr va, std::uint64_t id);
     /** Port::admits(): a refusal leaves the port waiting. */
     bool probe(Port &port, Addr va);
-    /** Port::declareWakeRetry(): starts the engine's admit watch. */
+    /** Port::declareWakeRetry(): the port is a hub bridge. */
     void watchWakeRetries(Port &port);
+    /** Port::declareDeferredRetry(): the port retries from @p round. */
+    void deferRetries(Port &port, RetryRound &round);
+    /** Start the engine's admit watch (idempotent). */
+    void watchAdmits();
     void onResponse(const TranslationResponse &resp);
     /** Wake the waiting clients, deepest backlog first. */
     void onWake();
+    /** Take @p client out of _refusedPages: it is no longer
+     *  blocked, or is about to be refused anew. */
+    void unfilter(unsigned client);
     /** Engine watch: page @p vpn may now admit its waiters. */
     void onAdmitPage(Addr vpn, unsigned page_shift);
-    /** @p port was refused @p va: it waits for a wake. */
-    void refuse(Port &port, Addr va);
-    /** Put @p port on the waiting list (no-op if already there). */
-    void markWaiting(Port &port);
-    /** Wake order: in-flight count descending, then client index. */
-    static bool wakesBefore(const Port *a, const Port *b);
-    /** Take @p port off the waiting list and wake it: defer() a
-     *  deferred-retry port, call any other port's wake callback. */
+    /** @p port was refused @p va (by the cap when @p by_cap): it
+     *  waits for a wake. */
+    void refuse(Port &port, Addr va, bool by_cap);
+    /** The slot of page @p vpn in _refusedPages. */
+    static unsigned
+    pageFilterSlot(Addr vpn)
+    {
+        return unsigned((vpn * 0x9e3779b97f4a7c15ULL) >> 56);
+    }
+    /** Wake order key: in-flight count descending, then client
+     *  index; ascending keys are the wake order. */
+    std::uint64_t wakeKey(unsigned client) const;
+    static unsigned
+    clientOf(std::uint64_t key)
+    {
+        return unsigned(key & 0xff);
+    }
+    /** Take @p port out of the waiting set and wake it: put a
+     *  deferred-retry port in a round, call any other port's wake
+     *  callback. */
     void wake(Port &port);
-    /** Wake deferred-retry @p port: join its RetryRound. */
-    void defer(Port &port);
     /**
-     * @p port's round: probe the engine with the refused VA, then
-     * hand the client its retry, or its refusal with the port back on
-     * the waiting list. Timed under ProfSubsystem::Router.
+     * Put @p members, taken from the waiting set, in a round at the
+     * next tick. The queue's RetryRound runs it in the event the
+     * members' own joins would have run in, after what joined before.
      */
-    void retryDeferred(Port &port);
-    /** Calling @p port's wake now would only be refused again. */
-    bool refusalHolds(const Port &port) const;
+    void joinRound(const ClientSet &members);
+    /**
+     * A round's event: visit its members in wake order while the
+     * engine proves nothing, then only the members it could admit;
+     * park the rest. Timed under ProfSubsystem::Router.
+     */
+    void runRound(Round &round);
+    /** Settle @p client's parked rounds, then probe its refused VA and
+     *  hand it its retry or its refusal. */
+    void visit(unsigned client, Tick woken);
+    /** One call for @p client's parked refused rounds, if any. */
+    void settle(unsigned client);
+    /** The drain check of chargePendingWaits(). */
+    void checkWaiters() const;
+    /** The member of @p set that comes first in wake order, by the
+     *  keys the last wake recorded. @pre @p set is not empty. */
+    unsigned firstInWakeOrder(const ClientSet &set) const;
 
     TranslationEngine &_engine;
     RouterPolicy _policy;
@@ -134,14 +284,55 @@ class TranslationRouter
     std::string _name;
     EventQueue *_eq;
     std::vector<std::unique_ptr<Port>> _ports;
+
+    // Hot per-client state, indexed by client: what wakes, rounds and
+    // admit reports read, packed so that a pass over the waiters
+    // touches no Port.
+    std::vector<std::uint64_t> _inflight;
+    /** VA of the last rejection or refused probe. */
+    std::vector<Addr> _refusedVa;
+    /** Wake order key at the client's last wake. */
+    std::vector<std::uint64_t> _wakeKey;
+    /** Parked refused rounds not yet settled, and the last one's
+     *  wake tick. */
+    std::vector<std::uint64_t> _parkedRounds;
+    std::vector<Tick> _lastParked;
     /**
-     * Ports rejected (by the engine or the cap) and not woken since.
-     * onWake() sorts it into wake order (wakesBefore()) first: the
-     * keys move with every response, so the order is settled then.
+     * How many _filtered clients' refused VAs lie on a page of each
+     * slot, pages of 2^_filterShift bytes hashed by pageFilterSlot():
+     * an admit report for a page whose slot counts none marks nobody.
      */
-    std::vector<Port *> _waiting;
-    /** The list the running onWake() took; empty between wakes. */
-    std::vector<Port *> _wakeOrder;
+    std::array<std::uint16_t, 256> _refusedPages{};
+    unsigned _filterShift = 12;
+    /** Clients counted in _refusedPages: every blocked client, and
+     *  maybe some a wake or a round has just let go. */
+    ClientSet _filtered;
+    /** Rejected (by the engine or the cap) and not woken since, or
+     *  parked. Never overlaps _pending. */
+    ClientSet _waiting;
+    /** Deferred-retry clients in a round whose event has not fired. */
+    ClientSet _pending;
+    /** The engine reported the page of the refused VA since. */
+    ClientSet _reported;
+    /** The last refusal was the router's cap, not the engine. */
+    ClientSet _capRefused;
+    /** A cap rejection is pending a below-cap wake. */
+    ClientSet _capBlocked;
+    /** Clients that retry inside their wake (declareWakeRetry()). */
+    ClientSet _retriesInWake;
+    /** Deferred-retry clients that recorded every attempt at their
+     *  last refusal. */
+    ClientSet _recording;
+    /** Clients that declared deferred retries. */
+    ClientSet _deferredPorts;
+
+    /** The deferred-retry clients' round, shared by all of them. */
+    RetryRound *_retry = nullptr;
+    /** Every round ever made; idle ones wait in _idleRounds. */
+    std::vector<std::unique_ptr<Round>> _rounds;
+    std::vector<Round *> _idleRounds;
+    std::uint64_t _roundVisits = 0;
+    std::uint64_t _parkedRefusals = 0;
 
     static constexpr unsigned clientShift = 56;
 };

@@ -185,19 +185,27 @@ DmaEngine::retryAdmitted(Tick woken)
 }
 
 void
-DmaEngine::retryRefused(Tick woken)
+DmaEngine::retriesRefused(std::uint64_t count, Tick last_woken)
 {
-    // What issueStep(true) does on a refused probe: burn the id,
-    // trace the attempt, and block from now.
-    chargeWait(woken);
-    _nextId++;
+    NEUMMU_ASSERT(count > 0, "settling no refused rounds");
+    NEUMMU_ASSERT(count == 1 || !recordsAttempts(),
+                  "a recording DMA settles every refused round");
+    // What issueStep(true) does on a refused probe, once per round:
+    // charge the wait up to the wake, burn the id, trace the attempt
+    // and block from the round. The rounds before the last each left
+    // their own round's tick uncharged.
+    NEUMMU_ASSERT(_blockedSince + (count - 1) <= last_woken,
+                  "refused rounds closer than one a tick");
+    _blockedSince += count - 1;
+    chargeWait(last_woken);
+    _nextId += count;
     if (_traceHook) {
         Addr va = 0;
         std::uint64_t len = 0;
         currentBurst(va, len);
-        _traceHook(_eq.now(), va, len, false);
+        _traceHook(last_woken + 1, va, len, false);
     }
-    _blockedSince = _eq.now();
+    _blockedSince = last_woken + 1;
 }
 
 void

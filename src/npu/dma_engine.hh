@@ -152,8 +152,9 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     {
         return _blocked && !_issueScheduled;
     }
+    bool recordsAttempts() const override { return _trace || _traceHook; }
     void retryAdmitted(Tick woken) override;
-    void retryRefused(Tick woken) override;
+    void retriesRefused(std::uint64_t count, Tick last_woken) override;
     /** Charge the stall since _blockedSince up to @p until, and its
      *  CreditWait span; the port stays blocked from @p until. */
     void chargeWait(Tick until) override;

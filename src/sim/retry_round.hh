@@ -2,16 +2,16 @@
  * @file
  * One retry event for the blocked clients woken together on one queue.
  *
- * When the MMU frees capacity, the router wakes its waiting ports one
- * after another, and each woken client retries its rejected
+ * When the MMU frees capacity, each woken client retries its rejected
  * translation next cycle (Section IV-A). A DMA bound straight to its
- * engine joins the round itself; a router port joins on its DMA's
- * behalf and probes the engine's admits() at the round, so a retry
- * the engine would refuse again never reaches the DMA's issue path.
- * One event per member would draw consecutive seqs for the same tick
- * and so run back to back; a RetryRound runs them from one event
- * instead, in wake order, with the same simulated result and one
- * dispatch per wake.
+ * engine joins the round itself. Behind a router, the router joins
+ * for its DMAs: the DMA ports a wake releases go into a member the
+ * router owns, which at the round probes the engine's admits() only
+ * for the ports the engine could admit (see TranslationRouter). One
+ * event per member would draw consecutive seqs for the same tick and
+ * so run back to back; a RetryRound runs them from one event instead,
+ * in wake order, with the same simulated result and one dispatch per
+ * wake.
  */
 
 #ifndef NEUMMU_SIM_RETRY_ROUND_HH
@@ -26,8 +26,8 @@
 namespace neummu {
 
 /**
- * Something a RetryRound retries: a DMA engine, or a router port
- * retrying for its DMA.
+ * Something a RetryRound retries: a DMA engine, or a router's round
+ * of the DMA ports one wake released.
  */
 class RetryMember
 {

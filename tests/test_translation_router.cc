@@ -4,16 +4,27 @@
  * under Partitioned, a bursty client can never hold more than its
  * walker share while a quiet client keeps making progress; under
  * Shared, the starvation case the paper warns about is real and
- * observable at the issue port.
+ * observable at the issue port. Also the wake and retry rules: who is
+ * woken in what order, and that parking waiters whose refusal the
+ * engine proves gives what visiting every waiter at every round gave.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
+#include <memory>
+#include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "mem/memory_model.hh"
 #include "mmu/mmu_core.hh"
 #include "mmu/translation_router.hh"
+#include "npu/dma_engine.hh"
 #include "sim/event_queue.hh"
 #include "sim/retry_round.hh"
 #include "vm/address_space.hh"
@@ -595,13 +606,21 @@ class DeferredLog : public DeferredRetryClient
   public:
     explicit DeferredLog(EventQueue &eq) : _eq(eq) {}
 
-    /** "<call> woken=<tick> at=<tick>", one per call. */
+    /** "<call> woken=<tick> at=<tick>" or "retriesRefused count=<n>
+     *  last=<tick> at=<tick>", one per call. */
     std::vector<std::string> calls;
     bool blocked = true;
 
     bool awaitingWake() const override { return blocked; }
+    bool recordsAttempts() const override { return false; }
     void retryAdmitted(Tick woken) override { log("admitted", woken); }
-    void retryRefused(Tick woken) override { log("refused", woken); }
+    void
+    retriesRefused(std::uint64_t count, Tick last_woken) override
+    {
+        calls.push_back("retriesRefused count=" + std::to_string(count) +
+                        " last=" + std::to_string(last_woken) +
+                        " at=" + std::to_string(_eq.now()));
+    }
     void chargeWait(Tick woken) override { log("charged", woken); }
 
   private:
@@ -643,8 +662,9 @@ TEST(TranslationRouter, DeferredClientRetriesFromItsPortsRound)
     eq.schedule(30, [&] { engine.wake(); });
     eq.run();
     EXPECT_EQ(client.calls,
-              (std::vector<std::string>{"refused woken=10 at=11",
-                                        "admitted woken=20 at=21"}));
+              (std::vector<std::string>{
+                  "retriesRefused count=1 last=10 at=11",
+                  "admitted woken=20 at=21"}));
     // The port never calls the wake callback of a deferred client.
     EXPECT_EQ(wakes, 0u);
 
@@ -671,4 +691,649 @@ TEST(TranslationRouterDeathTest, DeferredClientMustBeBlockedAtItsRound)
     engine.wake();
     client.blocked = false;
     EXPECT_DEATH(eq.run(), "not blocked on a wake");
+}
+
+namespace {
+
+/** ProbedEngine that can prove its refusals hold and report pages to
+ *  the router's admit watch, as the test says. */
+class HoldingEngine : public ProbedEngine
+{
+  public:
+    bool holding = false;
+
+    void setAdmitWatch(PageCallback cb) override { _watch = std::move(cb); }
+    bool refusalsHold() const override { return holding && _watch; }
+    /** The page of @p va may now admit its waiters. */
+    void report(Addr va) { _watch(va >> 12, 12); }
+
+  private:
+    PageCallback _watch;
+};
+
+} // namespace
+
+TEST(TranslationRouter, ParkedRoundsSettleAsOneCallBeforeTheVisit)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    HoldingEngine engine;
+    TranslationRouter router(engine, 2, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DeferredLog client(eq);
+    router.port(0).declareDeferredRetry(client, round);
+
+    engine.accept = false;
+    engine.holding = true;
+    ASSERT_FALSE(router.port(0).translate(0x1000, 0));
+    // The rounds at 11, 21 and 31 find the refusal proven: the port
+    // stays parked and the client hears nothing.
+    for (const Tick at : {10u, 20u, 30u})
+        eq.schedule(at, [&] { engine.wake(); });
+    eq.run(35);
+    EXPECT_TRUE(client.calls.empty());
+    EXPECT_EQ(router.parkedRefusals(), 3u);
+    EXPECT_EQ(router.roundVisits(), 0u);
+
+    // Its page is reported: the round at 41 visits it, settling the
+    // three parked rounds in one call first.
+    eq.schedule(40, [&] {
+        engine.report(0x1000);
+        engine.admitting = true;
+        engine.wake();
+    });
+    eq.run();
+    EXPECT_EQ(client.calls,
+              (std::vector<std::string>{
+                  "retriesRefused count=3 last=30 at=41",
+                  "admitted woken=40 at=41"}));
+    EXPECT_EQ(router.roundVisits(), 1u);
+}
+
+TEST(TranslationRouter, ParkedDmaIsChargedAsIfEveryRoundRefusedIt)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    HoldingEngine engine;
+    MemoryModel mem("mem", MemoryConfig{});
+    TranslationRouter router(engine, 1, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DmaEngine dma("dma", eq, router.port(0), mem, DmaConfig{}, round);
+    Tick done = 0;
+
+    engine.accept = false;
+    engine.holding = true;
+    dma.fetch({VaRun{0x1000, 1024}}, [&done](Tick at) { done = at; });
+    for (const Tick at : {10u, 20u, 30u})
+        eq.schedule(at, [&] { engine.wake(); });
+    eq.schedule(40, [&] {
+        engine.report(0x1000);
+        engine.admitting = engine.accept = true;
+        engine.wake();
+    });
+    eq.schedule(50, [&] { engine.respond(0); });
+    eq.run();
+    // Blocked from 0; refused rounds at 11, 21 and 31 each charge up
+    // to their wake, (10 - 0) + (20 - 11) + (30 - 21) = 28, and the
+    // round at 41 charges 40 - 31 = 9 before its retry is let in.
+    EXPECT_EQ(router.parkedRefusals(), 3u);
+    EXPECT_EQ(dma.stallCycles(), 37u);
+    EXPECT_EQ(dma.translationsIssued(), 1u);
+    // Ids 0-3 were burned by the refusals: the admitted retry is id 4.
+    ASSERT_EQ(engine.accepted.size(), 1u);
+    EXPECT_EQ(engine.accepted[0], 4u);
+    EXPECT_GT(done, 50u);
+}
+
+TEST(TranslationRouterDeathTest, ParkedClientMustBeBlockedWhenSettled)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    HoldingEngine engine;
+    TranslationRouter router(engine, 1, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DeferredLog client(eq);
+    router.port(0).declareDeferredRetry(client, round);
+    engine.accept = false;
+    engine.holding = true;
+    ASSERT_FALSE(router.port(0).translate(0x1000, 0));
+    engine.wake();
+    eq.run();
+    ASSERT_EQ(router.parkedRefusals(), 1u);
+    client.blocked = false;
+    engine.report(0x1000);
+    engine.wake();
+    EXPECT_DEATH(eq.run(), "parked port's client is not blocked");
+}
+
+namespace {
+
+/**
+ * A walker-pool engine small enough to script: a few walkers, a small
+ * merge buffer per walk and a FIFO TLB, with walk and hit latencies
+ * drawn from its own seeded stream. It keeps MmuCore's admission
+ * contract: admits() is exact, a refusal touches nothing, and every
+ * page a walk starts on or the TLB takes is reported to the admit
+ * watch, so refusals hold while no walker is free.
+ */
+class ContractEngine : public TranslationEngine
+{
+  public:
+    /** One translate() call, with the router's client tag split off. */
+    struct Call
+    {
+        Tick tick;
+        unsigned client;
+        std::uint64_t id;
+        bool accepted;
+
+        bool
+        operator==(const Call &o) const
+        {
+            return tick == o.tick && client == o.client && id == o.id &&
+                   accepted == o.accepted;
+        }
+    };
+
+    ContractEngine(EventQueue &eq, unsigned walkers, unsigned merge_slots,
+                   std::size_t tlb_entries, std::uint64_t seed)
+        : _eq(eq), _freeWalkers(walkers), _mergeSlots(merge_slots),
+          _tlbEntries(tlb_entries), _rng(seed)
+    {
+    }
+
+    std::vector<Call> calls;
+
+    bool
+    admits(Addr va) override
+    {
+        const Addr vpn = va >> 12;
+        if (inTlb(vpn))
+            return true;
+        const auto walk = _walks.find(vpn);
+        if (walk != _walks.end())
+            return walk->second.size() - 1 < _mergeSlots;
+        return _freeWalkers > 0;
+    }
+
+    bool
+    translate(Addr va, std::uint64_t id) override
+    {
+        const bool ok = admits(va);
+        calls.push_back(Call{_eq.now(), unsigned(id >> 56),
+                             id & ((std::uint64_t(1) << 56) - 1), ok});
+        if (!ok)
+            return false;
+        const TranslationResponse resp{id, va, va};
+        const Addr vpn = va >> 12;
+        if (inTlb(vpn)) {
+            _eq.scheduleIn(1 + _rng() % 3, [this, resp] { _respond(resp); });
+            return true;
+        }
+        const auto walk = _walks.find(vpn);
+        if (walk != _walks.end()) {
+            walk->second.push_back(resp);
+            return true;
+        }
+        _freeWalkers--;
+        _walks[vpn].push_back(resp);
+        report(vpn);
+        _eq.scheduleIn(20 + _rng() % 60, [this, vpn] { finishWalk(vpn); });
+        return true;
+    }
+
+    void setAdmitWatch(PageCallback cb) override { _watch = std::move(cb); }
+    bool refusalsHold() const override { return _watch && _freeWalkers == 0; }
+    void
+    setResponseCallback(ResponseCallback cb) override
+    {
+        _respond = std::move(cb);
+    }
+    void setWakeCallback(WakeCallback cb) override { _wake = std::move(cb); }
+    const MmuCounts &counts() const override { return _counts; }
+
+  private:
+    bool
+    inTlb(Addr vpn) const
+    {
+        return std::find(_tlb.begin(), _tlb.end(), vpn) != _tlb.end();
+    }
+
+    void
+    report(Addr vpn)
+    {
+        if (_watch)
+            _watch(vpn, 12);
+    }
+
+    void
+    finishWalk(Addr vpn)
+    {
+        const std::vector<TranslationResponse> pending =
+            std::move(_walks[vpn]);
+        _walks.erase(vpn);
+        _tlb.push_back(vpn);
+        if (_tlb.size() > _tlbEntries)
+            _tlb.erase(_tlb.begin());
+        report(vpn);
+        // The merged requests drain one per cycle, as a PRMB does.
+        Tick at = 0;
+        for (const TranslationResponse &resp : pending)
+            _eq.scheduleIn(at++, [this, resp] { _respond(resp); });
+        _freeWalkers++;
+        _wake();
+    }
+
+    EventQueue &_eq;
+    unsigned _freeWalkers;
+    unsigned _mergeSlots;
+    std::size_t _tlbEntries;
+    std::mt19937_64 _rng;
+    std::vector<Addr> _tlb;
+    std::map<Addr, std::vector<TranslationResponse>> _walks;
+    PageCallback _watch;
+    ResponseCallback _respond;
+    WakeCallback _wake;
+    MmuCounts _counts;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ContractEngine::Call &c)
+{
+    return os << "{t=" << c.tick << " c" << c.client << " id=" << c.id
+              << (c.accepted ? " ok" : " rejected") << "}";
+}
+
+/**
+ * The router's algorithm before parking, kept as the reference: every
+ * waiting port is woken at every wake, in wake order, and every
+ * deferred-retry port joins the RetryRound itself and is probed at
+ * every round, its refusal handed over at once.
+ */
+class ReferenceRouter
+{
+  public:
+    ReferenceRouter(TranslationEngine &engine, unsigned num_clients,
+                    RouterPolicy policy, unsigned walker_budget)
+        : _engine(engine), _policy(policy),
+          _cap(walker_budget >= num_clients ? walker_budget / num_clients
+                                            : 1)
+    {
+        for (unsigned c = 0; c < num_clients; c++)
+            _ports.push_back(std::make_unique<Port>(*this, c));
+        _engine.setResponseCallback(
+            [this](const TranslationResponse &resp) { onResponse(resp); });
+        _engine.setWakeCallback([this] { onWake(); });
+    }
+
+    TranslationEngine &port(unsigned c) { return *_ports[c]; }
+    std::uint64_t capRejections(unsigned c) const
+    {
+        return _ports[c]->capRejections;
+    }
+    const MmuCounts &clientCounts(unsigned c) const
+    {
+        return _ports[c]->counts();
+    }
+
+    void
+    chargePendingWaits()
+    {
+        for (const auto &port : _ports) {
+            if (port->deferred && port->inRetryRound())
+                port->deferred->chargeWait(port->wokenAt);
+        }
+    }
+
+  private:
+    struct Port final : public TranslationEngine, public RetryMember
+    {
+        Port(ReferenceRouter &router, unsigned client)
+            : router(router), client(client)
+        {
+        }
+
+        bool
+        translate(Addr va, std::uint64_t id) override
+        {
+            return router.tryTranslate(*this, va, id);
+        }
+        bool admits(Addr va) override { return router.probe(*this, va); }
+        void
+        declareWakeRetry() override
+        {
+            retriesInWake = true;
+            router.watch();
+        }
+        void
+        declareDeferredRetry(DeferredRetryClient &c, RetryRound &r) override
+        {
+            deferred = &c;
+            round = &r;
+        }
+        void
+        setResponseCallback(ResponseCallback cb) override
+        {
+            respond = std::move(cb);
+        }
+        void
+        setWakeCallback(WakeCallback cb) override
+        {
+            wake = std::move(cb);
+        }
+        const MmuCounts &counts() const override { return mmuCounts; }
+        void retry() override { router.retryDeferred(*this); }
+
+        ReferenceRouter &router;
+        unsigned client;
+        bool capBlocked = false, waiting = false, retriesInWake = false;
+        bool reported = false;
+        std::uint64_t inflight = 0, capRejections = 0;
+        Addr refusedVa = invalidAddr;
+        DeferredRetryClient *deferred = nullptr;
+        RetryRound *round = nullptr;
+        Tick wokenAt = 0;
+        ResponseCallback respond;
+        WakeCallback wake;
+        MmuCounts mmuCounts;
+    };
+
+    void
+    watch()
+    {
+        _engine.setAdmitWatch([this](Addr vpn, unsigned shift) {
+            for (const auto &port : _ports) {
+                if ((port->refusedVa >> shift) == vpn)
+                    port->reported = true;
+            }
+        });
+    }
+
+    void
+    refuse(Port &port, Addr va)
+    {
+        port.refusedVa = va;
+        port.reported = false;
+        if (!port.waiting) {
+            port.waiting = true;
+            _waiting.push_back(&port);
+        }
+    }
+
+    bool
+    tryTranslate(Port &port, Addr va, std::uint64_t id)
+    {
+        port.mmuCounts.requests++;
+        if (_policy == RouterPolicy::Partitioned && port.inflight >= _cap) {
+            port.capRejections++;
+            port.mmuCounts.blockedIssues++;
+            port.capBlocked = true;
+            refuse(port, va);
+            return false;
+        }
+        if (!_engine.translate(va, (std::uint64_t(port.client) << 56) | id)) {
+            port.mmuCounts.blockedIssues++;
+            refuse(port, va);
+            return false;
+        }
+        port.inflight++;
+        return true;
+    }
+
+    bool
+    probe(Port &port, Addr va)
+    {
+        if (_policy == RouterPolicy::Partitioned && port.inflight >= _cap)
+            return true;
+        if (_engine.admits(va))
+            return true;
+        refuse(port, va);
+        return false;
+    }
+
+    void
+    onResponse(const TranslationResponse &resp)
+    {
+        Port &port = *_ports[resp.id >> 56];
+        port.inflight--;
+        port.mmuCounts.responses++;
+        TranslationResponse untagged = resp;
+        untagged.id &= (std::uint64_t(1) << 56) - 1;
+        port.respond(untagged);
+        if (port.capBlocked && port.inflight < _cap) {
+            port.capBlocked = false;
+            const bool waiting = port.waiting;
+            port.waiting = false;
+            _waiting.erase(
+                std::remove(_waiting.begin(), _waiting.end(), &port),
+                _waiting.end());
+            if (port.deferred) {
+                if (waiting)
+                    defer(port);
+            } else if (port.wake) {
+                port.wake();
+            }
+        }
+    }
+
+    void
+    defer(Port &port)
+    {
+        port.wokenAt = port.round->eventQueue().now();
+        port.round->join(port);
+    }
+
+    void
+    retryDeferred(Port &port)
+    {
+        ASSERT_TRUE(port.deferred->awaitingWake());
+        if (probe(port, port.refusedVa))
+            port.deferred->retryAdmitted(port.wokenAt);
+        else
+            port.deferred->retriesRefused(1, port.wokenAt);
+    }
+
+    void
+    onWake()
+    {
+        std::vector<Port *> order;
+        order.swap(_waiting);
+        std::stable_sort(order.begin(), order.end(),
+                         [](const Port *a, const Port *b) {
+                             return a->inflight != b->inflight
+                                        ? a->inflight > b->inflight
+                                        : a->client < b->client;
+                         });
+        for (Port *port : order) {
+            port->waiting = false;
+            if (port->retriesInWake && !port->capBlocked &&
+                !port->reported && _engine.refusalsHold()) {
+                port->waiting = true;
+                _waiting.push_back(port);
+            } else if (port->deferred) {
+                defer(*port);
+            } else if (port->wake) {
+                port->wake();
+            }
+        }
+    }
+
+    TranslationEngine &_engine;
+    RouterPolicy _policy;
+    unsigned _cap;
+    std::vector<std::unique_ptr<Port>> _ports;
+    std::vector<Port *> _waiting;
+};
+
+/**
+ * A hub-bridge-like client: requests arrive at random ticks and queue
+ * behind any parked one; a wake replays the queue, probing first.
+ */
+class ReplayClient
+{
+  public:
+    ReplayClient(TranslationEngine &port, EventQueue &eq, Addr base,
+                 std::uint64_t seed)
+        : _port(port), _eq(eq), _base(base), _rng(seed)
+    {
+        _port.setResponseCallback(
+            [this](const TranslationResponse &) { responses++; });
+        _port.setWakeCallback([this] { replay(); });
+        _port.declareWakeRetry();
+    }
+
+    void
+    arrive()
+    {
+        _queue.push_back(_base + (_rng() % 16) * 4096);
+        if (_queue.size() == 1 && _port.translate(_queue.front(), _nextId)) {
+            _queue.pop_front();
+            _nextId++;
+        }
+        _eq.scheduleIn(5 + _rng() % 40, [this] { arrive(); });
+    }
+
+    unsigned responses = 0;
+
+  private:
+    void
+    replay()
+    {
+        while (!_queue.empty() && _port.admits(_queue.front()) &&
+               _port.translate(_queue.front(), _nextId)) {
+            _queue.pop_front();
+            _nextId++;
+        }
+    }
+
+    TranslationEngine &_port;
+    EventQueue &_eq;
+    Addr _base;
+    std::mt19937_64 _rng;
+    std::deque<Addr> _queue;
+    std::uint64_t _nextId = 0;
+};
+
+/** What one scripted run leaves behind, per client. */
+struct ContractRun
+{
+    std::vector<ContractEngine::Call> calls;
+    /** Each DMA's stall at each stop, after chargePendingWaits(). */
+    std::vector<std::uint64_t> stalls;
+    std::vector<std::uint64_t> issued;
+    std::vector<std::uint64_t> capRejections;
+    std::vector<std::uint64_t> requests;
+    /** The recording DMA's attempts, as (tick, accepted). */
+    std::vector<std::pair<Tick, bool>> recorded;
+    unsigned bridgeResponses = 0;
+    std::uint64_t parked = 0;
+};
+
+constexpr unsigned contractDmas = 6;
+
+/**
+ * Six DMAs and one replaying client behind @p Router over a
+ * ContractEngine of three walkers, each DMA fetching one to three
+ * random pages of a 16-page pool again and again; DMA 5 records its
+ * attempts. Odd seeds cap each client at two requests in flight. The
+ * run stops at a few random ticks, charging the pending waits as
+ * System::run does.
+ */
+template <typename Router>
+ContractRun
+runContract(std::uint64_t seed)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    MemoryModel mem("mem", MemoryConfig{});
+    std::mt19937_64 rng(seed);
+    ContractEngine engine(eq, 3, unsigned(1 + seed % 2), 4, rng());
+    const unsigned clients = contractDmas + 1;
+    const RouterPolicy policy =
+        seed % 2 ? RouterPolicy::Partitioned : RouterPolicy::Shared;
+    Router router(engine, clients, policy, 2 * clients);
+
+    ContractRun run;
+    std::vector<std::unique_ptr<DmaEngine>> dmas;
+    std::vector<std::mt19937_64> streams;
+    std::vector<std::function<void()>> fetchers(contractDmas);
+    const Addr base = Addr(1) << 30;
+    for (unsigned i = 0; i < contractDmas; i++) {
+        dmas.push_back(std::make_unique<DmaEngine>(
+            "dma" + std::to_string(i), eq, router.port(i), mem,
+            DmaConfig{}, round));
+        streams.emplace_back(rng());
+    }
+    dmas.back()->setTraceHook(
+        [&run](Tick at, Addr, std::uint64_t, bool accepted) {
+            run.recorded.emplace_back(at, accepted);
+        });
+    for (unsigned i = 0; i < contractDmas; i++) {
+        fetchers[i] = [&, i] {
+            std::vector<VaRun> runs;
+            const unsigned pages = unsigned(1 + streams[i]() % 3);
+            for (unsigned p = 0; p < pages; p++)
+                runs.push_back(
+                    VaRun{base + (streams[i]() % 16) * 4096, 4096});
+            dmas[i]->fetch(std::move(runs), [&, i](Tick) {
+                eq.scheduleIn(streams[i]() % 30, [&, i] { fetchers[i](); });
+            });
+        };
+        eq.schedule(streams[i]() % 20, [&, i] { fetchers[i](); });
+    }
+    ReplayClient bridge(router.port(contractDmas), eq, base, rng());
+    eq.schedule(rng() % 20, [&bridge] { bridge.arrive(); });
+
+    std::vector<Tick> stops;
+    for (unsigned s = 0; s < 3; s++)
+        stops.push_back(1000 + rng() % 8000);
+    std::sort(stops.begin(), stops.end());
+    stops.push_back(12000);
+    for (const Tick stop : stops) {
+        eq.run(stop);
+        router.chargePendingWaits();
+        for (const auto &dma : dmas)
+            run.stalls.push_back(dma->stallCycles());
+    }
+
+    run.calls = engine.calls;
+    for (unsigned c = 0; c < clients; c++) {
+        run.capRejections.push_back(router.capRejections(c));
+        run.requests.push_back(router.clientCounts(c).requests);
+    }
+    for (const auto &dma : dmas)
+        run.issued.push_back(dma->translationsIssued());
+    run.bridgeResponses = bridge.responses;
+    if constexpr (std::is_same_v<Router, TranslationRouter>)
+        run.parked = router.parkedRefusals();
+    return run;
+}
+
+} // namespace
+
+TEST(TranslationRouter, ParkingMatchesVisitingEveryMemberEveryRound)
+{
+    std::uint64_t parked = 0, caps = 0;
+    for (std::uint64_t seed = 1; seed <= 10; seed++) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const ContractRun ref = runContract<ReferenceRouter>(seed);
+        const ContractRun got = runContract<TranslationRouter>(seed);
+        // Same admissions, ids and rejections, in the same order...
+        ASSERT_EQ(got.calls, ref.calls);
+        // ...the same stall at every stop, issue counts, cap
+        // rejections and attempt counts per client...
+        EXPECT_EQ(got.stalls, ref.stalls);
+        EXPECT_EQ(got.issued, ref.issued);
+        EXPECT_EQ(got.capRejections, ref.capRejections);
+        EXPECT_EQ(got.requests, ref.requests);
+        // ...and the recording DMA saw every refused round.
+        EXPECT_EQ(got.recorded, ref.recorded);
+        EXPECT_EQ(got.bridgeResponses, ref.bridgeResponses);
+        parked += got.parked;
+        for (const std::uint64_t c : got.capRejections)
+            caps += c;
+    }
+    // The runs exercised what the comparison is about.
+    EXPECT_GT(parked, 1000u);
+    EXPECT_GT(caps, 100u);
 }
