@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the churn64 serving dumps of two neummu_serve binaries.
 
-Usage: churn_dumps.py PARENT_BIN CHANGE_BIN [--jobs N] [--keep DIR]
+Usage: churn_dumps.py PARENT_BIN CHANGE_BIN
 
 Runs the 32-config churn64 matrix with both binaries and compares
 their --json dumps byte for byte. The machine is the churn64 scenario
@@ -18,8 +18,8 @@ crosses:
 
 For each dump that differs it prints the golden_diff.py summary of
 the stats that moved. Exits 1 on any difference or failed run, 0 when
-all 32 dumps are identical. --keep DIR keeps the dumps under
-DIR/parent and DIR/change (default: a temporary directory).
+all 32 dumps are identical. Two runs go at once; the dumps live in a
+temporary directory that is removed at the end.
 
     python3 scripts/churn_dumps.py /tmp/parent/build/neummu_serve \\
         build/neummu_serve
@@ -37,6 +37,7 @@ import tempfile
 
 SEED = 23
 CYCLES = 3000000
+JOBS = 2
 CHURN64 = ("numNpus=64;paging.enabled=1;paging.faultLatency=2000;"
            "serve.process=bursty;serve.ratePerMcycle=800;"
            "serve.tenants=112;"
@@ -97,19 +98,16 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent_bin")
     ap.add_argument("change_bin")
-    ap.add_argument("--jobs", type=int, default=2,
-                    help="concurrent runs (default 2)")
-    ap.add_argument("--keep", help="directory to keep the dumps in")
     args = ap.parse_args()
 
-    root = args.keep or tempfile.mkdtemp(prefix="churn_dumps_")
+    root = tempfile.mkdtemp(prefix="churn_dumps_")
     dirs = {side: os.path.join(root, side) for side in ("parent", "change")}
     for d in dirs.values():
         os.makedirs(d, exist_ok=True)
     bins = {"parent": os.path.abspath(args.parent_bin),
             "change": os.path.abspath(args.change_bin)}
 
-    with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         runs = [pool.submit(run, bins[side], cfg, dirs[side])
                 for cfg in MATRIX for side in ("parent", "change")]
         failures = [r.result() for r in runs if r.result()]
@@ -132,8 +130,7 @@ def main():
     identical = len(MATRIX) - differ - missing
     print("churn_dumps: %d/%d identical, %d differ, %d not run" %
           (identical, len(MATRIX), differ, missing))
-    if not args.keep:
-        shutil.rmtree(root)
+    shutil.rmtree(root)
     return 1 if differ or failures else 0
 
 

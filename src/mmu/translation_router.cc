@@ -190,9 +190,6 @@ TranslationRouter::refuse(Port &port, Addr va, bool by_cap)
 {
     const unsigned c = port._client;
     NEUMMU_ASSERT(!_pending.test(c), "a port in a pending round refused");
-    unfilter(c);
-    _refusedPages[pageFilterSlot(va >> _filterShift)]++;
-    _filtered.set(c);
     _refusedVa[c] = va;
     _reported.reset(c);
     _capRefused.assign(c, by_cap);
@@ -275,29 +272,9 @@ TranslationRouter::deferRetries(Port &port, RetryRound &round)
     watchAdmits();
 }
 
-inline void
-TranslationRouter::unfilter(unsigned client)
-{
-    if (!_filtered.test(client))
-        return;
-    _filtered.reset(client);
-    _refusedPages[pageFilterSlot(_refusedVa[client] >> _filterShift)]--;
-}
-
 void
 TranslationRouter::onAdmitPage(Addr vpn, unsigned page_shift)
 {
-    if (page_shift != _filterShift) {
-        // Engines report one page size: this runs once, if at all.
-        _filterShift = page_shift;
-        _refusedPages.fill(0);
-        _filtered.forEach([this](unsigned c) {
-            _refusedPages[pageFilterSlot(_refusedVa[c] >> _filterShift)]++;
-        });
-    }
-    // Most reported pages are no client's refused page.
-    if (_refusedPages[pageFilterSlot(vpn)] == 0)
-        return;
     // Only a blocked client can be refused again: one that waits, is
     // parked or is in a pending round. Marking one a wake is about to
     // call, or a round is about to visit, is harmless.
@@ -350,7 +327,6 @@ TranslationRouter::wake(Port &port)
             joinRound(one);
         }
     } else if (port._wake) {
-        unfilter(c);
         port._wake();
     }
 }
@@ -426,7 +402,6 @@ TranslationRouter::visit(unsigned client, Tick woken)
 {
     ++_roundVisits;
     _pending.reset(client);
-    unfilter(client);
     settle(client);
     Port &port = *_ports[client];
     // Only the port retries for its client, so from the wake to here
@@ -560,7 +535,6 @@ TranslationRouter::onWake()
         joinRound(before & _waiting);
         Port &bridge = *_ports[c];
         _waiting.reset(c);
-        unfilter(c);
         if (bridge._wake)
             bridge._wake();
     }

@@ -229,20 +229,11 @@ class TranslationRouter
     void onResponse(const TranslationResponse &resp);
     /** Wake the waiting clients, deepest backlog first. */
     void onWake();
-    /** Take @p client out of _refusedPages: it is no longer
-     *  blocked, or is about to be refused anew. */
-    void unfilter(unsigned client);
     /** Engine watch: page @p vpn may now admit its waiters. */
     void onAdmitPage(Addr vpn, unsigned page_shift);
     /** @p port was refused @p va (by the cap when @p by_cap): it
      *  waits for a wake. */
     void refuse(Port &port, Addr va, bool by_cap);
-    /** The slot of page @p vpn in _refusedPages. */
-    static unsigned
-    pageFilterSlot(Addr vpn)
-    {
-        return unsigned((vpn * 0x9e3779b97f4a7c15ULL) >> 56);
-    }
     /** Wake order key: in-flight count descending, then client
      *  index; ascending keys are the wake order. */
     std::uint64_t wakeKey(unsigned client) const;
@@ -297,16 +288,6 @@ class TranslationRouter
      *  wake tick. */
     std::vector<std::uint64_t> _parkedRounds;
     std::vector<Tick> _lastParked;
-    /**
-     * How many _filtered clients' refused VAs lie on a page of each
-     * slot, pages of 2^_filterShift bytes hashed by pageFilterSlot():
-     * an admit report for a page whose slot counts none marks nobody.
-     */
-    std::array<std::uint16_t, 256> _refusedPages{};
-    unsigned _filterShift = 12;
-    /** Clients counted in _refusedPages: every blocked client, and
-     *  maybe some a wake or a round has just let go. */
-    ClientSet _filtered;
     /** Rejected (by the engine or the cap) and not woken since, or
      *  parked. Never overlaps _pending. */
     ClientSet _waiting;

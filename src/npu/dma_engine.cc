@@ -26,6 +26,23 @@ DmaEngine::DmaEngine(std::string name, EventQueue &eq,
 }
 
 void
+DmaEngine::setTraceHook(TraceHook hook)
+{
+    NEUMMU_ASSERT(!awaitingWake(),
+                  "trace hook changed while the DMA waits on a wake");
+    _traceHook = std::move(hook);
+}
+
+void
+DmaEngine::setTrace(trace::TraceBuffer *buf, std::uint64_t key_base)
+{
+    NEUMMU_ASSERT(!awaitingWake(),
+                  "trace buffer changed while the DMA waits on a wake");
+    _trace = buf;
+    _traceKeyBase = key_base;
+}
+
+void
 DmaEngine::fetch(std::vector<VaRun> runs, DoneCallback done)
 {
     NEUMMU_ASSERT(!_active, "DMA engine supports one tile at a time");

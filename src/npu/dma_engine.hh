@@ -86,20 +86,23 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     /** Install an optional per-translation observation hook (Fig. 7). */
     void setIssueHook(IssueHook hook) { _hook = std::move(hook); }
 
-    /** Install an optional per-attempt trace hook (trace recording). */
-    void setTraceHook(TraceHook hook) { _traceHook = std::move(hook); }
+    /**
+     * Install an optional per-attempt trace hook (trace recording).
+     * @pre The port is not blocked on a wake: a router reads
+     *      recordsAttempts() at each refusal, so a hook installed
+     *      while the port waits would miss the rounds the router
+     *      parks it through.
+     */
+    void setTraceHook(TraceHook hook);
 
     /**
      * Attach a lifecycle trace buffer (System wiring). @p key_base is
      * this port's router client tag (client << clientShift), OR'd
      * onto raw DMA ids so trace keys match the tagged ids the MMU
      * sees. Null (the default) keeps tracing fully off this path.
+     * @pre As for setTraceHook().
      */
-    void setTrace(trace::TraceBuffer *buf, std::uint64_t key_base)
-    {
-        _trace = buf;
-        _traceKeyBase = key_base;
-    }
+    void setTrace(trace::TraceBuffer *buf, std::uint64_t key_base);
 
     std::uint64_t translationsIssued() const { return _translations; }
     std::uint64_t bytesFetched() const { return _bytes; }

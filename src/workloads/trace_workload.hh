@@ -74,6 +74,9 @@ class TraceRecorder
      * Start recording NPU @p npu's attempts (replaces any trace hook
      * previously installed on that DMA). Ticks are recorded relative
      * to the attach-time now().
+     * @pre That DMA is not waiting on an MMU wake: its router would
+     *      park it through refused rounds the recorder then misses,
+     *      so DmaEngine::setTraceHook() asserts.
      */
     void attach(System &system, unsigned npu = 0);
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -806,6 +807,28 @@ TEST(TranslationRouterDeathTest, ParkedClientMustBeBlockedWhenSettled)
     EXPECT_DEATH(eq.run(), "parked port's client is not blocked");
 }
 
+TEST(TranslationRouterDeathTest, TraceCannotBeAttachedWhileTheDmaWaits)
+{
+    // The router reads recordsAttempts() at a refusal: a hook attached
+    // while the DMA waits would miss the rounds it is parked through.
+    EventQueue eq;
+    RetryRound round(eq);
+    HoldingEngine engine;
+    MemoryModel mem("mem", MemoryConfig{});
+    TranslationRouter router(engine, 1, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DmaEngine dma("dma", eq, router.port(0), mem, DmaConfig{}, round);
+    dma.setTraceHook([](Tick, Addr, std::uint64_t, bool) {});
+    engine.accept = false;
+    engine.holding = true;
+    dma.fetch({VaRun{0x1000, 1024}}, [](Tick) {});
+    eq.run(5);
+    EXPECT_DEATH(dma.setTraceHook(nullptr),
+                 "trace hook changed while the DMA waits on a wake");
+    EXPECT_DEATH(dma.setTrace(nullptr, 0),
+                 "trace buffer changed while the DMA waits on a wake");
+}
+
 namespace {
 
 /**
@@ -1225,19 +1248,22 @@ struct ContractRun
     std::vector<std::uint64_t> requests;
     /** The recording DMA's attempts, as (tick, accepted). */
     std::vector<std::pair<Tick, bool>> recorded;
-    unsigned bridgeResponses = 0;
+    std::vector<unsigned> bridgeResponses;
     std::uint64_t parked = 0;
 };
 
 constexpr unsigned contractDmas = 6;
+/** The replaying clients' ports, between the DMAs' in client order,
+ *  so that wakes put DMAs before, between and after them. */
+constexpr std::array<unsigned, 2> contractBridges{2, 5};
 
 /**
- * Six DMAs and one replaying client behind @p Router over a
+ * Six DMAs and two replaying clients behind @p Router over a
  * ContractEngine of three walkers, each DMA fetching one to three
- * random pages of a 16-page pool again and again; DMA 5 records its
- * attempts. Odd seeds cap each client at two requests in flight. The
- * run stops at a few random ticks, charging the pending waits as
- * System::run does.
+ * random pages of a 16-page pool again and again; the last DMA
+ * records its attempts. Odd seeds cap each client at two requests in
+ * flight. The run stops at a few random ticks, charging the pending
+ * waits as System::run does.
  */
 template <typename Router>
 ContractRun
@@ -1248,7 +1274,7 @@ runContract(std::uint64_t seed)
     MemoryModel mem("mem", MemoryConfig{});
     std::mt19937_64 rng(seed);
     ContractEngine engine(eq, 3, unsigned(1 + seed % 2), 4, rng());
-    const unsigned clients = contractDmas + 1;
+    const unsigned clients = contractDmas + unsigned(contractBridges.size());
     const RouterPolicy policy =
         seed % 2 ? RouterPolicy::Partitioned : RouterPolicy::Shared;
     Router router(engine, clients, policy, 2 * clients);
@@ -1258,9 +1284,12 @@ runContract(std::uint64_t seed)
     std::vector<std::mt19937_64> streams;
     std::vector<std::function<void()>> fetchers(contractDmas);
     const Addr base = Addr(1) << 30;
-    for (unsigned i = 0; i < contractDmas; i++) {
+    for (unsigned c = 0; c < clients; c++) {
+        if (std::find(contractBridges.begin(), contractBridges.end(), c) !=
+            contractBridges.end())
+            continue;
         dmas.push_back(std::make_unique<DmaEngine>(
-            "dma" + std::to_string(i), eq, router.port(i), mem,
+            "dma" + std::to_string(c), eq, router.port(c), mem,
             DmaConfig{}, round));
         streams.emplace_back(rng());
     }
@@ -1281,8 +1310,13 @@ runContract(std::uint64_t seed)
         };
         eq.schedule(streams[i]() % 20, [&, i] { fetchers[i](); });
     }
-    ReplayClient bridge(router.port(contractDmas), eq, base, rng());
-    eq.schedule(rng() % 20, [&bridge] { bridge.arrive(); });
+    std::vector<std::unique_ptr<ReplayClient>> bridges;
+    for (const unsigned c : contractBridges) {
+        bridges.push_back(std::make_unique<ReplayClient>(
+            router.port(c), eq, base, rng()));
+        ReplayClient &bridge = *bridges.back();
+        eq.schedule(rng() % 20, [&bridge] { bridge.arrive(); });
+    }
 
     std::vector<Tick> stops;
     for (unsigned s = 0; s < 3; s++)
@@ -1303,7 +1337,8 @@ runContract(std::uint64_t seed)
     }
     for (const auto &dma : dmas)
         run.issued.push_back(dma->translationsIssued());
-    run.bridgeResponses = bridge.responses;
+    for (const auto &bridge : bridges)
+        run.bridgeResponses.push_back(bridge->responses);
     if constexpr (std::is_same_v<Router, TranslationRouter>)
         run.parked = router.parkedRefusals();
     return run;
