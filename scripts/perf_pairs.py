@@ -17,8 +17,10 @@ median and quartiles, the change's relative move of the median, how
 many pairs the change won, and whether the pairs-rule holds: the
 change is better on at least 9 of every 10 pairs (and there are at
 least 10 pairs), and its median is better than the parent's by more
-than the parent's interquartile range. Which direction is better
-comes from CHANGE_DIR/BENCHMARK.json.
+than the parent's interquartile range. With fewer than 10 pairs the
+rule column reads "too few pairs" instead, whatever the wins: a short
+sizing run cannot hold the rule, and must not read as a failed
+claim. Which direction is better comes from CHANGE_DIR/BENCHMARK.json.
 
 A second verdict checks each metric against its regression bound in
 the same file: "ok" when the change's median is not worse than the
@@ -81,15 +83,17 @@ def end_to_end(change_dir):
 
 
 def verdict(parent, change, higher):
+    """Return (wins, rule text) for the pairs-rule."""
     sign = 1.0 if higher else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    if len(parent) < MIN_PAIRS:
+        return wins, "too few pairs"
     p_med = statistics.median(parent)
     c_med = statistics.median(change)
     q1, q3 = quartiles(parent)
-    holds = (len(parent) >= MIN_PAIRS and
-             wins >= WIN_SHARE * len(parent) and
+    holds = (wins >= WIN_SHARE * len(parent) and
              sign * (c_med - p_med) > q3 - q1)
-    return wins, holds
+    return wins, "holds" if holds else "fails"
 
 
 def bound_verdict(parent, change, higher, bound):
@@ -154,9 +158,8 @@ def main():
         if parent == change:
             wins_text, rule = "-", "identical"
         else:
-            wins, holds = verdict(parent, change, higher)
+            wins, rule = verdict(parent, change, higher)
             wins_text = "%d/%d" % (wins, args.pairs)
-            rule = "holds" if holds else "fails"
         rows.append((name, sides_text[0], sides_text[1], move, wins_text,
                      rule, bound_verdict(parent, change, higher, bound)))
     widths = [max(len(row[i]) for row in rows) for i in range(6)]

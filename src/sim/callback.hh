@@ -9,12 +9,13 @@
  * allocation -- but the cycle-level components are written to stay
  * under the limit.
  *
- * An event moves several times between creation and dispatch (into
- * the schedule call, into its calendar bucket, out again at
- * dispatch). Trivially copyable captures -- which all the hot
- * callbacks are -- relocate with a flat fixed-size copy instead of an
- * indirect call per move, which is worth several ns per event at
- * simulation rates of tens of millions of events per second.
+ * The EventQueue builds each event's callable straight in its pool
+ * node (emplace()), so an event is relocated once: out of its node at
+ * dispatch, so that what it schedules may reuse the node. Trivially
+ * copyable captures -- which all the hot callbacks are -- relocate
+ * with a flat fixed-size copy instead of an indirect call, which is
+ * worth several ns per event at simulation rates of tens of millions
+ * of events per second.
  */
 
 #ifndef NEUMMU_SIM_CALLBACK_HH
@@ -55,15 +56,7 @@ class InlineCallback<R(Args...)>
                   !std::is_same_v<std::decay_t<F>, InlineCallback>>>
     InlineCallback(F &&f) // NOLINT: implicit, mirrors std::function
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            new (_buf) Fn(std::forward<F>(f));
-            _ops = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(_buf) =
-                new Fn(std::forward<F>(f));
-            _ops = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     InlineCallback(InlineCallback &&other) noexcept
@@ -85,6 +78,27 @@ class InlineCallback<R(Args...)>
     InlineCallback &operator=(const InlineCallback &) = delete;
 
     ~InlineCallback() { reset(); }
+
+    /**
+     * Replace the stored callable with @p f, built in place: inline
+     * when the capture fits, on the heap when it does not. An rvalue
+     * InlineCallback is moved in instead; an lvalue one is rejected,
+     * since moving from it would silently empty the caller's copy.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "pass an InlineCallback as an rvalue "
+                          "(std::move) to hand it over");
+            *this = std::move(f);
+        } else {
+            reset();
+            construct(std::forward<F>(f));
+        }
+    }
 
     R
     operator()(Args... args)
@@ -121,6 +135,22 @@ class InlineCallback<R(Args...)>
 
     template <typename Fn> static const Ops inlineOps;
     template <typename Fn> static const Ops heapOps;
+
+    /** Build @p f into the (empty) buffer. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            new (_buf) Fn(std::forward<F>(f));
+            _ops = &inlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(_buf) =
+                new Fn(std::forward<F>(f));
+            _ops = &heapOps<Fn>;
+        }
+    }
 
     void
     moveFrom(InlineCallback &&other) noexcept

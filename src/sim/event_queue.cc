@@ -18,96 +18,36 @@ EventQueue::enableProfiling()
 }
 
 std::uint32_t
-EventQueue::allocNode(int priority, std::uint64_t seq, Callback &&cb)
+EventQueue::growPool(int priority, std::uint64_t seq)
 {
-    std::uint32_t n = _freeHead;
-    if (n != nil) {
-        Node &node = _pool[n];
-        _freeHead = node.next;
-        node.priority = priority;
-        node.seq = seq;
-        node.cb = std::move(cb);
-    } else {
-        NEUMMU_ASSERT(_pool.size() < nil, "event pool exhausted");
-        n = std::uint32_t(_pool.size());
-        _pool.push_back(Node{nil, priority, seq, std::move(cb)});
-    }
+    NEUMMU_ASSERT(_pool.size() < nil, "event pool exhausted");
+    const std::uint32_t n = std::uint32_t(_pool.size());
+    _pool.push_back(Node{nil, priority, seq, Callback()});
     return n;
 }
 
 void
-EventQueue::linkIntoBucket(Tick when, std::uint32_t n)
+EventQueue::linkOutOfOrder(Bucket &b, std::uint32_t n)
 {
-    Bucket &b = bucketFor(when);
     Node &node = _pool[n];
-    node.next = nil;
-    _ringCount++;
-    if (!b.hasPending()) {
-        b.head = b.tail = n;
-        b.when = when;
-        const std::size_t idx = std::size_t(when & _mask);
-        _occupied[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-        return;
-    }
-    NEUMMU_ASSERT(b.when == when, "calendar bucket tick clash");
-    const auto before = [](const Node &a, const Node &e) {
-        return a.priority < e.priority ||
-               (a.priority == e.priority && a.seq < e.seq);
-    };
-    // Seqs rise monotonically with schedule() calls, so the common
-    // arrival orders after the whole list. A lower-ordered one (a
-    // priority preemption, a far migration or a reserved seq behind
-    // newer same-tick events) is linked into its place now.
-    if (!before(node, _pool[b.tail])) {
-        _pool[b.tail].next = n;
-        b.tail = n;
-        return;
-    }
-    if (before(node, _pool[b.head])) {
+    if (ordersBefore(node, _pool[b.head])) {
         node.next = b.head;
         b.head = n;
         return;
     }
     std::uint32_t prev = b.head;
-    while (!before(node, _pool[_pool[prev].next]))
+    while (!ordersBefore(node, _pool[_pool[prev].next]))
         prev = _pool[prev].next;
     node.next = _pool[prev].next;
     _pool[prev].next = n;
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb, int priority)
+EventQueue::pushFar(Tick when, int priority, std::uint64_t seq,
+                    std::uint32_t n)
 {
-    NEUMMU_ASSERT(when >= _now, "scheduling into the past");
-    insert(when, priority, _nextSeq++, std::move(cb));
-}
-
-void
-EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Callback cb)
-{
-    NEUMMU_ASSERT(when >= _now, "scheduling into the past");
-    NEUMMU_ASSERT(seq < _nextSeq, "seq was never reserved");
-    NEUMMU_ASSERT(when > _now || defaultPriority > _lastPriority ||
-                      (defaultPriority == _lastPriority &&
-                       seq > _lastSeq),
-                  "reserved event behind this tick's dispatch");
-    insert(when, defaultPriority, seq, std::move(cb));
-}
-
-void
-EventQueue::insert(Tick when, int priority, std::uint64_t seq,
-                   Callback &&cb)
-{
-    const std::uint32_t n = allocNode(priority, seq, std::move(cb));
-    if (when - _cursor < nearWindowTicks) {
-        linkIntoBucket(when, n);
-    } else {
-        _far.push_back(FarKey{when, seq, priority, n});
-        std::push_heap(_far.begin(), _far.end(), FarAfter{});
-    }
-    _pending++;
-    if (_pending > _peakDepth)
-        _peakDepth = _pending;
+    _far.push_back(FarKey{when, seq, priority, n});
+    std::push_heap(_far.begin(), _far.end(), FarAfter{});
 }
 
 void
@@ -171,7 +111,7 @@ EventQueue::nextOccupiedTick(Tick from) const
     NEUMMU_PANIC("ring-count bookkeeping lost");
 }
 
-void
+inline void
 EventQueue::dispatchOne()
 {
     Bucket &b = _buckets[_cursor & _mask];

@@ -42,6 +42,14 @@ namespace neummu {
  * simulation deterministic -- including events scheduled for the
  * current tick while it is being dispatched, and a lower-priority
  * value scheduled mid-tick preempting already-pending same-tick work.
+ *
+ * schedule() takes any callable and builds it straight in the pool
+ * node the event will occupy; the callable is relocated only once,
+ * out of its node when it is dispatched. The common path -- a free
+ * node off the LIFO list, a link at an empty bucket or behind the
+ * bucket's tail, and dispatch from run() -- is inline; pool growth,
+ * out-of-order links (priority preemption, far migration, a reserved
+ * seq behind newer same-tick events) and the far heap are not.
  */
 class EventQueue
 {
@@ -64,17 +72,26 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p f to run at absolute time @p when. @p f is any
+     * callable (an rvalue Callback is moved in); it is built in the
+     * event's pool node, after the node is allocated, so it must not
+     * refer into the queue's pool.
      * @pre when >= now()
      */
-    void schedule(Tick when, Callback cb,
-                  int priority = defaultPriority);
-
-    /** Schedule @p cb to run @p delta ticks from now. */
+    template <typename F>
     void
-    scheduleIn(Tick delta, Callback cb, int priority = defaultPriority)
+    schedule(Tick when, F &&f, int priority = defaultPriority)
     {
-        schedule(_now + delta, std::move(cb), priority);
+        NEUMMU_ASSERT(when >= _now, "scheduling into the past");
+        insert(when, priority, _nextSeq++, std::forward<F>(f));
+    }
+
+    /** Schedule @p f to run @p delta ticks from now. */
+    template <typename F>
+    void
+    scheduleIn(Tick delta, F &&f, int priority = defaultPriority)
+    {
+        schedule(_now + delta, std::forward<F>(f), priority);
     }
 
     bool empty() const { return _pending == 0; }
@@ -116,13 +133,25 @@ class EventQueue
     std::uint64_t reserveSeq() { return _nextSeq++; }
 
     /**
-     * Schedule @p cb at @p when, at the default priority, under the
-     * seq @p seq drew from reserveSeq().
+     * Schedule @p f at @p when, at the default priority, under the
+     * seq @p seq drew from reserveSeq(). @p f is built in place as
+     * for schedule().
      * @pre when >= now(); at now(), the event orders after the one
      *      being (or last) dispatched, so it is still ahead of the
      *      tick's dispatch.
      */
-    void scheduleReserved(Tick when, std::uint64_t seq, Callback cb);
+    template <typename F>
+    void
+    scheduleReserved(Tick when, std::uint64_t seq, F &&f)
+    {
+        NEUMMU_ASSERT(when >= _now, "scheduling into the past");
+        NEUMMU_ASSERT(seq < _nextSeq, "seq was never reserved");
+        NEUMMU_ASSERT(when > _now || defaultPriority > _lastPriority ||
+                          (defaultPriority == _lastPriority &&
+                           seq > _lastSeq),
+                      "reserved event behind this tick's dispatch");
+        insert(when, defaultPriority, seq, std::forward<F>(f));
+    }
 
     /** High-water mark of pending events (for simulator stats). */
     std::uint64_t peakDepth() const { return _peakDepth; }
@@ -215,16 +244,91 @@ class EventQueue
                   "near window must be a power of two");
 
     Bucket &bucketFor(Tick when) { return _buckets[when & _mask]; }
-    void insert(Tick when, int priority, std::uint64_t seq,
-                Callback &&cb);
-    /** Take a node off the free list, or grow the pool by one. */
-    std::uint32_t allocNode(int priority, std::uint64_t seq,
-                            Callback &&cb);
+
+    template <typename F>
+    void
+    insert(Tick when, int priority, std::uint64_t seq, F &&f)
+    {
+        const std::uint32_t n = allocNode(priority, seq);
+        // Built only now: allocNode() may have grown (and so moved)
+        // the pool, which is why @p f must not refer into it.
+        _pool[n].cb.emplace(std::forward<F>(f));
+        if (when - _cursor < nearWindowTicks)
+            linkIntoBucket(when, n);
+        else
+            pushFar(when, priority, seq, n);
+        _pending++;
+        if (_pending > _peakDepth)
+            _peakDepth = _pending;
+    }
+
+    /**
+     * Take a node off the free list, or grow the pool by one; the
+     * node's callback is empty.
+     */
+    std::uint32_t
+    allocNode(int priority, std::uint64_t seq)
+    {
+        const std::uint32_t n = _freeHead;
+        if (n == nil)
+            return growPool(priority, seq);
+        Node &node = _pool[n];
+        _freeHead = node.next;
+        node.priority = priority;
+        node.seq = seq;
+        return n;
+    }
+
+    std::uint32_t growPool(int priority, std::uint64_t seq);
+
     /**
      * Link node @p n into @p when's bucket at its (priority, seq)
-     * place: a tail link for the common in-order arrival.
+     * place. An empty bucket and the common in-order arrival (a tail
+     * link) are handled here; anything that orders before the tail
+     * goes to linkOutOfOrder().
      */
-    void linkIntoBucket(Tick when, std::uint32_t n);
+    void
+    linkIntoBucket(Tick when, std::uint32_t n)
+    {
+        Bucket &b = bucketFor(when);
+        Node &node = _pool[n];
+        node.next = nil;
+        _ringCount++;
+        if (!b.hasPending()) {
+            b.head = b.tail = n;
+            b.when = when;
+            const std::size_t idx = std::size_t(when & _mask);
+            _occupied[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+            return;
+        }
+        NEUMMU_ASSERT(b.when == when, "calendar bucket tick clash");
+        // Seqs rise monotonically with schedule() calls, so the
+        // common arrival orders after the whole list.
+        if (!ordersBefore(node, _pool[b.tail])) {
+            _pool[b.tail].next = n;
+            b.tail = n;
+            return;
+        }
+        linkOutOfOrder(b, n);
+    }
+
+    /** (priority, seq) order of two nodes of one bucket. */
+    static bool
+    ordersBefore(const Node &a, const Node &b)
+    {
+        return a.priority < b.priority ||
+               (a.priority == b.priority && a.seq < b.seq);
+    }
+
+    /**
+     * Link node @p n, which orders before @p b's tail, into its
+     * place: a priority preemption, a far migration or a reserved
+     * seq behind newer same-tick events.
+     */
+    void linkOutOfOrder(Bucket &b, std::uint32_t n);
+    /** Queue node @p n beyond the window on the far heap. */
+    void pushFar(Tick when, int priority, std::uint64_t seq,
+                 std::uint32_t n);
     void migrateFarIntoWindow();
     /**
      * Earliest tick >= @p from with a pending ring event, via the
@@ -241,7 +345,10 @@ class EventQueue
      * arithmetic never sees a cursor ahead of time.
      */
     bool findNext(Tick limit);
-    /** Pop and execute the earliest event of the cursor's bucket. */
+    /**
+     * Pop and execute the earliest event of the cursor's bucket
+     * (defined inline in event_queue.cc, for run() and step()).
+     */
     void dispatchOne();
 
     /** Every event node, pending or free. */

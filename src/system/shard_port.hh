@@ -72,12 +72,14 @@ class ShardTranslationPort : public TranslationEngine
     void invalidate(Addr va) override;
     const MmuCounts &counts() const override { return _counts; }
 
-    /** Run @p cb one hop from now; counts one cross-domain message.
-     *  Both directions of this NPU's link go through here. */
-    void hop(EventCallback cb)
+    /** Run @p f one hop from now; counts one cross-domain message.
+     *  Both directions of this NPU's link go through here. @p f is
+     *  built in its event's node, as by EventQueue::schedule(). */
+    template <typename F>
+    void hop(F &&f)
     {
         _messages++;
-        _eq.schedule(_eq.now() + _hop, std::move(cb));
+        _eq.schedule(_eq.now() + _hop, std::forward<F>(f));
     }
 
     /** Hub response arriving at the NPU (bridge-sent). */

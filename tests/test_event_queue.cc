@@ -5,8 +5,9 @@
  * queue structural paths (bucket wrap, far-horizon overflow, far->
  * ring migration ordering, mid-dispatch priority preemption), seq
  * reservations, the event node pool (reuse, growth while a callback
- * runs, teardown), and a randomized cross-check against a reference
- * priority-queue model.
+ * runs, teardown), in-place construction of callables (no copies, at
+ * most one move after the build, inline captures destroyed once), and
+ * a randomized cross-check against a reference priority-queue model.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <memory>
 #include <queue>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -446,6 +448,153 @@ TEST(EventQueue, DestroyingTheQueueFreesPendingSpilledCallbacks)
         EXPECT_EQ(token.use_count(), 5);
         eq.run(10);
         EXPECT_EQ(token.use_count(), 4); // the dispatched one is gone
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+namespace {
+
+/** Copies and moves of one scheduled callable. */
+struct MoveTally
+{
+    int copies = 0;
+    int moves = 0;
+    /** The counts as the callable ran (-1: it never ran). */
+    int copiesAtRun = -1;
+    int movesAtRun = -1;
+};
+
+/**
+ * A callable with a non-trivial move that counts its copies and moves
+ * in a MoveTally, so the queue must relocate it through its move
+ * constructor (not a byte copy).
+ */
+class CountedCall
+{
+  public:
+    explicit CountedCall(MoveTally *tally) : _tally(tally) {}
+    CountedCall(const CountedCall &other) : _tally(other._tally)
+    {
+        _tally->copies++;
+    }
+    CountedCall(CountedCall &&other) noexcept : _tally(other._tally)
+    {
+        other._tally = nullptr;
+        _tally->moves++;
+    }
+    CountedCall &operator=(const CountedCall &) = delete;
+    CountedCall &operator=(CountedCall &&) = delete;
+
+    void
+    operator()() const
+    {
+        _tally->copiesAtRun = _tally->copies;
+        _tally->movesAtRun = _tally->moves;
+    }
+
+  private:
+    MoveTally *_tally;
+};
+
+static_assert(EventQueue::Callback::fitsInline<CountedCall>(),
+              "the callable must be stored inline");
+static_assert(!std::is_trivially_copyable_v<CountedCall>,
+              "the callable must relocate through its move");
+
+} // namespace
+
+TEST(EventQueue, CallableIsBuiltInItsNodeAndMovedAtMostOnceMore)
+{
+    // Every schedule path builds the callable once, from the caller's
+    // temporary, straight into its pool node; the node hands it over
+    // at most once more (out of the node at dispatch) before it runs.
+    // Growing the pool relocates every pending node, so warm it first:
+    // these events take free nodes, as in steady state.
+    EventQueue eq;
+    for (int i = 0; i < 8; i++)
+        eq.schedule(0, [] {});
+    eq.run();
+    std::array<MoveTally, 5> tallies;
+    eq.schedule(3, CountedCall(&tallies[0]));
+    eq.scheduleIn(4, CountedCall(&tallies[1]));
+    const std::uint64_t seq = eq.reserveSeq();
+    eq.schedule(5, [] {});
+    eq.scheduleReserved(5, seq, CountedCall(&tallies[2])); // out of order
+    eq.schedule(3 * EventQueue::nearWindowTicks,
+                CountedCall(&tallies[3])); // far heap
+    const std::uint64_t far_seq = eq.reserveSeq();
+    eq.scheduleReserved(5 * EventQueue::nearWindowTicks, far_seq,
+                        CountedCall(&tallies[4]));
+    for (const MoveTally &t : tallies) {
+        EXPECT_EQ(t.copies, 0);
+        EXPECT_EQ(t.moves, 1); // built in place, nothing else
+    }
+    eq.run();
+    for (const MoveTally &t : tallies) {
+        EXPECT_EQ(t.copiesAtRun, 0);
+        EXPECT_GE(t.movesAtRun, 1);
+        EXPECT_LE(t.movesAtRun, 2);
+    }
+    EXPECT_EQ(eq.poolSize(), 8u);
+    EXPECT_EQ(eq.poolSize(), eq.peakDepth());
+}
+
+TEST(EventQueue, LvalueCallableIsCopiedOnceAndCallbackRvalueMovedIn)
+{
+    EventQueue eq;
+    eq.schedule(0, [] {});
+    eq.schedule(0, [] {});
+    eq.run(); // two free nodes: no pool growth below
+    MoveTally lvalue_tally;
+    const CountedCall call(&lvalue_tally);
+    eq.schedule(1, call);
+    EXPECT_EQ(lvalue_tally.copies, 1);
+    EXPECT_EQ(lvalue_tally.moves, 0);
+    // A prebuilt Callback is handed over, leaving the caller's empty
+    // (an lvalue one would not compile: moving from it silently
+    // would empty it).
+    MoveTally cb_tally;
+    EventQueue::Callback cb{CountedCall(&cb_tally)};
+    eq.schedule(2, std::move(cb));
+    EXPECT_FALSE(cb); // NOLINT: checking the moved-from state
+    eq.run();
+    EXPECT_EQ(lvalue_tally.copiesAtRun, 1);
+    EXPECT_LE(lvalue_tally.movesAtRun, 1);
+    EXPECT_EQ(cb_tally.copiesAtRun, 0);
+    EXPECT_GE(cb_tally.movesAtRun, 1);
+}
+
+TEST(EventQueue, InlineCapturesAreDestroyedExactlyOnce)
+{
+    // A shared_ptr capture is stored inline but is not trivially
+    // destructible: each one must be released when its event runs or
+    // when the queue goes with it still pending -- never twice, and
+    // never by a node reused after its event ran.
+    const auto token = std::make_shared<int>(0);
+    const auto make = [&token] { return [token] { (void)token; }; };
+    static_assert(EventQueue::Callback::fitsInline<decltype(make())>(),
+                  "the capture must be stored inline");
+    {
+        EventQueue eq;
+        for (Tick t = 10; t < 13; t++)
+            eq.schedule(t, make()); // ring
+        eq.schedule(10 * EventQueue::nearWindowTicks, make()); // far
+        const std::uint64_t seq = eq.reserveSeq();
+        eq.schedule(20, make());
+        eq.scheduleReserved(20, seq, make()); // reserved, out of order
+        const std::uint64_t far_seq = eq.reserveSeq();
+        eq.scheduleReserved(12 * EventQueue::nearWindowTicks, far_seq,
+                            make()); // reserved, far
+        EXPECT_EQ(token.use_count(), 8);
+        eq.run(11);
+        EXPECT_EQ(token.use_count(), 6); // two ran and are gone
+        // Reuse the freed nodes, LIFO, with new inline captures.
+        eq.schedule(30, make());
+        eq.schedule(31, make());
+        EXPECT_EQ(token.use_count(), 8);
+        EXPECT_EQ(eq.poolSize(), eq.peakDepth());
+        eq.run(30);
+        EXPECT_EQ(token.use_count(), 4);
     }
     EXPECT_EQ(token.use_count(), 1);
 }

@@ -837,7 +837,10 @@ namespace {
  * drawn from its own seeded stream. It keeps MmuCore's admission
  * contract: admits() is exact, a refusal touches nothing, and every
  * page a walk starts on or the TLB takes is reported to the admit
- * watch, so refusals hold while no walker is free.
+ * watch, so refusals hold while no walker is free. With @c prefetch
+ * set, a finished demand walk starts a speculative walk of the next
+ * page on the freed walker before it wakes anyone, as MmuCore's
+ * prefetcher does: refusals then already hold when the wake begins.
  */
 class ContractEngine : public TranslationEngine
 {
@@ -859,9 +862,10 @@ class ContractEngine : public TranslationEngine
     };
 
     ContractEngine(EventQueue &eq, unsigned walkers, unsigned merge_slots,
-                   std::size_t tlb_entries, std::uint64_t seed)
+                   std::size_t tlb_entries, bool prefetch,
+                   std::uint64_t seed)
         : _eq(eq), _freeWalkers(walkers), _mergeSlots(merge_slots),
-          _tlbEntries(tlb_entries), _rng(seed)
+          _tlbEntries(tlb_entries), _prefetch(prefetch), _rng(seed)
     {
     }
 
@@ -873,9 +877,11 @@ class ContractEngine : public TranslationEngine
         const Addr vpn = va >> 12;
         if (inTlb(vpn))
             return true;
+        // A speculative walk has no initiator: its first request
+        // takes the initiator's place, not a merge slot.
         const auto walk = _walks.find(vpn);
         if (walk != _walks.end())
-            return walk->second.size() - 1 < _mergeSlots;
+            return walk->second.size() <= _mergeSlots;
         return _freeWalkers > 0;
     }
 
@@ -898,10 +904,8 @@ class ContractEngine : public TranslationEngine
             walk->second.push_back(resp);
             return true;
         }
-        _freeWalkers--;
         _walks[vpn].push_back(resp);
-        report(vpn);
-        _eq.scheduleIn(20 + _rng() % 60, [this, vpn] { finishWalk(vpn); });
+        startWalk(vpn);
         return true;
     }
 
@@ -930,6 +934,14 @@ class ContractEngine : public TranslationEngine
     }
 
     void
+    startWalk(Addr vpn)
+    {
+        _freeWalkers--;
+        report(vpn);
+        _eq.scheduleIn(20 + _rng() % 60, [this, vpn] { finishWalk(vpn); });
+    }
+
+    void
     finishWalk(Addr vpn)
     {
         const std::vector<TranslationResponse> pending =
@@ -944,6 +956,12 @@ class ContractEngine : public TranslationEngine
         for (const TranslationResponse &resp : pending)
             _eq.scheduleIn(at++, [this, resp] { _respond(resp); });
         _freeWalkers++;
+        const Addr next = vpn + 1;
+        if (_prefetch && !pending.empty() && !inTlb(next) &&
+            _walks.find(next) == _walks.end()) {
+            _walks[next];
+            startWalk(next);
+        }
         _wake();
     }
 
@@ -951,6 +969,7 @@ class ContractEngine : public TranslationEngine
     unsigned _freeWalkers;
     unsigned _mergeSlots;
     std::size_t _tlbEntries;
+    bool _prefetch;
     std::mt19937_64 _rng;
     std::vector<Addr> _tlb;
     std::map<Addr, std::vector<TranslationResponse>> _walks;
@@ -1262,8 +1281,11 @@ constexpr std::array<unsigned, 2> contractBridges{2, 5};
  * ContractEngine of three walkers, each DMA fetching one to three
  * random pages of a 16-page pool again and again; the last DMA
  * records its attempts. Odd seeds cap each client at two requests in
- * flight. The run stops at a few random ticks, charging the pending
- * waits as System::run does.
+ * flight; seeds 2, 3, 6, 7, 10, ... prefetch, so that on 3, 7, ...
+ * a cap-blocked bridge (first in wake order, holding the most
+ * requests in flight) meets refusals that hold from the wake's start.
+ * The run stops at a few random ticks, charging the pending waits as
+ * System::run does.
  */
 template <typename Router>
 ContractRun
@@ -1273,7 +1295,8 @@ runContract(std::uint64_t seed)
     RetryRound round(eq);
     MemoryModel mem("mem", MemoryConfig{});
     std::mt19937_64 rng(seed);
-    ContractEngine engine(eq, 3, unsigned(1 + seed % 2), 4, rng());
+    ContractEngine engine(eq, 3, unsigned(1 + seed % 2), 4,
+                          (seed / 2) % 2 == 1, rng());
     const unsigned clients = contractDmas + unsigned(contractBridges.size());
     const RouterPolicy policy =
         seed % 2 ? RouterPolicy::Partitioned : RouterPolicy::Shared;
