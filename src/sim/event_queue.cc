@@ -62,7 +62,7 @@ EventQueue::migrateFarIntoWindow()
     }
 }
 
-bool
+inline bool
 EventQueue::findNext(Tick limit)
 {
     if (_pending == 0)
@@ -85,7 +85,9 @@ EventQueue::findNext(Tick limit)
     if (next > limit)
         return false;
     _cursor = next;
-    migrateFarIntoWindow();
+    // Most ticks have nothing to migrate: test before the call.
+    if (!_far.empty() && _far.front().when - _cursor < nearWindowTicks)
+        migrateFarIntoWindow();
     return true;
 }
 

@@ -47,9 +47,10 @@ namespace neummu {
  * node the event will occupy; the callable is relocated only once,
  * out of its node when it is dispatched. The common path -- a free
  * node off the LIFO list, a link at an empty bucket or behind the
- * bucket's tail, and dispatch from run() -- is inline; pool growth,
- * out-of-order links (priority preemption, far migration, a reserved
- * seq behind newer same-tick events) and the far heap are not.
+ * bucket's tail, and finding and dispatching the next event in run()
+ * -- is inline; pool growth, out-of-order links (priority preemption,
+ * far migration, a reserved seq behind newer same-tick events), the
+ * far heap and the occupancy-bitmap scan are not.
  */
 class EventQueue
 {
@@ -342,7 +343,8 @@ class EventQueue
      * when that event lies strictly after @p limit. The cursor is
      * only ever committed to a tick that is dispatched next, so
      * outside of dispatch _cursor == _now and schedule() window
-     * arithmetic never sees a cursor ahead of time.
+     * arithmetic never sees a cursor ahead of time. Defined inline
+     * in event_queue.cc, for run() and step().
      */
     bool findNext(Tick limit);
     /**
