@@ -2,15 +2,22 @@
 """Compare two checkouts with alternating perfbench runs.
 
 Usage: perf_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs N]
-                     [--seed S]
+                     [--seed S] [--trace 0|1]
 
-Runs `python3 perfbench/run.py --workload W --seed S` in PARENT_DIR
-and in CHANGE_DIR, N times each, alternating which side goes first
-from pair to pair so that drift in the machine load hits both sides
-alike. Each run lasts the benchmark's own `run_seconds` and records
-no trace. Only the last line of each run's standard output (the
-result JSON) is read. Each checkout builds its own runner on its
-first run.
+Runs `python3 perfbench/run.py --workload W --seed S --trace T` in
+PARENT_DIR and in CHANGE_DIR, N times each, alternating which side
+goes first from pair to pair so that drift in the machine load hits
+both sides alike. Each run lasts the benchmark's own `run_seconds`.
+Only the last line of each run's standard output (the result JSON) is
+read. Each checkout builds its own runner on its first run.
+
+With --trace 1 the runs are observe-mode runs, and the script prints
+each side's median and quartiles and the move of the median for every
+per-layer metric of CHANGE_DIR/BENCHMARK.json, in its order, with no
+verdict: per-layer self times from one traced run per side sit inside
+their own noise, and these rows are for reading only. The move column
+reads "identical" where the runs match pair for pair (simulated
+counts must). The rest of this text is about the default, --trace 0.
 
 For every end-to-end metric of the result it prints each side's
 median and quartiles, the change's relative move of the median, how
@@ -52,7 +59,8 @@ WIN_SHARE = 0.9
 
 def run_once(checkout, args):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed)]
+           "--workload", args.workload, "--seed", str(args.seed),
+           "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -74,10 +82,13 @@ def quartiles(values):
     return q1, q3
 
 
-def end_to_end(change_dir):
-    """Map each end-to-end metric to (higher is better, bound)."""
+def load_benchmark(change_dir):
     with open(os.path.join(change_dir, "BENCHMARK.json")) as f:
-        bench = json.load(f)
+        return json.load(f)
+
+
+def end_to_end(bench):
+    """Map each end-to-end metric to (higher is better, bound)."""
     return {m["name"]: (m["better"] == "higher", m["bound"])
             for m in bench["end_to_end"]}
 
@@ -118,6 +129,59 @@ def fmt(value):
     return "%.4g" % value
 
 
+def side_text(values):
+    q1, q3 = quartiles(values)
+    return "%s [%s, %s]" % (fmt(statistics.median(values)), fmt(q1),
+                            fmt(q3))
+
+
+def move_text(parent, change):
+    p_med = statistics.median(parent)
+    c_med = statistics.median(change)
+    if not p_med:
+        return "n/a"
+    return "%+.2f%%" % (100.0 * (c_med - p_med) / p_med)
+
+
+def print_rows(rows):
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(cell.ljust(w)
+                        for cell, w in zip(row, widths)).rstrip())
+
+
+def per_layer_rows(bench, runs):
+    rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]",
+             "move")]
+    for m in bench["per_layer"]:
+        parent = [r[m["name"]] for r in runs["parent"]]
+        change = [r[m["name"]] for r in runs["change"]]
+        move = ("identical" if parent == change else
+                move_text(parent, change))
+        rows.append((m["name"], side_text(parent), side_text(change),
+                     move))
+    return rows
+
+
+def end_to_end_rows(bench, runs, pairs):
+    metrics = end_to_end(bench)
+    rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]",
+             "move", "wins", "rule", "bound")]
+    for name in runs["parent"][0]:
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        higher, bound = metrics[name]
+        if parent == change:
+            wins_text, rule = "-", "identical"
+        else:
+            wins, rule = verdict(parent, change, higher)
+            wins_text = "%d/%d" % (wins, pairs)
+        rows.append((name, side_text(parent), side_text(change),
+                     move_text(parent, change), wins_text, rule,
+                     bound_verdict(parent, change, higher, bound)))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent_dir")
@@ -125,11 +189,12 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    metrics = end_to_end(args.change_dir)
+    bench = load_benchmark(args.change_dir)
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -140,32 +205,12 @@ def main():
         print("pair %d/%d done (%s first)" % (i + 1, args.pairs, order[0]),
               file=sys.stderr, flush=True)
 
-    print("%s seed=%d pairs=%d" % (args.workload, args.seed, args.pairs))
-    rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]",
-             "move", "wins", "rule", "bound")]
-    for name in runs["parent"][0]:
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        p_med = statistics.median(parent)
-        c_med = statistics.median(change)
-        move = "%+.2f%%" % (100.0 * (c_med - p_med) / p_med) if p_med \
-            else "n/a"
-        sides_text = []
-        for values, med in ((parent, p_med), (change, c_med)):
-            q1, q3 = quartiles(values)
-            sides_text.append("%s [%s, %s]" % (fmt(med), fmt(q1), fmt(q3)))
-        higher, bound = metrics[name]
-        if parent == change:
-            wins_text, rule = "-", "identical"
-        else:
-            wins, rule = verdict(parent, change, higher)
-            wins_text = "%d/%d" % (wins, args.pairs)
-        rows.append((name, sides_text[0], sides_text[1], move, wins_text,
-                     rule, bound_verdict(parent, change, higher, bound)))
-    widths = [max(len(row[i]) for row in rows) for i in range(6)]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) +
-              "  " + row[6])
+    print("%s seed=%d pairs=%d trace=%d" % (args.workload, args.seed,
+                                            args.pairs, args.trace))
+    if args.trace:
+        print_rows(per_layer_rows(bench, runs))
+    else:
+        print_rows(end_to_end_rows(bench, runs, args.pairs))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
  * @file
  * Open-addressing hash map from a 64-bit key to a small value,
  * built for the simulator's hot-path bookkeeping: the PTS
- * scoreboard, the in-flight-VPN multiplicity table, and the DMA
- * burst-length tracker all churn one entry per request, and the
- * node-per-entry std::unordered_map they used to live in made that
- * churn a malloc/free pair per translation.
+ * scoreboard, the in-flight-VPN multiplicity table, and the TLB
+ * index all churn one entry per request, and the node-per-entry
+ * std::unordered_map they used to live in made that churn a
+ * malloc/free pair per translation.
  *
  * Linear probing over a power-of-two slot array with multiplicative
  * hashing, backward-shift deletion (no tombstones, so load never

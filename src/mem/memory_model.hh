@@ -38,7 +38,12 @@ struct MemoryConfig
 /**
  * Models one memory node (e.g., an NPU's local HBM stack). access()
  * computes the completion time of a request analytically in O(chunks),
- * tracking per-channel busy time; no events are needed.
+ * tracking per-channel busy time; no events are needed. It works out
+ * the first chunk's stripe offset and channel once per access (a
+ * shift and a mask when the interleave and the channel count are
+ * both powers of two, a division otherwise), then steps each later
+ * chunk to the next channel round-robin; a full stripe's busy time
+ * is precomputed, so no chunk divides.
  */
 class MemoryModel
 {
@@ -66,6 +71,12 @@ class MemoryModel
   private:
     MemoryConfig _cfg;
     double _bytesPerCyclePerChannel;
+    /** Busy time of one channel for a full interleave stripe. */
+    double _stripeBusy;
+    /** Interleave and channel count are both powers of two. */
+    bool _pow2;
+    /** log2(interleaveBytes) when _pow2. */
+    unsigned _interleaveShift = 0;
     /** Fractional busy-until times avoid per-chunk rounding loss. */
     std::vector<double> _channelFree;
     stats::Group _stats;

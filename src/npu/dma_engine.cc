@@ -12,11 +12,17 @@ DmaEngine::DmaEngine(std::string name, EventQueue &eq,
                      TranslationEngine &mmu, MemoryModel &mem,
                      DmaConfig cfg, RetryRound &retry)
     : _eq(eq), _name(std::move(name)), _mmu(mmu), _mem(mem), _cfg(cfg),
-      _retry(retry), _burstBytesById(2 * cfg.inflightHint), _stats(_name),
+      _retry(retry), _stats(_name),
       _sTranslationsIssued(_stats.scalar("translationsIssued"))
 {
     _sStallCycles = &_stats.scalar("stallCycles");
     NEUMMU_ASSERT(cfg.burstBytes > 0, "zero DMA burst size");
+    // Twice the hint: under contention a burst can outlive the
+    // lifetime bound the hint comes from.
+    std::size_t ring = 16;
+    while (ring < 2 * cfg.inflightHint)
+        ring <<= 1;
+    _burstRing.assign(ring, 0);
     NEUMMU_ASSERT(&retry.eventQueue() == &eq,
                   "retry round belongs to another event queue");
     _mmu.setResponseCallback(
@@ -126,7 +132,7 @@ DmaEngine::issueStep(bool probe)
         return false;
     }
 
-    _burstBytesById.insert(id, len);
+    trackBurst(id, len);
     _translations++;
     ++_sTranslationsIssued;
     if (_trace)
@@ -226,13 +232,56 @@ DmaEngine::retriesRefused(std::uint64_t count, Tick last_woken)
 }
 
 void
+DmaEngine::trackBurst(std::uint64_t id, std::uint64_t len)
+{
+    // With nothing outstanding every earlier id is settled.
+    if (_inflight == 0)
+        _ringBase = id;
+    if (id - _ringBase >= _burstRing.size())
+        growRing(id);
+    _burstRing[id & (_burstRing.size() - 1)] = len;
+    if (++_inflight > _inflightHighWater)
+        _inflightHighWater = _inflight;
+}
+
+std::uint64_t
+DmaEngine::untrackBurst(std::uint64_t id)
+{
+    const std::size_t mask = _burstRing.size() - 1;
+    // An id below the base wraps to a huge offset, so one compare
+    // rejects ids on either side of the ring.
+    NEUMMU_ASSERT(id - _ringBase <= mask && _burstRing[id & mask] != 0,
+                  "translation response for unknown burst");
+    const std::uint64_t len = _burstRing[id & mask];
+    _burstRing[id & mask] = 0;
+    // Move the base past the answered and burned ids up to the
+    // oldest burst still outstanding.
+    if (--_inflight > 0 && id == _ringBase) {
+        while (_burstRing[_ringBase & mask] == 0)
+            _ringBase++;
+    }
+    return len;
+}
+
+void
+DmaEngine::growRing(std::uint64_t id)
+{
+    std::size_t size = _burstRing.size();
+    while (id - _ringBase >= size)
+        size <<= 1;
+    std::vector<std::uint64_t> ring(size, 0);
+    const std::size_t old_mask = _burstRing.size() - 1;
+    for (std::uint64_t i = _ringBase; i < _ringBase + _burstRing.size(); i++)
+        ring[i & (size - 1)] = _burstRing[i & old_mask];
+    _burstRing = std::move(ring);
+    _ringGrowths++;
+}
+
+void
 DmaEngine::onTranslation(const TranslationResponse &resp)
 {
     NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::DmaData);
-    const std::uint64_t *len_slot = _burstBytesById.find(resp.id);
-    NEUMMU_ASSERT(len_slot, "translation response for unknown burst");
-    const std::uint64_t len = *len_slot;
-    _burstBytesById.erase(resp.id);
+    const std::uint64_t len = untrackBurst(resp.id);
     if (_trace) {
         const std::uint64_t key = _traceKeyBase | resp.id;
         const Tick dur = _trace->close(key, trace::Stage::Translation,
@@ -257,14 +306,14 @@ DmaEngine::onTranslation(const TranslationResponse &resp)
         _landTick = data_at;
         _landSeq = seq;
     }
-    if (_issuedAll && _burstBytesById.empty())
+    if (_issuedAll && _inflight == 0)
         _eq.scheduleReserved(_landTick, _landSeq, [this] { finish(); });
 }
 
 void
 DmaEngine::finish()
 {
-    NEUMMU_ASSERT(_active && _issuedAll && _burstBytesById.empty(),
+    NEUMMU_ASSERT(_active && _issuedAll && _inflight == 0,
                   "DMA fetch finished with bursts outstanding");
     _active = false;
     auto done = std::move(_done);

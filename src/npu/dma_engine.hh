@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/memory_model.hh"
@@ -39,10 +38,10 @@ struct DmaConfig
     /** Page size bursts are clipped to (one translation per burst). */
     unsigned pageShift = 12;
     /**
-     * Capacity hint for the outstanding-burst tracker: an upper
-     * bound on translations the MMU can hold in flight for this
-     * port. Sized from the MMU config so the tracker never rehashes
-     * in steady state (see FlatMap64::rehashCount()).
+     * Capacity hint for the outstanding-burst ring: an upper bound
+     * on the ids one port has issued, answered or not, since its
+     * oldest unanswered translation. Sized from the MMU config so
+     * the ring never grows in steady state (see burstPoolRehashes()).
      */
     std::size_t inflightHint = 64;
 };
@@ -111,17 +110,13 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     stats::Group &stats() { return _stats; }
 
     /** Bursts with a translation in flight (tests/diagnostics). */
-    std::size_t inflightBursts() const { return _burstBytesById.size(); }
+    std::size_t inflightBursts() const { return _inflight; }
     /** Peak outstanding-burst count (tests/diagnostics). */
-    std::size_t burstPoolHighWater() const
-    {
-        return _burstBytesById.highWater();
-    }
-    /** Tracker rehashes; 0 when inflightHint was sized right. */
-    std::size_t burstPoolRehashes() const
-    {
-        return _burstBytesById.rehashCount();
-    }
+    std::size_t burstPoolHighWater() const { return _inflightHighWater; }
+    /** Burst ring growths; 0 when inflightHint was sized right. */
+    std::size_t burstPoolRehashes() const { return _ringGrowths; }
+    /** Burst ring slots (tests/diagnostics). */
+    std::size_t burstRingCapacity() const { return _burstRing.size(); }
 
   private:
     /**
@@ -162,6 +157,13 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
      *  CreditWait span; the port stays blocked from @p until. */
     void chargeWait(Tick until) override;
 
+    /** Record burst @p id of @p len bytes as outstanding. */
+    void trackBurst(std::uint64_t id, std::uint64_t len);
+    /** Forget answered burst @p id; returns its length. */
+    std::uint64_t untrackBurst(std::uint64_t id);
+    /** Double the ring until ids up to @p id fit beside _ringBase. */
+    void growRing(std::uint64_t id);
+
     bool currentBurst(Addr &va, std::uint64_t &len) const;
     void advance(std::uint64_t len);
     void finish();
@@ -200,8 +202,19 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     Tick _landTick = 0;
     std::uint64_t _landSeq = 0;
     DoneCallback _done;
-    /** Outstanding translation id -> burst length (pooled slots). */
-    FlatMap64<std::uint64_t> _burstBytesById;
+    /**
+     * Outstanding bursts: the length of burst id at id & (size - 1),
+     * 0 for an id answered or burned (no burst is empty). The ring
+     * holds every id from _ringBase, the oldest unanswered one, to
+     * the newest. Ids rise by at most one a tick, so that span is at
+     * most the oldest burst's age in ticks; the ring's power-of-two
+     * size doubles when the span outgrows it.
+     */
+    std::vector<std::uint64_t> _burstRing;
+    std::uint64_t _ringBase = 0;
+    std::size_t _inflight = 0;
+    std::size_t _inflightHighWater = 0;
+    std::size_t _ringGrowths = 0;
 
     IssueHook _hook;
     std::uint64_t _traceKeyBase = 0;

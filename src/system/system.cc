@@ -96,17 +96,18 @@ System::System(SystemConfig cfg)
     dma_cfg.burstBytes =
         _cfg.dmaBurstBytes ? _cfg.dmaBurstBytes : _cfg.npu.dmaBurstBytes;
     dma_cfg.pageShift = _cfg.pageShift;
-    // Pre-size each DMA's outstanding-burst tracker so it never
-    // rehashes in steady state (a growing tracker still works, it
-    // just rehashes). Two independent config-derived bounds on one
-    // port's accepted-but-unanswered translations, take the smaller:
-    // (a) occupancy -- the engine can hold at most its walker pool
-    // times the PRMB fan-out; (b) lifetime -- the port issues at most
-    // one translation per cycle and an accepted request is answered
-    // within the longest walk (plus fault service when paging can
-    // stretch a walk), so at most that many coexist. Bound (b) keeps
-    // the table small and cache-resident for wide-MMU configs where
-    // (a) alone would reserve a 128x33-entry table per DMA port.
+    // Pre-size each DMA's outstanding-burst ring so it never grows
+    // in steady state (a ring that outgrows its span still works, it
+    // just doubles and copies). Two independent config-derived
+    // bounds on one port's accepted-but-unanswered translations,
+    // take the smaller: (a) occupancy -- the engine can hold at most
+    // its walker pool times the PRMB fan-out; (b) lifetime -- the
+    // port issues at most one id per cycle and an accepted request
+    // is answered within the longest walk (plus fault service when
+    // paging can stretch a walk), so its ids span at most that many.
+    // The DMA sizes its ring to twice the hint. Bound (b) keeps the
+    // ring small and cache-resident for wide-MMU configs where (a)
+    // alone would reserve a 128x33-entry ring per DMA port.
     {
         std::uint64_t occupancy = _mmu->walkerBudget();
         std::uint64_t lifetime =

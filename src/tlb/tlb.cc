@@ -21,10 +21,10 @@ Tlb::Tlb(std::string name, TlbConfig cfg)
         _freeSlots.push_back(std::uint32_t(cfg.entries - 1 - i));
 }
 
-std::size_t
+std::uint32_t
 Tlb::setOf(Addr vpn) const
 {
-    return std::size_t(vpn % _numSets);
+    return std::uint32_t(vpn % _numSets);
 }
 
 void
@@ -60,20 +60,20 @@ Tlb::linkFront(Set &set, std::uint32_t idx)
 bool
 Tlb::lookup(Addr vpn, Addr &pfn_out)
 {
-    const std::uint32_t *idx = _index.find(vpn);
-    if (!idx) {
+    const Entry *e = _index.find(vpn);
+    if (!e) {
         _misses++;
         ++_sMisses;
         return false;
     }
     // Move to MRU position.
-    Set &set = _sets[setOf(vpn)];
-    if (set.head != *idx) {
-        unlink(set, *idx);
-        linkFront(set, *idx);
+    Set &set = _sets[e->set];
+    if (set.head != e->slot) {
+        unlink(set, e->slot);
+        linkFront(set, e->slot);
         _gen++;
     }
-    pfn_out = _slots[*idx].pfn;
+    pfn_out = _slots[e->slot].pfn;
     _hits++;
     ++_sHits;
     return true;
@@ -89,15 +89,17 @@ void
 Tlb::insert(Addr vpn, Addr pfn)
 {
     _gen++;
-    Set &set = _sets[setOf(vpn)];
-    if (const std::uint32_t *existing = _index.find(vpn)) {
-        _slots[*existing].pfn = pfn;
-        if (set.head != *existing) {
-            unlink(set, *existing);
-            linkFront(set, *existing);
+    if (const Entry *existing = _index.find(vpn)) {
+        Set &set = _sets[existing->set];
+        _slots[existing->slot].pfn = pfn;
+        if (set.head != existing->slot) {
+            unlink(set, existing->slot);
+            linkFront(set, existing->slot);
         }
         return;
     }
+    const std::uint32_t set_idx = setOf(vpn);
+    Set &set = _sets[set_idx];
     std::uint32_t idx;
     if (set.size >= _waysPerSet) {
         // Recycle the true-LRU victim's slot in place.
@@ -112,17 +114,17 @@ Tlb::insert(Addr vpn, Addr pfn)
     _slots[idx].vpn = vpn;
     _slots[idx].pfn = pfn;
     linkFront(set, idx);
-    _index.insert(vpn, idx);
+    _index.insert(vpn, Entry{idx, set_idx});
 }
 
 void
 Tlb::invalidate(Addr vpn)
 {
-    const std::uint32_t *idx = _index.find(vpn);
-    if (!idx)
+    const Entry *e = _index.find(vpn);
+    if (!e)
         return;
-    const std::uint32_t slot = *idx;
-    unlink(_sets[setOf(vpn)], slot);
+    const std::uint32_t slot = e->slot;
+    unlink(_sets[e->set], slot);
     _index.erase(vpn);
     _freeSlots.push_back(slot);
     _gen++;

@@ -120,7 +120,15 @@ class Tlb
         std::size_t size = 0;
     };
 
-    std::size_t setOf(Addr vpn) const;
+    /** Where a resident VPN lives: its slot and its set. */
+    struct Entry
+    {
+        std::uint32_t slot = npos;
+        std::uint32_t set = 0;
+    };
+
+    /** The set a new VPN goes to (insert only: the one division). */
+    std::uint32_t setOf(Addr vpn) const;
     void unlink(Set &set, std::uint32_t idx);
     void linkFront(Set &set, std::uint32_t idx);
 
@@ -131,8 +139,12 @@ class Tlb
     std::vector<Set> _sets;
     /** Unused slot indices (all sets draw from one slab). */
     std::vector<std::uint32_t> _freeSlots;
-    /** VPN -> slot index across all sets. */
-    FlatMap64<std::uint32_t> _index;
+    /**
+     * VPN -> slot and set across all sets. Keeping the set here lets
+     * lookup() and invalidate() reach it without dividing by the set
+     * count; the entry is no larger than a bare slot index would be.
+     */
+    FlatMap64<Entry> _index;
     stats::Group _stats;
     /** Cached counters: lookup() runs per request, so no per-call
      *  string-keyed stats lookups on the hot path. */

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "common/units.hh"
 #include "mem/interconnect.hh"
 #include "mem/memory_model.hh"
@@ -18,6 +22,67 @@ tableOneMemory()
 {
     return MemoryConfig{}; // defaults follow Table I
 }
+
+/**
+ * Reference for MemoryModel::access: the plain per-chunk loop that
+ * divides for every chunk's stripe and channel.
+ */
+class ReferenceMemory
+{
+  public:
+    explicit ReferenceMemory(MemoryConfig cfg)
+        : _cfg(cfg),
+          _bytesPerCyclePerChannel(cfg.bytesPerCycle / double(cfg.channels)),
+          _channelFree(cfg.channels, 0.0)
+    {
+    }
+
+    Tick
+    access(Tick now, Addr pa, std::uint64_t bytes, bool is_write)
+    {
+        (is_write ? bytesWritten : bytesRead) += double(bytes);
+        accesses += 1.0;
+
+        Tick last_done = now;
+        Addr cursor = pa;
+        std::uint64_t remaining = bytes;
+        while (remaining > 0) {
+            const Addr chunk_end =
+                (cursor / _cfg.interleaveBytes + 1) * _cfg.interleaveBytes;
+            const std::uint64_t chunk =
+                std::min<std::uint64_t>(remaining, chunk_end - cursor);
+            const unsigned ch =
+                unsigned((cursor / _cfg.interleaveBytes) % _cfg.channels);
+
+            const double start = std::max(double(now), _channelFree[ch]);
+            const double busy = double(chunk) / _bytesPerCyclePerChannel;
+            _channelFree[ch] = start + busy;
+            last_done = std::max(
+                last_done,
+                Tick(start + busy + 0.999999) + _cfg.accessLatency);
+
+            cursor += chunk;
+            remaining -= chunk;
+        }
+        return last_done;
+    }
+
+    Tick
+    earliestFree() const
+    {
+        return Tick(
+            *std::min_element(_channelFree.begin(), _channelFree.end()));
+    }
+
+    double bytesRead = 0.0;
+    double bytesWritten = 0.0;
+    double accesses = 0.0;
+
+  private:
+    MemoryConfig _cfg;
+    double _bytesPerCyclePerChannel;
+    std::vector<double> _channelFree;
+};
 
 } // namespace
 
@@ -110,10 +175,65 @@ TEST(MemoryModel, ResetClearsChannelState)
     EXPECT_EQ(mem.earliestFree(), 0u);
 }
 
+TEST(MemoryModel, MatchesThePerChunkReferenceOnAnyGeometry)
+{
+    // Power-of-two geometries take the shift-and-mask path, the rest
+    // the dividing one; both step chunks round-robin from the first.
+    // Unaligned starts, partial last chunks and accesses longer than
+    // one round of channels, at several bandwidths.
+    std::mt19937_64 rng(20241018);
+    for (const unsigned channels : {1u, 3u, 8u}) {
+        for (const unsigned interleave : {64u, 256u, 384u}) {
+            for (const double bw : {600.0, 37.5, 7.0}) {
+                MemoryConfig cfg;
+                cfg.channels = channels;
+                cfg.interleaveBytes = interleave;
+                cfg.bytesPerCycle = bw;
+                cfg.accessLatency = 100;
+                MemoryModel mem("m", cfg);
+                ReferenceMemory ref(cfg);
+                const std::uint64_t round =
+                    std::uint64_t(channels) * interleave;
+                std::uniform_int_distribution<std::uint64_t> bytes_of(
+                    1, 3 * round + interleave);
+                std::uniform_int_distribution<Addr> pa_of(0,
+                                                          Addr(1) << 34);
+                std::uniform_int_distribution<Tick> step_of(0, 40);
+                Tick now = 0;
+                for (int i = 0; i < 2000; i++) {
+                    now += step_of(rng);
+                    const Addr pa = pa_of(rng);
+                    const std::uint64_t bytes = bytes_of(rng);
+                    const bool is_write = (rng() & 1) != 0;
+                    ASSERT_EQ(mem.access(now, pa, bytes, is_write),
+                              ref.access(now, pa, bytes, is_write))
+                        << channels << " channels x " << interleave
+                        << " B at " << bw << " B/cycle, access " << i
+                        << ": " << bytes << " B at pa " << pa;
+                    ASSERT_EQ(mem.earliestFree(), ref.earliestFree());
+                }
+                EXPECT_EQ(mem.stats().scalar("bytesRead").value(),
+                          ref.bytesRead);
+                EXPECT_EQ(mem.stats().scalar("bytesWritten").value(),
+                          ref.bytesWritten);
+                EXPECT_EQ(mem.stats().scalar("accesses").value(),
+                          ref.accesses);
+            }
+        }
+    }
+}
+
 TEST(MemoryModelDeath, ZeroBytesPanics)
 {
     MemoryModel mem("m", tableOneMemory());
     EXPECT_DEATH(mem.access(0, 0, 0, false), "zero-byte");
+}
+
+TEST(MemoryModelDeath, ZeroInterleavePanics)
+{
+    MemoryConfig cfg;
+    cfg.interleaveBytes = 0;
+    EXPECT_DEATH(MemoryModel("m", cfg), "interleave");
 }
 
 TEST(Link, TableOneConfigs)

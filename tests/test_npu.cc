@@ -125,13 +125,13 @@ class DmaTest : public ::testing::Test
      * drives translation responses itself.
      */
     void
-    buildOn(TranslationEngine &port)
+    buildOn(TranslationEngine &port, DmaConfig dma_cfg = DmaConfig{})
     {
         eq = std::make_unique<EventQueue>();
         mem = std::make_unique<MemoryModel>("mem", MemoryConfig{});
         retry = std::make_unique<RetryRound>(*eq);
         dma = std::make_unique<DmaEngine>("dma", *eq, port, *mem,
-                                          DmaConfig{}, *retry);
+                                          dma_cfg, *retry);
         base = Addr(0x70) << 30;
     }
 
@@ -315,6 +315,167 @@ TEST_F(DmaTest, FetchFinishTieGoesToTheLaterResponse)
     EXPECT_EQ(done_at, lands);
     EXPECT_EQ(order,
               (std::vector<std::string>{"between", "done", "after"}));
+}
+
+namespace {
+
+/** CueEngine that refuses while closed and keeps its wake callback. */
+class CueGateEngine : public CueEngine
+{
+  public:
+    bool open = true;
+
+    bool
+    translate(Addr va, std::uint64_t id) override
+    {
+        return open && CueEngine::translate(va, id);
+    }
+    void setWakeCallback(WakeCallback cb) override { wake = std::move(cb); }
+
+    WakeCallback wake;
+};
+
+/** A DMA config whose burst ring starts at its smallest, 16 slots. */
+DmaConfig
+smallRingDma()
+{
+    DmaConfig cfg;
+    cfg.inflightHint = 4;
+    return cfg;
+}
+
+} // namespace
+
+TEST_F(DmaTest, BurstRingAnswersOutOfOrder)
+{
+    CueEngine port;
+    buildOn(port, smallRingDma());
+    ASSERT_EQ(dma->burstRingCapacity(), 16u);
+    // Eight 1 KB bursts, answered in a scrambled order: each answer
+    // reads its own burst's length, whichever ids are still open.
+    bool done = false;
+    dma->fetch({VaRun{base, 7 * KiB + 512}}, [&](Tick) { done = true; });
+    eq->run();
+    ASSERT_EQ(port.ids.size(), 8u);
+    EXPECT_EQ(dma->inflightBursts(), 8u);
+    const std::vector<std::uint64_t> order = {5, 0, 7, 2, 1, 6, 3, 4};
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 0; i < order.size(); i++) {
+        port.respond(order[i], lowChannelsPa);
+        bytes += order[i] == 7 ? 512 : 1024;
+        EXPECT_EQ(dma->bytesFetched(), bytes);
+        EXPECT_EQ(dma->inflightBursts(), order.size() - i - 1);
+    }
+    eq->run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(dma->burstPoolHighWater(), 8u);
+    EXPECT_EQ(dma->burstPoolRehashes(), 0u);
+}
+
+TEST_F(DmaTest, BurstRingSkipsIdsBurnedByRefusedRounds)
+{
+    CueGateEngine port;
+    buildOn(port, smallRingDma());
+    // Burst 0 is accepted and stays open; the port then refuses 12
+    // rounds (ids 1-12 burn: the issue at t=1, then one retry per
+    // wake), accepts burst 13, refuses 12 more (ids 14-25 burn) and
+    // accepts burst 26. Burst 0's answer moves the ring's base past
+    // the burned ids to burst 13, and burst 13's to burst 26: the
+    // span never reaches the ring's 16 slots.
+    dma->fetch({VaRun{base, 3 * KiB}}, [](Tick) {});
+    eq->schedule(1, [&] { port.open = false; });
+    Tick t = 10;
+    for (int i = 0; i < 11; i++, t += 10)
+        eq->schedule(t, [&] { port.wake(); });
+    eq->schedule(t, [&] {
+        port.open = true;
+        port.wake();
+    });
+    // Burst 13 issues at t + 1; the next issue, at t + 2, is refused.
+    eq->schedule(t + 2, [&] { port.open = false; });
+    eq->schedule(t + 5, [&] { port.respond(0, lowChannelsPa); });
+    t += 10;
+    for (int i = 0; i < 11; i++, t += 10)
+        eq->schedule(t, [&] { port.wake(); });
+    eq->schedule(t, [&] {
+        port.open = true;
+        port.wake();
+    });
+    eq->schedule(t + 5, [&] { port.respond(13, lowChannelsPa); });
+    eq->run();
+
+    EXPECT_EQ(port.ids, (std::vector<std::uint64_t>{0, 13, 26}));
+    EXPECT_EQ(dma->inflightBursts(), 1u);
+    port.respond(26, highChannelsPa);
+    eq->run();
+    EXPECT_FALSE(dma->busy());
+    EXPECT_EQ(dma->bytesFetched(), 3 * KiB);
+    EXPECT_EQ(dma->burstRingCapacity(), 16u);
+    EXPECT_EQ(dma->burstPoolRehashes(), 0u);
+}
+
+TEST_F(DmaTest, BurstRingGrowsWhenTheOpenSpanOutgrowsIt)
+{
+    CueGateEngine port;
+    buildOn(port, smallRingDma());
+    // Burst 0 stays open while 40 refused rounds burn ids 1-40; burst
+    // 41 then lies beyond the ring's 16 slots, which double to 64 in
+    // one growth. A second fetch keeps 80 bursts open at once: the
+    // ring grows again, to 128.
+    dma->fetch({VaRun{base, 2 * KiB}}, [](Tick) {});
+    eq->schedule(1, [&] { port.open = false; });
+    Tick t = 10;
+    for (int i = 0; i < 39; i++, t += 10)
+        eq->schedule(t, [&] { port.wake(); });
+    eq->schedule(t, [&] {
+        port.open = true;
+        port.wake();
+    });
+    eq->run();
+    EXPECT_EQ(port.ids, (std::vector<std::uint64_t>{0, 41}));
+    EXPECT_EQ(dma->burstRingCapacity(), 64u);
+    EXPECT_EQ(dma->burstPoolRehashes(), 1u);
+    port.respond(41, highChannelsPa);
+    port.respond(0, lowChannelsPa);
+    eq->run();
+    EXPECT_FALSE(dma->busy());
+    EXPECT_EQ(dma->bytesFetched(), 2 * KiB);
+
+    port.ids.clear();
+    dma->fetch({VaRun{base, 80 * KiB}}, [](Tick) {});
+    eq->run();
+    ASSERT_EQ(port.ids.size(), 80u);
+    EXPECT_EQ(dma->inflightBursts(), 80u);
+    EXPECT_EQ(dma->burstRingCapacity(), 128u);
+    EXPECT_EQ(dma->burstPoolRehashes(), 2u);
+    for (auto it = port.ids.rbegin(); it != port.ids.rend(); ++it)
+        port.respond(*it, lowChannelsPa);
+    eq->run();
+    EXPECT_FALSE(dma->busy());
+    EXPECT_EQ(dma->bytesFetched(), 82 * KiB);
+    EXPECT_EQ(dma->burstPoolHighWater(), 80u);
+}
+
+TEST_F(DmaTest, BurstRingRejectsUnknownIds)
+{
+    CueGateEngine port;
+    buildOn(port, smallRingDma());
+    // Burst 0 answered, id 1 burned, burst 2 open.
+    dma->fetch({VaRun{base, 2 * KiB}}, [](Tick) {});
+    eq->schedule(1, [&] { port.open = false; });
+    eq->schedule(5, [&] { port.respond(0, lowChannelsPa); });
+    eq->schedule(10, [&] {
+        port.open = true;
+        port.wake();
+    });
+    eq->run();
+    ASSERT_EQ(port.ids, (std::vector<std::uint64_t>{0, 2}));
+    EXPECT_DEATH(port.respond(0, lowChannelsPa), "unknown burst");
+    EXPECT_DEATH(port.respond(1, lowChannelsPa), "unknown burst");
+    EXPECT_DEATH(port.respond(3, lowChannelsPa), "unknown burst");
+    EXPECT_DEATH(port.respond(2 + 16, lowChannelsPa), "unknown burst");
+    port.respond(2, lowChannelsPa);
+    EXPECT_DEATH(port.respond(2, lowChannelsPa), "unknown burst");
 }
 
 namespace {

@@ -211,12 +211,49 @@ TEST_P(TlbGeometry, NeverExceedsCapacityAndKeepsRecentEntries)
         EXPECT_TRUE(tlb.probe(v)) << "vpn " << v;
 }
 
+TEST_P(TlbGeometry, HitsAndInvalidationsFindTheirSet)
+{
+    const auto [entries, ways] = GetParam();
+    const std::size_t sets = (ways == 0) ? 1 : entries / ways;
+    if (entries / sets < 2)
+        GTEST_SKIP() << "one way per set: a hit cannot save an entry";
+    Tlb tlb("t", TlbConfig{entries, ways, 1});
+    const Addr inserts = entries * 4;
+    for (Addr v = 0; v < inserts; v++)
+        tlb.insert(v, v + 7);
+    // Resident: the last `entries` VPNs; the first `sets` of them are
+    // their sets' LRU entries. A hit makes each its set's MRU, so one
+    // more insert per set evicts the next-oldest entry instead.
+    const Addr oldest = inserts - entries;
+    for (Addr v = oldest; v < oldest + sets; v++) {
+        Addr pfn = 0;
+        ASSERT_TRUE(tlb.lookup(v, pfn)) << "vpn " << v;
+        EXPECT_EQ(pfn, v + 7);
+    }
+    for (Addr v = inserts; v < inserts + sets; v++)
+        tlb.insert(v, v + 7);
+    for (Addr v = oldest; v < oldest + sets; v++) {
+        EXPECT_TRUE(tlb.probe(v)) << "vpn " << v;
+        EXPECT_FALSE(tlb.probe(v + sets)) << "vpn " << v + sets;
+    }
+    // Invalidating the hit entries frees one way in every set: the
+    // next insert per set evicts nothing.
+    for (Addr v = oldest; v < oldest + sets; v++)
+        tlb.invalidate(v);
+    EXPECT_EQ(tlb.size(), entries - sets);
+    const double evictions = tlb.stats().scalar("evictions").value();
+    for (Addr v = inserts + sets; v < inserts + 2 * sets; v++)
+        tlb.insert(v, v + 7);
+    EXPECT_EQ(tlb.size(), entries);
+    EXPECT_EQ(tlb.stats().scalar("evictions").value(), evictions);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, TlbGeometry,
     ::testing::Values(std::make_tuple(1, 0), std::make_tuple(8, 0),
                       std::make_tuple(16, 4), std::make_tuple(64, 8),
                       std::make_tuple(128, 0), std::make_tuple(2048, 0),
-                      std::make_tuple(2048, 16)));
+                      std::make_tuple(2048, 16), std::make_tuple(48, 4)));
 
 /** Streaming sweep: a working set larger than the TLB thrashes it. */
 TEST(Tlb, StreamingDefeatsAnyCapacity)
