@@ -96,7 +96,7 @@ class TranslationRouter::Port final : public TranslationEngine
 /**
  * A RetryRound member the router owns: deferred-retry ports that one
  * wake put in the same round, with the tick of that wake. Their order
- * in the round is their wake order, from the keys the wake recorded.
+ * in the round is their wake order, by their keys at that wake.
  */
 class TranslationRouter::Round final : public RetryMember
 {
@@ -129,7 +129,7 @@ TranslationRouter::TranslationRouter(TranslationEngine &engine,
     }
     _inflight.assign(num_clients, 0);
     _refusedVa.assign(num_clients, invalidAddr);
-    _wakeKey.assign(num_clients, 0);
+    _frozenKey.assign(num_clients, 0);
     _parkedRounds.assign(num_clients, 0);
     _lastParked.assign(num_clients, 0);
 
@@ -185,12 +185,56 @@ TranslationRouter::wakeKey(unsigned client) const
     return (~_inflight[client] << 8) | client;
 }
 
+inline std::uint64_t
+TranslationRouter::roundKey(unsigned client)
+{
+    if (!_frozen.test(client))
+        return wakeKey(client);
+    ++_frozenKeyReads;
+    return _frozenKey[client];
+}
+
+inline void
+TranslationRouter::hold(unsigned client)
+{
+    _held.set(client);
+    _refusedPages[bucketOf(_refusedVa[client] >> _filterShift)]++;
+}
+
+inline void
+TranslationRouter::release(unsigned client)
+{
+    if (!_held.test(client))
+        return;
+    _held.reset(client);
+    _refusedPages[bucketOf(_refusedVa[client] >> _filterShift)]--;
+}
+
+TranslationRouter::PageCounts
+TranslationRouter::countHeld() const
+{
+    PageCounts counts{};
+    _held.forEach([&](unsigned c) {
+        counts[bucketOf(_refusedVa[c] >> _filterShift)]++;
+    });
+    return counts;
+}
+
+void
+TranslationRouter::refilter(unsigned page_shift)
+{
+    _filterShift = page_shift;
+    _refusedPages = countHeld();
+}
+
 inline void
 TranslationRouter::refuse(Port &port, Addr va, bool by_cap)
 {
     const unsigned c = port._client;
     NEUMMU_ASSERT(!_pending.test(c), "a port in a pending round refused");
+    release(c);
     _refusedVa[c] = va;
+    hold(c);
     _reported.reset(c);
     _capRefused.assign(c, by_cap);
     if (port._deferred)
@@ -219,6 +263,9 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
         ++port._sBlockedIssues;
         return false;
     }
+    // Out of the filter first: the walk the engine may start reports
+    // the client's own page.
+    release(client);
     const std::uint64_t tagged =
         (std::uint64_t(client) << clientShift) | id;
     if (!_engine.translate(va, tagged)) {
@@ -276,8 +323,16 @@ void
 TranslationRouter::onAdmitPage(Addr vpn, unsigned page_shift)
 {
     // Only a blocked client can be refused again: one that waits, is
-    // parked or is in a pending round. Marking one a wake is about to
-    // call, or a round is about to visit, is harmless.
+    // parked or is in a pending round. Each is held in the filter, so
+    // an empty bucket means none was refused on the page. Marking one
+    // a wake is about to call, or a round is about to visit, is
+    // harmless.
+    ++_admitReports;
+    if (page_shift != _filterShift)
+        refilter(page_shift);
+    if (_refusedPages[bucketOf(vpn)] == 0)
+        return;
+    ++_admitScans;
     (_waiting | _pending).forEach([&](unsigned c) {
         if ((_refusedVa[c] >> page_shift) == vpn)
             _reported.set(c);
@@ -291,6 +346,12 @@ TranslationRouter::onResponse(const TranslationResponse &resp)
     NEUMMU_ASSERT(client < _ports.size(), "response for unknown client");
     Port &port = *_ports[client];
     NEUMMU_ASSERT(_inflight[client] > 0, "response underflow");
+    // A pending round orders its members by their keys at the wake:
+    // keep this member's before its count first moves.
+    if (_pending.test(client) && !_frozen.test(client)) {
+        _frozenKey[client] = wakeKey(client);
+        _frozen.set(client);
+    }
     _inflight[client]--;
     port._counts.responses++;
     ++port._sResponses;
@@ -357,17 +418,19 @@ TranslationRouter::runRound(Round &round)
 {
     NEUMMU_PROF_SCOPE(_eq ? _eq->profiler() : nullptr,
                       ProfSubsystem::Router);
-    ClientSet left = round.members;
+    const ClientSet members = round.members;
+    ClientSet left = members;
     const Tick woken = round.woken;
     _idleRounds.push_back(&round);
 
-    // Visit the members in wake order. With no refusal proven (a
-    // walker is free, or the engine keeps no watch) any member may be
-    // admitted. Once refusals hold, only a member whose page was
-    // reported since its refusal, whose refusal was the cap's, or
-    // that records every attempt may get anything but a refusal; a
-    // visit can start a walk on a waiting member's page, so the set
-    // is read anew before each pick. Usually the first visit takes
+    // Visit the members in wake order, by their keys at the wake
+    // (roundKey()). With no refusal proven (a walker is free, or the
+    // engine keeps no watch) any member may be admitted. Once
+    // refusals hold, only a member whose page was reported since its
+    // refusal, whose refusal was the cap's, or that records every
+    // attempt may get anything but a refusal; a visit can start a
+    // walk on a waiting member's page, so the set is read anew before
+    // each pick. Usually the first visit takes
     // the walker the wake freed and proves the rest refused, so each
     // pick scans for the first key rather than sorting them all.
     bool proven = false;
@@ -380,21 +443,23 @@ TranslationRouter::runRound(Round &round)
             hold ? left & (_reported | _capRefused | _recording) : left;
         if (next.none())
             break;
-        const unsigned c = firstInWakeOrder(next);
+        const unsigned c = firstInWakeOrder(
+            next, [this](unsigned m) { return roundKey(m); });
         left.reset(c);
         visit(c, woken);
     }
-    if (left.none())
-        return;
-    // Every other member's probe would be refused again: park it as
-    // that refusal would leave it, without the call.
-    left.forEach([&](unsigned c) {
-        _parkedRounds[c]++;
-        _lastParked[c] = woken;
-    });
-    _parkedRefusals += left.count();
-    _pending -= left;
-    _waiting |= left;
+    if (!left.none()) {
+        // Every other member's probe would be refused again: park it
+        // as that refusal would leave it, without the call.
+        left.forEach([&](unsigned c) {
+            _parkedRounds[c]++;
+            _lastParked[c] = woken;
+        });
+        _parkedRefusals += left.count();
+        _pending -= left;
+        _waiting |= left;
+    }
+    _frozen -= members;
 }
 
 void
@@ -462,6 +527,12 @@ TranslationRouter::checkWaiters() const
                   "pending set disagrees with the pending rounds");
     NEUMMU_ASSERT((_waiting & _pending).none(),
                   "a port both waits and is in a pending round");
+    NEUMMU_ASSERT(((_waiting | _pending) - _held).none(),
+                  "a blocked port is not held in the refused-page filter");
+    NEUMMU_ASSERT(countHeld() == _refusedPages,
+                  "refused-page filter counts disagree with its ports");
+    NEUMMU_ASSERT((_frozen - _pending).none(),
+                  "a frozen wake key outlived its pending round");
     for (unsigned c = 0; c < _ports.size(); c++) {
         NEUMMU_ASSERT(_parkedRounds[c] == 0,
                       "a parked refused round was left unsettled");
@@ -475,11 +546,12 @@ TranslationRouter::checkWaiters() const
     }
 }
 
+template <typename Key>
 unsigned
-TranslationRouter::firstInWakeOrder(const ClientSet &set) const
+TranslationRouter::firstInWakeOrder(const ClientSet &set, Key &&key)
 {
     std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
-    set.forEach([&](unsigned c) { first = std::min(first, _wakeKey[c]); });
+    set.forEach([&](unsigned c) { first = std::min(first, key(c)); });
     return clientOf(first);
 }
 
@@ -500,7 +572,9 @@ TranslationRouter::onWake()
     //
     // The order is fixed when the wake starts, from the keys then:
     // each client is taken when its turn comes, after the ones before
-    // it took what they could. A bridge whose retry the engine would
+    // it took what they could. The keys are read as they are: no
+    // client the wake orders has a response or a request accepted
+    // before its turn. A bridge whose retry the engine would
     // refuse again stays in the set without the call, which would
     // change nothing but rejection counters; a called bridge goes
     // back only if it is rejected again. As in a round, the bridges
@@ -513,7 +587,7 @@ TranslationRouter::onWake()
     // joins would.
     ClientSet dmas = _waiting & _deferredPorts;
     ClientSet bridges = _waiting - _deferredPorts;
-    _waiting.forEach([this](unsigned c) { _wakeKey[c] = wakeKey(c); });
+    const auto key = [this](unsigned c) { return wakeKey(c); };
     for (;;) {
         // While refusals hold, skip a bridge whose retry the engine
         // would refuse: one that retries inside its wake, refused by
@@ -524,11 +598,12 @@ TranslationRouter::onWake()
                 : bridges;
         if (callable.none())
             break;
-        const unsigned c = firstInWakeOrder(callable);
+        const unsigned c = firstInWakeOrder(callable, key);
         bridges.reset(c);
+        const std::uint64_t turn = wakeKey(c);
         ClientSet before;
         dmas.forEach([&](unsigned d) {
-            if (_wakeKey[d] < _wakeKey[c])
+            if (wakeKey(d) < turn)
                 before.set(d);
         });
         dmas -= before;

@@ -35,6 +35,14 @@
  * (DeferredRetryClient::retriesRefused()). Under the engine's
  * contract a parked member's probe would have been refused, so the
  * simulated result is that of visiting every member at every round.
+ *
+ * Neither a wake nor an admit report makes a pass over every waiter.
+ * A wake orders its waiters by their current keys, which hold for the
+ * whole wake; a member of a pending round keeps its key from the wake
+ * frozen, stored only if a response changes its in-flight count before
+ * the round. An admit report first probes a one-byte-per-bucket count
+ * of the refused pages and scans the blocked clients only when the
+ * page's bucket is not empty.
  */
 
 #ifndef NEUMMU_MMU_TRANSLATION_ROUTER_HH
@@ -131,6 +139,17 @@ class TranslationRouter
      * or parked.
      */
     std::uint64_t parkedRefusals() const { return _parkedRefusals; }
+
+    /** Pages the engine's admit watch reported. */
+    std::uint64_t admitReports() const { return _admitReports; }
+
+    /** Admit reports that passed the refused-page filter and scanned
+     *  the blocked clients; the others returned after one probe. */
+    std::uint64_t admitScans() const { return _admitScans; }
+
+    /** Round picks that read a key frozen by a response after the
+     *  member's wake. */
+    std::uint64_t frozenKeyReads() const { return _frozenKeyReads; }
 
   private:
     class Port;
@@ -237,6 +256,28 @@ class TranslationRouter
     /** Wake order key: in-flight count descending, then client
      *  index; ascending keys are the wake order. */
     std::uint64_t wakeKey(unsigned client) const;
+    /** The key @p client had at the wake that put it in its pending
+     *  round: frozen if a response changed it since, else current. */
+    std::uint64_t roundKey(unsigned client);
+    /** Refused-page filter buckets: 2^filterBits, each counting the
+     *  held clients (at most 255) in one byte. */
+    static constexpr unsigned filterBits = 10;
+    using PageCounts = std::array<std::uint8_t, std::size_t(1) << filterBits>;
+    /** Refused-page filter bucket of @p page (at _filterShift). */
+    static unsigned
+    bucketOf(Addr page)
+    {
+        return unsigned((page * 0x9e3779b97f4a7c15ull) >>
+                        (64 - filterBits));
+    }
+    /** Hold @p client in the filter under its refused VA's page. */
+    void hold(unsigned client);
+    /** Take @p client out of the filter, if held. */
+    void release(unsigned client);
+    /** Count the held clients per bucket, at _filterShift. */
+    PageCounts countHeld() const;
+    /** Recount the filter at @p page_shift from the held clients. */
+    void refilter(unsigned page_shift);
     static unsigned
     clientOf(std::uint64_t key)
     {
@@ -265,9 +306,10 @@ class TranslationRouter
     void settle(unsigned client);
     /** The drain check of chargePendingWaits(). */
     void checkWaiters() const;
-    /** The member of @p set that comes first in wake order, by the
-     *  keys the last wake recorded. @pre @p set is not empty. */
-    unsigned firstInWakeOrder(const ClientSet &set) const;
+    /** The member of @p set with the least @p key (a client's wake
+     *  order key). @pre @p set is not empty. */
+    template <typename Key>
+    static unsigned firstInWakeOrder(const ClientSet &set, Key &&key);
 
     TranslationEngine &_engine;
     RouterPolicy _policy;
@@ -282,8 +324,9 @@ class TranslationRouter
     std::vector<std::uint64_t> _inflight;
     /** VA of the last rejection or refused probe. */
     std::vector<Addr> _refusedVa;
-    /** Wake order key at the client's last wake. */
-    std::vector<std::uint64_t> _wakeKey;
+    /** Wake order key at the wake that put the client in its pending
+     *  round; valid for the members of _frozen only. */
+    std::vector<std::uint64_t> _frozenKey;
     /** Parked refused rounds not yet settled, and the last one's
      *  wake tick. */
     std::vector<std::uint64_t> _parkedRounds;
@@ -306,6 +349,21 @@ class TranslationRouter
     ClientSet _recording;
     /** Clients that declared deferred retries. */
     ClientSet _deferredPorts;
+    /** Pending-round members whose in-flight count a response changed
+     *  since their wake: their _frozenKey holds the key at the wake. */
+    ClientSet _frozen;
+
+    // Refused-page filter. Holds the refused page of every client
+    // refused since its last accepted translate (a superset of
+    // _waiting | _pending), counted per hashed page at the engine's
+    // page shift, so that an admit report whose bucket is empty
+    // concerns no blocked client.
+    PageCounts _refusedPages{};
+    /** Clients held in the filter, under their _refusedVa. */
+    ClientSet _held;
+    /** Page shift of the filter's pages: the admit watch's, once it
+     *  reports. */
+    unsigned _filterShift = 12;
 
     /** The deferred-retry clients' round, shared by all of them. */
     RetryRound *_retry = nullptr;
@@ -314,6 +372,9 @@ class TranslationRouter
     std::vector<Round *> _idleRounds;
     std::uint64_t _roundVisits = 0;
     std::uint64_t _parkedRefusals = 0;
+    std::uint64_t _admitReports = 0;
+    std::uint64_t _admitScans = 0;
+    std::uint64_t _frozenKeyReads = 0;
 
     static constexpr unsigned clientShift = 56;
 };

@@ -485,6 +485,11 @@ System::refreshProfileStats()
     for (Npu &npu : _npus)
         rehashes += npu.dma->burstPoolRehashes();
     set(fast.scalar("burstTrackerRehashes"), double(rehashes));
+    if (_router) {
+        set(fast.scalar("routerAdmitReports"),
+            double(_router->admitReports()));
+        set(fast.scalar("routerAdmitScans"), double(_router->admitScans()));
+    }
 }
 
 void

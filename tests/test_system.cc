@@ -130,6 +130,37 @@ TEST(System, RunChargesTheWaitsOfDmasWokenOnItsLastTick)
     EXPECT_GT(stalls(), 0u);
 }
 
+TEST(System, ProfiledRunCountsTheRoutersAdmitReports)
+{
+    // Four routed DMAs refused by the baseline IOMMU's busy walkers:
+    // the profiled dump's fastpath group carries the router's admit
+    // reports and the scans that passed its refused-page filter.
+    SystemConfig cfg;
+    cfg.name = "m";
+    cfg.numNpus = 4;
+    cfg.mmuKind = MmuKind::BaselineIommu;
+    cfg.sim.profile = true;
+    System sys(cfg);
+    for (unsigned i = 0; i < 4; i++) {
+        const Segment seg = sys.addressSpace().allocateBacked(
+            "t" + std::to_string(i), 256 * KiB, sys.hbmNode(i),
+            cfg.pageShift);
+        sys.dma(i).fetch({VaRun{seg.base, seg.bytes}}, [](Tick) {});
+    }
+    sys.run();
+    std::ostringstream os;
+    sys.dumpStatsText(os);
+
+    const TranslationRouter &router = sys.router();
+    EXPECT_GT(router.admitScans(), 0u);
+    EXPECT_LT(router.admitScans(), router.admitReports());
+    const auto &fast = sys.statsRegistry().group("m.fastpath").scalars();
+    EXPECT_EQ(fast.at("routerAdmitReports").value(),
+              double(router.admitReports()));
+    EXPECT_EQ(fast.at("routerAdmitScans").value(),
+              double(router.admitScans()));
+}
+
 TEST(System, StatsRegistryHoldsEveryComponentGroup)
 {
     SystemConfig cfg;

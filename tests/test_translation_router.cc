@@ -696,6 +696,78 @@ TEST(TranslationRouterDeathTest, DeferredClientMustBeBlockedAtItsRound)
 
 namespace {
 
+/** A deferred-retry client that appends its index to a shared log
+ *  when it is let in, and waits no more. */
+class OrderLog : public DeferredRetryClient
+{
+  public:
+    OrderLog(std::vector<unsigned> &order, unsigned index)
+        : _order(order), _index(index)
+    {
+    }
+
+    bool blocked = true;
+
+    bool awaitingWake() const override { return blocked; }
+    bool recordsAttempts() const override { return false; }
+    void
+    retryAdmitted(Tick) override
+    {
+        _order.push_back(_index);
+        blocked = false;
+    }
+    void retriesRefused(std::uint64_t, Tick) override {}
+    void chargeWait(Tick) override {}
+
+  private:
+    std::vector<unsigned> &_order;
+    unsigned _index;
+};
+
+} // namespace
+
+TEST(TranslationRouter, RoundVisitsInTheOrderOfItsWake)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    ProbedEngine engine;
+    TranslationRouter router(engine, 2, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    std::vector<unsigned> order;
+    std::vector<std::unique_ptr<OrderLog>> clients;
+    for (unsigned c = 0; c < 2; c++) {
+        clients.push_back(std::make_unique<OrderLog>(order, c));
+        router.port(c).setResponseCallback(
+            [](const TranslationResponse &) {});
+        router.port(c).declareDeferredRetry(*clients.back(), round);
+    }
+
+    // In flight: client 0 two (accepted[0..1]), client 1 one.
+    ASSERT_TRUE(router.port(0).translate(0x1000, 0));
+    ASSERT_TRUE(router.port(0).translate(0x2000, 1));
+    ASSERT_TRUE(router.port(1).translate(0x3000, 0));
+    engine.accept = false;
+    ASSERT_FALSE(router.port(0).translate(0x4000, 2));
+    ASSERT_FALSE(router.port(1).translate(0x5000, 1));
+
+    // The wake puts client 0 first. Before the round, client 0 drains:
+    // its key now comes after client 1's, but the round keeps the
+    // order of its wake.
+    eq.schedule(10, [&] {
+        engine.wake();
+        engine.respond(0);
+        engine.respond(1);
+    });
+    engine.admitting = true;
+    eq.run();
+    EXPECT_EQ(order, std::vector<unsigned>({0, 1}));
+    EXPECT_EQ(router.roundVisits(), 2u);
+    EXPECT_GT(router.frozenKeyReads(), 0u);
+    router.chargePendingWaits();
+}
+
+namespace {
+
 /** ProbedEngine that can prove its refusals hold and report pages to
  *  the router's admit watch, as the test says. */
 class HoldingEngine : public ProbedEngine
@@ -705,8 +777,9 @@ class HoldingEngine : public ProbedEngine
 
     void setAdmitWatch(PageCallback cb) override { _watch = std::move(cb); }
     bool refusalsHold() const override { return holding && _watch; }
-    /** The page of @p va may now admit its waiters. */
-    void report(Addr va) { _watch(va >> 12, 12); }
+    /** The page of @p va, of 2^@p shift bytes, may now admit its
+     *  waiters. */
+    void report(Addr va, unsigned shift = 12) { _watch(va >> shift, shift); }
 
   private:
     PageCallback _watch;
@@ -749,6 +822,47 @@ TEST(TranslationRouter, ParkedRoundsSettleAsOneCallBeforeTheVisit)
                   "retriesRefused count=3 last=30 at=41",
                   "admitted woken=40 at=41"}));
     EXPECT_EQ(router.roundVisits(), 1u);
+}
+
+TEST(TranslationRouter, LargePageReportsReachClientsRefusedInsideThePage)
+{
+    EventQueue eq;
+    RetryRound round(eq);
+    HoldingEngine engine;
+    TranslationRouter router(engine, 2, RouterPolicy::Shared, 8,
+                             "router", &eq);
+    DeferredLog client(eq);
+    router.port(0).declareDeferredRetry(client, round);
+
+    engine.accept = false;
+    engine.holding = true;
+    const Addr refused = 0x200000 + 0x3000;
+    ASSERT_FALSE(router.port(0).translate(refused, 0));
+    // 4 KB reports of other pages, one inside the same 2 MB page:
+    // the round at 11 finds the refusal proven and parks the port.
+    eq.schedule(10, [&] {
+        engine.report(0x5000);
+        engine.report(0x200000 + 0x7000);
+        engine.wake();
+    });
+    eq.run(15);
+    EXPECT_TRUE(client.calls.empty());
+    EXPECT_EQ(router.admitScans(), 0u);
+
+    // A 2 MB report of the page that holds the refused VA: the filter
+    // recounts its pages at the new shift and the report reaches it.
+    eq.schedule(20, [&] {
+        engine.report(0x200000, 21);
+        engine.admitting = true;
+        engine.wake();
+    });
+    eq.run();
+    EXPECT_EQ(client.calls,
+              (std::vector<std::string>{
+                  "retriesRefused count=1 last=10 at=21",
+                  "admitted woken=20 at=21"}));
+    EXPECT_EQ(router.admitReports(), 3u);
+    EXPECT_EQ(router.admitScans(), 1u);
 }
 
 TEST(TranslationRouter, ParkedDmaIsChargedAsIfEveryRoundRefusedIt)
@@ -1269,6 +1383,9 @@ struct ContractRun
     std::vector<std::pair<Tick, bool>> recorded;
     std::vector<unsigned> bridgeResponses;
     std::uint64_t parked = 0;
+    std::uint64_t admitReports = 0;
+    std::uint64_t admitScans = 0;
+    std::uint64_t frozenKeyReads = 0;
 };
 
 constexpr unsigned contractDmas = 6;
@@ -1362,8 +1479,12 @@ runContract(std::uint64_t seed)
         run.issued.push_back(dma->translationsIssued());
     for (const auto &bridge : bridges)
         run.bridgeResponses.push_back(bridge->responses);
-    if constexpr (std::is_same_v<Router, TranslationRouter>)
+    if constexpr (std::is_same_v<Router, TranslationRouter>) {
         run.parked = router.parkedRefusals();
+        run.admitReports = router.admitReports();
+        run.admitScans = router.admitScans();
+        run.frozenKeyReads = router.frozenKeyReads();
+    }
     return run;
 }
 
@@ -1371,7 +1492,7 @@ runContract(std::uint64_t seed)
 
 TEST(TranslationRouter, ParkingMatchesVisitingEveryMemberEveryRound)
 {
-    std::uint64_t parked = 0, caps = 0;
+    std::uint64_t parked = 0, caps = 0, reports = 0, scans = 0, frozen = 0;
     for (std::uint64_t seed = 1; seed <= 10; seed++) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const ContractRun ref = runContract<ReferenceRouter>(seed);
@@ -1390,8 +1511,16 @@ TEST(TranslationRouter, ParkingMatchesVisitingEveryMemberEveryRound)
         parked += got.parked;
         for (const std::uint64_t c : got.capRejections)
             caps += c;
+        reports += got.admitReports;
+        scans += got.admitScans;
+        frozen += got.frozenKeyReads;
     }
-    // The runs exercised what the comparison is about.
+    // The runs exercised what the comparison is about: parking, cap
+    // rejections, admit reports the refused-page filter let through
+    // and ones it stopped, and rounds ordered by frozen keys.
     EXPECT_GT(parked, 1000u);
     EXPECT_GT(caps, 100u);
+    EXPECT_GT(scans, 0u);
+    EXPECT_LT(scans, reports);
+    EXPECT_GT(frozen, 0u);
 }
