@@ -587,7 +587,6 @@ TranslationRouter::onWake()
     // joins would.
     ClientSet dmas = _waiting & _deferredPorts;
     ClientSet bridges = _waiting - _deferredPorts;
-    const auto key = [this](unsigned c) { return wakeKey(c); };
     for (;;) {
         // While refusals hold, skip a bridge whose retry the engine
         // would refuse: one that retries inside its wake, refused by
@@ -598,7 +597,8 @@ TranslationRouter::onWake()
                 : bridges;
         if (callable.none())
             break;
-        const unsigned c = firstInWakeOrder(callable, key);
+        const unsigned c = firstInWakeOrder(
+            callable, [this](unsigned m) { return wakeKey(m); });
         bridges.reset(c);
         const std::uint64_t turn = wakeKey(c);
         ClientSet before;

@@ -774,6 +774,18 @@ class HoldingEngine : public ProbedEngine
 {
   public:
     bool holding = false;
+    /** Report the page of every accepted request, as a walk start
+     *  does. */
+    bool reportsAccepted = false;
+
+    bool
+    translate(Addr va, std::uint64_t id) override
+    {
+        const bool ok = ProbedEngine::translate(va, id);
+        if (ok && reportsAccepted)
+            report(va);
+        return ok;
+    }
 
     void setAdmitWatch(PageCallback cb) override { _watch = std::move(cb); }
     bool refusalsHold() const override { return holding && _watch; }
@@ -822,6 +834,34 @@ TEST(TranslationRouter, ParkedRoundsSettleAsOneCallBeforeTheVisit)
                   "retriesRefused count=3 last=30 at=41",
                   "admitted woken=40 at=41"}));
     EXPECT_EQ(router.roundVisits(), 1u);
+}
+
+TEST(TranslationRouter, OwnAdmittedRetryDoesNotPassTheFilter)
+{
+    HoldingEngine engine;
+    engine.reportsAccepted = true;
+    TranslationRouter router(engine, 2, RouterPolicy::Shared, 8);
+    WakeLog log;
+    log.attach(router);
+    router.port(0).declareWakeRetry();
+    router.port(1).declareWakeRetry();
+
+    engine.accept = false;
+    ASSERT_FALSE(router.port(0).translate(0x1000, 0));
+    // The client's retry is let in and starts a walk on its own page:
+    // it left the filter before the engine saw the retry, so the
+    // report finds the page's bucket empty.
+    engine.accept = true;
+    ASSERT_TRUE(router.port(0).translate(0x1000, 1));
+    EXPECT_EQ(router.admitReports(), 1u);
+    EXPECT_EQ(router.admitScans(), 0u);
+
+    // A report of a page another client was refused on still scans.
+    engine.accept = false;
+    ASSERT_FALSE(router.port(1).translate(0x2000, 0));
+    engine.report(0x2000);
+    EXPECT_EQ(router.admitReports(), 2u);
+    EXPECT_EQ(router.admitScans(), 1u);
 }
 
 TEST(TranslationRouter, LargePageReportsReachClientsRefusedInsideThePage)
