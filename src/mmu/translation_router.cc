@@ -186,12 +186,9 @@ TranslationRouter::wakeKey(unsigned client) const
 }
 
 inline std::uint64_t
-TranslationRouter::roundKey(unsigned client)
+TranslationRouter::roundKey(unsigned client) const
 {
-    if (!_frozen.test(client))
-        return wakeKey(client);
-    ++_frozenKeyReads;
-    return _frozenKey[client];
+    return _frozen.test(client) ? _frozenKey[client] : wakeKey(client);
 }
 
 inline void
@@ -443,6 +440,8 @@ TranslationRouter::runRound(Round &round)
             hold ? left & (_reported | _capRefused | _recording) : left;
         if (next.none())
             break;
+        if (!(next & _frozen).none())
+            ++_frozenKeyReads;
         const unsigned c = firstInWakeOrder(
             next, [this](unsigned m) { return roundKey(m); });
         left.reset(c);

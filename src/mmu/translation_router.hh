@@ -258,7 +258,7 @@ class TranslationRouter
     std::uint64_t wakeKey(unsigned client) const;
     /** The key @p client had at the wake that put it in its pending
      *  round: frozen if a response changed it since, else current. */
-    std::uint64_t roundKey(unsigned client);
+    std::uint64_t roundKey(unsigned client) const;
     /** Refused-page filter buckets: 2^filterBits, each counting the
      *  held clients (at most 255) in one byte. */
     static constexpr unsigned filterBits = 10;
