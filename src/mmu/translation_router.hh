@@ -361,8 +361,8 @@ class TranslationRouter
     PageCounts _refusedPages{};
     /** Clients held in the filter, under their _refusedVa. */
     ClientSet _held;
-    /** Page shift of the filter's pages: the admit watch's, once it
-     *  reports. */
+    /** Page shift of the filter's pages: 12 until the admit watch
+     *  reports at another, which recounts the filter (refilter()). */
     unsigned _filterShift = 12;
 
     /** The deferred-retry clients' round, shared by all of them. */

@@ -843,16 +843,20 @@ TEST(TranslationRouter, OwnAdmittedRetryDoesNotPassTheFilter)
     TranslationRouter router(engine, 2, RouterPolicy::Shared, 8);
     WakeLog log;
     log.attach(router);
+    bool retried = false;
+    router.port(0).setWakeCallback(
+        [&] { retried = router.port(0).translate(0x1000, 1); });
     router.port(0).declareWakeRetry();
     router.port(1).declareWakeRetry();
 
     engine.accept = false;
     ASSERT_FALSE(router.port(0).translate(0x1000, 0));
-    // The client's retry is let in and starts a walk on its own page:
-    // it left the filter before the engine saw the retry, so the
-    // report finds the page's bucket empty.
+    // Its retry inside the wake is let in and starts a walk on its own
+    // page: it left the filter before the engine saw the retry, so
+    // the report finds the page's bucket empty.
     engine.accept = true;
-    ASSERT_TRUE(router.port(0).translate(0x1000, 1));
+    engine.wake();
+    ASSERT_TRUE(retried);
     EXPECT_EQ(router.admitReports(), 1u);
     EXPECT_EQ(router.admitScans(), 0u);
 
@@ -862,6 +866,7 @@ TEST(TranslationRouter, OwnAdmittedRetryDoesNotPassTheFilter)
     engine.report(0x2000);
     EXPECT_EQ(router.admitReports(), 2u);
     EXPECT_EQ(router.admitScans(), 1u);
+    router.chargePendingWaits();
 }
 
 TEST(TranslationRouter, LargePageReportsReachClientsRefusedInsideThePage)
