@@ -2,9 +2,9 @@
  * @file
  * Shared helpers for the per-figure bench binaries: the standard
  * (workload x batch) grid of the paper's evaluation, the runGrid
- * sweep entry point over a SystemConfig machine description, oracle
- * caching, and the Reporter that records every grid cell in a
- * StatsRegistry and serves the common --json=<path> output mode.
+ * sweep entry point over a SystemConfig machine description, and the
+ * Reporter that records every grid cell in a StatsRegistry and serves
+ * the common --json=<path> output mode.
  *
  * runGrid executes through the SweepEngine (src/sweep/), so every
  * grid bench is parallel by default: each cell builds its own System
@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,7 +36,6 @@ namespace neummu {
 namespace bench {
 
 // One implementation of the aggregate helpers lives in common/stats.
-using stats::geomean;
 using stats::mean;
 
 /** The paper's dense evaluation grid: 6 workloads x b01/b04/b08. */
@@ -77,9 +75,9 @@ denseGrid(std::vector<unsigned> batches = {1, 4, 8})
 }
 
 /**
- * Runs the dense grid once per MMU configuration, normalizing each
- * point to a cached oracle run. The mutator receives a base config
- * (workload/batch already set) and installs the design point.
+ * Runs the dense grid once per MMU configuration. The mutator
+ * receives a base config (workload/batch already set) and installs
+ * the design point.
  */
 class DenseSweep
 {
@@ -91,25 +89,8 @@ class DenseSweep
     {
     }
 
-    /** Base config shared by oracle and design points. */
+    /** Base config shared by every design point. */
     DenseExperimentConfig &baseConfig() { return _base; }
-
-    /** Oracle cycle count for one grid point (cached). */
-    Tick
-    oracleCycles(const GridPoint &gp)
-    {
-        const auto key = std::make_pair(int(gp.workload), gp.batch);
-        const auto it = _oracle.find(key);
-        if (it != _oracle.end())
-            return it->second;
-        DenseExperimentConfig cfg = _base;
-        cfg.workload = gp.workload;
-        cfg.batch = gp.batch;
-        cfg.system.mmuKind = MmuKind::Oracle;
-        const Tick cycles = runDenseExperiment(cfg).totalCycles;
-        _oracle.emplace(key, cycles);
-        return cycles;
-    }
 
     /** Run one grid point under @p mutate. */
     DenseExperimentResult
@@ -122,20 +103,11 @@ class DenseSweep
         return runDenseExperiment(cfg);
     }
 
-    /** Normalized performance of one grid point under @p mutate. */
-    double
-    normalized(const GridPoint &gp, const ConfigMutator &mutate)
-    {
-        const DenseExperimentResult r = run(gp, mutate);
-        return double(oracleCycles(gp)) / double(r.totalCycles);
-    }
-
     const std::vector<GridPoint> &grid() const { return _grid; }
 
   private:
     std::vector<GridPoint> _grid;
     DenseExperimentConfig _base;
-    std::map<std::pair<int, unsigned>, Tick> _oracle;
 };
 
 /** One named MMU/machine design point of a sweep. */
@@ -381,49 +353,6 @@ runGrid(const SystemConfig &base,
     };
     fatalOnFailure(sweep::SweepEngine(opts).run(cell_jobs));
     return results;
-}
-
-/**
- * Run the --workloads=<spec;spec;...> option (factory grammar, see
- * workloadFactoryHelp()) on the machine described by @p base, one
- * tenant per NPU slot in list order. The per-workload stats groups
- * land in @p reporter's registry (when given) alongside a
- * "<design>.tenants" summary group, so --json captures the whole
- * co-run. @p base.numNpus is raised to the tenant count if needed.
- */
-inline SchedulerResult
-runWorkloadList(SystemConfig base, const std::string &list,
-                Reporter *reporter = nullptr,
-                const std::string &design = "tenants")
-{
-    std::vector<std::unique_ptr<Workload>> workloads =
-        makeWorkloadsFromList(list);
-    base.numNpus =
-        std::max<unsigned>(base.numNpus, unsigned(workloads.size()));
-
-    System system(base);
-    Scheduler scheduler(system);
-    for (auto &wl : workloads)
-        scheduler.add(std::move(wl));
-    const SchedulerResult result = scheduler.run();
-
-    if (reporter) {
-        stats::Group &g = reporter->group(design);
-        g.scalar("totalCycles").set(double(result.totalCycles));
-        g.scalar("tenants").set(double(result.workloads.size()));
-        g.scalar("allDone").set(result.allDone ? 1.0 : 0.0);
-        for (const WorkloadRunStats &ws : result.workloads) {
-            stats::Group &wg = reporter->group(
-                design + ".npu" + std::to_string(ws.npu) + "." +
-                ws.name);
-            wg.scalar("finishTick").set(double(ws.finishTick));
-            wg.scalar("translations").set(double(ws.translations));
-            wg.scalar("bytesFetched").set(double(ws.bytesFetched));
-            wg.scalar("dmaStallCycles")
-                .set(double(ws.dmaStallCycles));
-        }
-    }
-    return result;
 }
 
 /** Prints the standard figure header with a reproduction note. */

@@ -216,6 +216,52 @@ if ! grep -q '"speedup"' "$SWEEP_JSON"; then
 fi
 echo "sweep scaling report: $SWEEP_JSON"
 
+# --- Paper-claims ledger -----------------------------------------------
+# Every paper value the figure benches used to print is a row of
+# scripts/paper_claims.jsonl. The simulation is deterministic, so the
+# gate fails on any move against the committed record, and on a value
+# outside its paper tolerance that gives no reason.
+CLAIMS_JSON="$BUILD_DIR/paper_claims.json"
+python3 scripts/paper_claims.py --check -j "$(nproc)" \
+    --sweep "$BUILD_DIR/neummu_sweep" --fresh "$CLAIMS_JSON"
+# The gate must catch a doctored record: one recorded value nudged by
+# 1%, and the reason removed from a row outside its tolerance. Both
+# are checked against the rerun above, which is deterministic.
+CLAIMS_NUDGED="$BUILD_DIR/paper_claims.nudged.json"
+CLAIMS_NO_REASON="$BUILD_DIR/paper_claims.no_reason.json"
+python3 - scripts/paper_claims.json "$CLAIMS_NUDGED" \
+    "$CLAIMS_NO_REASON" << 'PYEOF'
+import json, sys
+record = json.load(open(sys.argv[1]))
+record["fig08.iommu_mean"]["value"] *= 1.01
+json.dump(record, open(sys.argv[2], "w"))
+record = json.load(open(sys.argv[1]))
+record["sec6c.design_space_min"]["reason"] = ""
+json.dump(record, open(sys.argv[3], "w"))
+PYEOF
+# Exit 1 and the finding itself: a crash would exit 1 too.
+for doctored in "$CLAIMS_NUDGED:fig08.iommu_mean: moved" \
+    "$CLAIMS_NO_REASON:sec6c.design_space_min (record): .* gives no reason"; do
+  status=0
+  out="$(python3 scripts/paper_claims.py --check --reuse "$CLAIMS_JSON" \
+      --record "${doctored%%:*}")" || status=$?
+  if [[ "$status" -ne 1 ]] || ! grep -q "${doctored#*:}" <<< "$out"; then
+    echo "error: paper_claims.py --check did not reject the doctored" \
+         "record ${doctored%%:*} (exit $status): $out" >&2
+    exit 1
+  fi
+done
+# README's "Benches -> paper figures" table is the ledger's --table.
+if ! diff <(python3 scripts/paper_claims.py --table) \
+    <(sed -n '/^<!-- paper_claims.py --table -->$/,/^<!-- end -->$/p' \
+        README.md | sed '1d;$d'); then
+  echo "error: README's bench table differs from" \
+       "scripts/paper_claims.py --table" >&2
+  exit 1
+fi
+echo "paper-claims ledger: record matches, doctored records fail" \
+     "($CLAIMS_JSON)"
+
 # --- Serving gates -----------------------------------------------------
 # Open-loop serving mode: the ServingEngine must survive a Poisson run
 # and a tenant-churn run end to end through the neummu_serve CLI, and

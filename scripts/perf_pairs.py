@@ -2,7 +2,9 @@
 """Compare two checkouts with alternating perfbench runs.
 
 Usage: perf_pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs N]
-                     [--seed S] [--trace 0|1]
+                     [--seed S] [--trace 0|1] [--floor FILE]
+       perf_pairs.py --control DIR --workload W [--pairs N] [--seed S]
+                     [--floor FILE]
 
 Runs `python3 perfbench/run.py --workload W --seed S --trace T` in
 PARENT_DIR and in CHANGE_DIR, N times each, alternating which side
@@ -44,17 +46,34 @@ Exits 1 when a run reports "correct": false or fails, 0 otherwise;
 the verdicts are for reading, not for the exit code. A metric whose
 runs match pair for pair on both sides reads "identical" (simulated
 metrics must).
+
+--control DIR pairs DIR with a copy of itself in which every simulator
+source file starts with a 208-byte padding function (the same code at
+other addresses; the copy lives in a temporary directory) and prints
+per metric the layout floor: |median difference| + the IQR of DIR's
+runs, also as a share of its median. --floor FILE writes the floors
+there; a default run given --floor FILE adds a column reading "inside
+layout floor" when the change's median moves by no more than that
+share, and "clears floor" otherwise.
 """
 
 import argparse
 import json
 import os
 import statistics
+import shutil
 import subprocess
 import sys
+import tempfile
 
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
+# 13 x 16 bytes: functions stay 16-byte aligned, but every one after
+# the pad lands 16 bytes further into its 64-byte cache line.
+PAD_BYTES = 208
+PAD_SOURCE = ("static __attribute__((used, noinline)) void "
+              "neummuLayoutPad() { asm volatile(\".skip %d, 0x90\"); }\n"
+              % PAD_BYTES)
 
 
 def run_once(checkout, args):
@@ -163,10 +182,57 @@ def per_layer_rows(bench, runs):
     return rows
 
 
-def end_to_end_rows(bench, runs, pairs):
+def layout_copy(checkout, tmp):
+    """A copy of @checkout whose simulator sources start with a pad."""
+    copy = os.path.join(tmp, "control")
+    shutil.copytree(checkout, copy, symlinks=True,
+                    ignore=shutil.ignore_patterns(
+                        ".git", ".bench_build", ".bench_out", "build",
+                        "build-*"))
+    for root, _, files in os.walk(os.path.join(copy, "src")):
+        for name in files:
+            if name.endswith(".cc"):
+                path = os.path.join(root, name)
+                with open(path) as f:
+                    text = f.read()
+                with open(path, "w") as f:
+                    f.write(PAD_SOURCE + text)
+    return copy
+
+
+def floor_rows(runs):
+    """Per metric: (|median difference| + parent IQR, relative)."""
+    rows = [("metric", "checkout median [q1, q3]",
+             "padded median [q1, q3]", "floor", "floor %")]
+    floors = {}
+    for name in runs["parent"][0]:
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        q1, q3 = quartiles(parent)
+        p_med = statistics.median(parent)
+        floor = abs(statistics.median(change) - p_med) + (q3 - q1)
+        rel = floor / abs(p_med) if p_med else 0.0
+        floors[name] = {"floor": floor, "relative": rel}
+        rows.append((name, side_text(parent), side_text(change),
+                     fmt(floor), "%.2f%%" % (100.0 * rel)))
+    return rows, floors
+
+
+def floor_text(parent, change, floor):
+    p_med = statistics.median(parent)
+    if floor is None or not p_med:
+        return "-"
+    move = abs(statistics.median(change) - p_med) / abs(p_med)
+    return ("inside layout floor" if move <= floor["relative"]
+            else "clears floor")
+
+
+def end_to_end_rows(bench, runs, pairs, floors=None):
     metrics = end_to_end(bench)
     rows = [("metric", "parent median [q1, q3]", "change median [q1, q3]",
              "move", "wins", "rule", "bound")]
+    if floors is not None:
+        rows[0] += ("floor",)
     for name in runs["parent"][0]:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
@@ -176,16 +242,21 @@ def end_to_end_rows(bench, runs, pairs):
         else:
             wins, rule = verdict(parent, change, higher)
             wins_text = "%d/%d" % (wins, pairs)
-        rows.append((name, side_text(parent), side_text(change),
-                     move_text(parent, change), wins_text, rule,
-                     bound_verdict(parent, change, higher, bound)))
+        row = (name, side_text(parent), side_text(change),
+               move_text(parent, change), wins_text, rule,
+               bound_verdict(parent, change, higher, bound))
+        if floors is not None:
+            row += ("identical" if parent == change else
+                    floor_text(parent, change, floors.get(name)),)
+        rows.append(row)
     return rows
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("parent_dir")
-    ap.add_argument("change_dir")
+    ap.add_argument("dirs", nargs="*", metavar="PARENT_DIR CHANGE_DIR")
+    ap.add_argument("--control", metavar="DIR")
+    ap.add_argument("--floor", metavar="FILE")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1)
@@ -193,9 +264,46 @@ def main():
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.control:
+        if args.dirs or args.trace:
+            ap.error("--control takes one checkout and --trace 0")
+        with tempfile.TemporaryDirectory(prefix="perf_control_") as tmp:
+            copy = layout_copy(args.control, tmp)
+            runs = run_pairs(args, args.control, copy)
+        rows, floors = floor_rows(runs)
+        print("%s seed=%d pairs=%d layout control (pad %d bytes)" %
+              (args.workload, args.seed, args.pairs, PAD_BYTES))
+        print_rows(rows)
+        if args.floor:
+            with open(args.floor, "w") as f:
+                json.dump({"workload": args.workload, "seed": args.seed,
+                           "pairs": args.pairs, "metrics": floors}, f,
+                          indent=1, sort_keys=True)
+        return
+    if len(args.dirs) != 2:
+        ap.error("need PARENT_DIR and CHANGE_DIR (or --control DIR)")
+    floors = None
+    if args.floor:
+        with open(args.floor) as f:
+            floor_doc = json.load(f)
+        if floor_doc["workload"] != args.workload:
+            ap.error("%s holds the floor of %s, not %s" %
+                     (args.floor, floor_doc["workload"], args.workload))
+        floors = floor_doc["metrics"]
 
-    bench = load_benchmark(args.change_dir)
-    sides = {"parent": args.parent_dir, "change": args.change_dir}
+    bench = load_benchmark(args.dirs[1])
+    runs = run_pairs(args, *args.dirs)
+    print("%s seed=%d pairs=%d trace=%d" % (args.workload, args.seed,
+                                            args.pairs, args.trace))
+    if args.trace:
+        print_rows(per_layer_rows(bench, runs))
+    else:
+        print_rows(end_to_end_rows(bench, runs, args.pairs, floors))
+
+
+def run_pairs(args, parent_dir, change_dir):
+    """Alternating runs of both sides; returns each side's results."""
+    sides = {"parent": parent_dir, "change": change_dir}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change",
@@ -204,13 +312,7 @@ def main():
             runs[side].append(run_once(sides[side], args))
         print("pair %d/%d done (%s first)" % (i + 1, args.pairs, order[0]),
               file=sys.stderr, flush=True)
-
-    print("%s seed=%d pairs=%d trace=%d" % (args.workload, args.seed,
-                                            args.pairs, args.trace))
-    if args.trace:
-        print_rows(per_layer_rows(bench, runs))
-    else:
-        print_rows(end_to_end_rows(bench, runs, args.pairs))
+    return runs
 
 
 if __name__ == "__main__":

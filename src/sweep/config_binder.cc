@@ -1,5 +1,6 @@
 #include "sweep/config_binder.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
@@ -302,22 +303,30 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "sharedMemory") {
         cfg.sharedMemory = parseBool(key, value);
     } else if (key == "hostDramBytes") {
-        cfg.hostDramBytes = parseU64(key, value);
+        cfg.hostDramBytes = parsePositive(key, value);
     } else if (key == "npuHbmBytes") {
-        cfg.npuHbmBytes = parseU64(key, value);
+        cfg.npuHbmBytes = parsePositive(key, value);
     } else if (key == "pageShift") {
         const std::uint64_t shift = parseU64(key, value);
         if (shift != smallPageShift && shift != largePageShift)
             badValue(key, value, "12|21");
         cfg.pageShift = unsigned(shift);
     } else if (key == "vaScatterShift") {
-        cfg.vaScatterShift = unsigned(parseU64(key, value));
+        // A scatter stride must clear a large page and stay inside
+        // the virtual address width.
+        const std::uint64_t shift = parseU64(key, value);
+        if (shift != 0 && (shift < largePageShift || shift >= vaBits))
+            badValue(key, value,
+                     "0 or an integer in [" +
+                         std::to_string(largePageShift) + "," +
+                         std::to_string(vaBits - 1) + "]");
+        cfg.vaScatterShift = unsigned(shift);
     } else if (key == "preset") {
         applyPreset(cfg, value);
 
         // --- NPU core -------------------------------------------------
     } else if (key == "npu.dmaBurstBytes") {
-        cfg.npu.dmaBurstBytes = parseU64(key, value);
+        cfg.npu.dmaBurstBytes = parsePositive(key, value);
     } else if (key == "npu.iaSpmBytes") {
         cfg.npu.iaSpmBytes = parseU64(key, value);
     } else if (key == "npu.wSpmBytes") {
@@ -457,7 +466,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "serve.slots") {
         cfg.serve.slots = unsigned(parseU64(key, value));
     } else if (key == "serve.tenants") {
-        cfg.serve.tenants = unsigned(parseU64(key, value));
+        cfg.serve.tenants = parseCount(key, value);
     } else if (key == "serve.lifetimeRequests") {
         cfg.serve.tenantLifetimeRequests = parseU64(key, value);
     } else if (key == "serve.admitGap") {
@@ -469,7 +478,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "serve.sloLatency") {
         cfg.serve.sloLatencyCycles = parseU64(key, value);
     } else if (key == "serve.window") {
-        cfg.serve.windowCycles = parseU64(key, value);
+        cfg.serve.windowCycles = parsePositive(key, value);
     } else if (key == "serve.queueLimit") {
         cfg.serve.queueLimit = parseU64(key, value);
 
@@ -537,6 +546,25 @@ applyOverrides(SystemConfig &cfg, const OverrideList &overrides)
                         std::to_string(cfg.numNpus - 1) +
                         " for numNpus=" + std::to_string(cfg.numNpus) +
                         ")");
+    }
+    if (cfg.paging.enabled) {
+        // The cap the PagingEngine derives: the configured one, clipped
+        // to the HBM node it manages (0 = the whole node).
+        const std::uint64_t node = cfg.npuHbmBytes;
+        const std::uint64_t cap =
+            cfg.paging.residentLimitBytes
+                ? std::min(cfg.paging.residentLimitBytes, node)
+                : node;
+        const std::uint64_t page = pageSize(cfg.pageShift);
+        if (cap / page < 2) {
+            throw BindError(
+                "paging.residentLimitPages=" + std::to_string(cap / page) +
+                " leaves the paging engine no room to make progress "
+                "(paging.residentLimitBytes=" +
+                std::to_string(cfg.paging.residentLimitBytes) +
+                ", npuHbmBytes=" + std::to_string(node) + ", pageShift=" +
+                std::to_string(cfg.pageShift) + "; valid: >= 2 pages)");
+        }
     }
 }
 

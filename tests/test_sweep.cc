@@ -468,6 +468,22 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
          "\"numNpus\": 2, \"paging.enabled\": 1, "
          "\"paging.homeNode\": 2",
          "paging.homeNode", "valid: 0..1"},
+        {"bad_burst", "\"npu.dmaBurstBytes\": 0", "npu.dmaBurstBytes",
+         ">= 1"},
+        {"bad_serve_window", "\"serve.window\": 0", "serve.window",
+         ">= 1"},
+        {"bad_serve_tenants", "\"serve.tenants\": 0", "serve.tenants",
+         ">= 1"},
+        {"bad_scatter_low", "\"vaScatterShift\": 20",
+         "vaScatterShift", "0 or an integer in [21,47]"},
+        {"bad_scatter_high", "\"vaScatterShift\": 48",
+         "vaScatterShift", "0 or an integer in [21,47]"},
+        {"bad_host_dram", "\"hostDramBytes\": 0", "hostDramBytes",
+         ">= 1"},
+        {"bad_hbm", "\"npuHbmBytes\": 0", "npuHbmBytes", ">= 1"},
+        {"bad_resident_cap",
+         "\"paging.enabled\": 1, \"paging.residentLimitPages\": 1",
+         "paging.residentLimitPages", ">= 2 pages"},
     };
     const auto job = [](const std::string &id, const std::string &set) {
         return "{\"id\": \"" + id + "\", \"set\": {" + set +
