@@ -47,6 +47,12 @@ the verdicts are for reading, not for the exit code. A metric whose
 runs match pair for pair on both sides reads "identical" (simulated
 metrics must).
 
+Before the first run it exits 2 when a checkout's runner build tree
+(.bench_build/perfbench) was configured for another checkout's
+perfbench/, as a build tree copied along with a checkout (cp -r) is:
+the copy would time the original's sources. Delete the named
+directory and rerun.
+
 --control DIR pairs DIR with a copy of itself in which every simulator
 source file starts with a 208-byte padding function (the same code at
 other addresses; the copy lives in a temporary directory) and prints
@@ -301,9 +307,37 @@ def main():
         print_rows(end_to_end_rows(bench, runs, args.pairs, floors))
 
 
+def check_build_dir(checkout):
+    """Exit 2 when @checkout's runner build tree is another checkout's.
+
+    perfbench/run.py reuses any CMakeCache.txt it finds, so a build
+    tree copied along with a measured checkout (cp -r) would build
+    and time the original's sources in the copy's place.
+    """
+    target = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
+    build_dir = os.path.join(checkout, target, "perfbench")
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            lines = f.read().splitlines()
+    except FileNotFoundError:
+        return
+    want = os.path.realpath(os.path.join(checkout, "perfbench"))
+    for line in lines:
+        if line.startswith("neummu_perfbench_SOURCE_DIR:"):
+            source = line.split("=", 1)[1]
+            if os.path.realpath(source) != want:
+                print("perf_pairs: %s was configured for %s, not %s; "
+                      "delete %s and rerun" %
+                      (build_dir, source, want, build_dir),
+                      file=sys.stderr)
+                sys.exit(2)
+
+
 def run_pairs(args, parent_dir, change_dir):
     """Alternating runs of both sides; returns each side's results."""
     sides = {"parent": parent_dir, "change": change_dir}
+    for checkout in sides.values():
+        check_build_dir(checkout)
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change",

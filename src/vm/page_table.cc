@@ -1,29 +1,39 @@
 #include "vm/page_table.hh"
 
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace neummu {
 
-/** One page-table entry: either a pointer to a child or a leaf PFN. */
-struct PageTable::Entry
-{
-    bool valid = false;
-    bool leaf = false;
-    /** Child node (interior) -- owned by the parent node. */
-    std::unique_ptr<Node> child;
-    /** Physical frame base (leaf). */
-    Addr frame = invalidAddr;
-};
+// An entry is one word: 0 when invalid, frame | leafBit for a leaf
+// (frames are 4 KB aligned), Node * | childBit for an interior entry
+// (nodes are 8-byte aligned).
+constexpr std::uint64_t leafBit = 1, childBit = 2;
 
-/** One radix-tree node: 512 entries backed by a 4 KB physical frame. */
+/** One radix-tree node: the 4 KB frame of 512 entries it models. */
 struct PageTable::Node
 {
     Addr pa = invalidAddr;
     /** Valid entries; an interior node is reclaimed when this hits 0. */
     unsigned live = 0;
-    std::array<Entry, 512> entries;
+    std::array<std::uint64_t, 512> entries{};
+    static_assert(sizeof(entries) == 4096, "a node is one 4 KB frame");
+
+    Node() = default;
+    Node(const Node &) = delete;
+    Node &operator=(const Node &) = delete;
+
+    static Node *child(std::uint64_t e)
+    {
+        return reinterpret_cast<Node *>(e & ~childBit);
+    }
+
+    /** A node owns its children. */
+    ~Node()
+    {
+        for (const std::uint64_t e : entries)
+            if (e & childBit)
+                delete child(e);
+    }
 };
 
 PageTable::PageTable(FrameAllocator &node_allocator)
@@ -65,23 +75,21 @@ PageTable::map(Addr va, Addr pa, unsigned page_shift)
 
     Node *node = _root.get();
     for (unsigned level = pageTableLevels; level > leaf_level; level--) {
-        Entry &e = node->entries[radixIndex(va, level)];
-        NEUMMU_ASSERT(!(e.valid && e.leaf),
+        std::uint64_t &e = node->entries[radixIndex(va, level)];
+        NEUMMU_ASSERT(!(e & leafBit),
                       "mapping under an existing large-page leaf");
-        if (!e.valid) {
-            e.valid = true;
-            e.leaf = false;
-            e.child = std::unique_ptr<Node>(allocNode());
+        if (e == 0) {
+            e = reinterpret_cast<std::uintptr_t>(allocNode()) | childBit;
             node->live++;
         }
-        node = e.child.get();
+        node = Node::child(e);
     }
 
-    Entry &leaf = node->entries[radixIndex(va, leaf_level)];
-    NEUMMU_ASSERT(!leaf.valid, "double map of the same virtual page");
-    leaf.valid = true;
-    leaf.leaf = true;
-    leaf.frame = pa;
+    std::uint64_t &leaf = node->entries[radixIndex(va, leaf_level)];
+    NEUMMU_ASSERT(!(leaf & childBit),
+                  "large-page mapping over a populated table");
+    NEUMMU_ASSERT(leaf == 0, "double map of the same virtual page");
+    leaf = pa | leafBit;
     node->live++;
     _mappedPages++;
     _cachedVpn = invalidAddr;
@@ -98,28 +106,20 @@ PageTable::unmap(Addr va)
     res.pageShift = res.path.pageShift;
     res.frame = res.path.pa & ~pageOffsetMask(res.path.pageShift);
 
-    // Re-descend recording the node chain so empty interiors can be
-    // reclaimed bottom-up once the leaf is gone.
-    std::array<Node *, pageTableLevels> chain{};
+    // Re-descend the walked path recording the node chain so empty
+    // interiors can be reclaimed bottom-up once the leaf is gone.
+    const unsigned depth = res.path.levels;
+    std::array<Node *, pageTableLevels> chain{_root.get()};
     std::array<unsigned, pageTableLevels> idx{};
-    Node *node = _root.get();
-    unsigned depth = 0;
-    for (unsigned level = pageTableLevels; level >= 1; level--) {
-        const unsigned i = radixIndex(va, level);
-        chain[depth] = node;
-        idx[depth] = i;
-        depth++;
-        Entry &e = node->entries[i];
-        if (e.leaf)
-            break;
-        node = e.child.get();
+    for (unsigned step = 0; step < depth; step++) {
+        idx[step] = radixIndex(va, pageTableLevels - step);
+        if (step + 1 < depth)
+            chain[step + 1] = Node::child(chain[step]->entries[idx[step]]);
     }
 
-    Entry &leaf = chain[depth - 1]->entries[idx[depth - 1]];
-    NEUMMU_ASSERT(leaf.valid && leaf.leaf, "unmap lost the leaf");
-    leaf.valid = false;
-    leaf.leaf = false;
-    leaf.frame = invalidAddr;
+    std::uint64_t &leaf = chain[depth - 1]->entries[idx[depth - 1]];
+    NEUMMU_ASSERT(leaf & leafBit, "unmap lost the leaf");
+    leaf = 0;
     chain[depth - 1]->live--;
     _mappedPages--;
 
@@ -132,9 +132,8 @@ PageTable::unmap(Addr va)
         res.freedNodePa[res.freedNodes++] = n->pa;
         res.firstFreedStep = step;
         _alloc.free(n->pa, pageSize(smallPageShift));
-        Entry &parent = chain[step - 1]->entries[idx[step - 1]];
-        parent.child.reset();
-        parent.valid = false;
+        delete n;
+        chain[step - 1]->entries[idx[step - 1]] = 0;
         chain[step - 1]->live--;
     }
     // The pre-unmap path walk above refilled the cache; drop it after
@@ -159,27 +158,27 @@ PageTable::walk(Addr va) const
     const Node *node = _root.get();
     for (unsigned level = pageTableLevels; level >= 1; level--) {
         const unsigned idx = radixIndex(va, level);
-        const Entry &e = node->entries[idx];
+        const std::uint64_t e = node->entries[idx];
 
         const unsigned step = pageTableLevels - level;
         result.nodePa[step] = node->pa;
         result.entryPa[step] = node->pa + Addr(idx) * 8;
         result.levels = step + 1;
 
-        if (!e.valid)
+        if (e == 0)
             return result; // invalid: levels reflects steps taken
 
-        if (e.leaf) {
+        if (e & leafBit) {
             const unsigned shift =
                 (level == 2) ? largePageShift : smallPageShift;
             result.valid = true;
             result.pageShift = shift;
-            result.pa = e.frame | (va & pageOffsetMask(shift));
+            result.pa = (e & ~leafBit) | (va & pageOffsetMask(shift));
             _cachedVpn = va >> smallPageShift;
             _cachedWalk = result;
             return result;
         }
-        node = e.child.get();
+        node = Node::child(e);
     }
     NEUMMU_PANIC("page-table walk ran past L1 without a leaf");
 }

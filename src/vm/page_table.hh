@@ -4,10 +4,10 @@
  *
  * The paged virtual memory is a radix tree: 48 translated VA bits,
  * 12-bit page offset, four 9-bit indices (L4..L1). 2 MB large pages
- * terminate the walk at L2 (three levels). Each tree node is backed by
- * a physical frame so walkers can report the physical address of every
- * entry they touch -- this is what the UPTC (physically tagged MMU
- * cache) and the walk energy accounting key off.
+ * end the walk at L2 (three levels). Each node is the 4 KB frame it
+ * models, 512 eight-byte entries, at a physical address from the node
+ * allocator, so walkers report the PA of every entry they touch: the
+ * UPTC (physically tagged MMU cache) and walk energy key off it.
  */
 
 #ifndef NEUMMU_VM_PAGE_TABLE_HH
@@ -125,7 +125,6 @@ class PageTable
 
   private:
     struct Node;
-    struct Entry;
 
     Node *allocNode();
 

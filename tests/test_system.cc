@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "driver/dense_experiment.hh"
 #include "system/system.hh"
@@ -159,6 +160,46 @@ TEST(System, ProfiledRunCountsTheRoutersAdmitReports)
               double(router.admitReports()));
     EXPECT_EQ(fast.at("routerAdmitScans").value(),
               double(router.admitScans()));
+}
+
+namespace {
+
+/** mmuRespondScopes and the MMU's responses of a profiled paged run. */
+std::pair<double, std::uint64_t>
+pagedRespondScopes(MmuKind kind)
+{
+    SystemConfig cfg;
+    cfg.name = "m";
+    cfg.numNpus = 2;
+    cfg.mmuKind = kind;
+    cfg.sim.profile = true;
+    cfg.paging.enabled = true;
+    System sys(cfg);
+    for (unsigned i = 0; i < 2; i++) {
+        const Segment seg = sys.addressSpace().allocateBacked(
+            "t" + std::to_string(i), 64 * KiB, sys.hbmNode(i),
+            cfg.pageShift);
+        sys.dma(i).fetch({VaRun{seg.base, seg.bytes}}, [](Tick) {});
+    }
+    sys.run();
+    std::ostringstream os;
+    sys.dumpStatsText(os);
+    const auto &prof = sys.statsRegistry().group("m.prof").scalars();
+    return {prof.at("mmuRespondScopes").value(),
+            sys.mmu().counts().responses};
+}
+
+} // namespace
+
+TEST(System, PagedRunChargesEveryResponseToMmuRespond)
+{
+    // With paging on, responses take the page-lifecycle delivery
+    // path, which must carry the same profiler scope as the plain one.
+    for (const MmuKind kind : {MmuKind::BaselineIommu, MmuKind::RangeMmu}) {
+        const auto [scopes, responses] = pagedRespondScopes(kind);
+        EXPECT_GT(responses, 0u) << mmuKindName(kind);
+        EXPECT_EQ(scopes, double(responses)) << mmuKindName(kind);
+    }
 }
 
 TEST(System, StatsRegistryHoldsEveryComponentGroup)

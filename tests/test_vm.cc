@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <random>
+#include <vector>
+
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "vm/address_space.hh"
 #include "vm/frame_allocator.hh"
@@ -472,6 +478,335 @@ TEST_F(PageTableTest, DeathOnDoubleMap)
 TEST_F(PageTableTest, DeathOnUnalignedMap)
 {
     EXPECT_DEATH(pt.map(0x123, 0x456000, smallPageShift), "unaligned");
+}
+
+TEST_F(PageTableTest, DeathOnSmallPageUnderLargeLeaf)
+{
+    const Addr va = Addr(0x45) << 30;
+    pt.map(va, node.allocate(2 * MiB, 2 * MiB), largePageShift);
+    EXPECT_DEATH(pt.map(va + 0x3000, node.allocate(4096, 4096),
+                        smallPageShift),
+                 "mapping under an existing large-page leaf");
+}
+
+TEST_F(PageTableTest, DeathOnLargePageOverPopulatedTable)
+{
+    const Addr va = Addr(0x46) << 30;
+    pt.map(va + 0x3000, node.allocate(4096, 4096), smallPageShift);
+    EXPECT_DEATH(pt.map(va, node.allocate(2 * MiB, 2 * MiB),
+                        largePageShift),
+                 "large-page mapping over a populated table");
+}
+
+namespace {
+
+/**
+ * Reference for PageTable: the pointer tree whose entries are
+ * {valid, leaf, unique_ptr child, frame} structs (12 KB a node),
+ * kept as it was before nodes became 4 KB frames of tagged words.
+ */
+class ReferencePageTable
+{
+  public:
+    explicit ReferencePageTable(FrameAllocator &node_allocator)
+        : _alloc(node_allocator)
+    {
+        _root = std::unique_ptr<Node>(allocNode());
+    }
+
+    void
+    map(Addr va, Addr pa, unsigned page_shift)
+    {
+        const unsigned leaf_level = (page_shift == largePageShift) ? 2 : 1;
+
+        Node *node = _root.get();
+        for (unsigned level = pageTableLevels; level > leaf_level;
+             level--) {
+            Entry &e = node->entries[radixIndex(va, level)];
+            NEUMMU_ASSERT(!(e.valid && e.leaf),
+                          "mapping under an existing large-page leaf");
+            if (!e.valid) {
+                e.valid = true;
+                e.leaf = false;
+                e.child = std::unique_ptr<Node>(allocNode());
+                node->live++;
+            }
+            node = e.child.get();
+        }
+
+        Entry &leaf = node->entries[radixIndex(va, leaf_level)];
+        NEUMMU_ASSERT(!leaf.valid, "double map of the same virtual page");
+        leaf.valid = true;
+        leaf.leaf = true;
+        leaf.frame = pa;
+        node->live++;
+        _mappedPages++;
+        _cachedVpn = invalidAddr;
+    }
+
+    UnmapResult
+    unmap(Addr va)
+    {
+        UnmapResult res;
+        res.path = walk(va);
+        if (!res.path.valid)
+            return res;
+        res.unmapped = true;
+        res.pageShift = res.path.pageShift;
+        res.frame = res.path.pa & ~pageOffsetMask(res.path.pageShift);
+
+        std::array<Node *, pageTableLevels> chain{};
+        std::array<unsigned, pageTableLevels> idx{};
+        Node *node = _root.get();
+        unsigned depth = 0;
+        for (unsigned level = pageTableLevels; level >= 1; level--) {
+            const unsigned i = radixIndex(va, level);
+            chain[depth] = node;
+            idx[depth] = i;
+            depth++;
+            Entry &e = node->entries[i];
+            if (e.leaf)
+                break;
+            node = e.child.get();
+        }
+
+        Entry &leaf = chain[depth - 1]->entries[idx[depth - 1]];
+        NEUMMU_ASSERT(leaf.valid && leaf.leaf, "unmap lost the leaf");
+        leaf.valid = false;
+        leaf.leaf = false;
+        leaf.frame = invalidAddr;
+        chain[depth - 1]->live--;
+        _mappedPages--;
+
+        for (unsigned step = depth - 1; step >= 1; step--) {
+            Node *n = chain[step];
+            if (n->live != 0)
+                break;
+            res.freedNodePa[res.freedNodes++] = n->pa;
+            res.firstFreedStep = step;
+            _alloc.free(n->pa, pageSize(smallPageShift));
+            Entry &parent = chain[step - 1]->entries[idx[step - 1]];
+            parent.child.reset();
+            parent.valid = false;
+            chain[step - 1]->live--;
+        }
+        _cachedVpn = invalidAddr;
+        return res;
+    }
+
+    WalkResult
+    walk(Addr va) const
+    {
+        if ((va >> smallPageShift) == _cachedVpn) {
+            _walkCacheHits++;
+            WalkResult result = _cachedWalk;
+            result.pa = (result.pa & ~pageOffsetMask(result.pageShift)) |
+                        (va & pageOffsetMask(result.pageShift));
+            return result;
+        }
+
+        WalkResult result;
+        const Node *node = _root.get();
+        for (unsigned level = pageTableLevels; level >= 1; level--) {
+            const unsigned idx = radixIndex(va, level);
+            const Entry &e = node->entries[idx];
+
+            const unsigned step = pageTableLevels - level;
+            result.nodePa[step] = node->pa;
+            result.entryPa[step] = node->pa + Addr(idx) * 8;
+            result.levels = step + 1;
+
+            if (!e.valid)
+                return result;
+
+            if (e.leaf) {
+                const unsigned shift =
+                    (level == 2) ? largePageShift : smallPageShift;
+                result.valid = true;
+                result.pageShift = shift;
+                result.pa = e.frame | (va & pageOffsetMask(shift));
+                _cachedVpn = va >> smallPageShift;
+                _cachedWalk = result;
+                return result;
+            }
+            node = e.child.get();
+        }
+        NEUMMU_PANIC("page-table walk ran past L1 without a leaf");
+    }
+
+    std::uint64_t walkCacheHits() const { return _walkCacheHits; }
+    std::uint64_t mappedPages() const { return _mappedPages; }
+    Addr rootPa() const { return _root->pa; }
+
+    /** Nodes in the tree, counted by walking it. */
+    std::uint64_t nodes() const { return countNodes(*_root); }
+
+  private:
+    struct Node;
+
+    struct Entry
+    {
+        bool valid = false;
+        bool leaf = false;
+        std::unique_ptr<Node> child;
+        Addr frame = invalidAddr;
+    };
+
+    struct Node
+    {
+        Addr pa = invalidAddr;
+        unsigned live = 0;
+        std::array<Entry, 512> entries;
+    };
+
+    Node *
+    allocNode()
+    {
+        auto *node = new Node();
+        node->pa = _alloc.allocate(pageSize(smallPageShift),
+                                   pageSize(smallPageShift));
+        return node;
+    }
+
+    static std::uint64_t
+    countNodes(const Node &node)
+    {
+        std::uint64_t n = 1;
+        for (const Entry &e : node.entries) {
+            if (e.valid && !e.leaf)
+                n += countNodes(*e.child);
+        }
+        return n;
+    }
+
+    FrameAllocator &_alloc;
+    std::unique_ptr<Node> _root;
+    std::uint64_t _mappedPages = 0;
+    mutable Addr _cachedVpn = invalidAddr;
+    mutable WalkResult _cachedWalk;
+    mutable std::uint64_t _walkCacheHits = 0;
+};
+
+void
+expectSameWalk(const WalkResult &a, const WalkResult &b, const char *what)
+{
+    EXPECT_EQ(a.valid, b.valid) << what;
+    EXPECT_EQ(a.pa, b.pa) << what;
+    EXPECT_EQ(a.pageShift, b.pageShift) << what;
+    EXPECT_EQ(a.levels, b.levels) << what;
+    EXPECT_EQ(a.entryPa, b.entryPa) << what;
+    EXPECT_EQ(a.nodePa, b.nodePa) << what;
+}
+
+/**
+ * Seeded random map/unmap/walk steps on a PageTable and on the
+ * reference tree, over a VA space of 2 L4 x 2 L3 x 4 L2 x 8 L1
+ * entries so pages share interior nodes and reclaim runs at every
+ * depth. Both trees are destroyed still holding their mappings.
+ */
+void
+runAgainstReference(unsigned seed, unsigned steps)
+{
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    FrameAllocator node("host", nodeBase, 1 * GiB);
+    FrameAllocator ref_node("host", nodeBase, 1 * GiB);
+    PageTable pt(node);
+    ReferencePageTable ref(ref_node);
+    ASSERT_EQ(pt.rootPa(), ref.rootPa());
+
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](unsigned n) {
+        return unsigned(rng() % n);
+    };
+    const auto randomVa = [&] {
+        return Addr(pick(2)) << 39 | Addr(pick(2)) << 30 |
+               Addr(pick(4)) << 21 | Addr(pick(8)) << 12;
+    };
+    // Leaf frames live outside the node allocator, whose used() then
+    // counts page-table nodes alone.
+    Addr next_frame = Addr(1) << 44;
+    std::vector<Addr> mapped;
+    unsigned large_maps = 0;
+    // Unmaps whose reclaim reached up to each walk step.
+    std::array<unsigned, pageTableLevels> reclaims{};
+    const auto walkBoth = [&](Addr va, const char *what) {
+        const WalkResult w = ref.walk(va);
+        expectSameWalk(pt.walk(va), w, what);
+        return w;
+    };
+
+    for (unsigned step = 0; step < steps; step++) {
+        // Filling and draining phases alternate, so whole subtrees
+        // empty out and are reclaimed.
+        const bool draining = (step / 250) % 2 == 1;
+        const unsigned op = pick(10);
+        if (op < (draining ? 1u : 3u)) {
+            const Addr va = randomVa();
+            if (!walkBoth(va, "walk before a 4 KB map").valid) {
+                pt.map(va, next_frame, smallPageShift);
+                ref.map(va, next_frame, smallPageShift);
+                next_frame += 4096;
+                mapped.push_back(va);
+            }
+        } else if (op < (draining ? 2u : 4u)) {
+            // A 2 MB page fits where the walk stops above L1: no leaf
+            // and no L1 table under its L2 entry.
+            const Addr va = pageBase(randomVa(), largePageShift);
+            const WalkResult w = walkBoth(va, "walk before a 2 MB map");
+            if (!w.valid && w.levels < pageTableLevels) {
+                next_frame = (next_frame + 2 * MiB - 1) & ~(2 * MiB - 1);
+                pt.map(va, next_frame, largePageShift);
+                ref.map(va, next_frame, largePageShift);
+                next_frame += 2 * MiB;
+                mapped.push_back(va);
+                large_maps++;
+            }
+        } else if (op < (draining ? 7u : 6u)) {
+            // Mostly mapped pages, sometimes a random (maybe
+            // unmapped) VA; a page offset never matters.
+            Addr va = randomVa() | pick(4096);
+            if (!mapped.empty() && pick(4) != 0) {
+                const unsigned i = pick(unsigned(mapped.size()));
+                va = mapped[i] | pick(4096);
+                mapped[i] = mapped.back();
+                mapped.pop_back();
+            }
+            const UnmapResult a = pt.unmap(va);
+            const UnmapResult b = ref.unmap(va);
+            EXPECT_EQ(a.unmapped, b.unmapped);
+            EXPECT_EQ(a.frame, b.frame);
+            EXPECT_EQ(a.pageShift, b.pageShift);
+            expectSameWalk(a.path, b.path, "unmap path");
+            EXPECT_EQ(a.freedNodes, b.freedNodes);
+            EXPECT_EQ(a.freedNodePa, b.freedNodePa);
+            EXPECT_EQ(a.firstFreedStep, b.firstFreedStep);
+            if (b.freedNodes > 0)
+                reclaims[b.firstFreedStep]++;
+        } else {
+            const Addr va = randomVa() | pick(4096);
+            walkBoth(va, "walk");
+            // The walk cache replays with another page offset.
+            walkBoth(va ^ 0x8, "cached walk");
+        }
+        EXPECT_EQ(pt.mappedPages(), ref.mappedPages());
+        EXPECT_EQ(pt.walkCacheHits(), ref.walkCacheHits());
+        EXPECT_EQ(node.used(), ref.nodes() * 4096);
+        EXPECT_EQ(ref_node.used(), ref.nodes() * 4096);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(pt.mappedPages(), 0u);
+    EXPECT_GT(large_maps, 0u);
+    for (unsigned step = 1; step < pageTableLevels; step++)
+        EXPECT_GT(reclaims[step], 0u) << "no reclaim up to step " << step;
+}
+
+} // namespace
+
+TEST(PageTableReference, RandomMapUnmapWalkMatchesPointerTree)
+{
+    for (unsigned seed = 1; seed <= 6; seed++)
+        runAgainstReference(seed, 1600);
 }
 
 TEST(AddressSpace, SegmentsAreDisjointAndAligned)
