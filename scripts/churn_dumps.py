@@ -17,9 +17,16 @@ crosses:
     sim.shards                  0, 1
 
 For each dump that differs it prints the golden_diff.py summary of
-the stats that moved. Exits 1 on any difference or failed run, 0 when
-all 32 dumps are identical. Two runs go at once; the dumps live in a
-temporary directory that is removed at the end.
+the stats that moved.
+
+It then runs scripts/design_zoo.jsonl (every registered design, paging
+churn included) through the neummu_sweep next to each neummu_serve,
+with --timing=0, compares the two sweep documents byte for byte and
+names the jobs that differ.
+
+Exits 1 on any difference or failed run, 0 when all 32 dumps and the
+two sweep documents are identical. Two runs go at once; the dumps live
+in a temporary directory that is removed at the end.
 
     python3 scripts/churn_dumps.py /tmp/parent/build/neummu_serve \\
         build/neummu_serve
@@ -29,6 +36,7 @@ import argparse
 import concurrent.futures
 import filecmp
 import itertools
+import json
 import os
 import shutil
 import subprocess
@@ -47,8 +55,9 @@ CHURN64 = ("numNpus=64;paging.enabled=1;paging.faultLatency=2000;"
 MATRIX = list(itertools.product(("iommu", "neummu"), (512, 2048),
                                 ("clock", "lru"),
                                 ("shared", "partitioned"), (0, 1)))
-GOLDEN_DIFF = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "golden_diff.py")
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIFF = os.path.join(SCRIPTS, "golden_diff.py")
+ZOO_MANIFEST = os.path.join(SCRIPTS, "design_zoo.jsonl")
 
 
 def config_name(cfg):
@@ -75,6 +84,30 @@ def run(binary, cfg, out_dir):
         return "%s failed (exit %d): %s" % (
             " ".join(cmd), proc.returncode, proc.stderr.strip()[-400:])
     return None
+
+
+def run_zoo(serve_bin, path):
+    """Run the design-zoo manifest through the sweep next to serve_bin."""
+    sweep = os.path.join(os.path.dirname(serve_bin), "neummu_sweep")
+    cmd = [sweep, "--manifest=" + ZOO_MANIFEST, "-j", str(JOBS),
+           "--timing=0", "--json=" + path]
+    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    # The manifest's bad_design job fails on purpose; the sweep
+    # records it in the document and still exits 0.
+    if proc.returncode != 0 or not os.path.exists(path):
+        return "%s failed (exit %d): %s" % (
+            " ".join(cmd), proc.returncode, proc.stderr.strip()[-400:])
+    return None
+
+
+def zoo_jobs_differing(parent_doc, change_doc):
+    """Ids of the sweep jobs whose records differ between two docs."""
+    def jobs(path):
+        with open(path) as f:
+            return {j["id"]: j for j in json.load(f)["jobs"]}
+    a, b = jobs(parent_doc), jobs(change_doc)
+    return sorted(i for i in set(a) | set(b) if a.get(i) != b.get(i))
 
 
 def stat_summary(parent_dump, change_dump, scratch):
@@ -130,8 +163,25 @@ def main():
     identical = len(MATRIX) - differ - missing
     print("churn_dumps: %d/%d identical, %d differ, %d not run" %
           (identical, len(MATRIX), differ, missing))
+
+    zoo = {side: os.path.join(dirs[side], "design_zoo.json")
+           for side in ("parent", "change")}
+    zoo_failures = [f for f in (run_zoo(bins[side], zoo[side])
+                                for side in ("parent", "change")) if f]
+    for failure in zoo_failures:
+        print(failure)
+    zoo_differ = False
+    if not zoo_failures:
+        zoo_differ = not filecmp.cmp(zoo["parent"], zoo["change"],
+                                     shallow=False)
+        if zoo_differ:
+            jobs = zoo_jobs_differing(zoo["parent"], zoo["change"])
+            print("design_zoo: sweep documents differ; jobs: %s" %
+                  (", ".join(jobs) or "none (the sweep header differs)"))
+        else:
+            print("design_zoo: sweep documents identical")
     shutil.rmtree(root)
-    return 1 if differ or failures else 0
+    return 1 if differ or failures or zoo_failures or zoo_differ else 0
 
 
 if __name__ == "__main__":

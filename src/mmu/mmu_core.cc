@@ -88,39 +88,24 @@ mmuConfigFor(MmuKind kind, unsigned page_shift)
 }
 
 void
-MmuCore::refreshStats()
+MmuCore::refreshDesignStats()
 {
     const auto set = [this](const char *stat, std::uint64_t v) {
-        _stats.scalar(stat).set(double(v));
+        stats().scalar(stat).set(double(v));
     };
-    set("requests", _counts.requests);
-    set("responses", _counts.responses);
-    set("tlbHits", _counts.tlbHits);
-    set("tlbMisses", _counts.tlbMisses);
-    set("walks", _counts.walks);
     set("redundantWalks", _counts.redundantWalks);
     set("prmbMerges", _counts.prmbMerges);
-    set("blockedIssues", _counts.blockedIssues);
-    set("walkMemAccesses", _counts.walkMemAccesses);
-    set("faults", _counts.faults);
     set("prefetchWalks", _counts.prefetchWalks);
     set("ptsLookups", _counts.ptsLookups);
     set("pathCacheConsults", _counts.pathCacheConsults);
     set("pathCacheSkippedLevels", _counts.pathCacheSkippedLevels);
-    // Coherence counters only exist in the dump when the lifecycle
-    // machinery is in play, keeping the legacy stats surface (and the
-    // golden-stats matrix) byte-identical with lifecycle off.
-    if (_lifecycle || _counts.shootdowns || _counts.squashedWalks) {
-        set("shootdowns", _counts.shootdowns);
-        set("squashedWalks", _counts.squashedWalks);
-    }
 }
 
 MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
                  MmuConfig cfg)
-    : _name(std::move(name)), _eq(eq), _pt(pt), _cfg(cfg),
-      _tlb(_name + ".tlb", cfg.tlb), _pts(2 * cfg.numPtws),
-      _inflight(2 * cfg.numPtws), _stats(_name)
+    : MmuEngine(std::move(name), eq, pt, cfg.pageShift,
+                2 * cfg.numPtws),
+      _cfg(cfg), _tlb(_name + ".tlb", cfg.tlb), _pts(2 * cfg.numPtws)
 {
     NEUMMU_ASSERT(cfg.numPtws > 0 || cfg.oracle,
                   "an MMU needs at least one walker");
@@ -138,45 +123,8 @@ MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
 }
 
 void
-MmuCore::setResponseCallback(ResponseCallback cb)
+MmuCore::dropCached(Addr va, const UnmapResult &unmapped)
 {
-    _respond = std::move(cb);
-}
-
-void
-MmuCore::setWakeCallback(WakeCallback cb)
-{
-    _wake = std::move(cb);
-}
-
-void
-MmuCore::setFaultHandler(FaultHandler handler)
-{
-    _fault = std::move(handler);
-}
-
-void
-MmuCore::enableLifecycle()
-{
-    _lifecycle = true;
-}
-
-void
-MmuCore::setAccessHook(AccessHook hook)
-{
-    _access = std::move(hook);
-}
-
-bool
-MmuCore::vpnBusy(Addr vpn) const
-{
-    return _inflight.contains(vpn) || _pendingResp.contains(vpn);
-}
-
-void
-MmuCore::shootdown(Addr va, const UnmapResult &unmapped)
-{
-    _counts.shootdowns++;
     if (_cfg.oracle)
         return; // nothing cached, no in-flight walks
     const Addr vpn = vpnOf(va);
@@ -252,32 +200,6 @@ MmuCore::uptcEntryHitRate() const
     return double(_uptc->entryHits()) / double(_uptc->entryLookups());
 }
 
-void
-MmuCore::respondAt(Tick when, const TranslationResponse &resp)
-{
-    NEUMMU_ASSERT(_respond, "no response callback installed");
-    _counts.responses++;
-    if (_lifecycle) {
-        // Track the delivery window so vpnBusy() keeps the paging
-        // engine from migrating a page whose (already translated)
-        // response is still on the wire.
-        _pendingResp.insert(vpnOf(resp.va), 0u).first++;
-        _eq.schedule(when, [this, resp] {
-            NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::MmuRespond);
-            unsigned *pending = _pendingResp.find(vpnOf(resp.va));
-            NEUMMU_ASSERT(pending, "pending-response tracking lost");
-            if (--*pending == 0)
-                _pendingResp.erase(vpnOf(resp.va));
-            _respond(resp);
-        });
-        return;
-    }
-    _eq.schedule(when, [this, resp] {
-        NEUMMU_PROF_SCOPE(_eq.profiler(), ProfSubsystem::MmuRespond);
-        _respond(resp);
-    });
-}
-
 bool
 MmuCore::translate(Addr va, std::uint64_t id)
 {
@@ -291,68 +213,21 @@ MmuCore::translate(Addr va, std::uint64_t id)
     if (_cfg.oracle) {
         if (_access)
             _access(va);
-        WalkResult walk = _pt.walk(va);
         Tick ready = now;
-        if (!walk.valid) {
-            NEUMMU_ASSERT(_fault,
-                          "oracle hit an unmapped page with no fault "
-                          "handler: workload setup bug");
-            _counts.faults++;
-            ready = _fault(va, now);
-            walk = _pt.walk(va);
-            NEUMMU_ASSERT(walk.valid, "fault handler did not map page");
-            if (_trace && ready > now)
-                _trace->span(id, trace::Stage::Fault, now, ready);
-        }
+        const WalkResult walk = resolve(va, now, ready);
+        if (_trace && ready > now)
+            _trace->span(id, trace::Stage::Fault, now, ready);
         respondAt(std::max(now, ready),
                   TranslationResponse{id, va, walk.pa});
         return true;
     }
 
-    const Addr vpn = vpnOf(va);
-    // Channel-register fast path: a generation match proves the TLB
-    // is untouched since this channel's last hit on the same page, so
-    // a full lookup would hit the MRU head without relinking -- skip
-    // it and serve the cached frame. Counters follow the hit path.
-    XlateReg &reg = _xlateRegs[std::size_t(id >> 56) % numXlateRegs];
-    if (reg.gen == _tlb.generation() && reg.vpn == vpn) {
-        if (_access)
-            _access(va);
-        _tlb.noteRegisterHit();
-        _xlateRegHits++;
-        _counts.tlbHits++;
-        if (_trace)
-            _trace->span(id, trace::Stage::TlbHit, now,
-                         now + _cfg.tlb.hitLatency);
-        respondAt(now + _cfg.tlb.hitLatency,
-                  TranslationResponse{id, va,
-                                      (reg.pfn << _cfg.pageShift) |
-                                          (va & pageOffsetMask(
-                                                    _cfg.pageShift))});
+    // The channel registers and the TLB: a hit answers here.
+    if (serveFromTlb(_tlb, _cfg.tlb.hitLatency, va, id))
         return true;
-    }
-    Addr pfn = invalidAddr;
-    if (_tlb.lookup(vpn, pfn)) {
-        if (_access)
-            _access(va);
-        _counts.tlbHits++;
-        // Snapshot after lookup(): a relink bumps the generation, so
-        // the register is stamped with vpn already at the MRU head.
-        reg.vpn = vpn;
-        reg.pfn = pfn;
-        reg.gen = _tlb.generation();
-        if (_trace)
-            _trace->span(id, trace::Stage::TlbHit, now,
-                         now + _cfg.tlb.hitLatency);
-        respondAt(now + _cfg.tlb.hitLatency,
-                  TranslationResponse{id, va,
-                                      (pfn << _cfg.pageShift) |
-                                          (va & pageOffsetMask(
-                                                    _cfg.pageShift))});
-        return true;
-    }
     _counts.tlbMisses++;
 
+    const Addr vpn = vpnOf(va);
     if (_cfg.prmbSlots > 0) {
         // NeuMMU path: probe the pending translation scoreboard.
         _counts.ptsLookups++;
@@ -442,12 +317,9 @@ MmuCore::startWalk(unsigned walker_idx, Addr va, std::uint64_t id,
     w.vpn = vpn;
     if (!is_prefetch)
         w.pending.push_back(TranslationResponse{id, va, invalidAddr});
-    _busyWalkers++;
-
-    unsigned &inflight_count = _inflight.insert(vpn, 0u).first;
-    if (inflight_count > 0)
+    _busy++;
+    if (noteInflight(vpn) > 1)
         _counts.redundantWalks++;
-    inflight_count++;
 
     if (_cfg.prmbSlots > 0)
         _pts.insert(vpn, walker_idx);
@@ -464,18 +336,8 @@ MmuCore::launchWalk(unsigned walker_idx, Addr va, bool initial)
     Walker &w = _walkers[walker_idx];
     const Tick now = _eq.now();
 
-    WalkResult walk = _pt.walk(va);
     Tick ready = now;
-    if (!walk.valid) {
-        NEUMMU_ASSERT(_fault, "unmapped page at " + std::to_string(va) +
-                                  " with no fault handler");
-        _counts.faults++;
-        ready = _fault(va, now);
-        walk = _pt.walk(va);
-        NEUMMU_ASSERT(walk.valid, "fault handler did not map page");
-    }
-    NEUMMU_ASSERT(walk.pageShift == _cfg.pageShift,
-                  "mapping granularity differs from MMU page size");
+    const WalkResult walk = resolve(va, now, ready);
 
     const unsigned skipped = consultPathCache(w, va, walk);
     const unsigned accesses = walk.levels - skipped;
@@ -634,16 +496,12 @@ MmuCore::releaseWalker(unsigned walker_idx)
     w.busy = false;
     w.pending.clear();
     w.vpn = invalidAddr;
-    _busyWalkers--;
+    _busy--;
     _freeWalkers.push_back(walker_idx);
 
     if (_cfg.prmbSlots > 0)
         _pts.erase(vpn);
-
-    unsigned *inflight_count = _inflight.find(vpn);
-    NEUMMU_ASSERT(inflight_count, "in-flight bookkeeping lost");
-    if (--*inflight_count == 0)
-        _inflight.erase(vpn);
+    dropInflight(vpn);
 }
 
 void
@@ -655,7 +513,7 @@ MmuCore::maybePrefetch(Addr vpn)
         if (_freeWalkers.empty())
             return; // demand traffic keeps priority over speculation
         const Addr next = vpn + i;
-        if (_tlb.probe(next) || _inflight.contains(next))
+        if (_tlb.probe(next) || inflight(next))
             continue;
         // Never speculate past the mapped region (and never fault).
         if (!_pt.isMapped(next << _cfg.pageShift))

@@ -15,14 +15,19 @@
  * rejected: the DMA's translation port blocks (Section IV-A). A
  * rejected request changes nothing but rejection counters; in
  * particular it does not fire the access hook.
+ *
+ * The MmuEngine base supplies the response lifecycle, the
+ * fault-resolving walk, the in-flight VPN map (sized to twice the
+ * walker pool) and the channel registers in front of the IOTLB; this
+ * class holds only the walkers, PTS/PRMB, path caches and their
+ * timing. A shootdown squashes in-flight walks on the page, so they
+ * re-walk at completion instead of installing a stale PA.
  */
 
 #ifndef NEUMMU_MMU_MMU_CORE_HH
 #define NEUMMU_MMU_MMU_CORE_HH
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -129,9 +134,6 @@ class MmuCore : public MmuEngine
             MmuConfig cfg);
 
     bool translate(Addr va, std::uint64_t id) override;
-    void setResponseCallback(ResponseCallback cb) override;
-    void setWakeCallback(WakeCallback cb) override;
-    const MmuCounts &counts() const override { return _counts; }
 
     /**
      * Exact admission probe: true on a TLB hit (which the channel
@@ -149,64 +151,19 @@ class MmuCore : public MmuEngine
      */
     bool refusalsHold() const override;
 
-    /** Install the demand-paging handler (optional). */
-    void setFaultHandler(FaultHandler handler) override;
-
-    // --- Page lifecycle / translation coherence --------------------
     /**
-     * Lifecycle bookkeeping (see MmuEngine::enableLifecycle). Off by
-     * default -- the translate hot path then carries only a dead
-     * branch and the stats surface is unchanged.
-     */
-    void enableLifecycle() override;
-    void setAccessHook(AccessHook hook) override;
-
-    /**
-     * Shootdown for the page containing @p va after (or during) an
-     * unmap/migration described by @p unmapped: drops the TLB entry,
-     * scrubs TPreg/TPC/UPTC state made stale by reclaimed page-table
-     * nodes and the changed leaf PTE, and squashes in-flight walks on
-     * the page so they re-walk at completion instead of installing a
-     * stale PA.
-     */
-    void shootdown(Addr va, const UnmapResult &unmapped) override;
-
-    /**
-     * TranslationEngine-interface shootdown (router ports forward
-     * here): leaf-only coherence -- the caller did not reclaim
-     * interior page-table nodes, or calls shootdown() itself with the
-     * UnmapResult when it did.
+     * Leaf-only shootdown (see MmuEngine::invalidate); hands the
+     * page's current walk path to the PA-tagged UPTC.
      */
     void invalidate(Addr va) override;
 
-    /**
-     * True while any translation activity on @p vpn is in flight: a
-     * walk (including a squashed one being retried) or -- with
-     * lifecycle enabled -- a scheduled response not yet delivered.
-     * The paging engine refuses to evict busy pages.
-     */
-    bool vpnBusy(Addr vpn) const override;
-
     const MmuConfig &config() const { return _cfg; }
     Tlb &tlb() { return _tlb; }
-    stats::Group &stats() override { return _stats; }
 
     /** The walker pool is what the router partitions. */
     unsigned walkerBudget() const override { return _cfg.numPtws; }
 
     MmuCore *asMmuCore() override { return this; }
-
-    /**
-     * Mirror the live MmuCounts into the stats group (counters are
-     * kept in a plain struct off the hot path); call before dumping.
-     */
-    void refreshStats() override;
-
-    /** Attach a lifecycle trace buffer (the hub lane's; System wiring). */
-    void setTraceBuffer(trace::TraceBuffer *buf) override
-    {
-        _trace = buf;
-    }
 
     /** Fig. 13: per-level TPreg tag-match statistics (all PTWs). */
     const TpReg::MatchStats &tpregStats() const { return _tpregStats; }
@@ -215,8 +172,6 @@ class MmuCore : public MmuEngine
     /** Section IV-C: UPTC per-entry hit rate. */
     double uptcEntryHitRate() const;
 
-    /** Walkers currently busy (tests/diagnostics). */
-    unsigned busyWalkers() const { return _busyWalkers; }
     /** Walkers currently idle in the free pool (tests/diagnostics). */
     std::size_t freeWalkers() const { return _freeWalkers.size(); }
 
@@ -225,15 +180,16 @@ class MmuCore : public MmuEngine
     std::size_t ptsLiveEntries() const { return _pts.size(); }
     /** Peak PTS scoreboard occupancy (bounded by the walker pool). */
     std::size_t ptsHighWater() const { return _pts.highWater(); }
-    /** Live in-flight-VPN entries (0 once the queue drains). */
-    std::size_t inflightLiveEntries() const { return _inflight.size(); }
-    /** Peak in-flight-VPN occupancy (bounded by the walker pool). */
-    std::size_t inflightHighWater() const
-    {
-        return _inflight.highWater();
-    }
-    /** Requests served by the per-channel translation registers. */
-    std::uint64_t xlateRegisterHits() const { return _xlateRegHits; }
+
+  protected:
+    /**
+     * Drops the TLB entry, scrubs TPreg/TPC/UPTC state made stale by
+     * reclaimed page-table nodes and the changed leaf PTE, and
+     * squashes in-flight walks on the page so they re-walk at
+     * completion instead of installing a stale PA.
+     */
+    void dropCached(Addr va, const UnmapResult &unmapped) override;
+    void refreshDesignStats() override;
 
   private:
     struct Walker
@@ -262,25 +218,6 @@ class MmuCore : public MmuEngine
         TpReg tpreg;
     };
 
-    /**
-     * Per-channel last-translation register (not the per-PTW TpReg
-     * of Section IV-C, which caches walk paths): caches the
-     * channel's last TLB hit as (vpn, pfn) plus the TLB generation it
-     * was snapshotted at. A register hit is exact: a generation match
-     * means the TLB has not changed since the snapshot, so the vpn is
-     * still at its set's MRU head and lookup() would hit without
-     * relinking -- same response, same counters, no TLB mutation.
-     */
-    struct XlateReg
-    {
-        Addr vpn = invalidAddr;
-        Addr pfn = 0;
-        std::uint64_t gen = 0;
-    };
-    /** Channel registers; indexed by the router's client tag. */
-    static constexpr std::size_t numXlateRegs = 16;
-
-    void respondAt(Tick when, const TranslationResponse &resp);
     /** The PRMB of walk @p w can absorb one more request. */
     bool prmbRoom(const Walker &w) const;
     void startWalk(unsigned walker_idx, Addr va, std::uint64_t id,
@@ -291,38 +228,18 @@ class MmuCore : public MmuEngine
     void maybePrefetch(Addr vpn);
     unsigned consultPathCache(Walker &w, Addr va, const WalkResult &walk);
     void updatePathCache(Walker &w, Addr va, const WalkResult &walk);
-    Addr vpnOf(Addr va) const { return va >> _cfg.pageShift; }
 
-    std::string _name;
-    EventQueue &_eq;
-    PageTable &_pt;
     MmuConfig _cfg;
     Tlb _tlb;
     std::vector<Walker> _walkers;
     /** Free-walker stack. */
     std::vector<unsigned> _freeWalkers;
-    unsigned _busyWalkers = 0;
     /** PTS: in-flight VPN -> walker (only when prmbSlots > 0). */
     FlatMap64<unsigned> _pts;
-    /** In-flight VPN multiplicity (redundant-walk accounting). */
-    FlatMap64<unsigned> _inflight;
-    std::array<XlateReg, numXlateRegs> _xlateRegs{};
-    std::uint64_t _xlateRegHits = 0;
     std::unique_ptr<TranslationPathCache> _tpc;
     std::unique_ptr<UnifiedPageTableCache> _uptc;
-    ResponseCallback _respond;
-    WakeCallback _wake;
-    FaultHandler _fault;
-    AccessHook _access;
     PageCallback _admitWatch;
-    trace::TraceBuffer *_trace = nullptr;
-    /** Lifecycle bookkeeping enabled (see enableLifecycle()). */
-    bool _lifecycle = false;
-    /** VPN -> scheduled-but-undelivered responses (lifecycle only). */
-    FlatMap64<unsigned> _pendingResp;
-    MmuCounts _counts;
     TpReg::MatchStats _tpregStats;
-    stats::Group _stats;
 };
 
 } // namespace neummu

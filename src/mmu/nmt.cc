@@ -9,7 +9,7 @@ namespace neummu {
 
 Nmt::Nmt(std::string name, EventQueue &eq, PageTable &pt,
          unsigned page_shift, NmtConfig cfg)
-    : TimedMmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg)
+    : MmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg)
 {
     NEUMMU_ASSERT(_cfg.cacheEntries >= 1,
                   "segment cache needs an entry");
@@ -48,13 +48,8 @@ Nmt::translate(Addr va, std::uint64_t id)
         }
     }
     _counts.tlbMisses++;
-
-    if (_busy >= _cfg.numUnits) {
-        _counts.blockedIssues++;
+    if (!claimMiss(vpn))
         return false;
-    }
-    _busy++;
-    noteInflight(vpn);
 
     // One flat index fetch -- no pointer chasing -- per segment miss.
     _counts.walks++;
@@ -100,16 +95,14 @@ Nmt::finishFetch(Addr va, std::uint64_t id)
 
     respondAt(std::max(now, ready),
               TranslationResponse{id, va, walk.pa});
-    _busy--;
-    dropInflight(vpn);
-    if (_wake)
-        _wake();
+    retireMiss(vpn);
 }
 
 void
-Nmt::invalidateDesign(Addr vpn)
+Nmt::dropCached(Addr va, const UnmapResult &unmapped)
 {
-    if (_segments.erase(segmentOf(vpn)))
+    (void)unmapped; // segments hold no page-table nodes
+    if (_segments.erase(segmentOf(vpnOf(va))))
         _segDrops++;
 }
 

@@ -22,7 +22,7 @@
 #include <map>
 
 #include "common/units.hh"
-#include "mmu/engine_base.hh"
+#include "mmu/mmu_engine.hh"
 
 namespace neummu {
 
@@ -41,7 +41,7 @@ struct NmtConfig
     Tick fetchLatency = 200;
 };
 
-class Nmt : public TimedMmuEngine
+class Nmt : public MmuEngine
 {
   public:
     Nmt(std::string name, EventQueue &eq, PageTable &pt,
@@ -55,7 +55,7 @@ class Nmt : public TimedMmuEngine
     std::size_t liveSegments() const { return _segments.size(); }
 
   protected:
-    void invalidateDesign(Addr vpn) override;
+    void dropCached(Addr va, const UnmapResult &unmapped) override;
     void refreshDesignStats() override;
 
   private:

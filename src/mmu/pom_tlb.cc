@@ -20,7 +20,7 @@ constexpr std::uint64_t pomLineBytes = 64;
 
 PomTlb::PomTlb(std::string name, EventQueue &eq, PageTable &pt,
                unsigned page_shift, PomTlbConfig cfg)
-    : TimedMmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg),
+    : MmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg),
       _l1(_name + ".l1", cfg.l1), _mem(_name + ".dram", cfg.mem),
       _numSets(std::max<std::size_t>(
           1, cfg.ways ? cfg.entries / cfg.ways : 1)),
@@ -47,55 +47,14 @@ PomTlb::translate(Addr va, std::uint64_t id)
     const Tick now = _eq.now();
     const Addr vpn = vpnOf(va);
 
-    // Channel-register fast path (see MmuCore::translate): exact
-    // because a generation match proves the L1 is untouched since the
-    // snapshot, so lookup() would hit the MRU head without relinking.
     // Recency is touched on the accept paths only (see MmuEngine).
-    XlateReg &reg = _xlateRegs[std::size_t(id >> 56) % numXlateRegs];
-    if (reg.gen == _l1.generation() && reg.vpn == vpn) {
-        if (_access)
-            _access(va);
-        _l1.noteRegisterHit();
-        _xlateRegHits++;
-        _counts.tlbHits++;
-        if (_trace)
-            _trace->span(id, trace::Stage::TlbHit, now,
-                         now + _cfg.l1.hitLatency);
-        respondAt(now + _cfg.l1.hitLatency,
-                  TranslationResponse{
-                      id, va,
-                      (reg.pfn << _pageShift) |
-                          (va & pageOffsetMask(_pageShift))});
+    if (serveFromTlb(_l1, _cfg.l1.hitLatency, va, id))
         return true;
-    }
-    Addr pfn = invalidAddr;
-    if (_l1.lookup(vpn, pfn)) {
-        if (_access)
-            _access(va);
-        _counts.tlbHits++;
-        reg.vpn = vpn;
-        reg.pfn = pfn;
-        reg.gen = _l1.generation();
-        if (_trace)
-            _trace->span(id, trace::Stage::TlbHit, now,
-                         now + _cfg.l1.hitLatency);
-        respondAt(now + _cfg.l1.hitLatency,
-                  TranslationResponse{
-                      id, va,
-                      (pfn << _pageShift) |
-                          (va & pageOffsetMask(_pageShift))});
-        return true;
-    }
     _counts.tlbMisses++;
-
-    if (_busy >= _cfg.numWalkers) {
-        _counts.blockedIssues++;
+    if (!claimMiss(vpn))
         return false;
-    }
     if (_access)
         _access(va);
-    _busy++;
-    noteInflight(vpn);
 
     // The L1 miss reads the POM set out of DRAM: one line, queued
     // behind whatever lookup/install traffic already owns the
@@ -129,10 +88,7 @@ PomTlb::finishPomLookup(Addr va, std::uint64_t id)
             _pomHits++;
             set[w].lastUse = ++_useTick;
             _l1.insert(vpn, set[w].pfn);
-            finish(va, id,
-                   (set[w].pfn << _pageShift) |
-                       (va & pageOffsetMask(_pageShift)),
-                   now);
+            finish(va, id, frameAddr(set[w].pfn, va), now);
             return;
         }
     }
@@ -192,25 +148,21 @@ PomTlb::finishWalk(Addr va, std::uint64_t id)
     _mem.access(std::max(now, ready), setAddr(vpn), pomLineBytes, true);
 
     _l1.insert(vpn, pfn);
-    finish(va, id,
-           (walk.pa & ~pageOffsetMask(_pageShift)) |
-               (va & pageOffsetMask(_pageShift)),
-           std::max(now, ready));
+    finish(va, id, frameAddr(pfn, va), std::max(now, ready));
 }
 
 void
 PomTlb::finish(Addr va, std::uint64_t id, Addr pa, Tick when)
 {
     respondAt(when, TranslationResponse{id, va, pa});
-    _busy--;
-    dropInflight(vpnOf(va));
-    if (_wake)
-        _wake();
+    retireMiss(vpnOf(va));
 }
 
 void
-PomTlb::invalidateDesign(Addr vpn)
+PomTlb::dropCached(Addr va, const UnmapResult &unmapped)
 {
+    (void)unmapped; // no page-table-node caches in this design
+    const Addr vpn = vpnOf(va);
     _l1.invalidate(vpn);
     PomEntry *set = &_pom[setOf(vpn) * _cfg.ways];
     for (std::size_t w = 0; w < _cfg.ways; w++) {

@@ -17,13 +17,12 @@
 #ifndef NEUMMU_MMU_POM_TLB_HH
 #define NEUMMU_MMU_POM_TLB_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/units.hh"
 #include "mem/memory_model.hh"
-#include "mmu/engine_base.hh"
+#include "mmu/mmu_engine.hh"
 #include "tlb/tlb.hh"
 
 namespace neummu {
@@ -45,7 +44,7 @@ struct PomTlbConfig
     MemoryConfig mem{};
 };
 
-class PomTlb : public TimedMmuEngine
+class PomTlb : public MmuEngine
 {
   public:
     PomTlb(std::string name, EventQueue &eq, PageTable &pt,
@@ -67,11 +66,9 @@ class PomTlb : public TimedMmuEngine
     const PomTlbConfig &config() const { return _cfg; }
     /** Live in-memory entries (tests/diagnostics). */
     std::size_t pomSize() const { return _pomSize; }
-    /** L1 lookups served by the channel registers (diagnostics). */
-    std::uint64_t xlateRegisterHits() const { return _xlateRegHits; }
 
   protected:
-    void invalidateDesign(Addr vpn) override;
+    void dropCached(Addr va, const UnmapResult &unmapped) override;
     void refreshDesignStats() override;
 
   private:
@@ -88,19 +85,6 @@ class PomTlb : public TimedMmuEngine
     std::size_t setOf(Addr vpn) const { return vpn % _numSets; }
     Addr setAddr(Addr vpn) const;
 
-    /**
-     * Per-channel last-translation register over the L1 (same scheme
-     * as MmuCore's: exact via the L1 generation stamp -- a match
-     * proves lookup() would hit the MRU head without relinking).
-     */
-    struct XlateReg
-    {
-        Addr vpn = invalidAddr;
-        Addr pfn = 0;
-        std::uint64_t gen = 0;
-    };
-    static constexpr std::size_t numXlateRegs = 16;
-
     PomTlbConfig _cfg;
     Tlb _l1;
     MemoryModel _mem;
@@ -109,9 +93,6 @@ class PomTlb : public TimedMmuEngine
     std::vector<PomEntry> _pom;
     std::size_t _pomSize = 0;
     std::uint64_t _useTick = 0;
-
-    std::array<XlateReg, numXlateRegs> _xlateRegs{};
-    std::uint64_t _xlateRegHits = 0;
 
     std::uint64_t _pomLookups = 0;
     std::uint64_t _pomHits = 0;

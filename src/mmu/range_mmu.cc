@@ -9,7 +9,7 @@ namespace neummu {
 
 RangeMmu::RangeMmu(std::string name, EventQueue &eq, PageTable &pt,
                    unsigned page_shift, RangeMmuConfig cfg)
-    : TimedMmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg)
+    : MmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg)
 {
     NEUMMU_ASSERT(_cfg.entries >= 1, "range TLB needs an entry");
     NEUMMU_ASSERT(_cfg.numWalkers >= 1, "RangeMMU needs a walker");
@@ -64,20 +64,12 @@ RangeMmu::translate(Addr va, std::uint64_t id)
             _trace->span(id, trace::Stage::TlbHit, now,
                          now + _cfg.hitLatency);
         respondAt(now + _cfg.hitLatency,
-                  TranslationResponse{
-                      id, va,
-                      (pfn << _pageShift) |
-                          (va & pageOffsetMask(_pageShift))});
+                  TranslationResponse{id, va, frameAddr(pfn, va)});
         return true;
     }
     _counts.tlbMisses++;
-
-    if (_busy >= _cfg.numWalkers) {
-        _counts.blockedIssues++;
+    if (!claimMiss(vpn))
         return false;
-    }
-    _busy++;
-    noteInflight(vpn);
 
     // The miss pays a full radix walk; faults resolve at walk start
     // (the handler installs the mapping immediately, the walk then
@@ -121,15 +113,8 @@ RangeMmu::finishWalk(Addr va, std::uint64_t id)
     installRange(vpn, pfn);
 
     respondAt(std::max(now, ready),
-              TranslationResponse{
-                  id, va,
-                  (walk.pa & ~pageOffsetMask(_pageShift)) |
-                      (va & pageOffsetMask(_pageShift))});
-
-    _busy--;
-    dropInflight(vpn);
-    if (_wake)
-        _wake();
+              TranslationResponse{id, va, frameAddr(pfn, va)});
+    retireMiss(vpn);
 }
 
 void
@@ -188,8 +173,10 @@ RangeMmu::installRange(Addr vpn, Addr pfn)
 }
 
 void
-RangeMmu::invalidateDesign(Addr vpn)
+RangeMmu::dropCached(Addr va, const UnmapResult &unmapped)
 {
+    (void)unmapped; // ranges cache leaf runs only
+    const Addr vpn = vpnOf(va);
     Range *r = lookupRange(vpn);
     if (!r)
         return;

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/units.hh"
-#include "mmu/engine_base.hh"
+#include "mmu/mmu_engine.hh"
 
 namespace neummu {
 
@@ -42,7 +42,7 @@ struct RangeMmuConfig
     Tick walkLatencyPerLevel = 100;
 };
 
-class RangeMmu : public TimedMmuEngine
+class RangeMmu : public MmuEngine
 {
   public:
     RangeMmu(std::string name, EventQueue &eq, PageTable &pt,
@@ -58,7 +58,7 @@ class RangeMmu : public TimedMmuEngine
     std::uint64_t rangeFastHits() const { return _rangeFastHits; }
 
   protected:
-    void invalidateDesign(Addr vpn) override;
+    void dropCached(Addr va, const UnmapResult &unmapped) override;
     void refreshDesignStats() override;
 
   private:

@@ -139,7 +139,7 @@ class PagingEngine
     /**
      * Mirror the live counters into the stats group (the counters
      * live in plain members off the event path); System calls this
-     * before every dump, matching MmuCore::refreshStats.
+     * before every dump, matching MmuEngine::refreshStats.
      */
     void refreshStats();
 

@@ -280,6 +280,12 @@ System::run(Tick limit)
     const Tick end = _eq.run(limit);
     if (_router)
         _router->chargePendingWaits();
+    // Conservation at drain: with nothing left to run, no miss may be
+    // outstanding and no response still on its way.
+    if (_eq.empty()) {
+        NEUMMU_ASSERT(_mmu->idle(),
+                      "the event queue drained with MMU work in flight");
+    }
     return end;
 }
 
@@ -477,10 +483,8 @@ System::refreshProfileStats()
     stats::Group &fast = _stats.group(prefixed(_cfg.name, "fastpath"));
     set(fast.scalar("sameTickShortcuts"), double(sameTickShortcuts()));
     set(fast.scalar("walkCacheHits"), double(_pageTable.walkCacheHits()));
-    if (MmuCore *core = _mmu->asMmuCore()) {
-        set(fast.scalar("xlateRegisterHits"),
-            double(core->xlateRegisterHits()));
-    }
+    set(fast.scalar("xlateRegisterHits"),
+        double(_mmu->xlateRegisterHits()));
     std::uint64_t rehashes = 0;
     for (Npu &npu : _npus)
         rehashes += npu.dma->burstPoolRehashes();

@@ -164,9 +164,17 @@ TEST(System, ProfiledRunCountsTheRoutersAdmitReports)
 
 namespace {
 
-/** mmuRespondScopes and the MMU's responses of a profiled paged run. */
-std::pair<double, std::uint64_t>
-pagedRespondScopes(MmuKind kind)
+/** What a profiled paged run's dump and MMU report. */
+struct PagedProfile
+{
+    double respondScopes;
+    std::uint64_t responses;
+    double registerHitsDumped;
+    std::uint64_t registerHits;
+};
+
+PagedProfile
+pagedProfile(MmuKind kind)
 {
     SystemConfig cfg;
     cfg.name = "m";
@@ -185,8 +193,11 @@ pagedRespondScopes(MmuKind kind)
     std::ostringstream os;
     sys.dumpStatsText(os);
     const auto &prof = sys.statsRegistry().group("m.prof").scalars();
+    const auto &fast = sys.statsRegistry().group("m.fastpath").scalars();
     return {prof.at("mmuRespondScopes").value(),
-            sys.mmu().counts().responses};
+            sys.mmu().counts().responses,
+            fast.at("xlateRegisterHits").value(),
+            sys.mmu().xlateRegisterHits()};
 }
 
 } // namespace
@@ -195,10 +206,20 @@ TEST(System, PagedRunChargesEveryResponseToMmuRespond)
 {
     // With paging on, responses take the page-lifecycle delivery
     // path, which must carry the same profiler scope as the plain one.
-    for (const MmuKind kind : {MmuKind::BaselineIommu, MmuKind::RangeMmu}) {
-        const auto [scopes, responses] = pagedRespondScopes(kind);
-        EXPECT_GT(responses, 0u) << mmuKindName(kind);
-        EXPECT_EQ(scopes, double(responses)) << mmuKindName(kind);
+    // The fastpath group reports the channel-register hits of every
+    // design, POM-TLB's L1 registers included, not only the walker
+    // core's.
+    for (const MmuKind kind : {MmuKind::BaselineIommu, MmuKind::RangeMmu,
+                               MmuKind::PomTlb}) {
+        const PagedProfile run = pagedProfile(kind);
+        EXPECT_GT(run.responses, 0u) << mmuKindName(kind);
+        EXPECT_EQ(run.respondScopes, double(run.responses))
+            << mmuKindName(kind);
+        EXPECT_EQ(run.registerHitsDumped, double(run.registerHits))
+            << mmuKindName(kind);
+        if (kind == MmuKind::PomTlb) {
+            EXPECT_GT(run.registerHits, 0u);
+        }
     }
 }
 
