@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "system/embedding_system.hh"
 #include "workloads/embedding.hh"
 #include "workloads/embedding_workload.hh"
 

@@ -19,24 +19,26 @@ void
 traceWorkload(WorkloadId id)
 {
     std::vector<std::uint64_t> windows;
-    DenseExperimentConfig cfg;
-    cfg.workload = id;
-    cfg.batch = 1;
-    // The burst pattern is a property of the DMA/workload; run under
-    // the oracular MMU so the issue stream is not throttled.
-    cfg.system.mmu = oracleMmuConfig();
-    cfg.translationHook = [&](Tick t, Addr) {
+    DenseDnnWorkloadConfig wl;
+    wl.workload = id;
+    wl.batch = 1;
+    wl.translationHook = [&](Tick t, Addr) {
         const std::size_t w = std::size_t(t / 1000);
         if (windows.size() <= w)
             windows.resize(w + 1, 0);
         windows[w]++;
     };
-    const DenseExperimentResult r = runDenseExperiment(cfg);
+    // The burst pattern is a property of the DMA/workload; run under
+    // the oracular MMU so the issue stream is not throttled.
+    SystemConfig cfg;
+    cfg.mmu = oracleMmuConfig();
+    System system(cfg);
+    bench::runDense(system, std::move(wl));
 
     std::printf("workload %s: %llu cycles, %llu translations\n",
                 workloadName(id).c_str(),
-                (unsigned long long)r.totalCycles,
-                (unsigned long long)r.mmu.requests);
+                (unsigned long long)system.now(),
+                (unsigned long long)system.mmu().counts().requests);
     std::printf("%-12s %s\n", "cycle", "translations_in_window");
     // Print a decimated series (every 4th window) to keep the output
     // plottable yet bounded.

@@ -27,11 +27,10 @@ main(int argc, char **argv)
     std::vector<bench::DesignPoint> ptw_designs;
     for (const unsigned p : ptw_counts) {
         ptw_designs.push_back({"noPRMB_PTW" + std::to_string(p),
-                               [p](DenseExperimentConfig &cfg) {
-                                   cfg.system.mmu =
-                                       baselineIommuConfig();
+                               [p](SystemConfig &cfg) {
+                                   cfg.mmu = baselineIommuConfig();
                                    // no PTS/PRMB, no TPreg
-                                   cfg.system.mmu.numPtws = p;
+                                   cfg.mmu.numPtws = p;
                                }});
     }
 
@@ -74,12 +73,12 @@ main(int argc, char **argv)
         iso_designs.push_back(
             {"PRMB" + std::to_string(pt.prmb) + "_PTW" +
                  std::to_string(pt.ptws),
-             [pt](DenseExperimentConfig &cfg) {
-                 cfg.system.mmu = neuMmuConfig();
-                 cfg.system.mmu.numPtws = pt.ptws;
-                 cfg.system.mmu.prmbSlots = pt.prmb;
+             [pt](SystemConfig &cfg) {
+                 cfg.mmu = neuMmuConfig();
+                 cfg.mmu.numPtws = pt.ptws;
+                 cfg.mmu.prmbSlots = pt.prmb;
                  // Isolate the PRMB-vs-PTW tradeoff (no TPreg).
-                 cfg.system.mmu.pathCache = MmuCacheKind::None;
+                 cfg.mmu.pathCache = MmuCacheKind::None;
              }});
     }
     const bench::GridResults iso_results = bench::runGrid(

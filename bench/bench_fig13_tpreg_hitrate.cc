@@ -21,8 +21,8 @@ main(int argc, char **argv)
 
     std::vector<double> l4s, l3s, l2s;
     const std::vector<bench::DesignPoint> designs = {
-        {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+        {"NeuMMU", [](SystemConfig &cfg) {
+             cfg.mmuKind = MmuKind::NeuMmu;
          }}};
 
     std::printf("%-12s %10s %10s %10s %12s\n", "workload", "L4idx",
@@ -31,11 +31,11 @@ main(int argc, char **argv)
         SystemConfig{}, designs, bench::denseGrid(), &reporter,
         [&](const bench::GridPoint &gp,
             const std::vector<bench::GridCell> &row) {
-            const DenseExperimentResult &r = row.front().result;
-            const double consults = double(r.tpreg.consults);
-            const double l4 = double(r.tpreg.hits[0]) / consults;
-            const double l3 = double(r.tpreg.hits[1]) / consults;
-            const double l2 = double(r.tpreg.hits[2]) / consults;
+            const TpReg::MatchStats &tpreg = row.front().tpreg;
+            const double consults = double(tpreg.consults);
+            const double l4 = double(tpreg.hits[0]) / consults;
+            const double l3 = double(tpreg.hits[1]) / consults;
+            const double l2 = double(tpreg.hits[2]) / consults;
             l4s.push_back(l4);
             l3s.push_back(l3);
             l2s.push_back(l2);
@@ -48,7 +48,7 @@ main(int argc, char **argv)
             std::printf("%-12s %9.1f%% %9.1f%% %9.1f%% %12llu\n",
                         gp.label().c_str(), l4 * 100, l3 * 100,
                         l2 * 100,
-                        (unsigned long long)r.tpreg.consults);
+                        (unsigned long long)tpreg.consults);
             std::fflush(stdout);
         });
     std::printf("\n%-12s %9.1f%% %9.1f%% %9.1f%%\n", "average",

@@ -32,54 +32,57 @@ struct CacheTotals
 };
 
 CacheTotals
-runPolicy(bench::DenseSweep &sweep, MmuCacheReplacement repl,
-          std::size_t entries)
+runPolicy(MmuCacheReplacement repl, std::size_t entries)
 {
     CacheTotals totals;
     std::printf("%-12s | %8s %8s %8s | %9s | %12s %12s\n", "workload",
                 "TPC_L4", "TPC_L3", "TPC_L2", "UPTC_hit", "TPC_dram",
                 "UPTC_dram");
-    for (const bench::GridPoint &gp : sweep.grid()) {
-        const DenseExperimentResult tpc =
-            sweep.run(gp, [&](auto &cfg) {
-                cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu.pathCache = MmuCacheKind::Tpc;
-                cfg.system.mmu.sharedCacheEntries = entries;
-                cfg.system.mmu.sharedCacheReplacement = repl;
-            });
-        const DenseExperimentResult uptc =
-            sweep.run(gp, [&](auto &cfg) {
-                cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu.pathCache = MmuCacheKind::Uptc;
-                cfg.system.mmu.sharedCacheEntries = entries;
-                cfg.system.mmu.sharedCacheReplacement = repl;
-            });
-        const DenseExperimentResult none =
-            sweep.run(gp, [](auto &cfg) {
-                cfg.system.mmu = neuMmuConfig();
-                cfg.system.mmu.pathCache = MmuCacheKind::None;
-            });
+    auto sharedCache = [repl, entries](MmuCacheKind kind) {
+        return [repl, entries, kind](SystemConfig &cfg) {
+            cfg.mmu = neuMmuConfig();
+            cfg.mmu.pathCache = kind;
+            cfg.mmu.sharedCacheEntries = entries;
+            cfg.mmu.sharedCacheReplacement = repl;
+        };
+    };
+    const std::vector<bench::DesignPoint> designs = {
+        {"TPC", sharedCache(MmuCacheKind::Tpc)},
+        {"UPTC", sharedCache(MmuCacheKind::Uptc)},
+        {"none", [](SystemConfig &cfg) {
+             cfg.mmu = neuMmuConfig();
+             cfg.mmu.pathCache = MmuCacheKind::None;
+         }}};
+    SystemConfig base;
+    base.vaScatterShift = 39;
 
-        const double consults = double(tpc.pathCache.consults);
-        const double l4 = tpc.pathCache.levelHits[0] / consults;
-        const double l3 = tpc.pathCache.levelHits[1] / consults;
-        const double l2 = tpc.pathCache.levelHits[2] / consults;
-        totals.l4.push_back(l4);
-        totals.l3.push_back(l3);
-        totals.l2.push_back(l2);
-        totals.uptc_hit.push_back(uptc.uptcEntryHitRate);
-        totals.tpc_dram += tpc.mmu.walkMemAccesses;
-        totals.uptc_dram += uptc.mmu.walkMemAccesses;
-        totals.none_dram += none.mmu.walkMemAccesses;
+    bench::runGrid(
+        base, designs, bench::denseGrid(), nullptr,
+        [&](const bench::GridPoint &gp,
+            const std::vector<bench::GridCell> &row) {
+            const bench::GridCell &tpc = row[0];
+            const bench::GridCell &uptc = row[1];
+            const bench::GridCell &none = row[2];
+            const double consults = double(tpc.pathCache.consults);
+            const double l4 = tpc.pathCache.levelHits[0] / consults;
+            const double l3 = tpc.pathCache.levelHits[1] / consults;
+            const double l2 = tpc.pathCache.levelHits[2] / consults;
+            totals.l4.push_back(l4);
+            totals.l3.push_back(l3);
+            totals.l2.push_back(l2);
+            totals.uptc_hit.push_back(uptc.uptcEntryHitRate);
+            totals.tpc_dram += tpc.mmu.walkMemAccesses;
+            totals.uptc_dram += uptc.mmu.walkMemAccesses;
+            totals.none_dram += none.mmu.walkMemAccesses;
 
-        std::printf("%-12s | %7.1f%% %7.1f%% %7.1f%% | %8.1f%% | "
-                    "%12llu %12llu\n",
-                    gp.label().c_str(), l4 * 100, l3 * 100, l2 * 100,
-                    uptc.uptcEntryHitRate * 100,
-                    (unsigned long long)tpc.mmu.walkMemAccesses,
-                    (unsigned long long)uptc.mmu.walkMemAccesses);
-        std::fflush(stdout);
-    }
+            std::printf("%-12s | %7.1f%% %7.1f%% %7.1f%% | %8.1f%% | "
+                        "%12llu %12llu\n",
+                        gp.label().c_str(), l4 * 100, l3 * 100,
+                        l2 * 100, uptc.uptcEntryHitRate * 100,
+                        (unsigned long long)tpc.mmu.walkMemAccesses,
+                        (unsigned long long)uptc.mmu.walkMemAccesses);
+            std::fflush(stdout);
+        });
     return totals;
 }
 
@@ -112,18 +115,16 @@ main()
                        "TPC vs. UPTC translation-cache design points "
                        "(8 shared entries, scattered VA)");
 
-    bench::DenseSweep sweep;
-    sweep.baseConfig().system.vaScatterShift = 39;
     constexpr std::size_t cache_entries = 8;
 
     std::printf("--- FIFO replacement (small hardware CAM) ---\n");
     const CacheTotals fifo =
-        runPolicy(sweep, MmuCacheReplacement::Fifo, cache_entries);
+        runPolicy(MmuCacheReplacement::Fifo, cache_entries);
     printSummary(fifo);
 
     std::printf("\n--- LRU replacement ---\n");
     const CacheTotals lru =
-        runPolicy(sweep, MmuCacheReplacement::Lru, cache_entries);
+        runPolicy(MmuCacheReplacement::Lru, cache_entries);
     printSummary(lru);
 
     std::printf("\nPaper reference: TPC hit rates 99.5/99.5/63.1%% at "

@@ -22,11 +22,11 @@ main(int argc, char **argv)
     bench::Reporter reporter("sec4d", argc, argv);
 
     const std::vector<bench::DesignPoint> designs = {
-        {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::BaselineIommu;
+        {"IOMMU", [](SystemConfig &cfg) {
+             cfg.mmuKind = MmuKind::BaselineIommu;
          }},
-        {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+        {"NeuMMU", [](SystemConfig &cfg) {
+             cfg.mmuKind = MmuKind::NeuMmu;
          }}};
 
     std::printf("%-12s %12s %12s %14s %14s\n", "workload", "IOMMU",
@@ -38,14 +38,13 @@ main(int argc, char **argv)
             const std::vector<bench::GridCell> &row) {
             const bench::GridCell &iommu = row[0];
             const bench::GridCell &neummu = row[1];
-            iommu_dram += iommu.result.mmu.walkMemAccesses;
-            neummu_dram += neummu.result.mmu.walkMemAccesses;
-            std::printf(
-                "%-12s %12.4f %12.4f %14llu %14llu\n",
-                gp.label().c_str(), iommu.normalized,
-                neummu.normalized,
-                (unsigned long long)iommu.result.mmu.walkMemAccesses,
-                (unsigned long long)neummu.result.mmu.walkMemAccesses);
+            iommu_dram += iommu.mmu.walkMemAccesses;
+            neummu_dram += neummu.mmu.walkMemAccesses;
+            std::printf("%-12s %12.4f %12.4f %14llu %14llu\n",
+                        gp.label().c_str(), iommu.normalized,
+                        neummu.normalized,
+                        (unsigned long long)iommu.mmu.walkMemAccesses,
+                        (unsigned long long)neummu.mmu.walkMemAccesses);
             std::fflush(stdout);
         });
 

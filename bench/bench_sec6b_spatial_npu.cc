@@ -24,11 +24,11 @@ main(int argc, char **argv)
     SystemConfig base;
     base.npu.compute = ComputeKind::Spatial;
     const std::vector<bench::DesignPoint> designs = {
-        {"IOMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::BaselineIommu;
+        {"IOMMU", [](SystemConfig &cfg) {
+             cfg.mmuKind = MmuKind::BaselineIommu;
          }},
-        {"NeuMMU", [](DenseExperimentConfig &cfg) {
-             cfg.system.mmuKind = MmuKind::NeuMmu;
+        {"NeuMMU", [](SystemConfig &cfg) {
+             cfg.mmuKind = MmuKind::NeuMmu;
          }}};
 
     std::printf("%-12s %12s %12s\n", "workload", "IOMMU", "NeuMMU");

@@ -27,27 +27,23 @@ main(int argc, char **argv)
     std::vector<double> iommu_all, neummu_all;
     for (const WorkloadId id : allWorkloads()) {
         for (const unsigned batch : {32u, 64u, 128u}) {
-            DenseExperimentConfig base;
-            base.layerOverride = makeCommonLayer(id, batch).layers;
-            base.workload = id;
-            base.batch = batch;
+            DenseDnnWorkloadConfig wl;
+            wl.workload = id;
+            wl.batch = batch;
+            wl.layerOverride = makeCommonLayer(id, batch).layers;
+            auto cycles = [&wl](const MmuConfig &mmu) {
+                SystemConfig cfg;
+                cfg.mmu = mmu;
+                System system(cfg);
+                bench::runDense(system, wl);
+                return system.now();
+            };
 
-            DenseExperimentConfig oracle_cfg = base;
-            oracle_cfg.system.mmu = oracleMmuConfig();
-            const Tick oracle =
-                runDenseExperiment(oracle_cfg).totalCycles;
-
-            DenseExperimentConfig iommu_cfg = base;
-            iommu_cfg.system.mmu = baselineIommuConfig();
+            const Tick oracle = cycles(oracleMmuConfig());
             const double iommu =
-                double(oracle) /
-                double(runDenseExperiment(iommu_cfg).totalCycles);
-
-            DenseExperimentConfig neummu_cfg = base;
-            neummu_cfg.system.mmu = neuMmuConfig();
+                double(oracle) / double(cycles(baselineIommuConfig()));
             const double neummu =
-                double(oracle) /
-                double(runDenseExperiment(neummu_cfg).totalCycles);
+                double(oracle) / double(cycles(neuMmuConfig()));
 
             iommu_all.push_back(iommu);
             neummu_all.push_back(neummu);

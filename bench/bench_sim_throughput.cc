@@ -34,7 +34,6 @@
 #include "npu/dma_engine.hh"
 #include "sim/profiler.hh"
 #include "trace/trace_engine.hh"
-#include "system/embedding_system.hh"
 #include "workloads/embedding_workload.hh"
 #include "workloads/synthetic_workload.hh"
 

@@ -17,18 +17,22 @@
 #ifndef NEUMMU_BENCH_BENCH_UTIL_HH
 #define NEUMMU_BENCH_BENCH_UTIL_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/arg_parser.hh"
+#include "common/logging.hh"
 #include "common/stats_registry.hh"
-#include "driver/dense_experiment.hh"
 #include "sweep/sweep_engine.hh"
 #include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 #include "workloads/models.hh"
 #include "workloads/workload_factory.hh"
 
@@ -75,56 +79,43 @@ denseGrid(std::vector<unsigned> batches = {1, 4, 8})
 }
 
 /**
- * Runs the dense grid once per MMU configuration. The mutator
- * receives a base config (workload/batch already set) and installs
- * the design point.
+ * Place the dense workload @p wl alone on NPU 0 of @p system and run
+ * it to completion; the caller reads the live components afterwards.
  */
-class DenseSweep
+inline void
+runDense(System &system, DenseDnnWorkloadConfig wl)
 {
-  public:
-    using ConfigMutator = std::function<void(DenseExperimentConfig &)>;
-
-    explicit DenseSweep(std::vector<GridPoint> grid = denseGrid())
-        : _grid(std::move(grid))
-    {
-    }
-
-    /** Base config shared by every design point. */
-    DenseExperimentConfig &baseConfig() { return _base; }
-
-    /** Run one grid point under @p mutate. */
-    DenseExperimentResult
-    run(const GridPoint &gp, const ConfigMutator &mutate)
-    {
-        DenseExperimentConfig cfg = _base;
-        cfg.workload = gp.workload;
-        cfg.batch = gp.batch;
-        mutate(cfg);
-        return runDenseExperiment(cfg);
-    }
-
-    const std::vector<GridPoint> &grid() const { return _grid; }
-
-  private:
-    std::vector<GridPoint> _grid;
-    DenseExperimentConfig _base;
-};
+    Scheduler scheduler(system);
+    scheduler.add(std::make_unique<DenseDnnWorkload>(std::move(wl)), 0);
+    if (!scheduler.run().allDone)
+        NEUMMU_FATAL("dense workload never completed");
+}
 
 /** One named MMU/machine design point of a sweep. */
 struct DesignPoint
 {
     std::string name;
-    DenseSweep::ConfigMutator mutate;
+    std::function<void(SystemConfig &)> mutate;
 };
 
-/** Result of one (grid point, design point) cell. */
+/**
+ * Result of one (grid point, design point) cell: the values the
+ * benches read, taken from the cell's System before it is destroyed.
+ */
 struct GridCell
 {
     GridPoint point{};
     std::string design;
     Tick oracleCycles = 0;
     double normalized = 0.0;
-    DenseExperimentResult result;
+    Tick cycles = 0;
+    MmuCounts mmu;
+    // Walker-core designs only: Fig. 13 and Section IV-C statistics.
+    TpReg::MatchStats tpreg;
+    MmuCacheStats pathCache;
+    double uptcEntryHitRate = 0.0;
+    double translationEnergyNj = 0.0;
+    std::uint64_t dmaStallCycles = 0;
 };
 
 /** All cells of one runGrid() call, in (point, design) run order. */
@@ -156,7 +147,7 @@ struct GridResults
         double e = 0.0;
         for (const GridCell &c : cells)
             if (c.design == design)
-                e += c.result.translationEnergyNj;
+                e += c.translationEnergyNj;
         return e;
     }
 };
@@ -193,21 +184,18 @@ class Reporter
         stats::Group &g =
             _registry.group(cell.design + "." + cell.point.key());
         g.scalar("normPerf").set(cell.normalized);
-        g.scalar("cycles").set(double(cell.result.totalCycles));
+        g.scalar("cycles").set(double(cell.cycles));
         g.scalar("oracleCycles").set(double(cell.oracleCycles));
-        g.scalar("walks").set(double(cell.result.mmu.walks));
-        g.scalar("redundantWalks")
-            .set(double(cell.result.mmu.redundantWalks));
+        g.scalar("walks").set(double(cell.mmu.walks));
+        g.scalar("redundantWalks").set(double(cell.mmu.redundantWalks));
         g.scalar("walkMemAccesses")
-            .set(double(cell.result.mmu.walkMemAccesses));
-        g.scalar("prmbMerges").set(double(cell.result.mmu.prmbMerges));
-        g.scalar("tlbHits").set(double(cell.result.mmu.tlbHits));
-        g.scalar("tlbMisses").set(double(cell.result.mmu.tlbMisses));
-        g.scalar("blockedIssues")
-            .set(double(cell.result.mmu.blockedIssues));
-        g.scalar("dmaStallCycles")
-            .set(double(cell.result.dmaStallCycles));
-        g.scalar("energyNj").set(cell.result.translationEnergyNj);
+            .set(double(cell.mmu.walkMemAccesses));
+        g.scalar("prmbMerges").set(double(cell.mmu.prmbMerges));
+        g.scalar("tlbHits").set(double(cell.mmu.tlbHits));
+        g.scalar("tlbMisses").set(double(cell.mmu.tlbMisses));
+        g.scalar("blockedIssues").set(double(cell.mmu.blockedIssues));
+        g.scalar("dmaStallCycles").set(double(cell.dmaStallCycles));
+        g.scalar("energyNj").set(cell.translationEnergyNj);
     }
 
     /** Handle --json/--stats; call once at the end of main(). */
@@ -267,18 +255,24 @@ runGrid(const SystemConfig &base,
                              "' failed: " + job.error);
     };
 
+    auto workloadAt = [&grid](std::size_t row) {
+        DenseDnnWorkloadConfig wl;
+        wl.workload = grid[row].workload;
+        wl.batch = grid[row].batch;
+        return wl;
+    };
+
     // Phase 1: oracle reference cycles, one job per grid point.
     std::vector<sweep::JobSpec> oracle_jobs(grid.size());
     for (std::size_t i = 0; i < grid.size(); i++) {
         oracle_jobs[i].id = "oracle." + grid[i].key();
-        oracle_jobs[i].runner = [&base, &grid, i]() {
-            DenseExperimentConfig cfg;
-            cfg.workload = grid[i].workload;
-            cfg.batch = grid[i].batch;
-            cfg.system = base;
-            cfg.system.mmuKind = MmuKind::Oracle;
+        oracle_jobs[i].runner = [&base, &workloadAt, i]() {
+            SystemConfig cfg = base;
+            cfg.mmuKind = MmuKind::Oracle;
+            System system(cfg);
+            runDense(system, workloadAt(i));
             sweep::JobOutcome out;
-            out.totalCycles = runDenseExperiment(cfg).totalCycles;
+            out.totalCycles = system.now();
             return out;
         };
     }
@@ -292,24 +286,33 @@ runGrid(const SystemConfig &base,
     // in grid order as rows complete. Each runner writes its own
     // pre-sized slot; the progress hook runs under the engine lock.
     const std::size_t num_designs = designs.size();
-    std::vector<DenseExperimentResult> cell_results(grid.size() *
-                                                    num_designs);
+    std::vector<GridCell> cell_results(grid.size() * num_designs);
     std::vector<sweep::JobSpec> cell_jobs(cell_results.size());
     for (std::size_t row = 0; row < grid.size(); row++) {
         for (std::size_t d = 0; d < num_designs; d++) {
             const std::size_t idx = row * num_designs + d;
             cell_jobs[idx].id =
                 designs[d].name + "." + grid[row].key();
-            cell_jobs[idx].runner = [&base, &grid, &designs,
+            cell_jobs[idx].runner = [&base, &workloadAt, &designs,
                                      &cell_results, row, d, idx]() {
-                DenseExperimentConfig cfg;
-                cfg.workload = grid[row].workload;
-                cfg.batch = grid[row].batch;
-                cfg.system = base;
+                SystemConfig cfg = base;
                 designs[d].mutate(cfg);
-                cell_results[idx] = runDenseExperiment(cfg);
+                System system(cfg);
+                runDense(system, workloadAt(row));
+                GridCell &cell = cell_results[idx];
+                MmuEngine &mmu = system.mmu();
+                cell.cycles = system.now();
+                cell.mmu = mmu.counts();
+                if (MmuCore *core = mmu.asMmuCore()) {
+                    cell.tpreg = core->tpregStats();
+                    if (const MmuCacheStats *pcs = core->sharedCacheStats())
+                        cell.pathCache = *pcs;
+                    cell.uptcEntryHitRate = core->uptcEntryHitRate();
+                }
+                cell.translationEnergyNj = mmu.translationEnergyNj();
+                cell.dmaStallCycles = system.dma(0).stallCycles();
                 sweep::JobOutcome out;
-                out.totalCycles = cell_results[idx].totalCycles;
+                out.totalCycles = cell.cycles;
                 return out;
             };
         }
@@ -324,15 +327,14 @@ runGrid(const SystemConfig &base,
             std::vector<GridCell> row;
             row.reserve(num_designs);
             for (std::size_t d = 0; d < num_designs; d++) {
-                GridCell cell;
+                GridCell cell =
+                    std::move(cell_results[next_row * num_designs + d]);
                 cell.point = grid[next_row];
                 cell.design = designs[d].name;
-                cell.result =
-                    cell_results[next_row * num_designs + d];
                 cell.oracleCycles = Tick(
                     oracle_run.jobs[next_row].outcome.totalCycles);
                 cell.normalized = double(cell.oracleCycles) /
-                                  double(cell.result.totalCycles);
+                                  double(cell.cycles);
                 if (reporter)
                     reporter->record(cell);
                 row.push_back(std::move(cell));

@@ -10,12 +10,16 @@
  *                         [--pages=4k|2m] [--spatial]
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/arg_parser.hh"
-#include "driver/dense_experiment.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
 
@@ -47,12 +51,13 @@ main(int argc, char **argv)
         args.get("pages", "4k") == "2m" ? largePageShift
                                         : smallPageShift;
 
-    DenseExperimentConfig cfg;
-    cfg.workload = workload;
-    cfg.batch = batch;
-    cfg.system.pageShift = page_shift;
+    DenseDnnWorkloadConfig wl;
+    wl.workload = workload;
+    wl.batch = batch;
+    SystemConfig cfg;
+    cfg.pageShift = page_shift;
     if (args.getBool("spatial", false))
-        cfg.system.npu.compute = ComputeKind::Spatial;
+        cfg.npu.compute = ComputeKind::Spatial;
 
     struct DesignPoint
     {
@@ -73,31 +78,39 @@ main(int argc, char **argv)
     std::printf("%s, batch %u, %s pages, %s array\n\n",
                 workloadName(workload).c_str(), batch,
                 page_shift == smallPageShift ? "4 KB" : "2 MB",
-                cfg.system.npu.compute == ComputeKind::Systolic ? "systolic"
+                cfg.npu.compute == ComputeKind::Systolic ? "systolic"
                                                          : "spatial");
 
     Tick oracle_cycles = 0;
+    std::vector<LayerResult> layers; // under the baseline IOMMU
     std::printf("%-14s %14s %8s %12s %12s %10s\n", "design", "cycles",
                 "norm", "walks", "walkDram", "stall");
     for (const DesignPoint &dp : points) {
-        cfg.system.mmu = dp.mmu;
-        const DenseExperimentResult r = runDenseExperiment(cfg);
+        cfg.mmu = dp.mmu;
+        System system(cfg);
+        Scheduler scheduler(system);
+        const Workload &run =
+            scheduler.add(std::make_unique<DenseDnnWorkload>(wl), 0);
+        if (!scheduler.run().allDone)
+            return 1;
+
+        const Tick cycles = system.now();
+        const MmuCounts &counts = system.mmu().counts();
         if (oracle_cycles == 0)
-            oracle_cycles = r.totalCycles;
+            oracle_cycles = cycles;
         std::printf("%-14s %14llu %8.4f %12llu %12llu %10llu\n",
-                    dp.name, (unsigned long long)r.totalCycles,
-                    double(oracle_cycles) / double(r.totalCycles),
-                    (unsigned long long)r.mmu.walks,
-                    (unsigned long long)r.mmu.walkMemAccesses,
-                    (unsigned long long)r.dmaStallCycles);
+                    dp.name, (unsigned long long)cycles,
+                    double(oracle_cycles) / double(cycles),
+                    (unsigned long long)counts.walks,
+                    (unsigned long long)counts.walkMemAccesses,
+                    (unsigned long long)system.dma(0).stallCycles());
+        if (std::string(dp.name) == "IOMMU")
+            layers = static_cast<const DenseDnnWorkload &>(run).layers();
     }
 
     // Per-layer view under the baseline IOMMU: which layers hurt.
-    cfg.system.mmu = baselineIommuConfig(page_shift);
-    const DenseExperimentResult detail = runDenseExperiment(cfg);
     std::printf("\nper-layer breakdown under the baseline IOMMU "
                 "(top 8 by cycles):\n");
-    std::vector<LayerResult> layers = detail.layers;
     std::sort(layers.begin(), layers.end(),
               [](const LayerResult &a, const LayerResult &b) {
                   return a.cycles > b.cycles;

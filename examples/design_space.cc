@@ -10,14 +10,31 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/arg_parser.hh"
-#include "driver/dense_experiment.hh"
-#include "mmu/energy_model.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
+
+namespace {
+
+/** Place @p wl alone on NPU 0 of @p system and run it to completion. */
+void
+runAlone(System &system, const DenseDnnWorkloadConfig &wl)
+{
+    Scheduler scheduler(system);
+    scheduler.add(std::make_unique<DenseDnnWorkload>(wl), 0);
+    if (!scheduler.run().allDone)
+        std::exit(1);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -31,11 +48,14 @@ main(int argc, char **argv)
     }
     const unsigned batch = unsigned(args.getInt("batch", 4));
 
-    DenseExperimentConfig base;
-    base.workload = workload;
-    base.batch = batch;
-    base.system.mmu = oracleMmuConfig();
-    const Tick oracle = runDenseExperiment(base).totalCycles;
+    DenseDnnWorkloadConfig wl;
+    wl.workload = workload;
+    wl.batch = batch;
+    SystemConfig oracle_cfg;
+    oracle_cfg.mmu = oracleMmuConfig();
+    System oracle_system(oracle_cfg);
+    runAlone(oracle_system, wl);
+    const Tick oracle = oracle_system.now();
 
     std::printf("%s b%u: oracle = %llu cycles\n\n",
                 workloadName(workload).c_str(), batch,
@@ -61,19 +81,21 @@ main(int argc, char **argv)
     double best_norm = 0.0;
     Candidate best{};
     for (const Candidate &c : grid) {
-        DenseExperimentConfig cfg = base;
-        cfg.system.mmu = MmuConfig{};
-        cfg.system.mmu.tlb = TlbConfig{c.tlb, 0, 5};
-        cfg.system.mmu.numPtws = c.ptws;
-        cfg.system.mmu.prmbSlots = c.prmb;
-        cfg.system.mmu.pathCache = c.cache;
-        const DenseExperimentResult r = runDenseExperiment(cfg);
-        const double norm = double(oracle) / double(r.totalCycles);
+        SystemConfig cfg;
+        cfg.mmu = MmuConfig{};
+        cfg.mmu.tlb = TlbConfig{c.tlb, 0, 5};
+        cfg.mmu.numPtws = c.ptws;
+        cfg.mmu.prmbSlots = c.prmb;
+        cfg.mmu.pathCache = c.cache;
+        System system(cfg);
+        runAlone(system, wl);
+        const double norm = double(oracle) / double(system.now());
         std::printf("%-6u %-6u %-8s %-6zu %10.4f %12llu %14.2f\n",
                     c.ptws, c.prmb,
                     c.cache == MmuCacheKind::TpReg ? "tpreg" : "none",
-                    c.tlb, norm, (unsigned long long)r.mmu.walks,
-                    r.translationEnergyNj / 1000.0);
+                    c.tlb, norm,
+                    (unsigned long long)system.mmu().counts().walks,
+                    system.mmu().translationEnergyNj() / 1000.0);
         if (norm > best_norm) {
             best_norm = norm;
             best = c;

@@ -13,9 +13,12 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "common/arg_parser.hh"
-#include "driver/dense_experiment.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
 
@@ -25,9 +28,9 @@ main(int argc, char **argv)
     ArgParser args(argc, argv);
     const unsigned batch = unsigned(args.getInt("batch", 1));
 
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = batch;
+    DenseDnnWorkloadConfig wl;
+    wl.workload = WorkloadId::CNN1;
+    wl.batch = batch;
 
     const MmuKind points[] = {MmuKind::Oracle, MmuKind::BaselineIommu,
                               MmuKind::NeuMmu};
@@ -38,18 +41,27 @@ main(int argc, char **argv)
 
     Tick oracle_cycles = 0;
     for (const MmuKind kind : points) {
-        cfg.system.mmuKind = kind;
-        System system(cfg.system);
-        const DenseExperimentResult r = runDenseExperiment(cfg, system);
+        // Build the machine, place the workload on NPU 0, run it to
+        // completion, then read the live components.
+        SystemConfig cfg;
+        cfg.mmuKind = kind;
+        System system(cfg);
+        Scheduler scheduler(system);
+        scheduler.add(std::make_unique<DenseDnnWorkload>(wl), 0);
+        if (!scheduler.run().allDone)
+            return 1;
+
+        const Tick cycles = system.now();
+        const MmuCounts &counts = system.mmu().counts();
         if (oracle_cycles == 0)
-            oracle_cycles = r.totalCycles;
+            oracle_cycles = cycles;
         std::printf("%-8s %14llu %10.4f %12llu %12llu %14.2f\n",
                     mmuKindName(kind).c_str(),
-                    (unsigned long long)r.totalCycles,
-                    double(oracle_cycles) / double(r.totalCycles),
-                    (unsigned long long)r.mmu.walks,
-                    (unsigned long long)r.mmu.walkMemAccesses,
-                    r.translationEnergyNj / 1000.0);
+                    (unsigned long long)cycles,
+                    double(oracle_cycles) / double(cycles),
+                    (unsigned long long)counts.walks,
+                    (unsigned long long)counts.walkMemAccesses,
+                    system.mmu().translationEnergyNj() / 1000.0);
 
         if (kind == MmuKind::NeuMmu &&
             args.getBool("dump-stats", false)) {

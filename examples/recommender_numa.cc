@@ -9,11 +9,16 @@
  *   recommender_numa [--model=DLRM|NCF] [--batch=64] [--npus=4]
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "common/arg_parser.hh"
-#include "system/embedding_system.hh"
+#include "common/units.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/embedding_workload.hh"
 
 using namespace neummu;
 
@@ -43,14 +48,14 @@ main(int argc, char **argv)
     std::printf("%-16s %12s %12s %10s\n", "policy", "total_cyc",
                 "lookup_cyc", "vs_base");
     const Tick base_total =
-        runEmbeddingInference(spec, batch,
-                              EmbeddingPolicy::HostStagedCopy, cfg)
+        computeEmbeddingInference(spec, batch,
+                                  EmbeddingPolicy::HostStagedCopy, cfg)
             .total();
     for (const EmbeddingPolicy pol :
          {EmbeddingPolicy::HostStagedCopy, EmbeddingPolicy::NumaSlow,
           EmbeddingPolicy::NumaFast}) {
         const LatencyBreakdown lat =
-            runEmbeddingInference(spec, batch, pol, cfg);
+            computeEmbeddingInference(spec, batch, pol, cfg);
         std::printf("%-16s %12llu %12llu %9.2fx\n",
                     policyName(pol).c_str(),
                     (unsigned long long)lat.total(),
@@ -64,22 +69,39 @@ main(int argc, char **argv)
     std::printf("%-10s %-10s %12s %10s %12s\n", "pages", "mmu",
                 "total_cyc", "faults", "migrated");
     const unsigned paging_batch = batch > 8 ? 8 : batch;
+    // The dense backend runs after the gather and is the same at
+    // every design point: this device's shard of the minibatch.
+    const Tick dense_backend =
+        embeddingDenseBackend(
+            spec, std::max<std::uint64_t>(1, paging_batch / cfg.numNpus),
+            cfg)
+            .total();
     for (const unsigned shift : {smallPageShift, largePageShift}) {
-        for (const PagingMmu mmu :
-             {PagingMmu::Oracle, PagingMmu::BaselineIommu,
-              PagingMmu::NeuMmu}) {
-            const DemandPagingResult r =
-                runDemandPaging(spec, paging_batch, mmu, shift, cfg);
+        for (const MmuKind mmu :
+             {MmuKind::Oracle, MmuKind::BaselineIommu, MmuKind::NeuMmu}) {
+            System system(
+                demandPagingSystemConfig(spec, cfg, mmu, shift));
+            Scheduler scheduler(system);
+            const Workload &gather = scheduler.add(
+                std::make_unique<EmbeddingWorkload>(
+                    demandPagingWorkloadConfig(spec, paging_batch, cfg,
+                                               1)),
+                0);
+            if (!scheduler.run().allDone)
+                return 1;
+
+            stats::Group &g = gather.stats();
             std::printf("%-10s %-10s %12llu %10llu %10.1fMB\n",
                         shift == smallPageShift ? "4KB" : "2MB",
-                        pagingMmuName(mmu).c_str(),
-                        (unsigned long long)r.totalCycles,
-                        (unsigned long long)r.faults,
-                        double(r.migratedBytes) / double(MiB));
+                        mmuKindName(mmu).c_str(),
+                        (unsigned long long)(gather.finishTick() +
+                                             dense_backend),
+                        (unsigned long long)g.scalar("faults").value(),
+                        g.scalar("migratedBytes").value() / double(MiB));
         }
     }
-    std::printf("\n(demand paging runs at batch %u; see "
-                "EXPERIMENTS.md for the normalization note)\n",
+    std::printf("\n(demand paging runs at batch %u; the fig16.* rows "
+                "of scripts/paper_claims.jsonl give the normalization)\n",
                 paging_batch);
     return 0;
 }

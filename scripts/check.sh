@@ -2,9 +2,9 @@
 # CI entry point: configure + build everything with warnings as
 # errors, verify every bench/example target actually built, run the
 # full test suite (the golden-stats regression matrix must be part of
-# it, not silently skipped), and record one simulator-throughput
-# point (BENCH_sim_throughput.json) so every run logs the kernel's
-# events/sec trajectory.
+# it, not silently skipped), run each figure bench and example once,
+# and record one simulator-throughput point (BENCH_sim_throughput.json)
+# so every run logs the kernel's events/sec trajectory.
 #
 # Env:
 #   BUILD_DIR  build tree (default: build)
@@ -73,6 +73,26 @@ if ! ctest --test-dir "$BUILD_DIR" -N | grep test_golden_stats \
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+# The figure benches and the examples print values no other gate
+# reads: each must run to completion and print something.
+# (scripts/churn_dumps.py compares their outputs with a parent build.)
+examples="$(for src in examples/*.cc; do basename "$src" .cc; done)"
+for target in bench_fig07_translation_bursts bench_fig12_energy_tradeoff \
+    bench_fig13_tpreg_hitrate bench_sec4c_mmu_cache bench_sec4d_summary \
+    bench_sec6b_spatial_npu bench_sec6c_sensitivity $examples; do
+  status=0
+  out="$("$BUILD_DIR/$target")" || status=$?
+  if [[ "$status" -ne 0 ]]; then
+    echo "error: $target exited with status $status" >&2
+    exit 1
+  fi
+  if [[ -z "$out" ]]; then
+    echo "error: $target printed nothing" >&2
+    exit 1
+  fi
+done
+echo "figure benches and examples: all ran and printed output"
 
 # Simulator-throughput smoke: one repetition, recorded as JSON. The
 # simulated counters in the report are deterministic; the events/sec

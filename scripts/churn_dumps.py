@@ -24,9 +24,16 @@ churn included) through the neummu_sweep next to each neummu_serve,
 with --timing=0, compares the two sweep documents byte for byte and
 names the jobs that differ.
 
-Exits 1 on any difference or failed run, 0 when all 32 dumps and the
-two sweep documents are identical. Two runs go at once; the dumps live
-in a temporary directory that is removed at the end.
+Last, it runs the figure benches (fig07, fig12, fig13, sec4c, sec4d,
+sec6b, sec6c, ext_oversubscription at --batch=2) and every examples/
+binary from the build directory of each neummu_serve, with --json
+where the binary takes it, compares stdout and the JSON byte for byte
+and names the binaries whose outputs differ.
+
+Exits 1 on any difference or failed run, 0 when all 32 dumps, the two
+sweep documents and every bench and example output are identical. Two
+runs go at once; the outputs live in a temporary directory that is
+removed at the end.
 
     python3 scripts/churn_dumps.py /tmp/parent/build/neummu_serve \\
         build/neummu_serve
@@ -34,7 +41,9 @@ in a temporary directory that is removed at the end.
 
 import argparse
 import concurrent.futures
+import difflib
 import filecmp
+import glob
 import itertools
 import json
 import os
@@ -58,6 +67,22 @@ MATRIX = list(itertools.product(("iommu", "neummu"), (512, 2048),
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIFF = os.path.join(SCRIPTS, "golden_diff.py")
 ZOO_MANIFEST = os.path.join(SCRIPTS, "design_zoo.jsonl")
+EXAMPLES = sorted(
+    os.path.splitext(os.path.basename(p))[0] for p in
+    glob.glob(os.path.join(SCRIPTS, os.pardir, "examples", "*.cc")))
+# (binary, arguments, takes --json): the figure benches and examples
+# whose printed values nothing else compares.
+OUTPUT_BINARIES = [
+    ("bench_fig07_translation_bursts", [], False),
+    ("bench_fig12_energy_tradeoff", [], True),
+    ("bench_fig13_tpreg_hitrate", [], True),
+    ("bench_sec4c_mmu_cache", [], False),
+    ("bench_sec4d_summary", [], True),
+    ("bench_sec6b_spatial_npu", [], True),
+    ("bench_sec6c_sensitivity", [], True),
+    ("bench_ext_oversubscription", ["--batch=2"], True),
+] + [(name, [], name in ("multi_npu_shared_iommu", "multi_tenant_npu"))
+     for name in EXAMPLES]
 
 
 def config_name(cfg):
@@ -99,6 +124,47 @@ def run_zoo(serve_bin, path):
         return "%s failed (exit %d): %s" % (
             " ".join(cmd), proc.returncode, proc.stderr.strip()[-400:])
     return None
+
+
+def run_output(serve_bin, entry, out_dir):
+    """Run one bench or example next to serve_bin inside out_dir.
+
+    The JSON path is relative, so a bench that prints it prints the
+    same line on both sides."""
+    name, extra, takes_json = entry
+    os.makedirs(out_dir)
+    cmd = [os.path.join(os.path.dirname(serve_bin), name)] + extra
+    if takes_json:
+        cmd.append("--json=out.json")
+    proc = subprocess.run(cmd, cwd=out_dir, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    if proc.returncode != 0:
+        return "%s failed (exit %d): %s" % (
+            " ".join(cmd), proc.returncode,
+            proc.stderr.decode(errors="replace").strip()[-400:])
+    with open(os.path.join(out_dir, "stdout.txt"), "wb") as f:
+        f.write(proc.stdout)
+    return None
+
+
+def output_differences(parent_dir, change_dir):
+    """Lines describing how two runs of one binary differ."""
+    lines = []
+    for name in ("stdout.txt", "out.json"):
+        a = os.path.join(parent_dir, name)
+        b = os.path.join(change_dir, name)
+        if not (os.path.exists(a) or os.path.exists(b)):
+            continue
+        if not (os.path.exists(a) and os.path.exists(b)):
+            lines.append("  %s written on one side only" % name)
+        elif not filecmp.cmp(a, b, shallow=False):
+            with open(a, errors="replace") as fa, \
+                    open(b, errors="replace") as fb:
+                diff = list(difflib.unified_diff(
+                    fa.readlines(), fb.readlines(), "parent/" + name,
+                    "change/" + name, n=0))
+            lines += ["  " + line.rstrip("\n") for line in diff[:12]]
+    return lines
 
 
 def zoo_jobs_differing(parent_doc, change_doc):
@@ -180,8 +246,40 @@ def main():
                   (", ".join(jobs) or "none (the sweep header differs)"))
         else:
             print("design_zoo: sweep documents identical")
+
+    out_dirs = {(entry[0], side): os.path.join(dirs[side], entry[0])
+                for entry in OUTPUT_BINARIES
+                for side in ("parent", "change")}
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+        runs = [pool.submit(run_output, bins[side], entry,
+                            out_dirs[(entry[0], side)])
+                for entry in OUTPUT_BINARIES
+                for side in ("parent", "change")]
+        output_failures = [r.result() for r in runs if r.result()]
+    for failure in output_failures:
+        print(failure)
+    outputs_identical = 0
+    outputs_differ = []
+    for name, _, _ in OUTPUT_BINARIES:
+        a = out_dirs[(name, "parent")]
+        b = out_dirs[(name, "change")]
+        if not (os.path.exists(os.path.join(a, "stdout.txt")) and
+                os.path.exists(os.path.join(b, "stdout.txt"))):
+            continue
+        lines = output_differences(a, b)
+        if not lines:
+            outputs_identical += 1
+            continue
+        outputs_differ.append(name)
+        print("%s output differs:" % name)
+        print("\n".join(lines))
+    print("outputs: %d/%d benches and examples identical%s" %
+          (outputs_identical, len(OUTPUT_BINARIES),
+           "; differ: " + ", ".join(outputs_differ)
+           if outputs_differ else ""))
     shutil.rmtree(root)
-    return 1 if differ or failures or zoo_failures or zoo_differ else 0
+    return 1 if (differ or failures or zoo_failures or zoo_differ or
+                 output_failures or outputs_differ) else 0
 
 
 if __name__ == "__main__":

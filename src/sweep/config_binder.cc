@@ -7,7 +7,7 @@
 #include "common/text.hh"
 #include "mmu/translation_factory.hh"
 #include "serving/arrival.hh"
-#include "system/embedding_system.hh"
+#include "workloads/embedding_workload.hh"
 #include "workloads/models.hh"
 #include "workloads/request_model.hh"
 #include "workloads/workload_factory.hh"

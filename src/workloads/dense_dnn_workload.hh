@@ -2,9 +2,8 @@
  * @file
  * Dense-DNN traffic source (Sections III-IV, VI-A/B/C): tiles one of
  * the paper's six workloads and streams the tile fetches through the
- * bound NPU slot's tile pipeline, layer by layer. This is the
- * event-driven core the DenseExperiment driver is now a shim over;
- * under the Scheduler it co-runs with any other Workload.
+ * bound NPU slot's tile pipeline, layer by layer. The Scheduler
+ * places it on a System, alone or co-running with any other Workload.
  */
 
 #ifndef NEUMMU_WORKLOADS_DENSE_DNN_WORKLOAD_HH

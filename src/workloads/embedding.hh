@@ -56,7 +56,7 @@ struct EmbeddingModelSpec
  * NCF (He et al., MLPerf inference): GMF + MLP towers, each with user
  * and item embeddings. Inference scores a slate of candidate items
  * per user (MLPerf evaluates ~1000 candidates; we use 128 to bound
- * event counts -- documented in EXPERIMENTS.md).
+ * event counts).
  */
 EmbeddingModelSpec makeNcf();
 

@@ -229,8 +229,8 @@ EmbeddingWorkload::bindDemandPaging()
                 const auto it = _migrating.find(page);
                 if (it != _migrating.end())
                     return it->second;
-                _paging.faults++;
-                _paging.migratedBytes += pageSize(page_shift);
+                _faults++;
+                _migratedBytes += pageSize(page_shift);
                 page_table.map(page, local_node.allocate(
                                          pageSize(page_shift),
                                          pageSize(page_shift)),
@@ -251,17 +251,13 @@ EmbeddingWorkload::bindDemandPaging()
         _runs.push_back(VaRun{_tableSegs[lu.table].base +
                                   lu.row * table.rowBytes(),
                               table.rowBytes()});
-        _paging.usefulBytes += table.rowBytes();
+        _usefulBytes += table.rowBytes();
     }
 }
 
 void
 EmbeddingWorkload::onStart()
 {
-    System &sys = system();
-    const std::uint64_t samples = std::max<std::uint64_t>(
-        1, _cfg.batch / _cfg.cluster.numNpus);
-
     if (_cfg.mode == EmbeddingWorkloadMode::Inference) {
         // The closed-form Fig. 15 model: hold the slot for the
         // modeled latency, then complete.
@@ -275,28 +271,54 @@ EmbeddingWorkload::onStart()
         return;
     }
 
-    sys.dma(npuSlot()).fetch(
-        std::move(_runs), [this, samples](Tick at) {
-            // Dense backend is identical across design points.
-            const LatencyBreakdown dense = embeddingDenseBackend(
-                _cfg.spec, samples, _cfg.cluster);
-            _paging.totalCycles = at + dense.total();
-            _paging.mmu = system().mmu().counts();
-            if (system().hasPagingEngine()) {
-                // The engine serviced the faults; mirror its totals
-                // into the legacy result struct.
-                PagingEngine &pe = system().pagingEngine();
-                _paging.faults = pe.faults();
-                _paging.migratedBytes =
-                    pe.fetchedBytes() + pe.writebackBytes();
-            }
-            stats::Group &g = stats();
-            g.scalar("faults").set(double(_paging.faults));
-            g.scalar("migratedBytes")
-                .set(double(_paging.migratedBytes));
-            g.scalar("usefulBytes").set(double(_paging.usefulBytes));
-            finish(at);
-        });
+    system().dma(npuSlot()).fetch(std::move(_runs), [this](Tick at) {
+        if (system().hasPagingEngine()) {
+            // The engine serviced the faults; report its totals.
+            PagingEngine &pe = system().pagingEngine();
+            _faults = pe.faults();
+            _migratedBytes = pe.fetchedBytes() + pe.writebackBytes();
+        }
+        stats::Group &g = stats();
+        g.scalar("faults").set(double(_faults));
+        g.scalar("migratedBytes").set(double(_migratedBytes));
+        g.scalar("usefulBytes").set(double(_usefulBytes));
+        finish(at);
+    });
+}
+
+SystemConfig
+demandPagingSystemConfig(const EmbeddingModelSpec &spec,
+                         const EmbeddingSystemConfig &cfg,
+                         MmuKind mmu_kind, unsigned page_shift)
+{
+    NEUMMU_ASSERT(mmu_kind != MmuKind::Custom,
+                  "demand paging takes a named MMU design point");
+    SystemConfig sys_cfg;
+    sys_cfg.name = "paging";
+    sys_cfg.mmuKind = mmu_kind;
+    sys_cfg.pageShift = page_shift;
+    sys_cfg.npu = cfg.npu;
+    sys_cfg.memory = cfg.hbm;
+    // The gather engine reads whole embedding rows: one run per
+    // lookup, burst-sized to cover a row.
+    sys_cfg.dmaBurstBytes = std::max<std::uint64_t>(
+        cfg.npu.dmaBurstBytes, spec.tables.front().rowBytes());
+    return sys_cfg;
+}
+
+EmbeddingWorkloadConfig
+demandPagingWorkloadConfig(const EmbeddingModelSpec &spec,
+                           unsigned batch,
+                           const EmbeddingSystemConfig &cfg,
+                           std::uint64_t seed)
+{
+    EmbeddingWorkloadConfig wl_cfg;
+    wl_cfg.spec = spec;
+    wl_cfg.batch = batch;
+    wl_cfg.mode = EmbeddingWorkloadMode::DemandPaging;
+    wl_cfg.cluster = cfg;
+    wl_cfg.seed = seed;
+    return wl_cfg;
 }
 
 } // namespace neummu

@@ -1,8 +1,7 @@
 /**
  * @file
  * Recommender-system traffic source (Section V, Figs. 5/15/16). Owns
- * the multi-NPU embedding machinery the EmbeddingSystem driver is now
- * a shim over:
+ * the multi-NPU embedding machinery:
  *
  * - the analytic Fig. 15 inference-latency model (HostStagedCopy /
  *   NumaSlow / NumaFast all-to-all gather policies), and
@@ -25,9 +24,9 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "common/units.hh"
 #include "mem/interconnect.hh"
 #include "mem/memory_model.hh"
-#include "mmu/translation.hh"
 #include "npu/npu_config.hh"
 #include "npu/tile.hh"
 #include "vm/address_space.hh"
@@ -35,6 +34,9 @@
 #include "workloads/workload.hh"
 
 namespace neummu {
+
+struct SystemConfig;
+enum class MmuKind;
 
 /** Remote-gather mechanism (Fig. 15). */
 enum class EmbeddingPolicy
@@ -100,18 +102,6 @@ LatencyBreakdown computeEmbeddingInference(
     const EmbeddingModelSpec &spec, unsigned batch,
     EmbeddingPolicy policy, const EmbeddingSystemConfig &cfg);
 
-/** Outcome of one demand-paging run. */
-struct DemandPagingResult
-{
-    Tick totalCycles = 0;
-    std::uint64_t faults = 0;
-    /** Bytes migrated over the system interconnect. */
-    std::uint64_t migratedBytes = 0;
-    /** Bytes actually useful (gathered embeddings). */
-    std::uint64_t usefulBytes = 0;
-    MmuCounts mmu;
-};
-
 /** What an EmbeddingWorkload does on its slot. */
 enum class EmbeddingWorkloadMode
 {
@@ -142,8 +132,7 @@ struct EmbeddingWorkloadConfig
     /**
      * Lookup-trace seed; 0 (the default) derives a per-workload
      * stream from the SystemConfig seed, so co-running embedding
-     * tenants draw independent lookup sequences. The legacy
-     * runDemandPaging shim passes its explicit seed through.
+     * tenants draw independent lookup sequences.
      */
     std::uint64_t seed = 0;
 };
@@ -163,9 +152,6 @@ class EmbeddingWorkload : public Workload
     /** Modeled breakdown (Inference mode). @pre done() */
     const LatencyBreakdown &breakdown() const { return _breakdown; }
 
-    /** Gather outcome (DemandPaging mode). @pre done() */
-    const DemandPagingResult &pagingResult() const { return _paging; }
-
   protected:
     void onBind() override;
     void onStart() override;
@@ -175,7 +161,13 @@ class EmbeddingWorkload : public Workload
 
     EmbeddingWorkloadConfig _cfg;
     LatencyBreakdown _breakdown;
-    DemandPagingResult _paging;
+
+    // Demand-paging totals, published in the stats group at finish.
+    std::uint64_t _faults = 0;
+    /** Bytes migrated over the system interconnect. */
+    std::uint64_t _migratedBytes = 0;
+    /** Bytes actually useful (gathered embeddings). */
+    std::uint64_t _usefulBytes = 0;
 
     // Demand-paging state.
     std::vector<Segment> _tableSegs;
@@ -183,6 +175,27 @@ class EmbeddingWorkload : public Workload
     std::unique_ptr<Link> _migrateLink;
     std::unordered_map<Addr, Tick> _migrating;
 };
+
+/**
+ * The single-NPU machine description every demand-paging gather runs
+ * on: one gather device (remote peers appear only as fault targets)
+ * with the DMA burst sized to cover a whole embedding row. Shared by
+ * the config binder, the golden-stats matrix and the benches so they
+ * cannot drift apart; callers may override name/seed on the returned
+ * config.
+ */
+SystemConfig demandPagingSystemConfig(
+    const EmbeddingModelSpec &spec, const EmbeddingSystemConfig &cfg,
+    MmuKind mmu_kind, unsigned page_shift = smallPageShift);
+
+/**
+ * The matching traffic-source description: a DemandPaging-mode
+ * EmbeddingWorkload for @p batch samples on @p cfg's cluster.
+ * @p seed 0 derives the lookup stream from the SystemConfig seed.
+ */
+EmbeddingWorkloadConfig demandPagingWorkloadConfig(
+    const EmbeddingModelSpec &spec, unsigned batch,
+    const EmbeddingSystemConfig &cfg, std::uint64_t seed = 0);
 
 } // namespace neummu
 

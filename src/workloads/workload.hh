@@ -1,11 +1,11 @@
 /**
  * @file
- * The pluggable traffic-source interface of the driver layer. A
- * Workload binds to one NPU slot of a System, emits its DMA /
- * translation traffic through that slot's tile-pipeline / DMA
- * machinery purely event-driven (it never drains the event queue
- * itself), reports done-ness through a completion callback, and
- * registers its counters in the System's StatsRegistry.
+ * The pluggable traffic-source interface. A Workload binds to one
+ * NPU slot of a System, emits its DMA / translation traffic through
+ * that slot's tile-pipeline / DMA machinery purely event-driven (it
+ * never drains the event queue itself), reports done-ness through a
+ * completion callback, and registers its counters in the System's
+ * StatsRegistry.
  *
  * Concrete sources: DenseDnnWorkload (tiled DNN layer streams,
  * Secs. III-IV/VI), EmbeddingWorkload (recommender gathers, Sec. V),

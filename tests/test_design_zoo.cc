@@ -26,7 +26,6 @@
 #include "sweep/config_binder.hh"
 #include "sweep/manifest.hh"
 #include "sweep/sweep_engine.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "vm/frame_allocator.hh"

@@ -34,7 +34,6 @@
 
 #include "sweep/manifest.hh"
 #include "sweep/sweep_engine.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "workloads/dense_dnn_workload.hh"

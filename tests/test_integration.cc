@@ -1,43 +1,101 @@
 /**
  * @file
- * Integration tests: full dense runs through the driver, verifying
+ * Integration tests: full dense runs through the Scheduler, verifying
  * the paper's qualitative results hold end to end, plus monotonicity
  * properties over the MMU design space.
  */
 
 #include <gtest/gtest.h>
 
-#include "driver/dense_experiment.hh"
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "mmu/energy_model.hh"
+#include "system/scheduler.hh"
+#include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
 
 using namespace neummu;
 
 namespace {
 
-/** A small, fast configuration: one AlexNet layer. */
-DenseExperimentConfig
-smallConfig(MmuConfig mmu)
+/** What these tests read from one finished dense run. */
+struct DenseRun
 {
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmu = mmu;
-    cfg.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
-    cfg.layerOverride.resize(2); // conv1 + conv2 only
-    return cfg;
+    Tick totalCycles = 0;
+    MmuCounts mmu;
+    TpReg::MatchStats tpreg;
+    double translationEnergyNj = 0.0;
+    std::vector<LayerResult> layers;
+};
+
+/** A full workload at batch 1. */
+DenseDnnWorkloadConfig
+fullWorkload(WorkloadId id)
+{
+    DenseDnnWorkloadConfig wl;
+    wl.workload = id;
+    wl.batch = 1;
+    return wl;
+}
+
+/** A small, fast workload: the first two AlexNet layers. */
+DenseDnnWorkloadConfig
+smallWorkload()
+{
+    DenseDnnWorkloadConfig wl = fullWorkload(WorkloadId::CNN1);
+    wl.layerOverride = makeWorkload(WorkloadId::CNN1, 1).layers;
+    wl.layerOverride.resize(2); // conv1 + conv2 only
+    return wl;
+}
+
+/**
+ * Run @p wl alone on NPU 0 of a fresh machine: @p sys with its MMU
+ * set to @p mmu.
+ */
+DenseRun
+runDense(const MmuConfig &mmu,
+         DenseDnnWorkloadConfig wl = smallWorkload(),
+         SystemConfig sys = {})
+{
+    sys.mmu = mmu;
+    System system(sys);
+    Scheduler scheduler(system);
+    const Workload &w = scheduler.add(
+        std::make_unique<DenseDnnWorkload>(std::move(wl)), 0);
+    EXPECT_TRUE(scheduler.run().allDone);
+
+    DenseRun out;
+    out.totalCycles = system.now();
+    out.mmu = system.mmu().counts();
+    out.tpreg = system.mmuCore().tpregStats();
+    out.translationEnergyNj = system.mmu().translationEnergyNj();
+    out.layers = static_cast<const DenseDnnWorkload &>(w).layers();
+    return out;
+}
+
+/**
+ * Performance of @p wl under @p mmu normalized to the oracular MMU
+ * on the same machine @p sys (the paper's headline metric).
+ */
+double
+normalizedToOracle(const MmuConfig &mmu,
+                   const DenseDnnWorkloadConfig &wl,
+                   SystemConfig sys = {})
+{
+    const Tick run = runDense(mmu, wl, sys).totalCycles;
+    sys.mmuKind = MmuKind::Oracle;
+    return double(runDense(mmu, wl, sys).totalCycles) / double(run);
 }
 
 } // namespace
 
 TEST(DenseIntegration, OracleIsFastestDesignPoint)
 {
-    const Tick oracle =
-        runDenseExperiment(smallConfig(oracleMmuConfig())).totalCycles;
-    const Tick iommu =
-        runDenseExperiment(smallConfig(baselineIommuConfig()))
-            .totalCycles;
-    const Tick neummu =
-        runDenseExperiment(smallConfig(neuMmuConfig())).totalCycles;
+    const Tick oracle = runDense(oracleMmuConfig()).totalCycles;
+    const Tick iommu = runDense(baselineIommuConfig()).totalCycles;
+    const Tick neummu = runDense(neuMmuConfig()).totalCycles;
     EXPECT_LT(oracle, iommu);
     EXPECT_LE(oracle, neummu);
     EXPECT_LT(neummu, iommu);
@@ -46,11 +104,8 @@ TEST(DenseIntegration, OracleIsFastestDesignPoint)
 TEST(DenseIntegration, BaselineIommuLosesMostPerformance)
 {
     // Fig. 8: the baseline IOMMU runs at a small fraction of oracle.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::RNN2;
-    cfg.batch = 1;
-    cfg.system.mmu = baselineIommuConfig();
-    const double norm = normalizedPerformance(cfg);
+    const double norm = normalizedToOracle(
+        baselineIommuConfig(), fullWorkload(WorkloadId::RNN2));
     EXPECT_LT(norm, 0.25);
 }
 
@@ -59,11 +114,8 @@ TEST(DenseIntegration, NeuMmuIsWithinAFewPercentOfOracle)
     // Section IV-D: NeuMMU's overhead is negligible.
     for (const WorkloadId id :
          {WorkloadId::CNN1, WorkloadId::RNN1, WorkloadId::RNN3}) {
-        DenseExperimentConfig cfg;
-        cfg.workload = id;
-        cfg.batch = 1;
-        cfg.system.mmu = neuMmuConfig();
-        EXPECT_GT(normalizedPerformance(cfg), 0.95)
+        EXPECT_GT(normalizedToOracle(neuMmuConfig(), fullWorkload(id)),
+                  0.95)
             << workloadName(id);
     }
 }
@@ -73,9 +125,9 @@ TEST(DenseIntegration, MorePtwsNeverHurt)
     // Fig. 11: performance is monotone in walker count.
     Tick prev = maxTick;
     for (const unsigned ptws : {8u, 32u, 128u}) {
-        DenseExperimentConfig cfg = smallConfig(neuMmuConfig());
-        cfg.system.mmu.numPtws = ptws;
-        const Tick cycles = runDenseExperiment(cfg).totalCycles;
+        MmuConfig mmu = neuMmuConfig();
+        mmu.numPtws = ptws;
+        const Tick cycles = runDense(mmu).totalCycles;
         EXPECT_LE(cycles, prev) << ptws;
         prev = cycles;
     }
@@ -86,10 +138,10 @@ TEST(DenseIntegration, MorePrmbSlotsNeverHurt)
     // Fig. 10: merging capacity is monotone too.
     Tick prev = maxTick;
     for (const unsigned slots : {1u, 4u, 16u, 32u}) {
-        DenseExperimentConfig cfg = smallConfig(neuMmuConfig());
-        cfg.system.mmu.numPtws = 8;
-        cfg.system.mmu.prmbSlots = slots;
-        const Tick cycles = runDenseExperiment(cfg).totalCycles;
+        MmuConfig mmu = neuMmuConfig();
+        mmu.numPtws = 8;
+        mmu.prmbSlots = slots;
+        const Tick cycles = runDense(mmu).totalCycles;
         EXPECT_LE(cycles, prev) << slots;
         prev = cycles;
     }
@@ -98,14 +150,13 @@ TEST(DenseIntegration, MorePrmbSlotsNeverHurt)
 TEST(DenseIntegration, PrmbFiltersWalks)
 {
     // PRMB merges same-page bursts: walks drop, merges appear.
-    DenseExperimentConfig no_prmb = smallConfig(baselineIommuConfig());
-    no_prmb.system.mmu.numPtws = 128;
-    const DenseExperimentResult without =
-        runDenseExperiment(no_prmb);
+    MmuConfig no_prmb = baselineIommuConfig();
+    no_prmb.numPtws = 128;
+    const DenseRun without = runDense(no_prmb);
 
-    DenseExperimentConfig with_prmb = no_prmb;
-    with_prmb.system.mmu.prmbSlots = 32;
-    const DenseExperimentResult with = runDenseExperiment(with_prmb);
+    MmuConfig with_prmb = no_prmb;
+    with_prmb.prmbSlots = 32;
+    const DenseRun with = runDense(with_prmb);
 
     EXPECT_LT(with.mmu.walks, without.mmu.walks);
     EXPECT_GT(with.mmu.prmbMerges, 0u);
@@ -115,12 +166,11 @@ TEST(DenseIntegration, PrmbFiltersWalks)
 
 TEST(DenseIntegration, TpRegCutsWalkMemoryAccesses)
 {
-    DenseExperimentConfig no_tpreg = smallConfig(neuMmuConfig());
-    no_tpreg.system.mmu.pathCache = MmuCacheKind::None;
-    const DenseExperimentResult without = runDenseExperiment(no_tpreg);
+    MmuConfig no_tpreg = neuMmuConfig();
+    no_tpreg.pathCache = MmuCacheKind::None;
+    const DenseRun without = runDense(no_tpreg);
 
-    const DenseExperimentResult with =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun with = runDense(neuMmuConfig());
 
     // Same walks, fewer DRAM accesses (Section IV-C: >2.5x).
     EXPECT_GT(double(without.mmu.walkMemAccesses) /
@@ -132,11 +182,8 @@ TEST(DenseIntegration, TpRegCutsWalkMemoryAccesses)
 TEST(DenseIntegration, TpRegUpperLevelsHitAlmostAlways)
 {
     // Fig. 13: L4/L3 tag hit rates ~99.5%.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmu = neuMmuConfig();
-    const DenseExperimentResult r = runDenseExperiment(cfg);
+    const DenseRun r =
+        runDense(neuMmuConfig(), fullWorkload(WorkloadId::CNN1));
     ASSERT_GT(r.tpreg.consults, 0u);
     const double l4 = double(r.tpreg.hits[0]) / double(r.tpreg.consults);
     const double l3 = double(r.tpreg.hits[1]) / double(r.tpreg.consults);
@@ -149,10 +196,8 @@ TEST(DenseIntegration, TpRegUpperLevelsHitAlmostAlways)
 TEST(DenseIntegration, NeuMmuUsesLessEnergyThanIommu)
 {
     // Section IV-D: 16.3x energy reduction; assert a large factor.
-    const DenseExperimentResult iommu =
-        runDenseExperiment(smallConfig(baselineIommuConfig()));
-    const DenseExperimentResult neummu =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun iommu = runDense(baselineIommuConfig());
+    const DenseRun neummu = runDense(neuMmuConfig());
     EXPECT_GT(iommu.translationEnergyNj /
                   neummu.translationEnergyNj,
               4.0);
@@ -163,12 +208,11 @@ TEST(DenseIntegration, NeuMmuUsesLessEnergyThanIommu)
 
 TEST(DenseIntegration, LargePagesShrinkTranslationCountForDenseLayers)
 {
-    DenseExperimentConfig small = smallConfig(baselineIommuConfig());
-    DenseExperimentConfig large =
-        smallConfig(baselineIommuConfig(largePageShift));
-    large.system.pageShift = largePageShift;
-    const DenseExperimentResult rs = runDenseExperiment(small);
-    const DenseExperimentResult rl = runDenseExperiment(large);
+    SystemConfig large;
+    large.pageShift = largePageShift;
+    const DenseRun rs = runDense(baselineIommuConfig());
+    const DenseRun rl = runDense(baselineIommuConfig(largePageShift),
+                                 smallWorkload(), large);
     // Fewer distinct pages -> far fewer walks (Section VI-A).
     EXPECT_LT(rl.mmu.walks * 10, rs.mmu.walks);
     EXPECT_LT(rl.totalCycles, rs.totalCycles);
@@ -179,24 +223,20 @@ TEST(DenseIntegration, SpatialNpuAlsoBenefitsFromNeuMmu)
     // Section VI-B: NeuMMU's conclusions transfer to spatial arrays.
     // Use a memory-bound workload; compute-bound conv layers hide
     // translation latency on any substrate.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::RNN2;
-    cfg.batch = 1;
-    cfg.system.npu.compute = ComputeKind::Spatial;
-    cfg.system.mmu = neuMmuConfig();
-    const double neummu = normalizedPerformance(cfg);
-    cfg.system.mmu = baselineIommuConfig();
-    const double iommu = normalizedPerformance(cfg);
+    const DenseDnnWorkloadConfig wl = fullWorkload(WorkloadId::RNN2);
+    SystemConfig spatial;
+    spatial.npu.compute = ComputeKind::Spatial;
+    const double neummu = normalizedToOracle(neuMmuConfig(), wl, spatial);
+    const double iommu =
+        normalizedToOracle(baselineIommuConfig(), wl, spatial);
     EXPECT_GT(neummu, 0.9);
     EXPECT_LT(iommu, 0.6);
 }
 
 TEST(DenseIntegration, ResultsAreDeterministic)
 {
-    const DenseExperimentResult a =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
-    const DenseExperimentResult b =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun a = runDense(neuMmuConfig());
+    const DenseRun b = runDense(neuMmuConfig());
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.mmu.walks, b.mmu.walks);
     EXPECT_EQ(a.mmu.walkMemAccesses, b.mmu.walkMemAccesses);
@@ -204,8 +244,7 @@ TEST(DenseIntegration, ResultsAreDeterministic)
 
 TEST(DenseIntegration, PerLayerResultsSumToTotalActivity)
 {
-    const DenseExperimentResult r =
-        runDenseExperiment(smallConfig(neuMmuConfig()));
+    const DenseRun r = runDense(neuMmuConfig());
     std::uint64_t translations = 0;
     for (const LayerResult &lr : r.layers) {
         EXPECT_GT(lr.cycles, 0u);
@@ -225,7 +264,8 @@ TEST(DenseIntegration, SramCostMatchesSectionFourE)
 
 TEST(DenseIntegrationDeath, MismatchedPageShiftIsCaught)
 {
-    DenseExperimentConfig cfg = smallConfig(baselineIommuConfig());
-    cfg.system.pageShift = largePageShift; // mmu still expects 4 KB
-    EXPECT_DEATH(runDenseExperiment(cfg), "page size");
+    SystemConfig cfg;
+    cfg.pageShift = largePageShift; // mmu still expects 4 KB
+    EXPECT_DEATH(runDense(baselineIommuConfig(), smallWorkload(), cfg),
+                 "page size");
 }

@@ -16,7 +16,6 @@
 
 #include "common/random.hh"
 #include "common/units.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
 #include "vm/resident_set.hh"
@@ -314,9 +313,14 @@ TEST(PagingEngine, LegacyDemandPagingPathUnchangedWithoutEngine)
     // own fault handler (the golden-pinned configuration).
     const EmbeddingModelSpec spec = makeDlrm();
     const EmbeddingSystemConfig cluster;
-    const DemandPagingResult r =
-        runDemandPaging(spec, 2, MmuKind::NeuMmu, smallPageShift,
-                        cluster, 11);
-    EXPECT_GT(r.faults, 0u);
-    EXPECT_GT(r.migratedBytes, 0u);
+    System sys(demandPagingSystemConfig(spec, cluster, MmuKind::NeuMmu));
+    Scheduler sched(sys);
+    const Workload &wl = sched.add(
+        std::make_unique<EmbeddingWorkload>(
+            demandPagingWorkloadConfig(spec, 2, cluster, 11)),
+        0);
+    ASSERT_TRUE(sched.run().allDone);
+    EXPECT_FALSE(sys.hasPagingEngine());
+    EXPECT_GT(wl.stats().scalars().at("faults").value(), 0.0);
+    EXPECT_GT(wl.stats().scalars().at("migratedBytes").value(), 0.0);
 }

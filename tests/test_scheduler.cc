@@ -13,10 +13,10 @@
 #include <memory>
 #include <string>
 
-#include "driver/dense_experiment.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
+#include "workloads/dense_dnn_workload.hh"
+#include "workloads/embedding_workload.hh"
 #include "workloads/synthetic_workload.hh"
 #include "workloads/trace_workload.hh"
 #include "workloads/workload_factory.hh"
@@ -125,28 +125,13 @@ TEST(SchedulerPin, DenseCnn1BaselineIommuMatchesPreRefactorDriver)
     EXPECT_EQ(r.mmu.walkMemAccesses, 959644u);
 }
 
-TEST(SchedulerPin, DenseShimEqualsWorkloadPath)
-{
-    // The legacy driver is a shim over the same machinery: identical
-    // results by construction, locked in here.
-    DenseExperimentConfig cfg;
-    cfg.workload = WorkloadId::CNN1;
-    cfg.batch = 1;
-    cfg.system.mmuKind = MmuKind::NeuMmu;
-    const DenseExperimentResult shim = runDenseExperiment(cfg);
-    const DenseRun direct =
-        runDenseViaScheduler(WorkloadId::CNN1, MmuKind::NeuMmu);
-    EXPECT_EQ(shim.totalCycles, direct.totalCycles);
-    expectCountsEqual(shim.mmu, direct.mmu);
-}
-
 TEST(SchedulerPin, EmbeddingNumaFast4NpuMatchesPreRefactorDriver)
 {
     // The paper's 4-NPU recommender config (Fig. 15), NumaFast.
     const EmbeddingSystemConfig cfg;
     ASSERT_EQ(cfg.numNpus, 4u);
 
-    const LatencyBreakdown dlrm = runEmbeddingInference(
+    const LatencyBreakdown dlrm = computeEmbeddingInference(
         makeDlrm(), 64, EmbeddingPolicy::NumaFast, cfg);
     EXPECT_EQ(dlrm.gemm, 2176u);
     EXPECT_EQ(dlrm.reduction, 468u);
@@ -154,7 +139,7 @@ TEST(SchedulerPin, EmbeddingNumaFast4NpuMatchesPreRefactorDriver)
     EXPECT_EQ(dlrm.embeddingLookup, 10645u);
     EXPECT_EQ(dlrm.total(), 19289u);
 
-    const LatencyBreakdown ncf = runEmbeddingInference(
+    const LatencyBreakdown ncf = computeEmbeddingInference(
         makeNcf(), 64, EmbeddingPolicy::NumaFast, cfg);
     EXPECT_EQ(ncf.total(), 31599u);
 }
@@ -184,15 +169,28 @@ TEST(SchedulerPin, EmbeddingInferenceWorkloadMatchesAnalyticModel)
 
 TEST(SchedulerPin, DemandPagingMatchesPreRefactorDriver)
 {
-    const DemandPagingResult r =
-        runDemandPaging(makeDlrm(), 4, PagingMmu::NeuMmu,
-                        smallPageShift, EmbeddingSystemConfig{});
-    EXPECT_EQ(r.totalCycles, 66903u);
-    EXPECT_EQ(r.faults, 190u);
-    EXPECT_EQ(r.migratedBytes, 778240u);
-    EXPECT_EQ(r.usefulBytes, 66560u);
-    EXPECT_EQ(r.mmu.requests, 345u);
-    EXPECT_EQ(r.mmu.walks, 260u);
+    const EmbeddingModelSpec spec = makeDlrm();
+    const EmbeddingSystemConfig cluster;
+    System system(
+        demandPagingSystemConfig(spec, cluster, MmuKind::NeuMmu));
+    Scheduler scheduler(system);
+    const Workload &wl = scheduler.add(
+        std::make_unique<EmbeddingWorkload>(
+            demandPagingWorkloadConfig(spec, 4, cluster, 1)),
+        0);
+    ASSERT_TRUE(scheduler.run().allDone);
+
+    // The pre-refactor total included the dense backend (one sample
+    // per device at batch 4 on 4 NPUs).
+    EXPECT_EQ(wl.finishTick() +
+                  embeddingDenseBackend(spec, 1, cluster).total(),
+              66903u);
+    const stats::Group &g = wl.stats();
+    EXPECT_EQ(g.scalars().at("faults").value(), 190.0);
+    EXPECT_EQ(g.scalars().at("migratedBytes").value(), 778240.0);
+    EXPECT_EQ(g.scalars().at("usefulBytes").value(), 66560.0);
+    EXPECT_EQ(system.mmu().counts().requests, 345u);
+    EXPECT_EQ(system.mmu().counts().walks, 260u);
 }
 
 // ---------------------------------------------------------------------

@@ -21,9 +21,9 @@
 #include "sweep/manifest.hh"
 #include "sweep/result_sink.hh"
 #include "sweep/sweep_engine.hh"
-#include "system/embedding_system.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
+#include "workloads/embedding_workload.hh"
 #include "workloads/workload_factory.hh"
 
 using namespace neummu;
