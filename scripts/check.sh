@@ -169,14 +169,15 @@ for manifest in scripts/sweep_smoke.jsonl scripts/golden_matrix.jsonl; do
   fi
 done
 
-# Failure-isolation smoke: the manifest contains one deliberately
-# broken job (bad_knob); the sweep must finish with exactly that one
-# failure reported in the merged output.
+# Failure-isolation smoke: the manifest contains two deliberately
+# broken jobs (bad_knob, a binder error, and bad_trace, a missing
+# trace file); the sweep must finish with exactly those two failures
+# reported in the merged output.
 SMOKE_JSON="$BUILD_DIR/BENCH_sweep_smoke.json"
 "$BUILD_DIR/neummu_sweep" --manifest=scripts/sweep_smoke.jsonl -j 2 \
     --json="$SMOKE_JSON" > /dev/null
-if ! grep -q '"failures": 1' "$SMOKE_JSON"; then
-  echo "error: sweep smoke did not report exactly 1 failed job" >&2
+if ! grep -q '"failures": 2' "$SMOKE_JSON"; then
+  echo "error: sweep smoke did not report exactly 2 failed jobs" >&2
   exit 1
 fi
 if ! grep -q '"ok": false' "$SMOKE_JSON"; then

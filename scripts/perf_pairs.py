@@ -19,7 +19,9 @@ per-layer metric of CHANGE_DIR/BENCHMARK.json, in its order, with no
 verdict: per-layer self times from one traced run per side sit inside
 their own noise, and these rows are for reading only. The move column
 reads "identical" where the runs match pair for pair (simulated
-counts must). The rest of this text is about the default, --trace 0.
+counts must). `--trace 1 --pairs 1` is the work-count check of a
+host-side change: every row but the host times (prof.*, *_ms and
+trace.overhead) must read "identical". The rest of this text is about the default, --trace 0.
 
 For every end-to-end metric of the result it prints each side's
 median and quartiles, the change's relative move of the median, how

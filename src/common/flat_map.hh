@@ -1,11 +1,12 @@
 /**
  * @file
  * Open-addressing hash map from a 64-bit key to a small value,
- * built for the simulator's hot-path bookkeeping: the PTS
- * scoreboard, the in-flight-VPN multiplicity table, and the TLB
- * index all churn one entry per request, and the node-per-entry
+ * built for the simulator's hot-path bookkeeping: the in-flight-VPN
+ * table (which doubles as the PTS scoreboard) and the pending-response
+ * table churn one entry per request, and the node-per-entry
  * std::unordered_map they used to live in made that churn a
- * malloc/free pair per translation.
+ * malloc/free pair per translation. (The TLB keeps its own index of
+ * packed 8-byte words; see tlb.hh.)
  *
  * Linear probing over a power-of-two slot array with multiplicative
  * hashing, backward-shift deletion (no tombstones, so load never

@@ -105,7 +105,7 @@ MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
                  MmuConfig cfg)
     : MmuEngine(std::move(name), eq, pt, cfg.pageShift,
                 2 * cfg.numPtws),
-      _cfg(cfg), _tlb(_name + ".tlb", cfg.tlb), _pts(2 * cfg.numPtws)
+      _cfg(cfg), _tlb(_name + ".tlb", cfg.tlb)
 {
     NEUMMU_ASSERT(cfg.numPtws > 0 || cfg.oracle,
                   "an MMU needs at least one walker");
@@ -231,7 +231,7 @@ MmuCore::translate(Addr va, std::uint64_t id)
     if (_cfg.prmbSlots > 0) {
         // NeuMMU path: probe the pending translation scoreboard.
         _counts.ptsLookups++;
-        if (const unsigned *walker_idx = _pts.find(vpn)) {
+        if (const unsigned *walker_idx = inflightWalker(vpn)) {
             Walker &w = _walkers[*walker_idx];
             if (prmbRoom(w)) {
                 if (_access)
@@ -283,7 +283,7 @@ MmuCore::admits(Addr va)
     if (_tlb.probe(vpn))
         return true;
     if (_cfg.prmbSlots > 0) {
-        if (const unsigned *walker_idx = _pts.find(vpn))
+        if (const unsigned *walker_idx = inflightWalker(vpn))
             return prmbRoom(_walkers[*walker_idx]);
     }
     return !_freeWalkers.empty();
@@ -318,11 +318,8 @@ MmuCore::startWalk(unsigned walker_idx, Addr va, std::uint64_t id,
     if (!is_prefetch)
         w.pending.push_back(TranslationResponse{id, va, invalidAddr});
     _busy++;
-    if (noteInflight(vpn) > 1)
+    if (noteInflight(vpn, walker_idx) > 1)
         _counts.redundantWalks++;
-
-    if (_cfg.prmbSlots > 0)
-        _pts.insert(vpn, walker_idx);
     if (_admitWatch)
         _admitWatch(vpn, _cfg.pageShift);
 
@@ -498,9 +495,6 @@ MmuCore::releaseWalker(unsigned walker_idx)
     w.vpn = invalidAddr;
     _busy--;
     _freeWalkers.push_back(walker_idx);
-
-    if (_cfg.prmbSlots > 0)
-        _pts.erase(vpn);
     dropInflight(vpn);
 }
 

@@ -18,10 +18,11 @@
  *
  * The MmuEngine base supplies the response lifecycle, the
  * fault-resolving walk, the in-flight VPN map (sized to twice the
- * walker pool) and the channel registers in front of the IOTLB; this
- * class holds only the walkers, PTS/PRMB, path caches and their
- * timing. A shootdown squashes in-flight walks on the page, so they
- * re-walk at completion instead of installing a stale PA.
+ * walker pool; it doubles as the PTS) and the channel registers in
+ * front of the IOTLB; this class holds only the walkers, PRMBs, path
+ * caches and their timing. A shootdown squashes in-flight walks on
+ * the page, so they re-walk at completion instead of installing a
+ * stale PA.
  */
 
 #ifndef NEUMMU_MMU_MMU_CORE_HH
@@ -32,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/units.hh"
@@ -176,10 +176,20 @@ class MmuCore : public MmuEngine
     std::size_t freeWalkers() const { return _freeWalkers.size(); }
 
     // --- Pool lifecycle observability (tests/diagnostics) ----------
+    // The PTS is the in-flight VPN map: with a PRMB, a VPN is never
+    // walked twice at once, so each entry names its one walker.
     /** Live PTS scoreboard entries (0 once the queue drains). */
-    std::size_t ptsLiveEntries() const { return _pts.size(); }
+    std::size_t
+    ptsLiveEntries() const
+    {
+        return _cfg.prmbSlots > 0 ? inflightLiveEntries() : 0;
+    }
     /** Peak PTS scoreboard occupancy (bounded by the walker pool). */
-    std::size_t ptsHighWater() const { return _pts.highWater(); }
+    std::size_t
+    ptsHighWater() const
+    {
+        return _cfg.prmbSlots > 0 ? inflightHighWater() : 0;
+    }
 
   protected:
     /**
@@ -234,8 +244,6 @@ class MmuCore : public MmuEngine
     std::vector<Walker> _walkers;
     /** Free-walker stack. */
     std::vector<unsigned> _freeWalkers;
-    /** PTS: in-flight VPN -> walker (only when prmbSlots > 0). */
-    FlatMap64<unsigned> _pts;
     std::unique_ptr<TranslationPathCache> _tpc;
     std::unique_ptr<UnifiedPageTableCache> _uptc;
     PageCallback _admitWatch;

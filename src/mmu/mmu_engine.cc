@@ -101,9 +101,9 @@ MmuEngine::resolve(Addr va, Tick now, Tick &ready)
 void
 MmuEngine::dropInflight(Addr vpn)
 {
-    unsigned *count = _inflight.find(vpn);
-    NEUMMU_ASSERT(count, "in-flight bookkeeping lost");
-    if (--*count == 0)
+    Inflight *entry = _inflight.find(vpn);
+    NEUMMU_ASSERT(entry, "in-flight bookkeeping lost");
+    if (--entry->count == 0)
         _inflight.erase(vpn);
 }
 

@@ -213,16 +213,33 @@ class MmuEngine : public TranslationEngine
      */
     WalkResult resolve(Addr va, Tick now, Tick &ready);
 
-    /** Register an outstanding miss on @p vpn; returns its
-     *  multiplicity including this one. */
+    static constexpr unsigned noWalker = ~0u;
+
+    /**
+     * Register an outstanding miss on @p vpn, walked by @p walker;
+     * returns its multiplicity including this one.
+     */
     unsigned
-    noteInflight(Addr vpn)
+    noteInflight(Addr vpn, unsigned walker = noWalker)
     {
-        return ++_inflight.insert(vpn, 0u).first;
+        Inflight &entry = _inflight.insert(vpn, Inflight{}).first;
+        entry.walker = walker;
+        return ++entry.count;
     }
     /** Retire an outstanding miss on @p vpn. */
     void dropInflight(Addr vpn);
     bool inflight(Addr vpn) const { return _inflight.contains(vpn); }
+    /**
+     * The walker noted by the latest outstanding miss on @p vpn, or
+     * null when none is in flight; exact for a design that never
+     * walks one VPN twice at once.
+     */
+    const unsigned *
+    inflightWalker(Addr vpn) const
+    {
+        const Inflight *entry = _inflight.find(vpn);
+        return entry ? &entry->walker : nullptr;
+    }
 
     /**
      * Take an issue slot for a miss on @p vpn. False, counted as a
@@ -301,8 +318,15 @@ class MmuEngine : public TranslationEngine
 
     std::array<XlateReg, numXlateRegs> _xlateRegs{};
     std::uint64_t _xlateRegHits = 0;
-    /** VPN -> outstanding-miss multiplicity. */
-    FlatMap64<unsigned> _inflight;
+    /** Outstanding misses on one VPN (see noteInflight()). */
+    struct Inflight
+    {
+        unsigned count = 0;
+        unsigned walker = noWalker;
+    };
+
+    /** VPN -> outstanding-miss multiplicity and walker. */
+    FlatMap64<Inflight> _inflight;
     /** VPN -> scheduled-but-undelivered responses (lifecycle only). */
     FlatMap64<unsigned> _pendingResp;
     stats::Group _stats;

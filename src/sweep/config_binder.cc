@@ -46,6 +46,18 @@ parsePositive(const std::string &key, const std::string &value)
     return v;
 }
 
+/** parsePositive for a TLB's entry count, which its index bounds. */
+std::size_t
+parseTlbEntries(const std::string &key, const std::string &value)
+{
+    const std::uint64_t v = parsePositive(key, value);
+    if (v > Tlb::maxEntries)
+        badValue(key, value,
+                 "an integer in [1," + std::to_string(Tlb::maxEntries) +
+                     "], the most entries a TLB index word can address");
+    return std::size_t(v);
+}
+
 /**
  * parsePositive for an unsigned field: a value past its range would
  * wrap (4G to 0) on the narrowing store.
@@ -370,8 +382,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "mmu.prefetchDepth") {
         customMmu(cfg).prefetchDepth = unsigned(parseU64(key, value));
     } else if (key == "mmu.tlb.entries") {
-        customMmu(cfg).tlb.entries =
-            std::size_t(parsePositive(key, value));
+        customMmu(cfg).tlb.entries = parseTlbEntries(key, value);
     } else if (key == "mmu.tlb.ways") {
         customMmu(cfg).tlb.ways = std::size_t(parseU64(key, value));
     } else if (key == "mmu.tlb.hitLatency") {
@@ -390,7 +401,7 @@ applyOverride(SystemConfig &cfg, const std::string &key,
     } else if (key == "mmu.range.walkLatencyPerLevel") {
         cfg.rangeMmu.walkLatencyPerLevel = Tick(parseU64(key, value));
     } else if (key == "mmu.pom.l1Entries") {
-        cfg.pomTlb.l1.entries = std::size_t(parsePositive(key, value));
+        cfg.pomTlb.l1.entries = parseTlbEntries(key, value);
     } else if (key == "mmu.pom.l1HitLatency") {
         cfg.pomTlb.l1.hitLatency = Tick(parseU64(key, value));
     } else if (key == "mmu.pom.entries") {

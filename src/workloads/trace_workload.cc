@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/stats_registry.hh"
 #include "system/system.hh"
+#include "workloads/workload_factory.hh"
 
 namespace neummu {
 
@@ -132,44 +133,50 @@ writeTraceJsonl(const std::string &path, const TraceHeader &header,
 
 bool
 readTraceJsonl(const std::string &path, TraceHeader &header,
-               std::vector<TraceEntry> &entries)
+               std::vector<TraceEntry> &entries, std::string &error)
 {
-    std::ifstream in(path);
-    if (!in) {
-        warn("cannot open trace file " + path);
+    const auto reject = [&](const std::string &why) {
+        error = why;
         return false;
-    }
+    };
+    std::ifstream in(path);
+    if (!in)
+        return reject("cannot open trace file " + path);
     std::string line;
     if (!std::getline(in, line) ||
-        line.find("\"neummu_trace\"") == std::string::npos) {
-        warn("trace file " + path + " has no neummu_trace header");
-        return false;
-    }
+        line.find("\"neummu_trace\"") == std::string::npos)
+        return reject("trace file " + path + " has no neummu_trace header");
     std::uint64_t page_shift = 0;
-    if (!findUint(line, "pageShift", page_shift)) {
-        warn("trace header in " + path + " lacks pageShift");
-        return false;
-    }
+    if (!findUint(line, "pageShift", page_shift))
+        return reject("trace header in " + path + " lacks pageShift");
     header.pageShift = unsigned(page_shift);
     const std::size_t src_at = line.find("\"source\":\"");
     if (src_at != std::string::npos)
         header.source = unescapeJsonString(line, src_at + 10);
 
+    constexpr std::uint64_t va_limit = std::uint64_t(1) << vaBits;
     entries.clear();
     std::size_t line_no = 1;
     while (std::getline(in, line)) {
         line_no++;
         if (line.empty())
             continue;
+        const std::string where =
+            "trace line " + std::to_string(line_no) + " in " + path;
         TraceEntry e;
         std::uint64_t t = 0, va = 0, bytes = 0;
-        if (!findUint(line, "t", t) || !findUint(line, "va", va)) {
-            warn("malformed trace line " + std::to_string(line_no) +
-                 " in " + path);
-            return false;
-        }
+        if (!findUint(line, "t", t) || !findUint(line, "va", va))
+            return reject("malformed " + where);
         findUint(line, "bytes", bytes);
         findBool(line, "ok", e.accepted);
+        // Written this way round, the bound cannot wrap.
+        if (va >= va_limit || bytes > va_limit - va)
+            return reject(where + ": [va, va + bytes) does not fit the " +
+                          std::to_string(vaBits) + "-bit virtual "
+                          "address space");
+        if (!entries.empty() && t < entries.back().tick)
+            return reject(where + ": tick " + std::to_string(t) +
+                          " is below the previous line's");
         e.tick = t;
         e.va = va;
         e.bytes = bytes;
@@ -207,13 +214,18 @@ void
 TraceWorkload::onBind()
 {
     if (_cfg.entries.empty() && !_cfg.path.empty()) {
-        if (!readTraceJsonl(_cfg.path, _cfg.header, _cfg.entries))
-            NEUMMU_FATAL("cannot load trace '" + _cfg.path + "'");
+        std::string error;
+        if (!readTraceJsonl(_cfg.path, _cfg.header, _cfg.entries, error))
+            throw WorkloadError("cannot load trace: " + error);
     }
 
     System &sys = system();
-    NEUMMU_ASSERT(_cfg.header.pageShift == sys.config().pageShift,
-                  "trace page size differs from the replay system's");
+    if (_cfg.header.pageShift != sys.config().pageShift) {
+        throw WorkloadError(
+            "trace page shift " + std::to_string(_cfg.header.pageShift) +
+            " differs from the replay system's " +
+            std::to_string(sys.config().pageShift));
+    }
 
     if (_cfg.mapPages) {
         // Back every page the trace touches, in first-touch order.

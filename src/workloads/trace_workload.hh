@@ -55,11 +55,13 @@ bool writeTraceJsonl(const std::string &path, const TraceHeader &header,
                      const std::vector<TraceEntry> &entries);
 
 /**
- * Parse a JSONL trace. Returns false (with a warning) on I/O or
- * malformed input.
+ * Parse a JSONL trace. Returns false on I/O or malformed input: a
+ * line without t or va, a tick below its predecessor's, or a
+ * [va, va + bytes) that wraps or reaches past 2^vaBits. The reason,
+ * naming the line, goes to @p error.
  */
 bool readTraceJsonl(const std::string &path, TraceHeader &header,
-                    std::vector<TraceEntry> &entries);
+                    std::vector<TraceEntry> &entries, std::string &error);
 
 /**
  * Captures one NPU slot's translation-attempt stream. Attach before
@@ -95,7 +97,10 @@ class TraceRecorder
 /** Configuration of one trace-replay traffic source. */
 struct TraceWorkloadConfig
 {
-    /** JSONL trace to load at bind time (ignored if entries given). */
+    /**
+     * JSONL trace to load at bind time (ignored if entries given); an
+     * unreadable or malformed file makes bind throw WorkloadError.
+     */
     std::string path;
     /** In-memory trace (takes precedence over path when non-empty). */
     std::vector<TraceEntry> entries;

@@ -286,7 +286,8 @@ TEST(TraceRoundTrip, JsonlFileSurvivesWriteAndRead)
 
     TraceHeader header;
     std::vector<TraceEntry> entries;
-    ASSERT_TRUE(readTraceJsonl(path, header, entries));
+    std::string error;
+    ASSERT_TRUE(readTraceJsonl(path, header, entries, error)) << error;
     EXPECT_EQ(header.pageShift, recorder.header().pageShift);
     EXPECT_EQ(header.source, recorder.header().source);
     ASSERT_EQ(entries.size(), recorder.entries().size());
@@ -315,7 +316,8 @@ TEST(TraceRoundTrip, HeaderSourceWithSpecialCharactersRoundTrips)
     ASSERT_TRUE(writeTraceJsonl(path, header, {}));
     TraceHeader read_back;
     std::vector<TraceEntry> entries;
-    ASSERT_TRUE(readTraceJsonl(path, read_back, entries));
+    std::string error;
+    ASSERT_TRUE(readTraceJsonl(path, read_back, entries, error)) << error;
     EXPECT_EQ(read_back.source, header.source);
     EXPECT_TRUE(entries.empty());
 }
@@ -353,8 +355,112 @@ TEST(TraceRoundTrip, MalformedTraceIsRejected)
     }
     TraceHeader header;
     std::vector<TraceEntry> entries;
-    EXPECT_FALSE(readTraceJsonl(path, header, entries));
-    EXPECT_FALSE(readTraceJsonl(path + ".missing", header, entries));
+    std::string error;
+    EXPECT_FALSE(readTraceJsonl(path, header, entries, error));
+    EXPECT_NE(error.find("has no neummu_trace header"), std::string::npos)
+        << error;
+    EXPECT_FALSE(readTraceJsonl(path + ".missing", header, entries, error));
+    EXPECT_NE(error.find("cannot open trace file"), std::string::npos)
+        << error;
+}
+
+TEST(TraceRoundTrip, BadTraceInputsNameTheirLineAndFailTheBind)
+{
+    // A line that is not an entry, a [va, va + bytes) that wraps, and
+    // one that starts at 2^48 (past the page table's reach) are each
+    // rejected with their line number; binding a replay of any of
+    // them -- or of a file that is not there, or of a trace recorded
+    // at another page size -- throws WorkloadError instead of
+    // exiting, so a sweep fails only that job.
+    const std::string header_line =
+        "{\"neummu_trace\":1,\"pageShift\":12,\"source\":\"t\"}\n";
+    const std::string good_line =
+        "{\"t\":0,\"va\":4096,\"bytes\":64,\"ok\":true}\n";
+    const struct
+    {
+        const char *name;
+        std::string bad_line;
+        const char *why;
+    } cases[] = {
+        {"malformed", "{\"t\":1,\"bytes\":64}\n", "malformed"},
+        {"wrapping",
+         "{\"t\":1,\"va\":18446744073709551600,\"bytes\":64}\n",
+         "48-bit virtual address space"},
+        {"beyond_va",
+         "{\"t\":1,\"va\":281474976710656,\"bytes\":64}\n",
+         "48-bit virtual address space"},
+        {"backwards", "{\"t\":0,\"va\":8192,\"bytes\":64}\n"
+                      "{\"t\":9,\"va\":8192,\"bytes\":64}\n"
+                      "{\"t\":5,\"va\":8192,\"bytes\":64}\n",
+         "below the previous line's"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = testing::TempDir() + "neummu_trace_" +
+                                 c.name + ".jsonl";
+        {
+            std::ofstream out(path);
+            out << header_line << good_line << c.bad_line;
+        }
+        TraceHeader header;
+        std::vector<TraceEntry> entries;
+        std::string error;
+        EXPECT_FALSE(readTraceJsonl(path, header, entries, error));
+        EXPECT_NE(error.find(c.why), std::string::npos) << error;
+        const std::string line =
+            std::string(c.name) == "backwards" ? "line 5" : "line 3";
+        EXPECT_NE(error.find(line), std::string::npos) << error;
+
+        System system(SystemConfig{});
+        Scheduler scheduler(system);
+        TraceWorkloadConfig tcfg;
+        tcfg.path = path;
+        EXPECT_THROW(scheduler.add(
+                         std::make_unique<TraceWorkload>(std::move(tcfg)),
+                         0),
+                     WorkloadError);
+    }
+
+    // The last byte of the VA space is still in range.
+    const std::string edge = testing::TempDir() + "neummu_trace_edge.jsonl";
+    {
+        std::ofstream out(edge);
+        out << header_line
+            << "{\"t\":0,\"va\":281474976710592,\"bytes\":64}\n";
+    }
+    TraceHeader header;
+    std::vector<TraceEntry> entries;
+    std::string error;
+    EXPECT_TRUE(readTraceJsonl(edge, header, entries, error)) << error;
+
+    // A 2 MB-page trace does not replay on a 4 KB-page system.
+    const std::string large =
+        testing::TempDir() + "neummu_trace_large.jsonl";
+    {
+        std::ofstream out(large);
+        out << "{\"neummu_trace\":1,\"pageShift\":21}\n" << good_line;
+    }
+    System large_system(SystemConfig{});
+    Scheduler large_scheduler(large_system);
+    TraceWorkloadConfig large_cfg;
+    large_cfg.path = large;
+    EXPECT_THROW(large_scheduler.add(std::make_unique<TraceWorkload>(
+                                         std::move(large_cfg)),
+                                     0),
+                 WorkloadError);
+
+    System system(SystemConfig{});
+    Scheduler scheduler(system);
+    TraceWorkloadConfig tcfg;
+    tcfg.path = testing::TempDir() + "neummu_trace_absent.jsonl";
+    try {
+        scheduler.add(std::make_unique<TraceWorkload>(std::move(tcfg)), 0);
+        ADD_FAILURE() << "a missing trace file bound";
+    } catch (const WorkloadError &e) {
+        EXPECT_NE(std::string(e.what()).find("cannot open trace file"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------

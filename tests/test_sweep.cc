@@ -417,6 +417,9 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
         {"bad_entries",
          "\"mmuKind\": \"neummu\", \"mmu.tlb.entries\": 0",
          "mmu.tlb.entries", ">= 1"},
+        {"huge_entries",
+         "\"mmuKind\": \"neummu\", \"mmu.tlb.entries\": 268435456",
+         "mmu.tlb.entries", "[1,268435455]"},
         {"bad_shift", "\"mmuKind\": \"neummu\", \"pageShift\": 30",
          "pageShift", "12|21"},
         {"bad_buffers", "\"bufferDepth\": 0", "bufferDepth", ">= 1"},
@@ -444,6 +447,9 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
         {"bad_pom_l1",
          "\"mmuKind\": \"pomtlb\", \"mmu.pom.l1Entries\": 0",
          "mmu.pom.l1Entries", ">= 1"},
+        {"huge_pom_l1",
+         "\"mmuKind\": \"pomtlb\", \"mmu.pom.l1Entries\": \"1G\"",
+         "mmu.pom.l1Entries", "[1,268435455]"},
         {"bad_pom_ways",
          "\"mmuKind\": \"pomtlb\", \"mmu.pom.ways\": 0",
          "mmu.pom.ways", ">= 1"},
@@ -704,6 +710,51 @@ TEST(ResultSink, CsvQuotesJobIdsWithCommas)
 // ---------------------------------------------------------------------
 // End-to-end: manifest file -> engine -> sink.
 // ---------------------------------------------------------------------
+
+TEST(SweepEndToEnd, BadTracesFailOnlyTheirOwnJobs)
+{
+    // Each bad trace -- a malformed line, a VA range that wraps, one
+    // past 2^48, a missing file -- is its own job's WorkloadError; the
+    // good replay between them runs to completion.
+    const std::string header =
+        "{\"neummu_trace\":1,\"pageShift\":12,\"source\":\"t\"}\n";
+    const std::pair<const char *, std::string> traces[] = {
+        {"good", "{\"t\":0,\"va\":4096,\"bytes\":64,\"ok\":true}\n"
+                 "{\"t\":3,\"va\":8192,\"bytes\":64,\"ok\":true}\n"},
+        {"malformed", "{\"t\":0,\"bytes\":64}\n"},
+        {"wrapping", "{\"t\":0,\"va\":18446744073709551600,"
+                     "\"bytes\":64}\n"},
+        {"beyond_va", "{\"t\":0,\"va\":281474976710656,\"bytes\":64}\n"},
+    };
+    std::string manifest;
+    for (const auto &[name, body] : traces) {
+        const std::string path =
+            tempPath(std::string("sweep_trace_") + name + ".jsonl");
+        std::ofstream(path) << header << body;
+        manifest += std::string("{\"id\": \"") + name +
+                    "\", \"workloads\": [\"trace:path=" + path + "\"]}\n";
+    }
+    manifest += "{\"id\": \"missing\", \"workloads\": [\"trace:path=" +
+                tempPath("sweep_trace_absent.jsonl") + "\"]}\n";
+    std::istringstream in(manifest);
+    const std::vector<sweep::JobSpec> jobs =
+        sweep::parseManifest(in, "test", SystemConfig{});
+    sweep::SweepOptions opts;
+    opts.threads = 2;
+    const sweep::SweepResults results =
+        sweep::SweepEngine(opts).run(jobs);
+
+    ASSERT_EQ(results.jobs.size(), 5u);
+    EXPECT_EQ(results.summary.failures, 4u);
+    EXPECT_TRUE(results.jobs[0].ok) << results.jobs[0].error;
+    EXPECT_GT(results.jobs[0].outcome.totalCycles, 0u);
+    for (std::size_t i = 1; i < results.jobs.size(); i++) {
+        const sweep::JobResult &r = results.jobs[i];
+        EXPECT_FALSE(r.ok) << r.id;
+        EXPECT_NE(r.error.find("cannot load trace"), std::string::npos)
+            << r.id << ": " << r.error;
+    }
+}
 
 TEST(SweepEndToEnd, ManifestFileRunsAndMerges)
 {

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "tlb/tlb.hh"
 
 using namespace neummu;
@@ -271,4 +278,206 @@ TEST(Tlb, StreamingDefeatsAnyCapacity)
         // A cyclic stream 4x the capacity under LRU never hits.
         EXPECT_DOUBLE_EQ(tlb.hitRate(), 0.0) << entries;
     }
+}
+
+// --- reference model --------------------------------------------------
+// Tlb against the plainest TLB there is: per set, a std::list of
+// (vpn, pfn) in MRU-first order, found through a std::map. Seeded
+// sequences of every operation must agree on each hit and PFN, on
+// size(), on the eviction count, and on when generation() moves: on a
+// hit that relinks, on every insert (a refresh rewrites the PFN), on
+// an invalidate that drops an entry, and on a flush.
+
+namespace {
+
+class ReferenceTlb
+{
+  public:
+    ReferenceTlb(std::size_t entries, std::size_t ways)
+        : _ways(ways == 0 ? entries : ways), _sets(entries / _ways)
+    {
+    }
+
+    /** Returns hit; @p moved reports whether the MRU order changed. */
+    bool
+    lookup(Addr vpn, Addr &pfn, bool &moved)
+    {
+        moved = false;
+        const auto it = _where.find(vpn);
+        if (it == _where.end())
+            return false;
+        Set &set = setOf(vpn);
+        moved = it->second != set.begin();
+        set.splice(set.begin(), set, it->second);
+        pfn = it->second->second;
+        return true;
+    }
+
+    bool probe(Addr vpn) const { return _where.count(vpn) != 0; }
+
+    void
+    insert(Addr vpn, Addr pfn)
+    {
+        Set &set = setOf(vpn);
+        const auto it = _where.find(vpn);
+        if (it != _where.end()) {
+            it->second->second = pfn;
+            set.splice(set.begin(), set, it->second);
+            return;
+        }
+        if (set.size() == _ways) {
+            _where.erase(set.back().first);
+            set.pop_back();
+            _evictions++;
+        }
+        set.emplace_front(vpn, pfn);
+        _where[vpn] = set.begin();
+    }
+
+    /** Returns whether an entry was dropped. */
+    bool
+    invalidate(Addr vpn)
+    {
+        const auto it = _where.find(vpn);
+        if (it == _where.end())
+            return false;
+        setOf(vpn).erase(it->second);
+        _where.erase(it);
+        return true;
+    }
+
+    void
+    flush()
+    {
+        for (Set &set : _sets)
+            set.clear();
+        _where.clear();
+    }
+
+    std::size_t size() const { return _where.size(); }
+    std::uint64_t evictions() const { return _evictions; }
+
+    /** A resident VPN picked by @p r (the TLB must be non-empty). */
+    Addr
+    residentVpn(std::uint64_t r) const
+    {
+        return std::next(_where.begin(), long(r % _where.size()))->first;
+    }
+
+  private:
+    using Set = std::list<std::pair<Addr, Addr>>;
+
+    Set &setOf(Addr vpn) { return _sets[vpn % _sets.size()]; }
+
+    std::size_t _ways;
+    std::vector<Set> _sets;
+    std::map<Addr, Set::iterator> _where;
+    std::uint64_t _evictions = 0;
+};
+
+/** Seeded operation mix on a Tlb and the reference, step by step. */
+void
+runAgainstReference(std::size_t entries, std::size_t ways, unsigned seed,
+                    unsigned steps)
+{
+    SCOPED_TRACE("entries " + std::to_string(entries) + " ways " +
+                 std::to_string(ways) + " seed " + std::to_string(seed));
+    Tlb tlb("t", TlbConfig{entries, ways, 1});
+    ReferenceTlb ref(entries, ways);
+    std::mt19937_64 rng(seed);
+
+    // A VPN pool three times the capacity keeps hits, misses and
+    // evictions all common; it spans the whole 36-bit VPN space of a
+    // 48-bit VA under 4 KB pages, both ends included.
+    const Addr vpn_limit = Addr(1) << 36;
+    std::vector<Addr> pool{0, vpn_limit - 1};
+    while (pool.size() < 3 * entries)
+        pool.push_back(rng() % vpn_limit);
+    const auto anyVpn = [&] { return pool[rng() % pool.size()]; };
+
+    for (unsigned step = 0; step < steps; step++) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const std::uint64_t gen = tlb.generation();
+        bool moved = false;
+        const unsigned op = unsigned(rng() % 1000);
+        if (op < 400) {
+            const Addr vpn = anyVpn();
+            Addr pfn = invalidAddr, ref_pfn = invalidAddr;
+            const bool hit = tlb.lookup(vpn, pfn);
+            ASSERT_EQ(hit, ref.lookup(vpn, ref_pfn, moved)) << vpn;
+            if (hit) {
+                ASSERT_EQ(pfn, ref_pfn) << vpn;
+            }
+        } else if (op < 500) {
+            const Addr vpn = anyVpn();
+            ASSERT_EQ(tlb.probe(vpn), ref.probe(vpn)) << vpn;
+        } else if (op < 850) {
+            const Addr vpn = anyVpn();
+            const Addr pfn = rng() % vpn_limit;
+            tlb.insert(vpn, pfn);
+            ref.insert(vpn, pfn);
+            moved = true;
+        } else if (op < 930) {
+            // Refresh: a resident VPN gets a new frame.
+            if (ref.size() > 0) {
+                const Addr vpn = ref.residentVpn(rng());
+                const Addr pfn = rng() % vpn_limit;
+                tlb.insert(vpn, pfn);
+                ref.insert(vpn, pfn);
+                moved = true;
+            }
+        } else if (op < 999) {
+            // Half the invalidations hit a resident VPN.
+            const Addr vpn = (op % 2 == 0 && ref.size() > 0)
+                                 ? ref.residentVpn(rng())
+                                 : anyVpn();
+            tlb.invalidate(vpn);
+            moved = ref.invalidate(vpn);
+        } else {
+            tlb.flush();
+            ref.flush();
+            moved = true;
+        }
+        ASSERT_EQ(tlb.generation() != gen, moved);
+        ASSERT_EQ(tlb.size(), ref.size());
+        ASSERT_EQ(tlb.stats().scalar("evictions").value(),
+                  double(ref.evictions()));
+    }
+    // Every pool VPN agrees at the end, resident or not.
+    for (const Addr vpn : pool)
+        EXPECT_EQ(tlb.probe(vpn), ref.probe(vpn)) << vpn;
+}
+
+} // namespace
+
+TEST(TlbReference, FullyAssociative2048)
+{
+    for (unsigned seed = 1; seed <= 3; seed++)
+        runAgainstReference(2048, 0, seed, 60000);
+}
+
+TEST(TlbReference, SetAssociativePowerOfTwoSets)
+{
+    // 128 sets of 16 ways, 8 sets of 4, and 4 direct-mapped sets.
+    for (unsigned seed = 1; seed <= 3; seed++) {
+        runAgainstReference(2048, 16, seed, 40000);
+        runAgainstReference(32, 4, seed, 20000);
+        runAgainstReference(4, 1, seed, 5000);
+    }
+}
+
+TEST(TlbReference, SetAssociativeOddSetCounts)
+{
+    // 12 sets of 4 ways, 3 sets of 32, 5 direct-mapped sets.
+    for (unsigned seed = 1; seed <= 3; seed++) {
+        runAgainstReference(48, 4, seed, 20000);
+        runAgainstReference(96, 32, seed, 20000);
+        runAgainstReference(5, 1, seed, 5000);
+    }
+}
+
+TEST(TlbReference, SingleEntry)
+{
+    for (unsigned seed = 1; seed <= 3; seed++)
+        runAgainstReference(1, 0, seed, 5000);
 }
