@@ -212,11 +212,11 @@ SHARD_ONE="$BUILD_DIR/BENCH_sweep_shards1.json"
 SHARD_FOUR="$BUILD_DIR/BENCH_sweep_shards4.json"
 "$BUILD_DIR/neummu_sweep" --manifest=scripts/golden_matrix.jsonl \
     -j 2 --timing=0 --quiet=1 --strict=1 \
-    --set="sim.hubNpus=1;sim.shards=1" --json="$SHARD_ONE" \
+    --set="sim.shards=1" --json="$SHARD_ONE" \
     > /dev/null
 "$BUILD_DIR/neummu_sweep" --manifest=scripts/golden_matrix.jsonl \
     -j 2 --timing=0 --quiet=1 --strict=1 \
-    --set="sim.hubNpus=1;sim.shards=4" --json="$SHARD_FOUR" \
+    --set="sim.shards=4" --json="$SHARD_FOUR" \
     > /dev/null
 if ! cmp -s "$SHARD_ONE" "$SHARD_FOUR"; then
   echo "error: sharded golden-matrix sweep diverged between" \

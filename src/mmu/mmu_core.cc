@@ -105,7 +105,11 @@ MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
                  MmuConfig cfg)
     : MmuEngine(std::move(name), eq, pt, cfg.pageShift,
                 2 * cfg.numPtws),
-      _cfg(cfg), _tlb(_name + ".tlb", cfg.tlb)
+      _cfg(cfg),
+      // translate() never reads an oracle's TLB, so it gets one
+      // entry; _cfg keeps the configured TLB for the DMA ring hint.
+      _tlb(_name + ".tlb",
+           cfg.oracle ? TlbConfig{1, 0, cfg.tlb.hitLatency} : cfg.tlb)
 {
     NEUMMU_ASSERT(cfg.numPtws > 0 || cfg.oracle,
                   "an MMU needs at least one walker");

@@ -175,22 +175,6 @@ class MmuCore : public MmuEngine
     /** Walkers currently idle in the free pool (tests/diagnostics). */
     std::size_t freeWalkers() const { return _freeWalkers.size(); }
 
-    // --- Pool lifecycle observability (tests/diagnostics) ----------
-    // The PTS is the in-flight VPN map: with a PRMB, a VPN is never
-    // walked twice at once, so each entry names its one walker.
-    /** Live PTS scoreboard entries (0 once the queue drains). */
-    std::size_t
-    ptsLiveEntries() const
-    {
-        return _cfg.prmbSlots > 0 ? inflightLiveEntries() : 0;
-    }
-    /** Peak PTS scoreboard occupancy (bounded by the walker pool). */
-    std::size_t
-    ptsHighWater() const
-    {
-        return _cfg.prmbSlots > 0 ? inflightHighWater() : 0;
-    }
-
   protected:
     /**
      * Drops the TLB entry, scrubs TPreg/TPC/UPTC state made stale by

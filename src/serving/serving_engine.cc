@@ -62,13 +62,6 @@ ServingEngine::ServingEngine(System &system, const ServeConfig &cfg)
         NEUMMU_ASSERT(_sys.hasPagingEngine(),
                       "serve.demandPaged needs paging.enabled");
     }
-    // Tenant churn mutates host state (page table, frame allocators)
-    // that lives on the hub; the System auto-raises sim.hubNpus
-    // to cover the serving slots, so this only fires when the two
-    // ever disagree.
-    for (const unsigned slot : _slots)
-        _sys.requireHubResident(slot, "serving slot " +
-                                          std::to_string(slot));
     _queues.resize(_slots.size());
 }
 

@@ -15,12 +15,12 @@
  * would observe it.
  *
  * Determinism: all serving machinery (arrival events, routing,
- * dispatch, tenant churn) runs on the hub event queue, and the System
- * auto-raises sim.hubNpus to cover every serving slot, so the queue
- * partition -- and therefore the dump, byte for byte -- is identical
- * for any sim.shards >= 1. The arrival timestamp
- * sequence itself is a pure function of (config, seed) and is
- * identical even across the legacy (shards = 0) and sharded kernels.
+ * dispatch, tenant churn) runs synchronously on the System's one
+ * event queue, and under the hop model only the NPUs' translations
+ * cross the interconnect, so the dump is identical, byte for byte,
+ * for any sim.shards >= 1. The arrival timestamp sequence itself is
+ * a pure function of (config, seed) and is identical even across the
+ * legacy (shards = 0) and hop-model kernels.
  */
 
 #ifndef NEUMMU_SERVING_SERVING_ENGINE_HH

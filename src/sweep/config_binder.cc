@@ -323,6 +323,9 @@ applyOverride(SystemConfig &cfg, const std::string &key,
         if (shift != smallPageShift && shift != largePageShift)
             badValue(key, value, "12|21");
         cfg.pageShift = unsigned(shift);
+        // A Custom MmuConfig keeps the page size it was materialized
+        // at; the translation stream has one page size.
+        cfg.mmu.pageShift = unsigned(shift);
     } else if (key == "vaScatterShift") {
         // A scatter stride must clear a large page and stay inside
         // the virtual address width.
@@ -500,8 +503,6 @@ applyOverride(SystemConfig &cfg, const std::string &key,
         cfg.sim.hopTicks = Tick(parsePositive(key, value));
     } else if (key == "sim.portCredits") {
         cfg.sim.portCredits = parseCount(key, value);
-    } else if (key == "sim.hubNpus") {
-        cfg.sim.hubNpus = unsigned(parseU64(key, value));
     } else if (key == "sim.profile") {
         cfg.sim.profile = parseU64(key, value) != 0;
 
@@ -543,12 +544,6 @@ applyOverrides(SystemConfig &cfg, const OverrideList &overrides)
                         " is smaller than one set of mmu.pom.ways=" +
                         std::to_string(pom.ways) +
                         " (entries must be >= ways)");
-    }
-    if (cfg.sharedMemory && cfg.sim.shards > 0) {
-        throw BindError("sharedMemory=1 needs sim.shards=0 (the hop "
-                        "model gives every NPU its own memory node; "
-                        "valid: sharedMemory=0 with any sim.shards, or "
-                        "sim.shards=0)");
     }
     if (cfg.paging.enabled && cfg.paging.homeNode >= cfg.numNpus) {
         throw BindError("paging.homeNode=" +
@@ -666,8 +661,6 @@ binderKeyTable()
                        "model (same results for every value >=1)"},
         {"sim.hopTicks", "NPU<->hub hop latency, each way (>=1)"},
         {"sim.portCredits", "outstanding translations per NPU port (>=1)"},
-        {"sim.hubNpus", "first K NPU slots resident on the hub "
-                        "(auto-covers paging.homeNode)"},
         {"sim.profile", "1 = host-side cycle attribution (prof.* / "
                         "fastpath.* stats groups); observational only"},
         {"trace.enabled", "0|1: request-lifecycle span tracing "

@@ -20,10 +20,9 @@
  *    later; delivery returns the credit and wakes the DMA if it was
  *    starved.
  *
- * Every NPU uses this path in the hop model -- hub-resident NPUs
- * included -- so simulated results depend only on the
- * sim.{hopTicks,portCredits,hubNpus} model parameters, never on
- * sim.shards.
+ * Every NPU uses this path in the hop model, so simulated results
+ * depend only on the sim.{hopTicks,portCredits} model parameters,
+ * never on sim.shards.
  *
  * Tie rule: deliveries due on the same tick run in post order, the
  * queue's insertion order. Two NPUs' requests posted for the same

@@ -1,7 +1,6 @@
 #include "system/system.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/logging.hh"
 #include "mmu/translation_factory.hh"
@@ -42,37 +41,11 @@ System::System(SystemConfig cfg)
 {
     NEUMMU_ASSERT(_cfg.numNpus >= 1, "a system needs at least one NPU");
 
-    _hubNpus = _cfg.numNpus;
     if (sharded()) {
-        NEUMMU_ASSERT(!_cfg.sharedMemory,
-                      "sharded simulation (sim.shards > 0) requires "
-                      "per-NPU memory nodes (sharedMemory=0)");
         NEUMMU_ASSERT(_cfg.sim.hopTicks >= 1,
                       "sim.hopTicks must be at least 1");
         NEUMMU_ASSERT(_cfg.sim.portCredits >= 1,
                       "sim.portCredits must be at least 1");
-        unsigned hub_npus = std::min(_cfg.sim.hubNpus, _cfg.numNpus);
-        if (_cfg.paging.enabled) {
-            // The paging engine touches the home node's memory model
-            // synchronously; its NPU must be hub-resident.
-            hub_npus = std::min(
-                std::max(hub_npus, _cfg.paging.homeNode + 1),
-                _cfg.numNpus);
-        }
-        if (_cfg.serve.enabled) {
-            // Serving machinery (arrivals, routing, tenant churn)
-            // mutates host state synchronously on the hub; the
-            // serving slots must be hub-resident. Because this raise
-            // is a pure function of the config -- never of
-            // sim.shards -- the dump is identical for every
-            // sim.shards >= 1.
-            const unsigned serve_slots =
-                _cfg.serve.slots
-                    ? std::min(_cfg.serve.slots, _cfg.numNpus)
-                    : _cfg.numNpus;
-            hub_npus = std::max(hub_npus, serve_slots);
-        }
-        _hubNpus = hub_npus;
     }
 
     // The translation engine is whatever design the factory builds
@@ -158,8 +131,6 @@ System::System(SystemConfig cfg)
         if (sharded()) {
             // Hop model: the DMA talks to a credit port; the hub
             // bridge plays its hop deliveries into the real port.
-            // Hub-resident NPUs take the same hop, so results do not
-            // depend on residency.
             auto port = std::make_unique<ShardTranslationPort>(
                 prefixed(_cfg.name, id + ".port"), _eq,
                 _cfg.sim.hopTicks, _cfg.sim.portCredits);
@@ -210,10 +181,10 @@ System::System(SystemConfig cfg)
         // paging / serving span families (see trace/trace.hh).
         NEUMMU_ASSERT(_cfg.numNpus < 0xFD,
                       "tracing supports at most 252 NPUs");
-        // One trace lane for the hub and its resident NPUs, plus
-        // one per remote NPU, each with its own ring.
+        // Lane 0 is the hub; under the hop model NPU i records into
+        // its own lane 1 + i, each lane with its own ring.
         _trace = std::make_unique<trace::TraceEngine>(
-            _cfg.name, _cfg.trace, 1 + _cfg.numNpus - _hubNpus,
+            _cfg.name, _cfg.trace, sharded() ? 1 + _cfg.numNpus : 1,
             _stats.group(prefixed(_cfg.name, "trace")));
         for (unsigned i = 0; i < _cfg.numNpus; i++) {
             // The router tags request ids with the client index in
@@ -222,8 +193,7 @@ System::System(SystemConfig cfg)
             // same tag so every span of one request shares one key.
             const std::uint64_t key_base =
                 _router ? std::uint64_t(i) << trace::clientShift : 0;
-            const unsigned lane =
-                isHubResident(i) ? 0 : 1 + i - _hubNpus;
+            const unsigned lane = sharded() ? 1 + i : 0;
             _npus[i].dma->setTrace(&_trace->buffer(lane), key_base);
             if (sharded()) {
                 _shardPorts[i]->setTrace(&_trace->buffer(lane),
@@ -287,24 +257,6 @@ System::run(Tick limit)
                       "the event queue drained with MMU work in flight");
     }
     return end;
-}
-
-bool
-System::isHubResident(unsigned npu) const
-{
-    NEUMMU_ASSERT(npu < _cfg.numNpus, "NPU index out of range");
-    return npu < _hubNpus;
-}
-
-void
-System::requireHubResident(unsigned npu, const std::string &what)
-{
-    if (isHubResident(npu))
-        return;
-    throw std::runtime_error(
-        what + " needs synchronous hub access, so NPU slot " +
-        std::to_string(npu) + " must be hub-resident: set "
-        "sim.hubNpus to at least " + std::to_string(npu + 1));
 }
 
 System::Npu &

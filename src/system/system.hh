@@ -68,9 +68,9 @@ class TraceEngine;
  * thread; parallelism lives a level up, in the sweep engine's job
  * pool.
  *
- * Within the hop model, results are byte-identical for ANY
- * shards >= 1 -- only hopTicks and portCredits are model parameters
- * (hubNpus places hooks and trace lanes, not timing).
+ * Within the hop model every NPU is remote (the on-hub machine is
+ * shards = 0), and results are byte-identical for ANY shards >= 1 --
+ * only hopTicks and portCredits are model parameters.
  */
 struct SimConfig
 {
@@ -85,15 +85,6 @@ struct SimConfig
     Tick hopTicks = 64;
     /** Outstanding-translation credits per NPU port (>= 1). */
     unsigned portCredits = 64;
-    /**
-     * First K NPU slots resident on the hub (for components that
-     * need synchronous MMU/paging access, e.g. demand-paging
-     * workloads). Auto-raised to cover paging.homeNode. Hub-resident
-     * NPUs still take the hop; residency only decides which slots
-     * may install synchronous hub hooks and which trace lane an NPU
-     * records into.
-     */
-    unsigned hubNpus = 0;
     /** Ignored: the hop model runs serially. Kept only because the
      *  frozen perfbench runner writes it; drop at the next benchmark
      *  change. */
@@ -308,15 +299,6 @@ class System
     DomainRuntime &domains();
     /** Hops sent across every NPU link (0 unsharded). */
     std::uint64_t crossDomainMessages() const;
-    /** True when @p npu is resident on the hub (always, unsharded). */
-    bool isHubResident(unsigned npu) const;
-    /**
-     * Throw std::runtime_error with an actionable message unless
-     * @p npu is hub-resident: call before installing anything on the
-     * slot that needs synchronous hub access (fault handlers, paging
-     * hooks). A sweep then fails only the offending job.
-     */
-    void requireHubResident(unsigned npu, const std::string &what);
 
     // --- Virtual memory --------------------------------------------
     FrameAllocator &hostNode() { return _hostNode; }
@@ -398,8 +380,6 @@ class System
     /** The DMA retry round every DMA engine shares. */
     RetryRound _retryRound{_eq};
     DomainRuntime _domainShim{*this};
-    /** NPU slots [0, _hubNpus) are hub-resident (all, unsharded). */
-    unsigned _hubNpus = 0;
     /** Per-NPU credit ports / hub bridges (hop model only). */
     std::vector<std::unique_ptr<ShardTranslationPort>> _shardPorts;
     std::vector<std::unique_ptr<HubTranslationBridge>> _hubBridges;

@@ -14,15 +14,12 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/random.hh"
 #include "system/scheduler.hh"
 #include "system/system.hh"
-#include "workloads/embedding_workload.hh"
-#include "workloads/models.hh"
 #include "workloads/workload_factory.hh"
 
 using namespace neummu;
@@ -270,7 +267,7 @@ TEST(DeriveSeed, DomainStreamsAreIndependentAndDisjoint)
 
 // ---------------------------------------------------------------------
 // System-level invariance: the dump is a pure function of the model
-// parameters (hopTicks, portCredits, hubNpus), never of shards.
+// parameters (hopTicks, portCredits), never of shards.
 
 namespace {
 
@@ -311,7 +308,6 @@ TEST(ShardedSystem, MultiTenantNeuMmuInvariant)
     cfg.seed = 9;
     cfg.numNpus = 4;
     cfg.mmuKind = MmuKind::NeuMmu;
-    cfg.sim.hubNpus = 1;
     expectShardInvariant(
         cfg, {"synthetic:pattern=uniform,footprint=8M,accesses=512",
               "synthetic:pattern=stride,footprint=4M,accesses=512",
@@ -375,40 +371,35 @@ TEST(ShardedSystem, HopTicksIsAModelParameter)
     EXPECT_NE(dumpShardedRun(cfg, wl, 1), dumpShardedRun(far, wl, 1));
 }
 
-TEST(ShardedSystem, DemandPagingNeedsHubResidency)
+TEST(ShardedSystem, SharedMemoryInvariant)
 {
-    // A legacy demand-paging workload installs a synchronous fault
-    // handler; binding it to a non-hub slot must throw the actionable
-    // sim.hubNpus hint (a sweep then fails only that job).
+    // One memory node for every NPU: each DMA's data traffic is a
+    // synchronous call into the same MemoryModel, while translations
+    // still cross the hop.
     SystemConfig cfg;
-    cfg.numNpus = 2;
-    cfg.sim.shards = 1;
-    cfg.sim.hubNpus = 1;
-    System system(cfg);
-    EmbeddingWorkloadConfig wl_cfg;
-    wl_cfg.spec = makeNcf();
-    wl_cfg.mode = EmbeddingWorkloadMode::DemandPaging;
-    EmbeddingWorkload wl(wl_cfg);
-    try {
-        wl.bind(system, 1);
-        FAIL() << "binding a non-hub slot did not throw";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("sim.hubNpus to at least 2"),
-                  std::string::npos)
-            << e.what();
-    }
+    cfg.name = "shardtest";
+    cfg.seed = 17;
+    cfg.numNpus = 4;
+    cfg.mmuKind = MmuKind::NeuMmu;
+    cfg.sharedMemory = true;
+    expectShardInvariant(
+        cfg, {"synthetic:pattern=uniform,footprint=4M,accesses=256",
+              "synthetic:pattern=stride,footprint=4M,accesses=256",
+              "synthetic:pattern=hotset,footprint=4M,accesses=256",
+              "synthetic:pattern=chase,footprint=1M,accesses=128"});
 }
 
-TEST(ShardedSystem, RejectsSharedMemoryTopology)
+TEST(ShardedSystem, DemandPagingOnRemoteSlotInvariant)
 {
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(
-        {
-            SystemConfig cfg;
-            cfg.numNpus = 2;
-            cfg.sharedMemory = true;
-            cfg.sim.shards = 2;
-            System system(cfg);
-        },
-        "sharedMemory");
+    // A demand-paging gather on NPU slot 1 installs the MMU's fault
+    // handler and maps pages inline; every hop-model NPU is remote,
+    // so this is just one more synchronous callee on the hub.
+    SystemConfig cfg;
+    cfg.name = "shardtest";
+    cfg.seed = 19;
+    cfg.numNpus = 2;
+    cfg.mmuKind = MmuKind::NeuMmu;
+    expectShardInvariant(
+        cfg, {"synthetic:pattern=uniform,footprint=4M,accesses=256",
+              "embedding:model=ncf,mode=paging,batch=1"});
 }

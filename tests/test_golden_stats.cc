@@ -314,7 +314,6 @@ TEST(GoldenSharded, ShardCountInvariantAndMatchesGoldens)
     auto with_shards = [&jobs](unsigned shards) {
         std::vector<sweep::JobSpec> out = jobs;
         for (sweep::JobSpec &job : out) {
-            job.overrides.emplace_back("sim.hubNpus", "1");
             job.overrides.emplace_back("sim.shards",
                                        std::to_string(shards));
         }
@@ -354,8 +353,8 @@ TEST(GoldenSharded, ShardCountInvariantAndMatchesGoldens)
             << a.id
             << ": sharded dump diverged from its golden reference."
             << " Kernel-only (performance) changes must never trip"
-            << " this; only hopTicks/portCredits/hubNpus model"
-            << " changes may, with --update-golden + diff review.";
+            << " this; only hopTicks/portCredits model changes"
+            << " may, with --update-golden + diff review.";
     }
 }
 

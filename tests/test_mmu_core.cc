@@ -323,20 +323,17 @@ TEST_F(MmuCoreTest, PoolsDrainAfterMergedTraffic)
     for (unsigned p = 0; p < pages; p++)
         for (unsigned r = 0; r < per_page; r++)
             ASSERT_TRUE(mmu->translate(base + p * 4096 + r * 64, id++));
-    EXPECT_EQ(mmu->ptsLiveEntries(), pages);
     EXPECT_EQ(mmu->inflightLiveEntries(), pages);
     eq.run();
     EXPECT_EQ(responses.size(), std::size_t(pages) * per_page);
     // Every scoreboard entry and walker came back.
-    EXPECT_EQ(mmu->ptsLiveEntries(), 0u);
     EXPECT_EQ(mmu->inflightLiveEntries(), 0u);
     EXPECT_EQ(mmu->busyWalkers(), 0u);
     EXPECT_EQ(mmu->freeWalkers(), mmu->config().numPtws);
     // High-water marks: one entry per concurrently walked page,
     // never more than the walker pool.
-    EXPECT_EQ(mmu->ptsHighWater(), pages);
     EXPECT_EQ(mmu->inflightHighWater(), pages);
-    EXPECT_LE(mmu->ptsHighWater(), mmu->config().numPtws);
+    EXPECT_LE(mmu->inflightHighWater(), mmu->config().numPtws);
 }
 
 TEST_F(MmuCoreTest, PoolsDrainAcrossBlockedPortRejections)
@@ -354,17 +351,15 @@ TEST_F(MmuCoreTest, PoolsDrainAcrossBlockedPortRejections)
     EXPECT_FALSE(mmu->translate(base + 2 * 4096, 4));     // no walker
     EXPECT_FALSE(mmu->translate(base + 1 * 4096 + 96, 5)); // PRMB full
     EXPECT_EQ(mmu->counts().blockedIssues, 2u);
-    EXPECT_EQ(mmu->ptsLiveEntries(), 2u);
     EXPECT_EQ(mmu->inflightLiveEntries(), 2u);
     eq.run();
-    EXPECT_EQ(mmu->ptsLiveEntries(), 0u);
     EXPECT_EQ(mmu->inflightLiveEntries(), 0u);
     EXPECT_EQ(mmu->freeWalkers(), 2u);
-    EXPECT_EQ(mmu->ptsHighWater(), 2u);
+    EXPECT_EQ(mmu->inflightHighWater(), 2u);
     // Retrying the rejected requests after the wake drains cleanly.
     ASSERT_TRUE(mmu->translate(base + 2 * 4096, 4));
     eq.run();
-    EXPECT_EQ(mmu->ptsLiveEntries(), 0u);
+    EXPECT_EQ(mmu->inflightLiveEntries(), 0u);
     EXPECT_EQ(mmu->busyWalkers(), 0u);
 }
 
@@ -393,7 +388,6 @@ TEST_F(MmuCoreTest, PoolsDrainAcrossDemandPagingFaults)
     EXPECT_EQ(faults, 3u);
     EXPECT_EQ(mmu->counts().faults, 3u);
     EXPECT_EQ(responses.size(), 6u);
-    EXPECT_EQ(mmu->ptsLiveEntries(), 0u);
     EXPECT_EQ(mmu->inflightLiveEntries(), 0u);
     EXPECT_EQ(mmu->busyWalkers(), 0u);
     EXPECT_EQ(mmu->freeWalkers(), 4u);
@@ -457,7 +451,6 @@ TEST_F(MmuCoreTest, PrmbMergedRequestsSurviveMidWalkUnmap)
     // The retried walk costs extra page-table reads, never a second
     // logical walk.
     EXPECT_EQ(mmu->counts().walks, 1u);
-    EXPECT_EQ(mmu->ptsLiveEntries(), 0u);
     EXPECT_EQ(mmu->inflightLiveEntries(), 0u);
     EXPECT_EQ(mmu->busyWalkers(), 0u);
 }

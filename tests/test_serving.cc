@@ -479,8 +479,9 @@ TEST(ServingEngine, ArrivalDigestInvariantAcrossShards)
     const std::string dump4 = runAndDump(cfg, 1000000, &four);
     EXPECT_EQ(legacy, one);
     EXPECT_EQ(one, four);
-    // Serving runs hub-resident, so the whole dump -- not just the
-    // arrival stream -- is byte-identical for any shards >= 1.
+    // Serving runs synchronously on the one queue, so the whole dump
+    // -- not just the arrival stream -- is byte-identical for any
+    // shards >= 1.
     EXPECT_EQ(dump1, dump4);
 }
 

@@ -16,6 +16,7 @@
 #include <iterator>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "sweep/json_lite.hh"
 #include "sweep/manifest.hh"
@@ -153,22 +154,25 @@ TEST(ConfigBinder, RejectsJunk)
                   std::string::npos);
 }
 
-TEST(ConfigBinder, SimThreadsIsAnUnknownKey)
+TEST(ConfigBinder, SimThreadsAndHubNpusAreUnknownKeys)
 {
-    // The hop model runs serially; there is no thread knob to set.
+    // The hop model runs serially, so there is no thread knob; and
+    // every hop-model NPU is remote, so there is no residency knob.
     SystemConfig cfg;
-    try {
-        sweep::applyOverride(cfg, "sim.threads", "2");
-        FAIL() << "sim.threads was accepted";
-    } catch (const sweep::BindError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("unknown sweep config key 'sim.threads'"),
-                  std::string::npos)
-            << what;
-        for (const char *key : {"sim.shards", "sim.hopTicks",
-                                "sim.portCredits", "sim.hubNpus",
-                                "sim.profile"})
-            EXPECT_NE(what.find(key), std::string::npos) << what;
+    for (const std::string gone : {"sim.threads", "sim.hubNpus"}) {
+        try {
+            sweep::applyOverride(cfg, gone, "1");
+            FAIL() << gone << " was accepted";
+        } catch (const sweep::BindError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("unknown sweep config key '" + gone +
+                                "'"),
+                      std::string::npos)
+                << what;
+            for (const char *key : {"sim.shards", "sim.hopTicks",
+                                    "sim.portCredits", "sim.profile"})
+                EXPECT_NE(what.find(key), std::string::npos) << what;
+        }
     }
 }
 
@@ -299,6 +303,37 @@ TEST(Manifest, GridSpecExpandsCrossProduct)
 // SweepEngine execution contract.
 // ---------------------------------------------------------------------
 
+TEST(SweepEngine, LargePageGridsRunInEitherKeyOrder)
+{
+    // pageShift=21 on the default Custom design, and on a NeuMMU
+    // whose mmu.* edit materialized it before or after the pageShift
+    // key: each order must run to completion, and both orders must
+    // build the same machine.
+    const std::string dense = "workloads=dense:model=CNN1,layers=1";
+    const std::vector<std::pair<std::string, std::string>> orders = {
+        {"pageShift=21;" + dense, dense + ";pageShift=21"},
+        {"mmuKind=neummu;mmu.numPtws=32;pageShift=21;" + dense,
+         "pageShift=21;mmuKind=neummu;mmu.numPtws=32;" + dense},
+    };
+    for (const auto &[first, second] : orders) {
+        std::vector<std::string> dumps;
+        for (const std::string &grid : {first, second}) {
+            const std::vector<sweep::JobSpec> jobs =
+                sweep::expandGrid(grid, SystemConfig{});
+            ASSERT_EQ(jobs.size(), 1u) << grid;
+            sweep::SweepOptions opts;
+            opts.threads = 1;
+            const sweep::SweepResults results =
+                sweep::SweepEngine(opts).run(jobs);
+            ASSERT_TRUE(results.jobs[0].ok)
+                << grid << ": " << results.jobs[0].error;
+            EXPECT_TRUE(results.jobs[0].outcome.allDone) << grid;
+            dumps.push_back(results.jobs[0].outcome.statsJson);
+        }
+        EXPECT_EQ(dumps[0], dumps[1]) << first << " vs " << second;
+    }
+}
+
 TEST(SweepEngine, DeclarativeJobMatchesDirectConstruction)
 {
     sweep::JobSpec job;
@@ -345,15 +380,10 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     jobs[1].workloads = {"synthetic:pattern=stride,accesses=128"};
     jobs[2].id = "bad_workload_kind";
     jobs[2].workloads = {"warp:speed=9"};
-    // Demand paging needs its slot hub-resident; with no
-    // hub-resident NPU the System rejects the binding at run time,
-    // past every binder check.
-    jobs[3].id = "bad_hub_residency";
-    jobs[3].overrides = {{"mmuKind", "neummu"},
-                         {"preset", "dlrm_paging"},
-                         {"sim.shards", "1"},
-                         {"sim.hubNpus", "0"}};
-    jobs[3].workloads = {"embedding:model=dlrm,mode=paging,batch=1"};
+    // A trace file that cannot be opened passes every binder check
+    // and fails when the workload binds to its System.
+    jobs[3].id = "bad_trace_path";
+    jobs[3].workloads = {"trace:path=/nonexistent/no_such_trace.jsonl"};
     jobs[4].id = "ok_b";
     jobs[4].overrides = {{"seed", "2"}};
     jobs[4].workloads = {"synthetic:pattern=uniform,accesses=128"};
@@ -382,7 +412,7 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
     EXPECT_NE(results.jobs[2].error.find("unknown workload kind"),
               std::string::npos);
     EXPECT_FALSE(results.jobs[3].ok);
-    EXPECT_NE(results.jobs[3].error.find("sim.hubNpus to at least 1"),
+    EXPECT_NE(results.jobs[3].error.find("cannot open trace file"),
               std::string::npos)
         << results.jobs[3].error;
     EXPECT_TRUE(results.jobs[4].ok);
@@ -467,9 +497,6 @@ TEST(SweepEngine, ZeroCountsFailInIsolation)
          "mmu.nmt.cacheEntries", ">= 1"},
         {"bad_nmt_units", "\"mmuKind\": \"nmt\", \"mmu.nmt.units\": 0",
          "mmu.nmt.units", ">= 1"},
-        {"bad_shared_sharded",
-         "\"numNpus\": 2, \"sharedMemory\": 1, \"sim.shards\": 1",
-         "sharedMemory=1", "sim.shards=0"},
         {"bad_home_node",
          "\"numNpus\": 2, \"paging.enabled\": 1, "
          "\"paging.homeNode\": 2",
