@@ -85,7 +85,9 @@ main(int argc, char **argv)
     }
 
     // The same numbers through the central registry: every component
-    // (MMU, router ports, per-NPU DMA/memory) registered its group.
+    // (MMU, router ports, per-NPU DMA/memory) registered its group,
+    // which holds its counters once the System refreshes them.
+    sys.refreshStats();
     std::printf("\nper-client translation stats from the "
                 "StatsRegistry:\n");
     for (unsigned npu = 0; npu < sys.numNpus(); npu++) {

@@ -4,6 +4,8 @@ namespace neummu {
 
 namespace {
 LogLevel globalLevel = LogLevel::Normal;
+/** An InvariantTrap is alive on this thread. */
+thread_local bool trapping = false;
 } // namespace
 
 LogLevel
@@ -18,14 +20,21 @@ setLogLevel(LogLevel level)
     globalLevel = level;
 }
 
+InvariantTrap::InvariantTrap() : _outer(trapping) { trapping = true; }
+
+InvariantTrap::~InvariantTrap() { trapping = _outer; }
+
 namespace detail {
 
 void
 exitWithMessage(const char *prefix, const std::string &msg,
                 const char *file, int line, bool do_abort)
 {
-    std::fprintf(stderr, "%s: %s (%s:%d)\n", prefix, msg.c_str(), file,
-                 line);
+    const std::string text = std::string(prefix) + ": " + msg + " (" +
+                             file + ":" + std::to_string(line) + ")";
+    if (trapping)
+        throw InvariantError(text);
+    std::fprintf(stderr, "%s\n", text.c_str());
     if (do_abort)
         std::abort();
     std::exit(1);

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace neummu {
@@ -20,7 +21,37 @@ enum class LogLevel { Quiet = 0, Normal = 1, Verbose = 2 };
 LogLevel logLevel();
 void setLogLevel(LogLevel level);
 
+/**
+ * What a panic or fatal throws instead of ending the process while an
+ * InvariantTrap is alive on its thread. what() is the line it would
+ * have printed: "panic: <message> (<file>:<line>)".
+ */
+class InvariantError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * While alive, NEUMMU_PANIC, NEUMMU_FATAL and a failed NEUMMU_ASSERT
+ * on the constructing thread throw InvariantError instead of aborting
+ * or exiting, so one sweep job's broken invariant fails that job
+ * alone. Other threads are unaffected; traps nest.
+ */
+class InvariantTrap
+{
+  public:
+    InvariantTrap();
+    ~InvariantTrap();
+    InvariantTrap(const InvariantTrap &) = delete;
+    InvariantTrap &operator=(const InvariantTrap &) = delete;
+
+  private:
+    bool _outer;
+};
+
 namespace detail {
+/** Print and abort (or exit(1)); throw InvariantError under a trap. */
 [[noreturn]] void exitWithMessage(const char *prefix, const std::string &msg,
                                   const char *file, int line, bool do_abort);
 void message(const char *prefix, const std::string &msg);

@@ -5,6 +5,11 @@
  * call dumps the whole machine's counters -- as text (gem5 stats.txt
  * style) or as JSON (the single serialization path bench --json
  * output also flows through).
+ *
+ * A component on the translation path counts in plain fields and
+ * mirrors them into its group in its refreshStats(): a System's
+ * component groups are current after a dump or after
+ * System::refreshStats(), not before.
  */
 
 #ifndef NEUMMU_COMMON_STATS_REGISTRY_HH

@@ -8,10 +8,7 @@
 namespace neummu {
 
 MemoryModel::MemoryModel(std::string name, MemoryConfig cfg)
-    : _cfg(cfg), _stats(std::move(name)),
-      _sAccesses(_stats.scalar("accesses")),
-      _sBytesRead(_stats.scalar("bytesRead")),
-      _sBytesWritten(_stats.scalar("bytesWritten"))
+    : _cfg(cfg), _stats(std::move(name))
 {
     NEUMMU_ASSERT(cfg.channels > 0, "memory needs at least one channel");
     NEUMMU_ASSERT(cfg.interleaveBytes > 0,
@@ -31,8 +28,8 @@ MemoryModel::access(Tick now, Addr pa, std::uint64_t bytes, bool is_write)
 {
     NEUMMU_ASSERT(bytes > 0, "zero-byte memory access");
 
-    (is_write ? _sBytesWritten : _sBytesRead) += double(bytes);
-    ++_sAccesses;
+    (is_write ? _bytesWritten : _bytesRead) += bytes;
+    _accesses++;
 
     // The first chunk runs from pa to the end of its stripe; every
     // later one starts a stripe on the next channel round-robin.
@@ -79,6 +76,14 @@ void
 MemoryModel::reset()
 {
     std::fill(_channelFree.begin(), _channelFree.end(), 0.0);
+}
+
+void
+MemoryModel::refreshStats()
+{
+    _stats.scalar("accesses").set(double(_accesses));
+    _stats.scalar("bytesRead").set(double(_bytesRead));
+    _stats.scalar("bytesWritten").set(double(_bytesWritten));
 }
 
 } // namespace neummu

@@ -63,7 +63,13 @@ class MemoryModel
     Tick earliestFree() const;
 
     const MemoryConfig &config() const { return _cfg; }
+    std::uint64_t accesses() const { return _accesses; }
+    std::uint64_t bytesRead() const { return _bytesRead; }
+    std::uint64_t bytesWritten() const { return _bytesWritten; }
+    /** Statistics group; current after refreshStats(). */
     stats::Group &stats() { return _stats; }
+    /** Mirror the plain counters into stats() (dump time). */
+    void refreshStats();
 
     /** Forget all channel busy state (between independent phases). */
     void reset();
@@ -79,12 +85,10 @@ class MemoryModel
     unsigned _interleaveShift = 0;
     /** Fractional busy-until times avoid per-chunk rounding loss. */
     std::vector<double> _channelFree;
+    std::uint64_t _accesses = 0;
+    std::uint64_t _bytesRead = 0;
+    std::uint64_t _bytesWritten = 0;
     stats::Group _stats;
-    /** Cached counters: access() runs per burst, so no per-call
-     *  string-keyed stats lookups on the hot path. */
-    stats::Scalar &_sAccesses;
-    stats::Scalar &_sBytesRead;
-    stats::Scalar &_sBytesWritten;
 };
 
 } // namespace neummu

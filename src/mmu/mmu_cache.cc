@@ -166,6 +166,7 @@ UnifiedPageTableCache::invalidateNode(Addr node_pa)
 
 unsigned
 UnifiedPageTableCache::lookup(const WalkResult &walk,
+                              const EntryPath &entry_pa,
                               unsigned max_skippable)
 {
     _stats.consults++;
@@ -174,7 +175,7 @@ UnifiedPageTableCache::lookup(const WalkResult &walk,
     // it hits; probe root-first and stop at the first miss.
     for (unsigned i = 0; i < max_skippable && i < walk.levels; i++) {
         _entryLookups++;
-        if (!touch(walk.entryPa[i]))
+        if (!touch(entry_pa[i]))
             break;
         _entryHits++;
         _stats.levelHits[i < 3 ? i : 2]++;
@@ -186,6 +187,7 @@ UnifiedPageTableCache::lookup(const WalkResult &walk,
 
 void
 UnifiedPageTableCache::update(const WalkResult &walk,
+                              const EntryPath &entry_pa,
                               unsigned max_cacheable)
 {
     if (!walk.valid)
@@ -196,7 +198,7 @@ UnifiedPageTableCache::update(const WalkResult &walk,
     // which is exactly the structural weakness the paper's TPC/TPreg
     // avoids by storing one whole path per entry.
     for (unsigned i = 0; i < max_cacheable && i < walk.levels; i++)
-        insert(walk.entryPa[i]);
+        insert(entry_pa[i]);
 }
 
 } // namespace neummu

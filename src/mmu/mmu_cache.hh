@@ -109,15 +109,19 @@ class UnifiedPageTableCache
         MmuCacheReplacement repl = MmuCacheReplacement::Lru);
 
     /**
-     * Number of walk levels skippable for the walk described by
-     * @p walk: the count of consecutive entry-PA hits starting at the
-     * root, clamped to @p max_skippable. Each probed entry counts as
-     * one consult for hit-rate accounting (the 92.4% figure).
+     * Number of walk levels skippable for @p walk, whose entry PAs
+     * are @p entry_pa: the count of consecutive entry-PA hits starting
+     * at the root, clamped to @p max_skippable. Each probed entry
+     * counts as one consult for hit-rate accounting (the 92.4%
+     * figure).
      */
-    unsigned lookup(const WalkResult &walk, unsigned max_skippable);
+    unsigned lookup(const WalkResult &walk, const EntryPath &entry_pa,
+                    unsigned max_skippable);
 
-    /** Cache the upper-level entries touched by a completed walk. */
-    void update(const WalkResult &walk, unsigned max_cacheable);
+    /** Cache the upper-level entries @p entry_pa a completed @p walk
+     *  touched. */
+    void update(const WalkResult &walk, const EntryPath &entry_pa,
+                unsigned max_cacheable);
 
     /** Shootdown: drop the cached PTE at @p entry_pa (if present). */
     void invalidateEntry(Addr entry_pa);

@@ -108,8 +108,7 @@ MmuCore::MmuCore(std::string name, EventQueue &eq, PageTable &pt,
       _cfg(cfg),
       // translate() never reads an oracle's TLB, so it gets one
       // entry; _cfg keeps the configured TLB for the DMA ring hint.
-      _tlb(_name + ".tlb",
-           cfg.oracle ? TlbConfig{1, 0, cfg.tlb.hitLatency} : cfg.tlb)
+      _tlb(cfg.oracle ? TlbConfig{1, 0, cfg.tlb.hitLatency} : cfg.tlb)
 {
     NEUMMU_ASSERT(cfg.numPtws > 0 || cfg.oracle,
                   "an MMU needs at least one walker");
@@ -162,13 +161,13 @@ MmuCore::dropCached(Addr va, const UnmapResult &unmapped)
     if (_uptc) {
         if (unmapped.path.valid && unmapped.path.levels > 0) {
             _uptc->invalidateEntry(
-                unmapped.path.entryPa[unmapped.path.levels - 1]);
+                unmapped.entryPa[unmapped.path.levels - 1]);
         }
         for (unsigned i = 0; i < unmapped.freedNodes; i++)
             _uptc->invalidateNode(unmapped.freedNodePa[i]);
         if (unmapped.freedNodes > 0) {
             _uptc->invalidateEntry(
-                unmapped.path.entryPa[unmapped.firstFreedStep - 1]);
+                unmapped.entryPa[unmapped.firstFreedStep - 1]);
         }
     }
 }
@@ -181,8 +180,10 @@ MmuCore::invalidate(Addr va)
     // nodes. Only the PA-tagged UPTC needs the current walk path (to
     // drop its leaf PTE entry); skip the functional walk otherwise.
     UnmapResult info;
-    if (_uptc)
+    if (_uptc) {
         info.path = _pt.walk(va);
+        info.entryPa = _pt.entryPath(va);
+    }
     shootdown(va, info);
 }
 
@@ -395,7 +396,7 @@ MmuCore::consultPathCache(Walker &w, Addr va, const WalkResult &walk)
         skipped = _tpc->lookup(va, max_skippable);
         break;
       case MmuCacheKind::Uptc:
-        skipped = _uptc->lookup(walk, walk.levels);
+        skipped = _uptc->lookup(walk, _pt.entryPath(va), walk.levels);
         break;
     }
     _counts.pathCacheConsults++;
@@ -416,7 +417,7 @@ MmuCore::updatePathCache(Walker &w, Addr va, const WalkResult &walk)
         _tpc->update(va, walk);
         break;
       case MmuCacheKind::Uptc:
-        _uptc->update(walk, walk.levels);
+        _uptc->update(walk, _pt.entryPath(va), walk.levels);
         break;
     }
 }

@@ -21,7 +21,7 @@ constexpr std::uint64_t pomLineBytes = 64;
 PomTlb::PomTlb(std::string name, EventQueue &eq, PageTable &pt,
                unsigned page_shift, PomTlbConfig cfg)
     : MmuEngine(std::move(name), eq, pt, page_shift), _cfg(cfg),
-      _l1(_name + ".l1", cfg.l1), _mem(_name + ".dram", cfg.mem),
+      _l1(cfg.l1), _mem(_name + ".dram", cfg.mem),
       _numSets(std::max<std::size_t>(
           1, cfg.ways ? cfg.entries / cfg.ways : 1)),
       _pom(_numSets * std::max<std::size_t>(1, cfg.ways))

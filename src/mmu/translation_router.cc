@@ -19,11 +19,7 @@ class TranslationRouter::Port final : public TranslationEngine
   public:
     Port(TranslationRouter &router, unsigned client,
          const std::string &name)
-        : _router(router), _client(client), _stats(name),
-          _sRequests(_stats.scalar("requests")),
-          _sResponses(_stats.scalar("responses")),
-          _sBlockedIssues(_stats.scalar("blockedIssues")),
-          _sCapRejections(_stats.scalar("capRejections"))
+        : _router(router), _client(client), _stats(name)
     {
     }
 
@@ -85,12 +81,6 @@ class TranslationRouter::Port final : public TranslationEngine
     std::uint64_t _maxInflight = 0;
     std::uint64_t _capRejections = 0;
     stats::Group _stats;
-    // Scalar handles resolved once; the translate/response hot path
-    // must not pay per-call map lookups.
-    stats::Scalar &_sRequests;
-    stats::Scalar &_sResponses;
-    stats::Scalar &_sBlockedIssues;
-    stats::Scalar &_sCapRejections;
 };
 
 /**
@@ -177,6 +167,20 @@ TranslationRouter::clientStats(unsigned client)
     return _ports[client]->_stats;
 }
 
+void
+TranslationRouter::refreshStats()
+{
+    for (const auto &port : _ports) {
+        const auto set = [&port](const char *stat, std::uint64_t v) {
+            port->_stats.scalar(stat).set(double(v));
+        };
+        set("requests", port->_counts.requests);
+        set("responses", port->_counts.responses);
+        set("blockedIssues", port->_counts.blockedIssues);
+        set("capRejections", port->_capRejections);
+    }
+}
+
 inline std::uint64_t
 TranslationRouter::wakeKey(unsigned client) const
 {
@@ -249,15 +253,12 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
     // DMA attempts stay in their dmaIssue scope.
     Port &port = *_ports[client];
     port._counts.requests++;
-    ++port._sRequests;
     std::uint64_t &inflight = _inflight[client];
     if (_policy == RouterPolicy::Partitioned && inflight >= _perClientCap) {
         port._capRejections++;
         port._counts.blockedIssues++;
         _capBlocked.set(client);
         refuse(port, va, true);
-        ++port._sCapRejections;
-        ++port._sBlockedIssues;
         return false;
     }
     // Out of the filter first: the walk the engine may start reports
@@ -268,7 +269,6 @@ TranslationRouter::tryTranslate(unsigned client, Addr va,
     if (!_engine.translate(va, tagged)) {
         port._counts.blockedIssues++;
         refuse(port, va, false);
-        ++port._sBlockedIssues;
         return false;
     }
     inflight++;
@@ -351,7 +351,6 @@ TranslationRouter::onResponse(const TranslationResponse &resp)
     }
     _inflight[client]--;
     port._counts.responses++;
-    ++port._sResponses;
 
     TranslationResponse untagged = resp;
     untagged.id = resp.id & ((std::uint64_t(1) << clientShift) - 1);

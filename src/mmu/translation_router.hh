@@ -116,8 +116,12 @@ class TranslationRouter
     /** Per-client activity counters. */
     const MmuCounts &clientCounts(unsigned client) const;
 
-    /** Per-client statistics group ("<name>.client<i>"). */
+    /** Per-client statistics group ("<name>.client<i>"); current
+     *  after refreshStats(). */
     stats::Group &clientStats(unsigned client);
+
+    /** Mirror each client's counters into its group (dump time). */
+    void refreshStats();
 
     /**
      * Settle each parked client's refused rounds, and charge each

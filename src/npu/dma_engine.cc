@@ -12,10 +12,8 @@ DmaEngine::DmaEngine(std::string name, EventQueue &eq,
                      TranslationEngine &mmu, MemoryModel &mem,
                      DmaConfig cfg, RetryRound &retry)
     : _eq(eq), _name(std::move(name)), _mmu(mmu), _mem(mem), _cfg(cfg),
-      _retry(retry), _stats(_name),
-      _sTranslationsIssued(_stats.scalar("translationsIssued"))
+      _retry(retry), _stats(_name)
 {
-    _sStallCycles = &_stats.scalar("stallCycles");
     NEUMMU_ASSERT(cfg.burstBytes > 0, "zero DMA burst size");
     // Twice the hint: under contention a burst can outlive the
     // lifetime bound the hint comes from.
@@ -134,7 +132,6 @@ DmaEngine::issueStep(bool probe)
 
     trackBurst(id, len);
     _translations++;
-    ++_sTranslationsIssued;
     if (_trace)
         _trace->open(_traceKeyBase | id, trace::Stage::Translation,
                      _eq.now());
@@ -186,7 +183,6 @@ void
 DmaEngine::chargeWait(Tick until)
 {
     _stallCycles += until - _blockedSince;
-    *_sStallCycles += double(until - _blockedSince);
     // The rejected attempts burned ids, so the wait can't be pinned on
     // the id that eventually succeeds; charge it to the port's
     // credit-wait sentinel key instead.
@@ -320,6 +316,13 @@ DmaEngine::finish()
     _done = nullptr;
     if (done)
         done(_eq.now());
+}
+
+void
+DmaEngine::refreshStats()
+{
+    _stats.scalar("translationsIssued").set(double(_translations));
+    _stats.scalar("stallCycles").set(double(_stallCycles));
 }
 
 } // namespace neummu

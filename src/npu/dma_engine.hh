@@ -107,7 +107,10 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     std::uint64_t bytesFetched() const { return _bytes; }
     /** Cycles the issue port spent blocked on the MMU. */
     std::uint64_t stallCycles() const { return _stallCycles; }
+    /** Statistics group; current after refreshStats(). */
     stats::Group &stats() { return _stats; }
+    /** Mirror the plain counters into stats() (dump time). */
+    void refreshStats();
 
     /** Bursts with a translation in flight (tests/diagnostics). */
     std::size_t inflightBursts() const { return _inflight; }
@@ -178,10 +181,6 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     std::uint64_t _stallCycles = 0;
     trace::TraceBuffer *_trace = nullptr;
     TraceHook _traceHook;
-    /** Cached counters (here and after _stats): the issue loop runs
-     *  every cycle, so no per-call string-keyed stats lookups on the
-     *  hot path. A pointer, as _stats is built after it. */
-    stats::Scalar *_sStallCycles = nullptr;
 
     std::string _name;
     TranslationEngine &_mmu;
@@ -221,7 +220,6 @@ class DmaEngine final : private DeferredRetryClient, private RetryMember
     std::uint64_t _translations = 0;
     std::uint64_t _bytes = 0;
     stats::Group _stats;
-    stats::Scalar &_sTranslationsIssued;
 };
 
 } // namespace neummu

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/logging.hh"
 #include "system/scheduler.hh"
 #include "workloads/workload_factory.hh"
 
@@ -82,6 +83,9 @@ SweepEngine::runOne(const JobSpec &spec, unsigned index) const
     result.id = spec.id;
     result.index = index;
     const auto start = Clock::now();
+    // A broken invariant inside the job throws instead of aborting:
+    // the job fails alone and its System unwinds.
+    const InvariantTrap trap;
     try {
         const unsigned reps = spec.reps > 0 ? spec.reps : 1;
         for (unsigned rep = 0; rep < reps; rep++) {

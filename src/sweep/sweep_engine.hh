@@ -12,7 +12,9 @@
  * Guarantees:
  * - Failure isolation: a job that throws (BindError, WorkloadError,
  *   anything std::exception) is captured into its JobResult; the
- *   sweep continues.
+ *   sweep continues. So is a job that trips NEUMMU_PANIC,
+ *   NEUMMU_FATAL or NEUMMU_ASSERT: inside a job they throw
+ *   InvariantError (see InvariantTrap) instead of ending the process.
  * - Deterministic ordering: results land at their job's manifest
  *   index no matter which worker finished first.
  * - Reps: a job run more than once must dump identical stats every

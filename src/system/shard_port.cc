@@ -10,10 +10,7 @@ ShardTranslationPort::ShardTranslationPort(std::string name,
                                            Tick hop_ticks,
                                            unsigned credits)
     : _eq(eq), _hop(hop_ticks), _credits(credits),
-      _stats(std::move(name)),
-      _sRequests(_stats.scalar("requests")),
-      _sResponses(_stats.scalar("responses")),
-      _sCreditBlocks(_stats.scalar("creditBlocks"))
+      _stats(std::move(name))
 {
     NEUMMU_ASSERT(hop_ticks >= 1, "sim.hopTicks must be at least 1");
     NEUMMU_ASSERT(credits >= 1,
@@ -28,12 +25,10 @@ ShardTranslationPort::translate(Addr va, std::uint64_t id)
         // Out of credits: reject like an exhausted MMU port; the
         // wake fires when a response returns a credit.
         _counts.blockedIssues++;
-        ++_sCreditBlocks;
         return false;
     }
     _credits--;
     _counts.requests++;
-    ++_sRequests;
     if (_trace)
         _trace->span(_traceKeyBase | id, trace::Stage::HopToHub,
                      _eq.now(), _eq.now() + _hop);
@@ -68,11 +63,18 @@ ShardTranslationPort::deliverResponse(const TranslationResponse &resp)
     const bool was_starved = _credits == 0;
     _credits++;
     _counts.responses++;
-    ++_sResponses;
     if (_respond)
         _respond(resp);
     if (was_starved && _wake)
         _wake();
+}
+
+void
+ShardTranslationPort::refreshStats()
+{
+    _stats.scalar("requests").set(double(_counts.requests));
+    _stats.scalar("responses").set(double(_counts.responses));
+    _stats.scalar("creditBlocks").set(double(_counts.blockedIssues));
 }
 
 HubTranslationBridge::HubTranslationBridge(TranslationEngine &port,

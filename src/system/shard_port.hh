@@ -89,7 +89,11 @@ class ShardTranslationPort : public TranslationEngine
     unsigned creditsAvailable() const { return _credits; }
     /** Hops sent across this NPU's link, both directions. */
     std::uint64_t messagesPosted() const { return _messages; }
+    /** Statistics group; current after refreshStats(). */
     stats::Group &stats() { return _stats; }
+    /** Mirror the plain counters into stats() (dump time); a credit
+     *  block is the port's blockedIssues. */
+    void refreshStats();
 
     /** Attach the NPU's lifecycle trace buffer (System wiring).
      *  @p key_base is the port's router client tag. */
@@ -111,9 +115,6 @@ class ShardTranslationPort : public TranslationEngine
     std::uint64_t _traceKeyBase = 0;
     MmuCounts _counts;
     stats::Group _stats;
-    stats::Scalar &_sRequests;
-    stats::Scalar &_sResponses;
-    stats::Scalar &_sCreditBlocks;
 };
 
 /**

@@ -370,9 +370,20 @@ System::releaseSegment(const Segment &segment, unsigned owner_slot)
 }
 
 void
-System::refreshSystemStats()
+System::refreshStats()
 {
     _mmu->refreshStats();
+    if (_router)
+        _router->refreshStats();
+    for (const auto &port : _shardPorts)
+        port->refreshStats();
+    if (_sharedMem)
+        _sharedMem->refreshStats();
+    for (Npu &npu : _npus) {
+        if (npu.mem)
+            npu.mem->refreshStats();
+        npu.dma->refreshStats();
+    }
     if (_paging)
         _paging->refreshStats();
     if (_serving)
@@ -451,21 +462,21 @@ System::refreshProfileStats()
 void
 System::dumpStatsText(std::ostream &os)
 {
-    refreshSystemStats();
+    refreshStats();
     _stats.dumpText(os);
 }
 
 void
 System::dumpStatsJson(std::ostream &os)
 {
-    refreshSystemStats();
+    refreshStats();
     _stats.dumpJson(os);
 }
 
 bool
 System::writeStatsJsonFile(const std::string &path)
 {
-    refreshSystemStats();
+    refreshStats();
     return _stats.writeJsonFile(path);
 }
 

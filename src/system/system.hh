@@ -353,9 +353,20 @@ class System
     trace::TraceEngine &traceEngine();
 
     // --- Statistics ------------------------------------------------
-    /** Every component's counters, registered at construction. */
+    /**
+     * Every component's counters, registered at construction. A
+     * component counts in plain fields and mirrors them into its
+     * group only when refreshed: read a group after a dump or after
+     * refreshStats().
+     */
     stats::StatsRegistry &statsRegistry() { return _stats; }
-    /** Refresh system-level scalars (simTicks, events) and dump. */
+    /**
+     * Mirror every component's counters and the system-level
+     * scalars (simTicks, events) into the registry. Every dump runs
+     * it first; idempotent.
+     */
+    void refreshStats();
+    /** Refresh and dump. */
     void dumpStatsText(std::ostream &os);
     void dumpStatsJson(std::ostream &os);
     /** Refresh and write the JSON dump to @p path. */
@@ -371,7 +382,6 @@ class System
     };
 
     Npu &npuAt(unsigned idx);
-    void refreshSystemStats();
     /** Populate prof.* / fastpath.* groups (sim.profile only). */
     void refreshProfileStats();
 

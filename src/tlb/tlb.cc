@@ -6,10 +6,7 @@
 
 namespace neummu {
 
-Tlb::Tlb(std::string name, TlbConfig cfg)
-    : _cfg(cfg), _stats(std::move(name)), _sHits(_stats.scalar("hits")),
-      _sMisses(_stats.scalar("misses")),
-      _sEvictions(_stats.scalar("evictions"))
+Tlb::Tlb(TlbConfig cfg) : _cfg(cfg)
 {
     NEUMMU_ASSERT(cfg.entries > 0, "TLB needs at least one entry");
     NEUMMU_ASSERT(cfg.entries <= maxEntries,
@@ -93,7 +90,6 @@ Tlb::lookup(Addr vpn, Addr &pfn_out)
     const std::uint32_t slot = slotAt(probeFor(vpn));
     if (slot == npos) {
         _misses++;
-        ++_sMisses;
         return false;
     }
     // Move to MRU position.
@@ -105,7 +101,6 @@ Tlb::lookup(Addr vpn, Addr &pfn_out)
     }
     pfn_out = _slots[slot].pfn;
     _hits++;
-    ++_sHits;
     return true;
 }
 
@@ -140,7 +135,7 @@ Tlb::insert(Addr vpn, Addr pfn)
         // Recycle the true-LRU victim's slot in place.
         idx = set.tail;
         unlink(set, idx);
-        ++_sEvictions;
+        _evictions++;
     } else {
         idx = _freeSlots.back();
         _freeSlots.pop_back();

@@ -9,10 +9,8 @@
 #define NEUMMU_TLB_TLB_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "common/units.hh"
 
@@ -57,7 +55,7 @@ class Tlb
                   "the index word must hold every VPN of the VA space");
 
     /** @pre 0 < cfg.entries <= maxEntries. */
-    Tlb(std::string name, TlbConfig cfg);
+    explicit Tlb(TlbConfig cfg);
 
     /**
      * Probe for @p vpn; on a hit the entry becomes most recently used.
@@ -99,16 +97,15 @@ class Tlb
      * generation()) so hit statistics stay identical to the
      * equivalent lookup() call.
      */
-    void
-    noteRegisterHit()
-    {
-        _hits++;
-        ++_sHits;
-    }
+    void noteRegisterHit() { _hits++; }
 
     std::size_t size() const { return _cfg.entries - _freeSlots.size(); }
     const TlbConfig &config() const { return _cfg; }
-    stats::Group &stats() { return _stats; }
+
+    std::uint64_t hits() const { return _hits; }
+    std::uint64_t misses() const { return _misses; }
+    /** Valid entries replaced by an insert into a full set. */
+    std::uint64_t evictions() const { return _evictions; }
 
     double
     hitRate() const
@@ -193,14 +190,9 @@ class Tlb
     std::size_t _indexMask;
     /** 64 - log2(index size): home() keeps the hash's top bits. */
     unsigned _homeShift;
-    stats::Group _stats;
-    /** Cached counters: lookup() runs per request, so no per-call
-     *  string-keyed stats lookups on the hot path. */
-    stats::Scalar &_sHits;
-    stats::Scalar &_sMisses;
-    stats::Scalar &_sEvictions;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
+    std::uint64_t _evictions = 0;
     /** See generation(). */
     std::uint64_t _gen = 1;
 };

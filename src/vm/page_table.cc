@@ -113,6 +113,7 @@ PageTable::unmap(Addr va)
     std::array<unsigned, pageTableLevels> idx{};
     for (unsigned step = 0; step < depth; step++) {
         idx[step] = radixIndex(va, pageTableLevels - step);
+        res.entryPa[step] = chain[step]->pa + Addr(idx[step]) * 8;
         if (step + 1 < depth)
             chain[step + 1] = Node::child(chain[step]->entries[idx[step]]);
     }
@@ -157,13 +158,8 @@ PageTable::walk(Addr va) const
     WalkResult result;
     const Node *node = _root.get();
     for (unsigned level = pageTableLevels; level >= 1; level--) {
-        const unsigned idx = radixIndex(va, level);
-        const std::uint64_t e = node->entries[idx];
-
-        const unsigned step = pageTableLevels - level;
-        result.nodePa[step] = node->pa;
-        result.entryPa[step] = node->pa + Addr(idx) * 8;
-        result.levels = step + 1;
+        const std::uint64_t e = node->entries[radixIndex(va, level)];
+        result.levels = pageTableLevels - level + 1;
 
         if (e == 0)
             return result; // invalid: levels reflects steps taken
@@ -181,6 +177,22 @@ PageTable::walk(Addr va) const
         node = Node::child(e);
     }
     NEUMMU_PANIC("page-table walk ran past L1 without a leaf");
+}
+
+EntryPath
+PageTable::entryPath(Addr va) const
+{
+    EntryPath path{};
+    const Node *node = _root.get();
+    for (unsigned step = 0; step < pageTableLevels; step++) {
+        const unsigned idx = radixIndex(va, pageTableLevels - step);
+        path[step] = node->pa + Addr(idx) * 8;
+        const std::uint64_t e = node->entries[idx];
+        if (!(e & childBit))
+            break; // an invalid entry or a leaf ends the walk
+        node = Node::child(e);
+    }
+    return path;
 }
 
 bool

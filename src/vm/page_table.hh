@@ -6,8 +6,8 @@
  * 12-bit page offset, four 9-bit indices (L4..L1). 2 MB large pages
  * end the walk at L2 (three levels). Each node is the 4 KB frame it
  * models, 512 eight-byte entries, at a physical address from the node
- * allocator, so walkers report the PA of every entry they touch: the
- * UPTC (physically tagged MMU cache) and walk energy key off it.
+ * allocator, so entryPath() gives the PA of every entry a walk
+ * touches: the UPTC (physically tagged MMU cache) keys off it.
  */
 
 #ifndef NEUMMU_VM_PAGE_TABLE_HH
@@ -34,17 +34,14 @@ struct WalkResult
     unsigned pageShift = smallPageShift;
     /** Number of tree levels traversed (4 for 4 KB, 3 for 2 MB). */
     unsigned levels = 0;
-    /**
-     * Physical address of the page-table entry read at each step,
-     * ordered from the root; entries [0, levels) are meaningful.
-     */
-    std::array<Addr, pageTableLevels> entryPa{};
-    /**
-     * Physical base address of the node visited at each step (the
-     * table containing entryPa[i]); entries [0, levels) are valid.
-     */
-    std::array<Addr, pageTableLevels> nodePa{};
 };
+
+/**
+ * Physical address of the page-table entry a walk reads at each step,
+ * ordered from the root; entries [0, levels) of the walk are
+ * meaningful, the rest 0. Step i's node is pageBase(entryPa[i]).
+ */
+using EntryPath = std::array<Addr, pageTableLevels>;
 
 /**
  * Outcome of one unmap(): what the caller needs to recycle the leaf
@@ -59,8 +56,10 @@ struct UnmapResult
     Addr frame = invalidAddr;
     /** Granularity of the removed mapping (12 or 21). */
     unsigned pageShift = smallPageShift;
-    /** Pre-unmap translation path (entry/node PAs of every level). */
+    /** Pre-unmap walk of the removed mapping. */
     WalkResult path;
+    /** Pre-unmap entry PAs of that walk (the UPTC's shootdown keys). */
+    EntryPath entryPa{};
     /** Interior tree nodes reclaimed because they became empty. */
     unsigned freedNodes = 0;
     /** Physical bases of the reclaimed nodes (deepest first). */
@@ -75,8 +74,9 @@ struct UnmapResult
 
 /**
  * Functional radix page table. map()/unmap() maintain the tree;
- * walk() returns the full translation path so timing models (PTWs)
- * can charge per-level latency/energy and feed translation caches.
+ * walk() returns the translation and its depth so timing models
+ * (PTWs) can charge per-level latency, and entryPath() the entry PAs
+ * for the consumers that key off them.
  * unmap() reclaims interior nodes that become empty, returning their
  * frames to the node allocator (the free-list recycling path).
  */
@@ -103,13 +103,16 @@ class PageTable
     /**
      * Remove the mapping covering @p va (no-op when unmapped),
      * reclaiming interior nodes that became empty. The result carries
-     * the pre-unmap walk path so callers can free the leaf frame and
-     * invalidate translation caches coherently.
+     * the pre-unmap walk and its entry PAs so callers can free the
+     * leaf frame and invalidate translation caches coherently.
      */
     UnmapResult unmap(Addr va);
 
-    /** Translate @p va, reporting the full walk path. */
+    /** Translate @p va, reporting how many levels the walk read. */
     WalkResult walk(Addr va) const;
+
+    /** The entry PAs walk(@p va) reads, from the root. */
+    EntryPath entryPath(Addr va) const;
 
     /** Walks served from the one-entry cache (diagnostics). */
     std::uint64_t walkCacheHits() const { return _walkCacheHits; }

@@ -161,6 +161,11 @@ TEST(MemoryModel, TracksByteStats)
     MemoryModel mem("m", tableOneMemory());
     mem.access(0, 0, 1000, false);
     mem.access(0, 4096, 500, true);
+    EXPECT_EQ(mem.bytesRead(), 1000u);
+    EXPECT_EQ(mem.bytesWritten(), 500u);
+    EXPECT_EQ(mem.accesses(), 2u);
+    // The group mirrors the counters once refreshed.
+    mem.refreshStats();
     EXPECT_DOUBLE_EQ(mem.stats().scalar("bytesRead").value(), 1000.0);
     EXPECT_DOUBLE_EQ(mem.stats().scalar("bytesWritten").value(), 500.0);
     EXPECT_DOUBLE_EQ(mem.stats().scalar("accesses").value(), 2.0);
@@ -212,12 +217,9 @@ TEST(MemoryModel, MatchesThePerChunkReferenceOnAnyGeometry)
                         << ": " << bytes << " B at pa " << pa;
                     ASSERT_EQ(mem.earliestFree(), ref.earliestFree());
                 }
-                EXPECT_EQ(mem.stats().scalar("bytesRead").value(),
-                          ref.bytesRead);
-                EXPECT_EQ(mem.stats().scalar("bytesWritten").value(),
-                          ref.bytesWritten);
-                EXPECT_EQ(mem.stats().scalar("accesses").value(),
-                          ref.accesses);
+                EXPECT_EQ(double(mem.bytesRead()), ref.bytesRead);
+                EXPECT_EQ(double(mem.bytesWritten()), ref.bytesWritten);
+                EXPECT_EQ(double(mem.accesses()), ref.accesses);
             }
         }
     }

@@ -55,6 +55,18 @@ tempPath(const std::string &name)
     return ::testing::TempDir() + name;
 }
 
+/** A job body that breaks a simulator invariant after building its
+ *  System: a single-NPU system has no router. */
+sweep::JobOutcome
+askForMissingRouter()
+{
+    SystemConfig cfg;
+    cfg.numNpus = 1;
+    System system(cfg);
+    system.router();
+    return {};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -417,6 +429,48 @@ TEST(SweepEngine, IsolatesFailingJobsAndKeepsOrder)
         << results.jobs[3].error;
     EXPECT_TRUE(results.jobs[4].ok);
     EXPECT_GT(results.jobs[4].outcome.totalCycles, 0u);
+}
+
+TEST(SweepEngineDeathTest, TrippedAssertFailsOnlyItsJob)
+{
+    std::vector<sweep::JobSpec> jobs(4);
+    jobs[0].id = "ok_a";
+    jobs[0].workloads = {"synthetic:pattern=stride,accesses=128"};
+    jobs[1].id = "tripped_assert";
+    jobs[1].runner = askForMissingRouter;
+    jobs[2].id = "ok_b";
+    jobs[2].overrides = {{"seed", "2"}};
+    jobs[2].workloads = {"synthetic:pattern=uniform,accesses=128"};
+    jobs[3].id = "ok_c";
+    jobs[3].overrides = {{"seed", "3"}};
+    jobs[3].workloads = {"synthetic:pattern=uniform,accesses=128"};
+
+    // On worker threads, then on the calling thread itself.
+    for (const unsigned threads : {2u, 1u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        sweep::SweepOptions opts;
+        opts.threads = threads;
+        const sweep::SweepResults results =
+            sweep::SweepEngine(opts).run(jobs);
+        ASSERT_EQ(results.jobs.size(), 4u);
+        EXPECT_EQ(results.summary.failures, 1u);
+        EXPECT_FALSE(results.jobs[1].ok);
+        // The error is the line the panic would have printed.
+        const std::string &error = results.jobs[1].error;
+        EXPECT_EQ(error.rfind("panic: assertion failed: _router: "
+                              "single-NPU system has no router (",
+                              0),
+                  0u)
+            << error;
+        EXPECT_NE(error.find("system.cc:"), std::string::npos) << error;
+        for (const unsigned i : {0u, 2u, 3u}) {
+            EXPECT_TRUE(results.jobs[i].ok) << results.jobs[i].error;
+            EXPECT_GT(results.jobs[i].outcome.totalCycles, 0u);
+        }
+    }
+
+    // Outside a sweep the same assert still aborts the process.
+    EXPECT_DEATH(askForMissingRouter(), "single-NPU system has no router");
 }
 
 TEST(SweepEngine, ZeroCountsFailInIsolation)

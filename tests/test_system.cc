@@ -11,7 +11,9 @@
 #include <sstream>
 #include <utility>
 
+#include "system/scheduler.hh"
 #include "system/system.hh"
+#include "workloads/workload_factory.hh"
 
 using namespace neummu;
 
@@ -259,6 +261,93 @@ TEST(System, StatsJsonDumpContainsLiveCounters)
     // Balanced braces: one object per group plus the outer one.
     EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
               std::count(out.begin(), out.end(), '}'));
+}
+
+TEST(System, DumpMirrorsEveryComponentsCounters)
+{
+    // Four routed NPUs behind credit ports (the hop model), the
+    // baseline IOMMU's walkers split by a partitioned cap, and
+    // demand paging: every component on the translation path counts.
+    SystemConfig cfg;
+    cfg.name = "m";
+    cfg.numNpus = 4;
+    cfg.mmuKind = MmuKind::BaselineIommu;
+    cfg.routerPolicy = RouterPolicy::Partitioned;
+    cfg.sim.shards = 1;
+    cfg.sim.portCredits = 6;
+    cfg.paging.enabled = true;
+    cfg.paging.residentLimitBytes = 32 * 4096;
+    cfg.paging.faultLatency = 200;
+    System sys(cfg);
+    Scheduler sched(sys);
+    for (unsigned i = 0; i < 4; i++) {
+        sched.add(makeWorkloadFromSpec(
+            "synthetic:pattern=uniform,footprint=256k,accesses=256,"
+            "bytes=256,paged=1,seed=" +
+            std::to_string(i + 1)));
+    }
+    ASSERT_TRUE(sched.run().allDone);
+    std::ostringstream first;
+    sys.dumpStatsJson(first);
+
+    const stats::StatsRegistry &reg = sys.statsRegistry();
+    const auto scalar = [&reg](const std::string &group,
+                               const char *stat) {
+        const stats::Group *g = reg.find(group);
+        EXPECT_NE(g, nullptr) << group;
+        return g ? g->scalars().at(stat).value() : -1.0;
+    };
+    std::uint64_t cap_rejections = 0, credit_blocks = 0;
+    for (unsigned i = 0; i < 4; i++) {
+        SCOPED_TRACE("npu " + std::to_string(i));
+        const std::string npu = "m.npu" + std::to_string(i);
+        const DmaEngine &dma = sys.dma(i);
+        EXPECT_GT(dma.translationsIssued(), 0u);
+        EXPECT_EQ(scalar(npu + ".dma", "translationsIssued"),
+                  double(dma.translationsIssued()));
+        EXPECT_EQ(scalar(npu + ".dma", "stallCycles"),
+                  double(dma.stallCycles()));
+        const MemoryModel &mem = sys.memory(i);
+        EXPECT_GT(mem.accesses(), 0u);
+        EXPECT_EQ(scalar(npu + ".mem", "accesses"), double(mem.accesses()));
+        EXPECT_EQ(scalar(npu + ".mem", "bytesRead"),
+                  double(mem.bytesRead()));
+        EXPECT_EQ(scalar(npu + ".mem", "bytesWritten"),
+                  double(mem.bytesWritten()));
+        const MmuCounts &port = sys.translationPort(i).counts();
+        EXPECT_EQ(scalar(npu + ".port", "requests"), double(port.requests));
+        EXPECT_EQ(scalar(npu + ".port", "responses"),
+                  double(port.responses));
+        EXPECT_EQ(scalar(npu + ".port", "creditBlocks"),
+                  double(port.blockedIssues));
+        credit_blocks += port.blockedIssues;
+        const std::string client = "m.router.client" + std::to_string(i);
+        const MmuCounts &routed = sys.router().clientCounts(i);
+        EXPECT_EQ(scalar(client, "requests"), double(routed.requests));
+        EXPECT_EQ(scalar(client, "responses"), double(routed.responses));
+        EXPECT_EQ(scalar(client, "blockedIssues"),
+                  double(routed.blockedIssues));
+        EXPECT_EQ(scalar(client, "capRejections"),
+                  double(sys.router().capRejections(i)));
+        cap_rejections += sys.router().capRejections(i);
+    }
+    const MmuCounts &mmu = sys.mmu().counts();
+    EXPECT_EQ(scalar("m.mmu", "requests"), double(mmu.requests));
+    EXPECT_EQ(scalar("m.mmu", "responses"), double(mmu.responses));
+    EXPECT_EQ(scalar("m.mmu", "faults"), double(mmu.faults));
+    // The run exercised every path the mirror covers.
+    EXPECT_GT(cap_rejections, 0u);
+    EXPECT_GT(credit_blocks, 0u);
+    EXPECT_GT(sys.pagingEngine().faults(), 0u);
+
+    // The refresh is idempotent: a second dump is byte-identical.
+    std::ostringstream second;
+    sys.dumpStatsJson(second);
+    EXPECT_EQ(first.str(), second.str());
+    sys.refreshStats();
+    std::ostringstream third;
+    sys.dumpStatsJson(third);
+    EXPECT_EQ(first.str(), third.str());
 }
 
 TEST(SystemDeath, MismatchedPageShiftIsCaught)

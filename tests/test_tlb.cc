@@ -18,18 +18,20 @@ using namespace neummu;
 
 TEST(Tlb, MissThenHit)
 {
-    Tlb tlb("t", TlbConfig{16, 0, 5});
+    Tlb tlb(TlbConfig{16, 0, 5});
     Addr pfn = 0;
     EXPECT_FALSE(tlb.lookup(100, pfn));
     tlb.insert(100, 7);
     ASSERT_TRUE(tlb.lookup(100, pfn));
     EXPECT_EQ(pfn, 7u);
     EXPECT_DOUBLE_EQ(tlb.hitRate(), 0.5);
+    EXPECT_EQ(tlb.hits(), 1u);
+    EXPECT_EQ(tlb.misses(), 1u);
 }
 
 TEST(Tlb, LruEvictionInFullyAssociative)
 {
-    Tlb tlb("t", TlbConfig{4, 0, 1});
+    Tlb tlb(TlbConfig{4, 0, 1});
     for (Addr v = 0; v < 4; v++)
         tlb.insert(v, v + 100);
     Addr pfn = 0;
@@ -45,7 +47,7 @@ TEST(Tlb, LruEvictionInFullyAssociative)
 
 TEST(Tlb, InsertRefreshesExistingEntry)
 {
-    Tlb tlb("t", TlbConfig{2, 0, 1});
+    Tlb tlb(TlbConfig{2, 0, 1});
     tlb.insert(1, 10);
     tlb.insert(2, 20);
     tlb.insert(1, 11); // refresh, making 2 the LRU
@@ -59,7 +61,7 @@ TEST(Tlb, InsertRefreshesExistingEntry)
 TEST(Tlb, SetAssociativeMapsVpnsToSets)
 {
     // 4 entries, 2 ways => 2 sets; even VPNs -> set 0, odd -> set 1.
-    Tlb tlb("t", TlbConfig{4, 2, 1});
+    Tlb tlb(TlbConfig{4, 2, 1});
     tlb.insert(0, 1);
     tlb.insert(2, 2);
     tlb.insert(4, 3); // evicts VPN 0 from set 0
@@ -72,7 +74,7 @@ TEST(Tlb, SetAssociativeMapsVpnsToSets)
 
 TEST(Tlb, InvalidateAndFlush)
 {
-    Tlb tlb("t", TlbConfig{8, 0, 1});
+    Tlb tlb(TlbConfig{8, 0, 1});
     tlb.insert(5, 50);
     tlb.insert(6, 60);
     tlb.invalidate(5);
@@ -92,7 +94,7 @@ TEST(Tlb, InvalidateAndFlush)
 
 TEST(Tlb, InvalidateLruHeadKeepsChainOrder)
 {
-    Tlb tlb("t", TlbConfig{4, 0, 1});
+    Tlb tlb(TlbConfig{4, 0, 1});
     for (Addr v = 1; v <= 4; v++)
         tlb.insert(v, v + 100);
     tlb.invalidate(4); // MRU head
@@ -110,7 +112,7 @@ TEST(Tlb, InvalidateLruHeadKeepsChainOrder)
 
 TEST(Tlb, InvalidateLruMiddleKeepsChainOrder)
 {
-    Tlb tlb("t", TlbConfig{4, 0, 1});
+    Tlb tlb(TlbConfig{4, 0, 1});
     for (Addr v = 1; v <= 4; v++)
         tlb.insert(v, v + 100);
     tlb.invalidate(2); // middle of the chain
@@ -129,7 +131,7 @@ TEST(Tlb, InvalidateLruMiddleKeepsChainOrder)
 
 TEST(Tlb, InvalidateLruTailKeepsChainOrder)
 {
-    Tlb tlb("t", TlbConfig{4, 0, 1});
+    Tlb tlb(TlbConfig{4, 0, 1});
     for (Addr v = 1; v <= 4; v++)
         tlb.insert(v, v + 100);
     tlb.invalidate(1); // LRU tail
@@ -147,7 +149,7 @@ TEST(Tlb, InvalidateLruTailKeepsChainOrder)
 
 TEST(Tlb, InvalidateSingletonAndMissingVpn)
 {
-    Tlb tlb("t", TlbConfig{4, 0, 1});
+    Tlb tlb(TlbConfig{4, 0, 1});
     tlb.invalidate(9); // absent: no-op
     tlb.insert(9, 90);
     tlb.invalidate(9); // head == tail case
@@ -164,7 +166,7 @@ TEST(Tlb, InvalidateSingletonAndMissingVpn)
 TEST(Tlb, InvalidateInSetAssociativeGeometry)
 {
     // 4 entries, 2 ways => 2 sets; even VPNs -> set 0.
-    Tlb tlb("t", TlbConfig{4, 2, 1});
+    Tlb tlb(TlbConfig{4, 2, 1});
     tlb.insert(0, 1);
     tlb.insert(2, 2);
     tlb.invalidate(0);
@@ -179,7 +181,7 @@ TEST(Tlb, InvalidateInSetAssociativeGeometry)
 
 TEST(Tlb, ProbeDoesNotPerturbLruOrStats)
 {
-    Tlb tlb("t", TlbConfig{2, 0, 1});
+    Tlb tlb(TlbConfig{2, 0, 1});
     tlb.insert(1, 10);
     tlb.insert(2, 20);
     // Probing 1 must NOT make it MRU.
@@ -191,11 +193,11 @@ TEST(Tlb, ProbeDoesNotPerturbLruOrStats)
 
 TEST(Tlb, StatsCountEvictions)
 {
-    Tlb tlb("t", TlbConfig{2, 0, 1});
+    Tlb tlb(TlbConfig{2, 0, 1});
     tlb.insert(1, 1);
     tlb.insert(2, 2);
     tlb.insert(3, 3);
-    EXPECT_DOUBLE_EQ(tlb.stats().scalar("evictions").value(), 1.0);
+    EXPECT_EQ(tlb.evictions(), 1u);
 }
 
 /** Property sweep: capacity is respected for many geometries. */
@@ -207,7 +209,7 @@ class TlbGeometry
 TEST_P(TlbGeometry, NeverExceedsCapacityAndKeepsRecentEntries)
 {
     const auto [entries, ways] = GetParam();
-    Tlb tlb("t", TlbConfig{entries, ways, 1});
+    Tlb tlb(TlbConfig{entries, ways, 1});
     const std::size_t inserts = entries * 4;
     for (Addr v = 0; v < inserts; v++)
         tlb.insert(v, v);
@@ -224,7 +226,7 @@ TEST_P(TlbGeometry, HitsAndInvalidationsFindTheirSet)
     const std::size_t sets = (ways == 0) ? 1 : entries / ways;
     if (entries / sets < 2)
         GTEST_SKIP() << "one way per set: a hit cannot save an entry";
-    Tlb tlb("t", TlbConfig{entries, ways, 1});
+    Tlb tlb(TlbConfig{entries, ways, 1});
     const Addr inserts = entries * 4;
     for (Addr v = 0; v < inserts; v++)
         tlb.insert(v, v + 7);
@@ -248,11 +250,11 @@ TEST_P(TlbGeometry, HitsAndInvalidationsFindTheirSet)
     for (Addr v = oldest; v < oldest + sets; v++)
         tlb.invalidate(v);
     EXPECT_EQ(tlb.size(), entries - sets);
-    const double evictions = tlb.stats().scalar("evictions").value();
+    const std::uint64_t evictions = tlb.evictions();
     for (Addr v = inserts + sets; v < inserts + 2 * sets; v++)
         tlb.insert(v, v + 7);
     EXPECT_EQ(tlb.size(), entries);
-    EXPECT_EQ(tlb.stats().scalar("evictions").value(), evictions);
+    EXPECT_EQ(tlb.evictions(), evictions);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -266,7 +268,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Tlb, StreamingDefeatsAnyCapacity)
 {
     for (const std::size_t entries : {64ul, 256ul, 2048ul}) {
-        Tlb tlb("t", TlbConfig{entries, 0, 1});
+        Tlb tlb(TlbConfig{entries, 0, 1});
         Addr pfn;
         const Addr stream = Addr(entries) * 4;
         for (int pass = 0; pass < 2; pass++) {
@@ -382,7 +384,7 @@ runAgainstReference(std::size_t entries, std::size_t ways, unsigned seed,
 {
     SCOPED_TRACE("entries " + std::to_string(entries) + " ways " +
                  std::to_string(ways) + " seed " + std::to_string(seed));
-    Tlb tlb("t", TlbConfig{entries, ways, 1});
+    Tlb tlb(TlbConfig{entries, ways, 1});
     ReferenceTlb ref(entries, ways);
     std::mt19937_64 rng(seed);
 
@@ -440,8 +442,7 @@ runAgainstReference(std::size_t entries, std::size_t ways, unsigned seed,
         }
         ASSERT_EQ(tlb.generation() != gen, moved);
         ASSERT_EQ(tlb.size(), ref.size());
-        ASSERT_EQ(tlb.stats().scalar("evictions").value(),
-                  double(ref.evictions()));
+        ASSERT_EQ(tlb.evictions(), ref.evictions());
     }
     // Every pool VPN agrees at the end, resident or not.
     for (const Addr vpn : pool)

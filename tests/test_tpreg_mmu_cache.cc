@@ -147,23 +147,26 @@ TEST_F(PathCacheTest, TpcDuplicateUpdateDoesNotGrow)
 TEST_F(PathCacheTest, UptcChainRequiresConsecutiveHits)
 {
     UnifiedPageTableCache uptc(16);
-    const WalkResult wr = mapAndWalk(makeVa(1, 2, 3, 4));
-    uptc.update(wr, 3);
+    const Addr va = makeVa(1, 2, 3, 4);
+    const WalkResult wr = mapAndWalk(va);
+    uptc.update(wr, pt.entryPath(va), 3);
     // Same walk now chains through L4/L3/L2 entries.
-    EXPECT_EQ(uptc.lookup(wr, 3), 3u);
+    EXPECT_EQ(uptc.lookup(wr, pt.entryPath(va), 3), 3u);
 
     // A walk sharing only L4 with the cached path chains one level.
-    const WalkResult other = mapAndWalk(makeVa(1, 7, 7, 7));
-    EXPECT_EQ(uptc.lookup(other, 3), 1u);
+    const Addr other_va = makeVa(1, 7, 7, 7);
+    const WalkResult other = mapAndWalk(other_va);
+    EXPECT_EQ(uptc.lookup(other, pt.entryPath(other_va), 3), 1u);
 }
 
 TEST_F(PathCacheTest, UptcMissAtRootSkipsNothing)
 {
     UnifiedPageTableCache uptc(16);
-    const WalkResult a = mapAndWalk(makeVa(1, 2, 3, 4));
-    const WalkResult b = mapAndWalk(makeVa(9, 2, 3, 4));
-    uptc.update(a, 3);
-    EXPECT_EQ(uptc.lookup(b, 3), 0u);
+    const Addr va_a = makeVa(1, 2, 3, 4), va_b = makeVa(9, 2, 3, 4);
+    const WalkResult a = mapAndWalk(va_a);
+    const WalkResult b = mapAndWalk(va_b);
+    uptc.update(a, pt.entryPath(va_a), 3);
+    EXPECT_EQ(uptc.lookup(b, pt.entryPath(va_b), 3), 0u);
     // Per-entry hit-rate accounting: 1 lookup, 0 hits so far...
     EXPECT_EQ(uptc.entryLookups(), 1u);
     EXPECT_EQ(uptc.entryHits(), 0u);
@@ -172,14 +175,15 @@ TEST_F(PathCacheTest, UptcMissAtRootSkipsNothing)
 TEST_F(PathCacheTest, UptcCapacityEviction)
 {
     UnifiedPageTableCache uptc(3); // holds exactly one 3-entry path
-    const WalkResult a = mapAndWalk(makeVa(1, 2, 3, 4));
-    uptc.update(a, 3);
-    EXPECT_EQ(uptc.lookup(a, 3), 3u);
-    const WalkResult b = mapAndWalk(makeVa(4, 5, 6, 7));
-    uptc.update(b, 3);
+    const Addr va_a = makeVa(1, 2, 3, 4), va_b = makeVa(4, 5, 6, 7);
+    const WalkResult a = mapAndWalk(va_a);
+    uptc.update(a, pt.entryPath(va_a), 3);
+    EXPECT_EQ(uptc.lookup(a, pt.entryPath(va_a), 3), 3u);
+    const WalkResult b = mapAndWalk(va_b);
+    uptc.update(b, pt.entryPath(va_b), 3);
     EXPECT_EQ(uptc.size(), 3u);
-    EXPECT_EQ(uptc.lookup(b, 3), 3u);
-    EXPECT_EQ(uptc.lookup(a, 3), 0u); // fully evicted
+    EXPECT_EQ(uptc.lookup(b, pt.entryPath(va_b), 3), 3u);
+    EXPECT_EQ(uptc.lookup(a, pt.entryPath(va_a), 3), 0u); // fully evicted
 }
 
 TEST_F(PathCacheTest, UptcNeedsThreeEntriesPerPathTpcNeedsOne)
@@ -191,11 +195,11 @@ TEST_F(PathCacheTest, UptcNeedsThreeEntriesPerPathTpcNeedsOne)
     const Addr va = makeVa(1, 2, 3, 4);
     const WalkResult wr = mapAndWalk(va);
     tpc.update(va, wr);
-    uptc.update(wr, 3);
+    uptc.update(wr, pt.entryPath(va), 3);
     EXPECT_EQ(tpc.lookup(makeVa(1, 2, 3, 8), 3), 3u);
     // UPTC kept only the most recent entry (L2); the chain from the
     // root misses immediately.
-    EXPECT_EQ(uptc.lookup(wr, 3), 0u);
+    EXPECT_EQ(uptc.lookup(wr, pt.entryPath(va), 3), 0u);
 }
 
 TEST_F(PathCacheTest, UptcCachesLeafEntriesToo)
@@ -203,9 +207,10 @@ TEST_F(PathCacheTest, UptcCachesLeafEntriesToo)
     // Barr-style unified caches mix all levels, including the L1 PTE:
     // a full chain hit resolves the walk with zero memory accesses.
     UnifiedPageTableCache uptc(16);
-    const WalkResult wr = mapAndWalk(makeVa(1, 2, 3, 4));
-    uptc.update(wr, wr.levels);
-    EXPECT_EQ(uptc.lookup(wr, wr.levels), 4u);
+    const Addr va = makeVa(1, 2, 3, 4);
+    const WalkResult wr = mapAndWalk(va);
+    uptc.update(wr, pt.entryPath(va), wr.levels);
+    EXPECT_EQ(uptc.lookup(wr, pt.entryPath(va), wr.levels), 4u);
 }
 
 TEST_F(PathCacheTest, UptcLeafChurnWastesCapacity)
@@ -220,9 +225,10 @@ TEST_F(PathCacheTest, UptcLeafChurnWastesCapacity)
     for (unsigned page = 0; page < 64; page++) {
         const Addr va = makeVa(1, 2, 3, page);
         const WalkResult wr = mapAndWalk(va);
-        uptc_skips += uptc.lookup(wr, wr.levels);
+        const EntryPath path = pt.entryPath(va);
+        uptc_skips += uptc.lookup(wr, path, wr.levels);
         tpc_skips += tpc.lookup(va, wr.levels - 1);
-        uptc.update(wr, wr.levels);
+        uptc.update(wr, path, wr.levels);
         tpc.update(va, wr);
         walks++;
     }

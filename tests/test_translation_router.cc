@@ -222,6 +222,8 @@ TEST(TranslationRouter, PerClientStatsGroupsTrackActivity)
     ASSERT_TRUE(router.port(1).translate(seg.base + 2 * 4096, 0));
     h.eq.run();
 
+    // The groups mirror the per-client counters once refreshed.
+    router.refreshStats();
     EXPECT_EQ(router.clientStats(0).name(), "rtr.client0");
     EXPECT_EQ(router.clientStats(0).scalar("requests").value(), 2.0);
     EXPECT_EQ(router.clientStats(0).scalar("responses").value(), 2.0);

@@ -296,24 +296,46 @@ TEST_F(PageTableTest, MapsAndWalksLargePage)
     EXPECT_EQ(wr.levels, 3u); // 2 MB pages stop at L2
 }
 
-TEST_F(PageTableTest, WalkReportsEntryPathAddresses)
+TEST_F(PageTableTest, EntryPathReportsEntryAddresses)
 {
     const Addr va = Addr(0x7) << 39 | Addr(0x8) << 30 | Addr(0x9) << 21 |
                     Addr(0xa) << 12;
     pt.map(va, node.allocate(4096, 4096), smallPageShift);
-    const WalkResult wr = pt.walk(va);
-    ASSERT_TRUE(wr.valid);
-    // Root entry lives at rootPa + L4 index * 8.
-    EXPECT_EQ(wr.entryPa[0], pt.rootPa() + 0x7 * 8);
-    EXPECT_EQ(wr.nodePa[0], pt.rootPa());
-    // Each step's entry sits inside its node's frame.
-    for (unsigned i = 0; i < wr.levels; i++) {
-        EXPECT_EQ(pageBase(wr.entryPa[i], smallPageShift), wr.nodePa[i]);
-    }
+    ASSERT_TRUE(pt.walk(va).valid);
+    const EntryPath path = pt.entryPath(va);
+    // Root entry lives at rootPa + L4 index * 8, in the root's frame.
+    EXPECT_EQ(path[0], pt.rootPa() + 0x7 * 8);
+    EXPECT_EQ(pageBase(path[0], smallPageShift), pt.rootPa());
+    // Each later step's entry sits at its own index in its node.
+    EXPECT_EQ(path[1] & pageOffsetMask(smallPageShift), Addr(0x8) * 8);
+    EXPECT_EQ(path[2] & pageOffsetMask(smallPageShift), Addr(0x9) * 8);
+    EXPECT_EQ(path[3] & pageOffsetMask(smallPageShift), Addr(0xa) * 8);
     // Distinct levels live in distinct nodes.
-    EXPECT_NE(wr.nodePa[0], wr.nodePa[1]);
-    EXPECT_NE(wr.nodePa[1], wr.nodePa[2]);
-    EXPECT_NE(wr.nodePa[2], wr.nodePa[3]);
+    EXPECT_NE(pageBase(path[0], smallPageShift),
+              pageBase(path[1], smallPageShift));
+    EXPECT_NE(pageBase(path[1], smallPageShift),
+              pageBase(path[2], smallPageShift));
+    EXPECT_NE(pageBase(path[2], smallPageShift),
+              pageBase(path[3], smallPageShift));
+}
+
+TEST_F(PageTableTest, EntryPathStopsWhereTheWalkStops)
+{
+    // A 2 MB leaf ends the walk at L2: no fourth entry.
+    const Addr large = Addr(0x12) << 30;
+    pt.map(large, node.allocate(2 * MiB, 2 * MiB), largePageShift);
+    const WalkResult wr = pt.walk(large + 0x1234);
+    ASSERT_EQ(wr.levels, 3u);
+    const EntryPath path = pt.entryPath(large + 0x1234);
+    EXPECT_NE(path[2], 0u);
+    EXPECT_EQ(path[3], 0u);
+    // An unmapped VA stops at the first invalid entry, which the walk
+    // still reads: here the root's.
+    const Addr hole = Addr(0x13) << 39;
+    ASSERT_EQ(pt.walk(hole).levels, 1u);
+    const EntryPath miss = pt.entryPath(hole);
+    EXPECT_EQ(miss[0], pt.rootPa() + 0x13 * 8);
+    EXPECT_EQ(miss[1], 0u);
 }
 
 TEST_F(PageTableTest, NeighboringPagesShareUpperPath)
@@ -321,13 +343,13 @@ TEST_F(PageTableTest, NeighboringPagesShareUpperPath)
     const Addr va = Addr(0x11) << 30;
     pt.map(va, node.allocate(4096, 4096), smallPageShift);
     pt.map(va + 4096, node.allocate(4096, 4096), smallPageShift);
-    const WalkResult a = pt.walk(va);
-    const WalkResult b = pt.walk(va + 4096);
+    const EntryPath a = pt.entryPath(va);
+    const EntryPath b = pt.entryPath(va + 4096);
     // Same L4/L3/L2 entries; only the L1 entry differs.
-    EXPECT_EQ(a.entryPa[0], b.entryPa[0]);
-    EXPECT_EQ(a.entryPa[1], b.entryPa[1]);
-    EXPECT_EQ(a.entryPa[2], b.entryPa[2]);
-    EXPECT_NE(a.entryPa[3], b.entryPa[3]);
+    EXPECT_EQ(a[0], b[0]);
+    EXPECT_EQ(a[1], b[1]);
+    EXPECT_EQ(a[2], b[2]);
+    EXPECT_NE(a[3], b[3]);
 }
 
 TEST_F(PageTableTest, UnmapRemovesLeaf)
@@ -348,15 +370,38 @@ TEST_F(PageTableTest, UnmapReportsFrameAndPath)
     const Addr frame = node.allocate(4096, 4096);
     pt.map(va, frame, smallPageShift);
     const WalkResult before = pt.walk(va);
+    const EntryPath before_path = pt.entryPath(va);
     const UnmapResult um = pt.unmap(va);
     ASSERT_TRUE(um.unmapped);
     EXPECT_EQ(um.frame, frame);
     EXPECT_EQ(um.pageShift, smallPageShift);
     ASSERT_TRUE(um.path.valid);
     EXPECT_EQ(um.path.levels, 4u);
+    EXPECT_EQ(um.path.pa, before.pa);
     for (unsigned i = 0; i < 4; i++) {
-        EXPECT_EQ(um.path.entryPa[i], before.entryPa[i]);
-        EXPECT_EQ(um.path.nodePa[i], before.nodePa[i]);
+        EXPECT_EQ(um.entryPa[i], before_path[i]);
+        EXPECT_EQ(pageBase(um.entryPa[i], smallPageShift),
+                  pageBase(before_path[i], smallPageShift));
+    }
+}
+
+TEST_F(PageTableTest, UnmapEntryPaIsTheEntryPathBeforeTheUnmap)
+{
+    // A lone 4 KB page (its subtree is reclaimed), a 2 MB page, a
+    // page whose siblings keep its nodes, and an unmapped VA.
+    const Addr lone = Addr(0x30) << 39;
+    const Addr large = Addr(0x31) << 30;
+    const Addr shared = Addr(0x32) << 30;
+    pt.map(lone, node.allocate(4096, 4096), smallPageShift);
+    pt.map(large, node.allocate(2 * MiB, 2 * MiB), largePageShift);
+    pt.map(shared, node.allocate(4096, 4096), smallPageShift);
+    pt.map(shared + 4096, node.allocate(4096, 4096), smallPageShift);
+    const Addr hole = Addr(0x33) << 39;
+    for (const Addr va : {lone, large + 0x5000, shared, hole}) {
+        const EntryPath before = pt.entryPath(va);
+        const UnmapResult um = pt.unmap(va);
+        EXPECT_EQ(um.unmapped, va != hole) << va;
+        EXPECT_EQ(um.entryPa, um.unmapped ? before : EntryPath{}) << va;
     }
 }
 
@@ -374,9 +419,9 @@ TEST_F(PageTableTest, UnmapReclaimsEmptyInteriorNodes)
     EXPECT_EQ(um.freedNodes, 3u);
     EXPECT_EQ(um.firstFreedStep, 1u); // everything below the root
     // Deepest node (the L1 table) is reported first.
-    EXPECT_EQ(um.freedNodePa[0], um.path.nodePa[3]);
-    EXPECT_EQ(um.freedNodePa[1], um.path.nodePa[2]);
-    EXPECT_EQ(um.freedNodePa[2], um.path.nodePa[1]);
+    EXPECT_EQ(um.freedNodePa[0], pageBase(um.entryPa[3], smallPageShift));
+    EXPECT_EQ(um.freedNodePa[1], pageBase(um.entryPa[2], smallPageShift));
+    EXPECT_EQ(um.freedNodePa[2], pageBase(um.entryPa[1], smallPageShift));
     // The node frames went back to the allocator (the leaf frame is
     // the caller's to free).
     EXPECT_EQ(node.used(), used_before + 4096);
@@ -417,7 +462,7 @@ TEST_F(PageTableTest, PartialReclaimStopsAtPopulatedLevels)
     const UnmapResult um = pt.unmap(va);
     EXPECT_EQ(um.freedNodes, 1u);
     EXPECT_EQ(um.firstFreedStep, 3u); // just the L1 table
-    EXPECT_EQ(um.freedNodePa[0], um.path.nodePa[3]);
+    EXPECT_EQ(um.freedNodePa[0], pageBase(um.entryPa[3], smallPageShift));
     EXPECT_TRUE(pt.isMapped(sib));
 }
 
@@ -551,6 +596,7 @@ class ReferencePageTable
         res.path = walk(va);
         if (!res.path.valid)
             return res;
+        res.entryPa = entryPath(va);
         res.unmapped = true;
         res.pageShift = res.path.pageShift;
         res.frame = res.path.pa & ~pageOffsetMask(res.path.pageShift);
@@ -608,13 +654,8 @@ class ReferencePageTable
         WalkResult result;
         const Node *node = _root.get();
         for (unsigned level = pageTableLevels; level >= 1; level--) {
-            const unsigned idx = radixIndex(va, level);
-            const Entry &e = node->entries[idx];
-
-            const unsigned step = pageTableLevels - level;
-            result.nodePa[step] = node->pa;
-            result.entryPa[step] = node->pa + Addr(idx) * 8;
-            result.levels = step + 1;
+            const Entry &e = node->entries[radixIndex(va, level)];
+            result.levels = pageTableLevels - level + 1;
 
             if (!e.valid)
                 return result;
@@ -632,6 +673,28 @@ class ReferencePageTable
             node = e.child.get();
         }
         NEUMMU_PANIC("page-table walk ran past L1 without a leaf");
+    }
+
+    /** The entry PA each step of walk(@p va) reads, 0 past its end. */
+    EntryPath
+    entryPath(Addr va) const
+    {
+        EntryPath path{};
+        forEachStep(va, [&](unsigned step, const Node &node, unsigned idx) {
+            path[step] = node.pa + Addr(idx) * 8;
+        });
+        return path;
+    }
+
+    /** The node frame each step of walk(@p va) reads, 0 past its end. */
+    EntryPath
+    nodePath(Addr va) const
+    {
+        EntryPath path{};
+        forEachStep(va, [&](unsigned step, const Node &node, unsigned) {
+            path[step] = node.pa;
+        });
+        return path;
     }
 
     std::uint64_t walkCacheHits() const { return _walkCacheHits; }
@@ -668,6 +731,22 @@ class ReferencePageTable
         return node;
     }
 
+    /** Call @p f(step, node, index) for each entry walk(@p va) reads. */
+    template <typename F>
+    void
+    forEachStep(Addr va, F &&f) const
+    {
+        const Node *node = _root.get();
+        for (unsigned step = 0; step < pageTableLevels; step++) {
+            const unsigned idx = radixIndex(va, pageTableLevels - step);
+            f(step, *node, idx);
+            const Entry &e = node->entries[idx];
+            if (!e.valid || e.leaf)
+                return;
+            node = e.child.get();
+        }
+    }
+
     static std::uint64_t
     countNodes(const Node &node)
     {
@@ -694,8 +773,24 @@ expectSameWalk(const WalkResult &a, const WalkResult &b, const char *what)
     EXPECT_EQ(a.pa, b.pa) << what;
     EXPECT_EQ(a.pageShift, b.pageShift) << what;
     EXPECT_EQ(a.levels, b.levels) << what;
-    EXPECT_EQ(a.entryPa, b.entryPa) << what;
-    EXPECT_EQ(a.nodePa, b.nodePa) << what;
+}
+
+/**
+ * @p path is the reference's entry path of @p va: each entry sits in
+ * the node frame the reference walk visits at its step.
+ */
+void
+expectSamePath(const PageTable &pt, const ReferencePageTable &ref, Addr va,
+               const char *what)
+{
+    const EntryPath path = pt.entryPath(va);
+    EXPECT_EQ(path, ref.entryPath(va)) << what;
+    const EntryPath nodes = ref.nodePath(va);
+    for (unsigned i = 0; i < pageTableLevels; i++) {
+        EXPECT_EQ(path[i] ? pageBase(path[i], smallPageShift) : 0,
+                  nodes[i])
+            << what << ", step " << i;
+    }
 }
 
 /**
@@ -732,6 +827,7 @@ runAgainstReference(unsigned seed, unsigned steps)
     const auto walkBoth = [&](Addr va, const char *what) {
         const WalkResult w = ref.walk(va);
         expectSameWalk(pt.walk(va), w, what);
+        expectSamePath(pt, ref, va, what);
         return w;
     };
 
@@ -771,12 +867,18 @@ runAgainstReference(unsigned seed, unsigned steps)
                 mapped[i] = mapped.back();
                 mapped.pop_back();
             }
+            expectSamePath(pt, ref, va, "path before an unmap");
+            const EntryPath before = pt.entryPath(va);
             const UnmapResult a = pt.unmap(va);
             const UnmapResult b = ref.unmap(va);
             EXPECT_EQ(a.unmapped, b.unmapped);
             EXPECT_EQ(a.frame, b.frame);
             EXPECT_EQ(a.pageShift, b.pageShift);
             expectSameWalk(a.path, b.path, "unmap path");
+            EXPECT_EQ(a.entryPa, b.entryPa);
+            if (a.unmapped) {
+                EXPECT_EQ(a.entryPa, before);
+            }
             EXPECT_EQ(a.freedNodes, b.freedNodes);
             EXPECT_EQ(a.freedNodePa, b.freedNodePa);
             EXPECT_EQ(a.firstFreedStep, b.firstFreedStep);
